@@ -499,7 +499,7 @@ let () =
 (* ---- ablations ---- *)
 
 (* the degenerate-eigenspace fix: a single Fiedler sweep vs the
-   rotated-pair portfolio (see Spectral.fiedler_pair) *)
+   rotated-pair portfolio (see Spectral.solve) *)
 let () =
   reg ~suite:ablations ~items:256 "sweep_single_fiedler" (dep mesh16) (fun () ->
       let g = Lazy.force mesh16 in
@@ -510,8 +510,8 @@ let () =
 let () =
   reg ~suite:ablations ~items:256 "sweep_rotated_pair" (dep mesh16) (fun () ->
       let g = Lazy.force mesh16 in
-      (* the production portfolio path: one fused solve, not
-         lambda2 + fiedler_pair re-running the first iteration *)
+      (* the production portfolio path: one fused solve for the
+         Fiedler pair *)
       let spectral, f2 = Fn_expansion.Spectral.solve g in
       let f1 = spectral.Fn_expansion.Spectral.fiedler in
       let rot op = Array.init (Array.length f1) (fun i -> op f1.(i) f2.(i)) in
@@ -542,8 +542,8 @@ let () =
    6-regular expander halves joined by a handful of bridge edges,
    with an iid fault mask on top.  lambda2 collapses toward 0 while
    lambda3 stays at the expander gap, which is exactly the regime
-   where Power's per-vector iteration count balloons and the Krylov
-   backends win. *)
+   where Power's per-vector iteration count balloons and Lanczos
+   wins. *)
 let barbell1e5 =
   lazy
     (let rng = fresh () in
@@ -561,7 +561,7 @@ let barbell1e5 =
      (g, faults.Fn_faults.Fault_set.alive))
 
 (* The Power answer on the same masked instance, computed once
-   un-timed: the Krylov kernels assert 1e-6 agreement against it, so
+   un-timed: the Lanczos kernel asserts 1e-6 agreement against it, so
    every bench-smoke pass doubles as a large-n differential test. *)
 let barbell1e5_power_ref =
   lazy
@@ -590,16 +590,6 @@ let () =
       check_agreement "lanczos_postfault_1e5"
         (Lazy.force barbell1e5_power_ref)
         (Fn_expansion.Spectral.lambda2 ~alive ~method_:Fn_expansion.Spectral.Method.Lanczos g))
-
-let () =
-  reg ~suite:spectral ~items:102_400 "shift_invert_postfault_1e5"
-    (deps [ dep barbell1e5; dep barbell1e5_power_ref ])
-    (fun () ->
-      let g, alive = Lazy.force barbell1e5 in
-      check_agreement "shift_invert_postfault_1e5"
-        (Lazy.force barbell1e5_power_ref)
-        (Fn_expansion.Spectral.lambda2 ~alive
-           ~method_:Fn_expansion.Spectral.Method.Shift_invert g))
 
 (* Clean 100x100 torus (n = 1e4): the gap is ~2e-3, so Power burns its
    whole iteration budget while Lanczos converges inside one restart

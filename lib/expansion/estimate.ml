@@ -8,7 +8,6 @@ type t = {
   exact : bool;
   lower : float option;
   fiedler_pair : (float array * float array) option;
-  lambda2 : float option;
 }
 
 (* Cap on parallel local-search starts.  A constant (rather than the
@@ -125,17 +124,16 @@ let ball_witness_v ?alive ?rng ?(samples = 8) view objective =
   end
 
 (* The spectral slice of the portfolio on either {!Gview.t} arm: one
-   method-dispatched solve plus the four rotated sweeps.  This is what
-   gives implicit topologies a spectral path — before the registry the
-   sweep was CSR-only and large implicit views fell back to ball
-   witnesses alone. *)
-let spectral_witness_v ?obs ?alive ?(domains = 1) ?method_ ?gap_hint view objective =
+   solve plus the four rotated sweeps.  This is what gives implicit
+   topologies a spectral path; without it large implicit views would
+   have ball witnesses alone. *)
+let spectral_witness_v ?obs ?alive ?(domains = 1) view objective =
   let total =
     match alive with Some m -> Bitset.cardinal m | None -> Gview.num_nodes view
   in
   if total < 2 then None
   else begin
-    let spectral, f2 = Spectral.solve_v ?obs ?alive ~domains ?method_ ?gap_hint view in
+    let spectral, f2 = Spectral.solve_v ?obs ?alive ~domains view in
     let f1 = spectral.Spectral.fiedler in
     let rotate a b op = Array.init (Array.length a) (fun i -> op a.(i) b.(i)) in
     let scores = [| f1; f2; rotate f1 f2 ( +. ); rotate f1 f2 ( -. ) |] in
@@ -146,12 +144,11 @@ let spectral_witness_v ?obs ?alive ?(domains = 1) ?method_ ?gap_hint view object
           match acc with Some b -> Some (Cut.better b cut) | None -> Some cut)
         None scores
     in
-    Option.map (fun cut -> (cut, spectral.Spectral.lambda2, (f1, f2))) best
+    Option.map (fun cut -> (cut, (f1, f2))) best
   end
 
 let run ?(obs = Fn_obs.Sink.null) ?alive ?rng ?(domains = 1) ?(samples = 8)
-    ?(local_search_passes = 4) ?(force_heuristic = false) ?warm ?method_ ?gap_hint g
-    objective =
+    ?(local_search_passes = 4) ?(force_heuristic = false) ?warm g objective =
   let rng = match rng with Some r -> r | None -> Rng.create 0xFA17 in
   let total =
     match alive with Some m -> Bitset.cardinal m | None -> Graph.num_nodes g
@@ -173,7 +170,7 @@ let run ?(obs = Fn_obs.Sink.null) ?alive ?rng ?(domains = 1) ?(samples = 8)
     match disconnected_witness ?alive g with
     | Some w ->
       { value = 0.0; witness = w; objective; exact = true; lower = Some 0.0;
-        fiedler_pair = None; lambda2 = None }
+        fiedler_pair = None }
     | None ->
     let use_exact =
       (not force_heuristic) && Option.is_none alive && Graph.num_nodes g <= Exact.max_nodes
@@ -185,13 +182,13 @@ let run ?(obs = Fn_obs.Sink.null) ?alive ?rng ?(domains = 1) ?(samples = 8)
         | Cut.Edge -> Exact.edge_expansion g
       in
       { value = cut.Cut.value; witness = cut.Cut.set; objective; exact = true;
-        lower = Some cut.Cut.value; fiedler_pair = None; lambda2 = None }
+        lower = Some cut.Cut.value; fiedler_pair = None }
     end
     else begin
       (* one fused spectral solve: the lambda2 Fiedler vector IS the
          first vector of the pair, so Spectral.solve shares the power
          iteration instead of running it twice *)
-      let spectral, f2 = Spectral.solve ~obs ?alive ~domains ?warm ?method_ ?gap_hint g in
+      let spectral, f2 = Spectral.solve ~obs ?alive ~domains ?warm g in
       (* sweep the Fiedler pair and two 45-degree rotations: when the
          lambda2 eigenspace is degenerate (square meshes, tori) the
          single power-iteration vector is an arbitrary rotation of the
@@ -251,11 +248,11 @@ let run ?(obs = Fn_obs.Sink.null) ?alive ?rng ?(domains = 1) ?(samples = 8)
         match objective with
         | Cut.Edge ->
           let phi_lb = Spectral.cheeger_lower spectral in
-          Some (Spectral.conductance_to_edge_expansion_lb g phi_lb)
+          Some (Spectral.conductance_to_edge_expansion_lb ?alive g phi_lb)
         | Cut.Node -> None
       in
       { value = refined.Cut.value; witness = refined.Cut.set; objective; exact = false;
-        lower; fiedler_pair = Some (f1, f2); lambda2 = Some spectral.Spectral.lambda2 }
+        lower; fiedler_pair = Some (f1, f2) }
     end
   in
   if on then

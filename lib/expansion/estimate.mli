@@ -26,11 +26,6 @@ type t = {
       (** the spectral embeddings behind the sweep cuts, when the
           heuristic branch ran — reusable as [?warm] for the next
           estimate on a nearby alive mask *)
-  lambda2 : float option;
-      (** algebraic connectivity from the spectral solve, when the
-          heuristic branch ran — reusable as [?gap_hint] so the next
-          estimate on a nearby mask lets {!Spectral.Method.select}
-          pick shift-invert when the gap has collapsed *)
 }
 
 val run :
@@ -42,8 +37,6 @@ val run :
   ?local_search_passes:int ->
   ?force_heuristic:bool ->
   ?warm:float array * float array ->
-  ?method_:Spectral.Method.t ->
-  ?gap_hint:float ->
   Graph.t ->
   Cut.objective ->
   t
@@ -52,16 +45,14 @@ val run :
     feasible).  Requires >= 2 alive nodes.  [warm] is forwarded to
     {!Spectral.solve} on the heuristic branch: warm-started runs are
     faster on nearby masks but not bit-identical to cold ones, so the
-    default stays cold.  [method_] (default [Auto]) and [gap_hint]
-    pick the spectral backend via {!Spectral.Method.select}; the
-    default resolution is [Power] below
+    default stays cold.  The spectral backend is chosen by
+    {!Spectral.Method.select}: [Power] below
     {!Spectral.Method.power_max_nodes} alive nodes, keeping this
     path byte-identical to the pre-registry code.  A disconnected
-    alive set
-    yields value 0 with a component witness.  An enabled [obs] sink
-    wraps the whole estimate in an ["expansion.estimate"] span (with
-    nested spectral spans from {!Spectral}); the default null sink
-    costs nothing.
+    alive set yields value 0 with a component witness.  An enabled
+    [obs] sink wraps the whole estimate in an ["expansion.estimate"]
+    span (with nested spectral spans from {!Spectral}); the default
+    null sink costs nothing.
 
     Determinism contract: [domains = 1] (the default) runs the
     sequential portfolio and is byte-identical run to run.  With
@@ -92,17 +83,15 @@ val spectral_witness_v :
   ?obs:Fn_obs.Sink.t ->
   ?alive:Bitset.t ->
   ?domains:int ->
-  ?method_:Spectral.Method.t ->
-  ?gap_hint:float ->
   Gview.t ->
   Cut.objective ->
-  (Cut.t * float * (float array * float array)) option
+  (Cut.t * (float array * float array)) option
 (** The spectral slice of the portfolio on either {!Gview.t} arm: one
     {!Spectral.solve_v} (backend chosen by {!Spectral.Method.select})
-    plus the four rotated Fiedler sweeps; returns the best sweep cut,
-    lambda2, and the embedding pair, or [None] with fewer than 2 alive
-    nodes.  This is what gives implicit topologies a spectral path —
-    a matvec here costs one neighbor-closure call per alive node.
+    plus the four rotated Fiedler sweeps; returns the best sweep cut
+    and the embedding pair, or [None] with fewer than 2 alive nodes.
+    This is what gives implicit topologies a spectral path — a matvec
+    here costs one neighbor-closure call per alive node.
     Deterministic and bit-stable across [domains] like everything
     spectral. *)
 

@@ -3,44 +3,18 @@ open Fn_graph
 type result = { lambda2 : float; fiedler : float array; iterations : int }
 
 module Method = struct
-  type t = Auto | Power | Lanczos | Shift_invert
+  type t = Power | Lanczos
 
-  let to_string = function
-    | Auto -> "auto"
-    | Power -> "power"
-    | Lanczos -> "lanczos"
-    | Shift_invert -> "shift-invert"
+  let to_string = function Power -> "power" | Lanczos -> "lanczos"
 
-  let of_string = function
-    | "auto" -> Some Auto
-    | "power" -> Some Power
-    | "lanczos" -> Some Lanczos
-    | "shift-invert" | "shift_invert" -> Some Shift_invert
-    | _ -> None
-
-  let all = [ Auto; Power; Lanczos; Shift_invert ]
-
-  (* Auto policy: below this node count the fused power iteration is
+  (* Size policy: below this node count the fused power iteration is
      the reference and the matvec is cheap enough that Krylov
      bookkeeping does not pay; above it Lanczos converges in an order
      of magnitude fewer operator applications on the collapsed-gap
-     graphs Prune produces.  A [gap_hint] (a previous lambda2, e.g.
-     from the online warm cache) below [shift_invert_gap] signals a
-     near-disconnected mask, where the inverted operator separates the
-     near-null cluster from the bulk. *)
+     graphs Prune produces. *)
   let power_max_nodes = 50_000
 
-  let shift_invert_gap = 1e-6
-
-  let select ~n_alive ?gap_hint = function
-    | Auto ->
-      if n_alive < power_max_nodes then Power
-      else begin
-        match gap_hint with
-        | Some h when h < shift_invert_gap -> Shift_invert
-        | _ -> Lanczos
-      end
-    | m -> m
+  let select ~n_alive = if n_alive < power_max_nodes then Power else Lanczos
 end
 
 (* ---- Power: the historical fused iteration, kept bit-exact ---- *)
@@ -195,8 +169,9 @@ let lanczos_stall_window = 12
 
 let lanczos_stall_factor = 0.5
 
-(* Top-2 eigenpairs of the operator given by [apply_op] restricted to
-   the complement of the trivial vector.  Bounded memory: the Krylov
+(* Top-2 eigenpairs of the operator given by [apply] restricted to
+   the complement of the trivial vector; [applies] in the result counts
+   the calls made to [apply].  Bounded memory: the Krylov
    basis is capped at [lanczos_max_basis] vectors and thick-restarted
    keeping the best [lanczos_keep] Ritz vectors plus the residual
    direction.  Orthogonality is maintained selectively (see the pass
@@ -204,10 +179,8 @@ let lanczos_stall_factor = 0.5
    the locked Ritz block and the two recurrence partners, with a
    DGKS-gated second pass — full-basis work happens only on the
    arrowhead column right after a restart, where the exact-arithmetic
-   couplings are genuinely dense.  [applies] is bumped by [apply_op]
-   itself, so inner solves (shift-invert CG) charge the same
-   budget. *)
-let lanczos_top2 op ~apply_op ~applies ~max_applies ~tol ?start () =
+   couplings are genuinely dense. *)
+let lanczos_top2 op ~apply ~max_applies ~tol ?start () =
   let n = op.Spectral_op.n in
   let dim = max 1 (Spectral_op.alive_count op) in
   let max_basis = max 3 (min lanczos_max_basis dim) in
@@ -237,6 +210,7 @@ let lanczos_top2 op ~apply_op ~applies ~max_applies ~tol ?start () =
   else begin
     q.(0) <- y0;
     let m = ref 1 in
+    let applies = ref 0 in
     (* a deterministic direction orthogonal to the current basis, for
        breakdown recovery; None when the space is exhausted *)
     let fresh_direction () =
@@ -322,7 +296,8 @@ let lanczos_top2 op ~apply_op ~applies ~max_applies ~tol ?start () =
     while (not !converged) && (not !exhausted) && !applies < max_applies do
       let j = !m - 1 in
       let w = zeros () in
-      apply_op q.(j) w;
+      apply q.(j) w;
+      incr applies;
       (* Selective reorthogonalization.  In exact arithmetic w = M q_j
          is already orthogonal to all basis vectors except the two
          recurrence partners q_j, q_{j-1} — plus the locked Ritz block
@@ -429,69 +404,13 @@ let lanczos_top2 op ~apply_op ~applies ~max_applies ~tol ?start () =
     { theta1 = vals.(i1); py1; py2; applies = !applies }
   end
 
-(* ---- shift-invert: Lanczos on (sigma I - M)^{-1} via matrix-free CG ---- *)
-
-let shift_delta = 0.01
-
-let cg_rtol = 1e-10
-
-let cg_max_iter = 1000
-
-(* Solve (sigma I - M) x = b with conjugate gradients.  sigma > 2
-   makes the system positive definite on the whole space; Krylov
-   vectors live in the trivial-vector complement, which the operator
-   preserves, so no per-iteration deflation is needed beyond guarding
-   the right-hand side.  Deterministic: fixed iteration order, no
-   randomness, and the matvec itself is bit-stable across domains. *)
-let cg_solve op ~apply ~sigma ~applies b x =
-  let n = op.Spectral_op.n in
-  Array.fill x 0 n 0.0;
-  let r = Array.copy b in
-  Spectral_op.deflate op [] r;
-  let p = Array.copy r in
-  let mp = Array.make n 0.0 in
-  let rs = ref (Spectral_op.dot op r r) in
-  let b_norm = sqrt !rs in
-  if b_norm > 0.0 then begin
-    let it = ref 0 in
-    let continue_ = ref true in
-    while !continue_ && !it < cg_max_iter do
-      incr it;
-      apply p mp;
-      incr applies;
-      for i = 0 to n - 1 do
-        mp.(i) <- (sigma *. p.(i)) -. mp.(i)
-      done;
-      let denom = Spectral_op.dot op p mp in
-      if denom <= 0.0 then continue_ := false
-      else begin
-        let alpha = !rs /. denom in
-        for i = 0 to n - 1 do
-          x.(i) <- x.(i) +. (alpha *. p.(i));
-          r.(i) <- r.(i) -. (alpha *. mp.(i))
-        done;
-        let rs' = Spectral_op.dot op r r in
-        if sqrt rs' <= cg_rtol *. b_norm then continue_ := false
-        else begin
-          let beta = rs' /. !rs in
-          for i = 0 to n - 1 do
-            p.(i) <- r.(i) +. (beta *. p.(i))
-          done
-        end;
-        rs := rs'
-      end
-    done
-  end
-
 (* ---- the backend registry ---- *)
 
 (* Uniform backend contract: the full solve (lambda2, both y-space
    vectors, operator applications).  Power remains the bit-exact
-   reference; Lanczos extracts the pair from one Krylov basis;
-   shift-invert runs the same Lanczos on the inverted operator, whose
-   spectrum maps lambda -> 1/(delta + lambda) and so separates a
-   collapsed bottom cluster.  All are deterministic (no Fn_prng state
-   is drawn) and bit-stable across ?domains. *)
+   reference; Lanczos extracts the pair from one Krylov basis.  Both
+   are deterministic (no Fn_prng state is drawn) and bit-stable across
+   ?domains. *)
 type solved = {
   s_lambda2 : float;
   s_f1 : float array;
@@ -521,15 +440,8 @@ let solve_power op ~max_iter ~tol ~warm =
 
 let solve_lanczos op ~max_iter ~tol ~warm =
   let start = match warm with Some (x1, _) -> Some x1 | None -> None in
-  Spectral_op.with_apply_fast op (fun apply ->
-      let applies = ref 0 in
-      let apply_op src dst =
-        apply src dst;
-        incr applies
-      in
-      let p =
-        lanczos_top2 op ~apply_op ~applies ~max_applies:(2 * max_iter) ~tol ?start ()
-      in
+  Spectral_op.with_apply op (fun apply ->
+      let p = lanczos_top2 op ~apply ~max_applies:(2 * max_iter) ~tol ?start () in
       {
         s_lambda2 = max 0.0 (2.0 -. p.theta1);
         s_f1 = Spectral_op.embed op p.py1;
@@ -538,29 +450,15 @@ let solve_lanczos op ~max_iter ~tol ~warm =
         s_it_total = p.applies;
       })
 
-let solve_shift_invert op ~max_iter ~tol ~warm =
-  let start = match warm with Some (x1, _) -> Some x1 | None -> None in
-  let sigma = 2.0 +. shift_delta in
-  Spectral_op.with_apply_fast op (fun apply ->
-      let applies = ref 0 in
-      let apply_op src dst = cg_solve op ~apply ~sigma ~applies src dst in
-      let p =
-        lanczos_top2 op ~apply_op ~applies ~max_applies:(2 * max_iter) ~tol ?start ()
-      in
-      let lam theta = if theta > 0.0 then max 0.0 ((1.0 /. theta) -. shift_delta) else 2.0 in
-      {
-        s_lambda2 = lam p.theta1;
-        s_f1 = Spectral_op.embed op p.py1;
-        s_f2 = Spectral_op.embed op p.py2;
-        s_it_first = p.applies;
-        s_it_total = p.applies;
-      })
-
 let run_method method_ op ~max_iter ~tol ~warm =
   match method_ with
-  | Method.Power | Method.Auto -> solve_power op ~max_iter ~tol ~warm
+  | Method.Power -> solve_power op ~max_iter ~tol ~warm
   | Method.Lanczos -> solve_lanczos op ~max_iter ~tol ~warm
-  | Method.Shift_invert -> solve_shift_invert op ~max_iter ~tol ~warm
+
+(* an explicit [method_] wins; otherwise the size policy picks *)
+let resolve op = function
+  | Some m -> m
+  | None -> Method.select ~n_alive:(Spectral_op.alive_count op)
 
 let iterations_histogram () =
   Fn_obs.Metrics.histogram
@@ -570,21 +468,21 @@ let iterations_histogram () =
 (* ---- public entry points ---- *)
 
 let lambda2_v ?(obs = Fn_obs.Sink.null) ?alive ?(domains = 1) ?(max_iter = 1000)
-    ?(tol = 1e-9) ?(method_ = Method.Auto) ?gap_hint view =
+    ?(tol = 1e-9) ?method_ view =
   let on = Fn_obs.Sink.enabled obs in
   let sp = if on then Fn_obs.Span.enter obs "spectral.lambda2" else Fn_obs.Span.null in
   let op = Spectral_op.create ?alive ~domains view in
-  let m = Method.select ~n_alive:(Spectral_op.alive_count op) ?gap_hint method_ in
+  let m = resolve op method_ in
   let lambda2, fiedler, iterations =
     match m with
-    | Method.Power | Method.Auto ->
+    | Method.Power ->
       Spectral_op.with_apply op (fun apply ->
           let lambda2, _, fiedler, iterations =
             power_iteration op ~apply ~max_iter ~tol ~deflate_against:[] ()
           in
           (lambda2, fiedler, iterations))
-    | Method.Lanczos | Method.Shift_invert ->
-      let s = run_method m op ~max_iter ~tol ~warm:None in
+    | Method.Lanczos ->
+      let s = solve_lanczos op ~max_iter ~tol ~warm:None in
       (s.s_lambda2, s.s_f1, s.s_it_total)
   in
   if on then begin
@@ -599,33 +497,8 @@ let lambda2_v ?(obs = Fn_obs.Sink.null) ?alive ?(domains = 1) ?(max_iter = 1000)
   end;
   { lambda2; fiedler; iterations }
 
-let lambda2 ?obs ?alive ?domains ?max_iter ?tol ?method_ ?gap_hint g =
-  lambda2_v ?obs ?alive ?domains ?max_iter ?tol ?method_ ?gap_hint (Gview.Csr g)
-
-let fiedler_pair_v ?(obs = Fn_obs.Sink.null) ?alive ?(domains = 1) ?(max_iter = 1000)
-    ?(tol = 1e-9) ?(method_ = Method.Auto) ?gap_hint view =
-  let on = Fn_obs.Sink.enabled obs in
-  let sp = if on then Fn_obs.Span.enter obs "spectral.fiedler_pair" else Fn_obs.Span.null in
-  let op = Spectral_op.create ?alive ~domains view in
-  let m = Method.select ~n_alive:(Spectral_op.alive_count op) ?gap_hint method_ in
-  let f1, f2, total =
-    match m with
-    | Method.Power | Method.Auto ->
-      Spectral_op.with_apply op (fun apply ->
-          let _, y1, f1, it1 = power_iteration op ~apply ~max_iter ~tol ~deflate_against:[] () in
-          let _, _, f2, it2 =
-            power_iteration op ~apply ~max_iter ~tol ~deflate_against:[ y1 ] ()
-          in
-          (f1, f2, it1 + it2))
-    | Method.Lanczos | Method.Shift_invert ->
-      let s = run_method m op ~max_iter ~tol ~warm:None in
-      (s.s_f1, s.s_f2, s.s_it_total)
-  in
-  if on then Fn_obs.Span.exit sp ~fields:[ ("iterations", Fn_obs.Sink.Int total) ];
-  (f1, f2)
-
-let fiedler_pair ?obs ?alive ?domains ?max_iter ?tol ?method_ ?gap_hint g =
-  fiedler_pair_v ?obs ?alive ?domains ?max_iter ?tol ?method_ ?gap_hint (Gview.Csr g)
+let lambda2 ?obs ?alive ?domains ?max_iter ?tol ?method_ g =
+  lambda2_v ?obs ?alive ?domains ?max_iter ?tol ?method_ (Gview.Csr g)
 
 (* How far an embedding is from being an eigenvector of 2I - L on the
    current (alive-restricted) operator: lift x to y-space, deflate the
@@ -646,7 +519,7 @@ let residual_v ?alive view x =
       y.(i) <- y.(i) /. nrm
     done;
     let z = Array.make n 0.0 in
-    Spectral_op.apply_rows op y z 0 n;
+    Spectral_op.with_apply op (fun apply -> apply y z);
     let mu = Spectral_op.dot op y z in
     let acc = ref 0.0 in
     for i = 0 to n - 1 do
@@ -659,11 +532,11 @@ let residual_v ?alive view x =
 let residual ?alive g x = residual_v ?alive (Gview.Csr g) x
 
 let solve_v ?(obs = Fn_obs.Sink.null) ?alive ?(domains = 1) ?(max_iter = 1000)
-    ?(tol = 1e-9) ?warm ?(method_ = Method.Auto) ?gap_hint view =
+    ?(tol = 1e-9) ?warm ?method_ view =
   let on = Fn_obs.Sink.enabled obs in
   let sp = if on then Fn_obs.Span.enter obs "spectral.solve" else Fn_obs.Span.null in
   let op = Spectral_op.create ?alive ~domains view in
-  let m = Method.select ~n_alive:(Spectral_op.alive_count op) ?gap_hint method_ in
+  let m = resolve op method_ in
   let s = run_method m op ~max_iter ~tol ~warm in
   if on then begin
     Fn_obs.Span.exit sp
@@ -677,13 +550,20 @@ let solve_v ?(obs = Fn_obs.Sink.null) ?alive ?(domains = 1) ?(max_iter = 1000)
   end;
   ({ lambda2 = s.s_lambda2; fiedler = s.s_f1; iterations = s.s_it_first }, s.s_f2)
 
-let solve ?obs ?alive ?domains ?max_iter ?tol ?warm ?method_ ?gap_hint g =
-  solve_v ?obs ?alive ?domains ?max_iter ?tol ?warm ?method_ ?gap_hint (Gview.Csr g)
+let solve ?obs ?alive ?domains ?max_iter ?tol ?warm ?method_ g =
+  solve_v ?obs ?alive ?domains ?max_iter ?tol ?warm ?method_ (Gview.Csr g)
 
 let cheeger_lower r = r.lambda2 /. 2.0
 
 let cheeger_upper r = sqrt (2.0 *. r.lambda2)
 
-let conductance_to_edge_expansion_lb g phi =
-  let dmin = Graph.min_degree g in
+let conductance_to_edge_expansion_lb ?alive g phi =
+  let dmin =
+    match alive with
+    | None -> Graph.min_degree g
+    | Some m ->
+      let best = ref max_int in
+      Bitset.iter (fun v -> best := min !best (Graph.alive_degree g m v)) m;
+      if !best = max_int then 0 else !best
+  in
   phi *. float_of_int dmin /. 2.0

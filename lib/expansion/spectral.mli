@@ -10,56 +10,40 @@ open Fn_graph
     graph, edge expansion = φ·d on balanced cuts, giving cheap
     two-sided bounds that our tests check against {!Exact}.
 
-    Since this layer grew a method registry, every entry point is a
-    front for one of three backends over the same shared operator
-    ({!Spectral_op}):
+    Every entry point is a front for one of two backends over the same
+    shared operator and matvec ({!Spectral_op}):
 
     - {!Method.Power} — the historical fused power iteration, kept
-      bit-exact; the reference every other method is differential-
-      tested against, and the default at small sizes.
+      bit-exact; the reference that Lanczos is differential-tested
+      against, and the default below {!Method.power_max_nodes} alive
+      nodes.
     - {!Method.Lanczos} — thick-restart Lanczos with selective
       (DGKS-gated) reorthogonalization: both bottom eigenpairs from
       one Krylov basis, converging in O(1/sqrt(gap)) operator
       applications where power iteration needs O(1/gap).  This is the
       method that survives the near-disconnected masks {!Prune}
-      manufactures.
-    - {!Method.Shift_invert} — the same Lanczos on (σI - M)^{-1} with
-      σ just above the trivial eigenvalue, each application a
-      matrix-free conjugate-gradient solve.  The inversion maps a
-      collapsed bottom cluster to the well-separated top of the
-      inverted spectrum; worth it only when a gap hint says the mask
-      is nearly disconnected.
+      manufactures, and the default at and above
+      {!Method.power_max_nodes} alive nodes.
 
-    All methods are deterministic (the only "randomness" is a fixed
+    Both methods are deterministic (the only "randomness" is a fixed
     cosine start — no {!Fn_prng} state is drawn) and bit-stable
     across [?domains]. *)
 
-(** Backend registry for the spectral solvers. *)
+(** The two spectral backends and the size policy that picks one when
+    [?method_] is omitted. *)
 module Method : sig
-  type t = Auto | Power | Lanczos | Shift_invert
+  type t = Power | Lanczos
 
   val to_string : t -> string
 
-  val of_string : string -> t option
-  (** Inverse of {!to_string}; also accepts ["shift_invert"]. *)
-
-  val all : t list
-
   val power_max_nodes : int
-  (** [Auto] resolves to [Power] strictly below this alive-node count
+  (** {!select} picks [Power] strictly below this alive-node count
       (50_000), which keeps every default experiment byte-identical
       to the pre-registry code. *)
 
-  val shift_invert_gap : float
-  (** [Auto] with a [gap_hint] below this (1e-6) resolves to
-      [Shift_invert]: the mask is near-disconnected enough that
-      inverting the operator pays for the inner solves. *)
-
-  val select : n_alive:int -> ?gap_hint:float -> t -> t
-  (** Resolve [Auto] per graph size and optional spectral-gap hint (a
-      previous lambda2 for a nearby mask, e.g. from the online warm
-      cache); concrete methods pass through unchanged.  Never returns
-      [Auto]. *)
+  val select : n_alive:int -> t
+  (** The backend used when [?method_] is omitted: [Power] below
+      {!power_max_nodes} alive nodes, [Lanczos] from there on. *)
 end
 
 type result = {
@@ -67,8 +51,7 @@ type result = {
   fiedler : float array;  (** the embedding x = D^{-1/2} y₂, zero for dead nodes *)
   iterations : int;
       (** operator applications consumed: power-iteration steps for
-          [Power], total matvecs (including inner CG) for the Krylov
-          methods *)
+          [Power], total matvecs for [Lanczos] *)
 }
 
 val lambda2 :
@@ -78,7 +61,6 @@ val lambda2 :
   ?max_iter:int ->
   ?tol:float ->
   ?method_:Method.t ->
-  ?gap_hint:float ->
   Graph.t ->
   result
 (** λ₂ and the Fiedler embedding of the alive-restricted operator.
@@ -86,8 +68,8 @@ val lambda2 :
     Isolated alive nodes are permitted (they contribute λ = 1 rows);
     the graph restricted to [alive] should be connected for λ₂ to
     have its usual meaning.  Defaults: [max_iter] 1000, [tol] 1e-9,
-    [domains] 1, [method_] [Auto] (resolved by {!Method.select}; the
-    [Power] resolution is bit-identical to the historical code).
+    [domains] 1, [method_] chosen by {!Method.select} (the [Power]
+    choice is bit-identical to the historical code).
 
     With [domains > 1] the matvec is chunked over a
     {!Fn_parallel.Par.Pool} of worker domains (on graphs large enough
@@ -103,42 +85,11 @@ val lambda2_v :
   ?max_iter:int ->
   ?tol:float ->
   ?method_:Method.t ->
-  ?gap_hint:float ->
   Gview.t ->
   result
 (** {!lambda2} over any {!Gview.t}: implicit topologies get the same
     spectral path, paying one neighbor-closure call per row per
     matvec instead of a CSR scan. *)
-
-val fiedler_pair :
-  ?obs:Fn_obs.Sink.t ->
-  ?alive:Bitset.t ->
-  ?domains:int ->
-  ?max_iter:int ->
-  ?tol:float ->
-  ?method_:Method.t ->
-  ?gap_hint:float ->
-  Graph.t ->
-  float array * float array
-(** Two orthogonal embeddings spanning the bottom of the spectrum:
-    the Fiedler vector and a second vector deflated against it.  When
-    λ₂ is (near-)degenerate — e.g. the row and column modes of a
-    square mesh — a single power-iteration vector is an arbitrary mix
-    of the eigenspace; sweeping several rotations of the pair recovers
-    the axis-aligned cuts (see {!Estimate}).  The Krylov backends get
-    both vectors from one basis; [Power] runs its two deflated
-    iterations exactly as before. *)
-
-val fiedler_pair_v :
-  ?obs:Fn_obs.Sink.t ->
-  ?alive:Bitset.t ->
-  ?domains:int ->
-  ?max_iter:int ->
-  ?tol:float ->
-  ?method_:Method.t ->
-  ?gap_hint:float ->
-  Gview.t ->
-  float array * float array
 
 val solve :
   ?obs:Fn_obs.Sink.t ->
@@ -148,23 +99,26 @@ val solve :
   ?tol:float ->
   ?warm:float array * float array ->
   ?method_:Method.t ->
-  ?gap_hint:float ->
   Graph.t ->
   result * float array
-(** [lambda2] and [fiedler_pair] fused: the Fiedler vector of the
-    result doubles as the first vector of the pair, so one call does
-    the work of two.  Returns the {!result} and the second, deflated
-    embedding.  Without [warm] and under the [Power] resolution,
-    bit-identical to calling {!lambda2} and {!fiedler_pair}
-    separately.
+(** [lambda2] plus a second bottom embedding: the Fiedler vector of
+    the result and a second vector orthogonal to it span the bottom
+    of the spectrum.  When λ₂ is (near-)degenerate — e.g. the row and
+    column modes of a square mesh — a single vector is an arbitrary
+    mix of the eigenspace; sweeping several rotations of the pair
+    recovers the axis-aligned cuts (see {!Estimate}).  Returns the
+    {!result} and the second, deflated embedding.  [Power] runs a
+    second iteration deflated against the first vector (without
+    [warm], its first vector is bit-identical to {!lambda2}'s);
+    [Lanczos] gets both vectors from one Krylov basis.
 
     [warm] seeds the solve with a previous embedding pair (e.g. the
     output of an earlier [solve] on a nearby alive mask) instead of
     the deterministic cosine start; when the mask barely moved this
     converges in a handful of iterations.  Warm starts are
     method-aware: [Power] seeds its two iterations with the pair,
-    the Krylov methods seed the first basis vector with the lifted
-    first embedding.  A warm vector that deflates to (near) zero
+    [Lanczos] seeds its first basis vector with the lifted first
+    embedding.  A warm vector that deflates to (near) zero
     under the new mask falls back to the cold start.  Warm results
     are {e not} bit-identical to cold ones — callers needing exact
     reproducibility must stay cold (see {!residual} for the check
@@ -178,7 +132,6 @@ val solve_v :
   ?tol:float ->
   ?warm:float array * float array ->
   ?method_:Method.t ->
-  ?gap_hint:float ->
   Gview.t ->
   result * float array
 
@@ -199,8 +152,11 @@ val cheeger_lower : result -> float
 val cheeger_upper : result -> float
 (** sqrt(2 λ₂) — the Cheeger upper bound on conductance. *)
 
-val conductance_to_edge_expansion_lb : Graph.t -> float -> float
+val conductance_to_edge_expansion_lb : ?alive:Bitset.t -> Graph.t -> float -> float
 (** [conductance_to_edge_expansion_lb g phi] turns a conductance lower
     bound into an edge-expansion lower bound via the minimum degree:
     αe >= φ · d_min / 2 on balanced cuts (vol(U) >= d_min·|U| and
-    min side has volume <= vol(G)/2). *)
+    min side has volume <= vol(G)/2).  With [alive], d_min is taken
+    over the alive nodes' alive-restricted degrees — the graph the
+    masked λ₂ describes; the host graph's d_min can be larger and
+    overstate the bound. *)

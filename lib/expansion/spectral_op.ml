@@ -50,75 +50,45 @@ let is_alive t v = match t.alive with None -> true | Some m -> Bitset.mem m v
 
 let alive_count t = match t.alive with None -> t.n | Some m -> Bitset.cardinal m
 
-(* Each row of the operator touches only row-local state, so the
-   parallel matvec computes bit-identical results for every domain
-   count: parallelism changes which domain evaluates a row, never
-   the order of floating-point operations within it. *)
-let apply_rows t src dst lo hi =
-  let alive = t.alive in
-  let is_alive v = match alive with None -> true | Some m -> Bitset.mem m v in
+(* Gather-reduced row loops over the pre-scaled masked source
+   [u = src / sqrt_deg] (zero on dead and isolated nodes): per edge a
+   single [u] gather, no mask probe.  A dead neighbor adds its 0 where
+   a branch would have skipped it; the accumulator starts at +0.0 and
+   round-to-nearest addition can never turn it into -0.0, so that
+   [+. 0.] leaves it unchanged bit for bit.  Each row touches only
+   row-local state, so disjoint ranges may run concurrently with
+   bit-identical results.  The CSR arm reads the flat arrays in place:
+   a float accumulator captured by a neighbor closure would be boxed
+   on every edge visit. *)
+let csr_rows t xadj adj u src dst lo hi =
   let deg = t.deg and sqrt_deg = t.sqrt_deg in
-  match t.view with
-  | Gview.Csr g ->
-    for v = lo to hi - 1 do
-      if is_alive v then begin
-        if deg.(v) = 0 then dst.(v) <- src.(v)
-        else begin
-          let acc = ref 0.0 in
-          Graph.iter_neighbors g v (fun w ->
-              if is_alive w && deg.(w) > 0 then acc := !acc +. (src.(w) /. sqrt_deg.(w)));
-          dst.(v) <- src.(v) +. (!acc /. sqrt_deg.(v))
-        end
+  for v = lo to hi - 1 do
+    if is_alive t v then begin
+      if deg.(v) = 0 then dst.(v) <- src.(v)
+      else begin
+        let acc = ref 0.0 in
+        for k = xadj.(v) to xadj.(v + 1) - 1 do
+          acc := !acc +. u.(Array.unsafe_get adj k)
+        done;
+        dst.(v) <- src.(v) +. (!acc /. sqrt_deg.(v))
       end
-      else dst.(v) <- 0.0
-    done
-  | Gview.Implicit r ->
-    for v = lo to hi - 1 do
-      if is_alive v then begin
-        if deg.(v) = 0 then dst.(v) <- src.(v)
-        else begin
-          let acc = ref 0.0 in
-          r.Gview.iter_neighbors v (fun w ->
-              if is_alive w && deg.(w) > 0 then acc := !acc +. (src.(w) /. sqrt_deg.(w)));
-          dst.(v) <- src.(v) +. (!acc /. sqrt_deg.(v))
-        end
-      end
-      else dst.(v) <- 0.0
-    done
+    end
+    else dst.(v) <- 0.0
+  done
 
-let with_apply t f =
-  if t.domains > 1 && t.n >= par_node_threshold then
-    Fn_parallel.Par.Pool.with_pool ~domains:t.domains (fun pool ->
-        let workers = Fn_parallel.Par.Pool.size pool in
-        let chunk = (t.n + workers - 1) / workers in
-        f (fun src dst ->
-            Fn_parallel.Par.Pool.run pool (fun w ->
-                let lo = w * chunk in
-                let hi = min t.n (lo + chunk) in
-                if lo < hi then apply_rows t src dst lo hi)))
-  else f (fun src dst -> apply_rows t src dst 0 t.n)
-
-(* gather-reduced row loop over a pre-scaled masked source: per edge a
-   single u gather, no mask probe (dead/isolated entries of u are 0,
-   an exact [+. 0.] in the row sum) *)
-let apply_rows_fast t u src dst lo hi =
+let implicit_rows t iter u src dst lo hi =
   let deg = t.deg and sqrt_deg = t.sqrt_deg in
-  let sum_rows iter =
-    for v = lo to hi - 1 do
-      if is_alive t v then begin
-        if deg.(v) = 0 then dst.(v) <- src.(v)
-        else begin
-          let acc = ref 0.0 in
-          iter v (fun w -> acc := !acc +. u.(w));
-          dst.(v) <- src.(v) +. (!acc /. sqrt_deg.(v))
-        end
+  for v = lo to hi - 1 do
+    if is_alive t v then begin
+      if deg.(v) = 0 then dst.(v) <- src.(v)
+      else begin
+        let acc = ref 0.0 in
+        iter v (fun w -> acc := !acc +. u.(w));
+        dst.(v) <- src.(v) +. (!acc /. sqrt_deg.(v))
       end
-      else dst.(v) <- 0.0
-    done
-  in
-  match t.view with
-  | Gview.Csr g -> sum_rows (Graph.iter_neighbors g)
-  | Gview.Implicit r -> sum_rows r.Gview.iter_neighbors
+    end
+    else dst.(v) <- 0.0
+  done
 
 let scale_source t u src lo hi =
   let deg = t.deg and sqrt_deg = t.sqrt_deg in
@@ -127,50 +97,12 @@ let scale_source t u src lo hi =
       (if is_alive t i && deg.(i) > 0 then src.(i) /. sqrt_deg.(i) else 0.0)
   done
 
-(* flat adjacency copy for the CSR arm's fast path: one O(m) pass per
-   [with_apply_fast] (amortized over the solve's many matvecs) buys a
-   closure-free row loop in neighbor order identical to
-   [Graph.iter_neighbors] *)
-let flat_adjacency g n =
-  let xa = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    let c = ref 0 in
-    Graph.iter_neighbors g v (fun _ -> incr c);
-    xa.(v + 1) <- xa.(v) + !c
-  done;
-  let ad = Array.make xa.(n) 0 in
-  for v = 0 to n - 1 do
-    let k = ref xa.(v) in
-    Graph.iter_neighbors g v (fun w ->
-        ad.(!k) <- w;
-        incr k)
-  done;
-  (xa, ad)
-
-let flat_rows t xa ad u src dst lo hi =
-  let deg = t.deg and sqrt_deg = t.sqrt_deg in
-  for v = lo to hi - 1 do
-    if is_alive t v then begin
-      if deg.(v) = 0 then dst.(v) <- src.(v)
-      else begin
-        let acc = ref 0.0 in
-        for k = xa.(v) to xa.(v + 1) - 1 do
-          acc := !acc +. u.(Array.unsafe_get ad k)
-        done;
-        dst.(v) <- src.(v) +. (!acc /. sqrt_deg.(v))
-      end
-    end
-    else dst.(v) <- 0.0
-  done
-
-let with_apply_fast t f =
+let with_apply t f =
   let u = Array.make t.n 0.0 in
   let rows =
     match t.view with
-    | Gview.Csr g ->
-      let xa, ad = flat_adjacency g t.n in
-      flat_rows t xa ad
-    | Gview.Implicit _ -> apply_rows_fast t
+    | Gview.Csr g -> csr_rows t (Graph.xadj g) (Graph.adj g)
+    | Gview.Implicit r -> implicit_rows t r.Gview.iter_neighbors
   in
   if t.domains > 1 && t.n >= par_node_threshold then
     Fn_parallel.Par.Pool.with_pool ~domains:t.domains (fun pool ->

@@ -1,23 +1,22 @@
 open Fn_graph
 
 (** The shared spectral operator: one D^{-1/2}-normalized walk matrix
-    behind every {!Spectral} backend.
+    and one matvec behind both {!Spectral} backends.
 
-    All methods iterate the same operator M = 2I - L where
+    Both methods iterate the same operator M = 2I - L where
     L = I - D^{-1/2} A D^{-1/2} is the normalized Laplacian of the
     alive-restricted graph: eigenvalues of M lie in [0, 2], the top
     eigenpair is the trivial (2, D^{1/2} 1), and lambda2 = 2 - mu2.
     This module owns the degree/mask setup, the trivial-vector
     deflation, the (optionally pool-chunked) matvec and the small
-    vector kit (dot/axpy-free deflate, normalize, deterministic cold
-    start, x-space lift/embed) so that Power, Lanczos, shift-invert
-    and {!Spectral.residual} all agree on the operator bit for bit —
-    previously each of them re-derived this setup by hand.
+    vector kit (deflate, normalize, deterministic cold start, x-space
+    lift/embed), so that Power, Lanczos and {!Spectral.residual} all
+    agree on the operator bit for bit.
 
-    The operator is {!Gview.t}-capable: the CSR arm keeps the original
-    flat-array row loop (byte-identical to the historical code), the
-    implicit arm drives the generator's neighbor closure, which is
-    what gives implicit topologies a spectral path at all.
+    The operator is {!Gview.t}-capable: the CSR arm runs a flat-array
+    row loop over the graph's own adjacency arrays, the implicit arm
+    drives the generator's neighbor closure, which is what gives
+    implicit topologies a spectral path at all.
 
     Determinism: nothing here draws randomness (the cold start is a
     fixed cosine sequence), and each matrix row touches only row-local
@@ -46,31 +45,17 @@ val is_alive : t -> int -> bool
 val alive_count : t -> int
 (** Number of alive nodes (= [n] without a mask); O(mask words). *)
 
-val apply_rows : t -> float array -> float array -> int -> int -> unit
-(** [apply_rows t src dst lo hi] writes rows [lo, hi) of [M src] into
-    [dst].  Isolated alive nodes are identity rows; dead rows are
-    zeroed.  Row-local: disjoint ranges may run concurrently. *)
-
 val with_apply : t -> ((float array -> float array -> unit) -> 'a) -> 'a
-(** Hand the body a full matvec.  With [domains > 1] on a graph big
-    enough for the barrier to pay (>= 1024 nodes) the rows are chunked
-    over a {!Fn_parallel.Par.Pool} created once for the body's whole
-    lifetime; otherwise the matvec is the sequential loop.  Either way
-    the bits are identical. *)
-
-val with_apply_fast : t -> ((float array -> float array -> unit) -> 'a) -> 'a
-(** {!with_apply} with a gather-reduced row loop: each matvec first
-    materializes the masked pre-scaled source [u = src / sqrt_deg]
-    (zero on dead and isolated nodes) in one sequential-access pass,
-    so the per-edge work drops from three random gathers plus a mask
-    probe to a single [u] gather.  The row accumulation performs the
-    same floating-point operations in the same order as {!with_apply}
-    except that dead neighbors contribute an explicit [+. 0.] instead
-    of being branched over — identical results everywhere except the
-    sign of a zero in pathological cancellation cases, which is why
-    the bit-exact Power reference stays on {!with_apply} and only the
-    Krylov backends (with no historical byte contract) use this.
-    Same chunked-parallel determinism guarantee: bit-identical for
+(** Hand the body a full matvec [apply src dst], which writes [M src]
+    into [dst]: isolated alive nodes are identity rows, dead rows are
+    zeroed.  Each matvec first materializes the masked pre-scaled
+    source [u = src / sqrt_deg] (zero on dead and isolated nodes) in
+    one sequential pass, so the per-edge work is a single [u] gather
+    with no mask probe; a dead neighbor's [+. 0.] cannot change a row
+    sum that starts at [+0.0].  With [domains > 1] on a graph big
+    enough for the barrier to pay (>= 1024 nodes) the rows are
+    chunked over a {!Fn_parallel.Par.Pool} created once for the
+    body's whole lifetime; either way the bits are identical for
     every [domains] count. *)
 
 val dot : t -> float array -> float array -> float

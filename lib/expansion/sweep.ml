@@ -69,9 +69,9 @@ let best_prefix_v ?alive view ~score objective =
 let best_prefix ?alive g ~score objective =
   best_prefix_v ?alive (Gview.Csr g) ~score objective
 
-let spectral_cut_v ?alive ?domains ?method_ view objective =
-  let r = Spectral.lambda2_v ?alive ?domains ?method_ view in
+let spectral_cut_v ?alive ?domains view objective =
+  let r = Spectral.lambda2_v ?alive ?domains view in
   best_prefix_v ?alive view ~score:r.Spectral.fiedler objective
 
-let spectral_cut ?alive ?domains ?method_ g objective =
-  spectral_cut_v ?alive ?domains ?method_ (Gview.Csr g) objective
+let spectral_cut ?alive ?domains g objective =
+  spectral_cut_v ?alive ?domains (Gview.Csr g) objective

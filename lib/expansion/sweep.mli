@@ -20,20 +20,17 @@ val best_prefix_v :
 val spectral_cut :
   ?alive:Bitset.t ->
   ?domains:int ->
-  ?method_:Spectral.Method.t ->
   Graph.t ->
   Cut.objective ->
   Cut.t
-(** Convenience: Fiedler vector + {!best_prefix}.  [domains] and
-    [method_] are forwarded to {!Spectral.lambda2} — the matvec
-    dominates this path, and before [domains] was threaded through
-    here the spectral solve silently serialized inside
-    otherwise-parallel callers. *)
+(** Convenience: Fiedler vector + {!best_prefix}.  [domains] is
+    forwarded to {!Spectral.lambda2} — the matvec dominates this
+    path, and before [domains] was threaded through here the spectral
+    solve silently serialized inside otherwise-parallel callers. *)
 
 val spectral_cut_v :
   ?alive:Bitset.t ->
   ?domains:int ->
-  ?method_:Spectral.Method.t ->
   Gview.t ->
   Cut.objective ->
   Cut.t

@@ -75,7 +75,7 @@ let exact_on_fragment_implicit objective ~alive view ~threshold =
     else None
   end
 
-let default ?rng ?domains ?method_ objective ~alive g ~threshold =
+let default ?rng ?domains objective ~alive g ~threshold =
   let size = Bitset.cardinal alive in
   if size < 2 then None
   else
@@ -85,7 +85,7 @@ let default ?rng ?domains ?method_ objective ~alive g ~threshold =
       if size <= exact_limit then exact_on_fragment objective ~alive g ~threshold
       else begin
         let rng = match rng with Some r -> r | None -> Rng.create 0x10E5 in
-        let est = Estimate.run ~alive ~rng ?domains ?method_ g objective in
+        let est = Estimate.run ~alive ~rng ?domains g objective in
         if est.Estimate.value <= threshold then Some est.Estimate.witness else None
       end
 
@@ -95,9 +95,9 @@ let default ?rng ?domains ?method_ objective ~alive g ~threshold =
    alone. *)
 let spectral_node_cap = 500_000
 
-let default_v ?rng ?domains ?method_ objective ~alive view ~threshold =
+let default_v ?rng ?domains objective ~alive view ~threshold =
   match view with
-  | Gview.Csr g -> default ?rng ?domains ?method_ objective ~alive g ~threshold
+  | Gview.Csr g -> default ?rng ?domains objective ~alive g ~threshold
   | Gview.Implicit _ -> (
     let size = Bitset.cardinal alive in
     if size < 2 then None
@@ -114,9 +114,7 @@ let default_v ?rng ?domains ?method_ objective ~alive view ~threshold =
              topologies run a spectral sweep too; best of both slices *)
           let spectral =
             if size <= spectral_node_cap then
-              Option.map
-                (fun (cut, _, _) -> cut)
-                (Estimate.spectral_witness_v ~alive ?domains ?method_ view objective)
+              Option.map fst (Estimate.spectral_witness_v ~alive ?domains view objective)
             else None
           in
           let best =

@@ -24,20 +24,17 @@ val exact_limit : int
 val default :
   ?rng:Rng.t ->
   ?domains:int ->
-  ?method_:Fn_expansion.Spectral.Method.t ->
   Fn_expansion.Cut.objective ->
   t
 (** Portfolio finder: disconnected fragments yield a small component
     immediately; fragments of at most {!exact_limit} alive nodes are
     solved exactly; larger ones use the heuristic estimator.
-    [domains] and [method_] (the spectral backend; default [Auto])
-    are forwarded to {!Fn_expansion.Estimate.run} (defaults:
+    [domains] is forwarded to {!Fn_expansion.Estimate.run} (default:
     sequential, byte-reproducible). *)
 
 val default_v :
   ?rng:Rng.t ->
   ?domains:int ->
-  ?method_:Fn_expansion.Spectral.Method.t ->
   Fn_expansion.Cut.objective ->
   t_v
 (** {!default} over views.  The CSR arm delegates to {!default}

@@ -15,10 +15,8 @@ type t = {
   mode : mode;
   seed : int;
   domains : int option;
-  method_ : Fn_expansion.Spectral.Method.t;
   residual_tol : float;
   mutable pair : (float array * float array) option; (* last Fiedler pair *)
-  mutable last_lambda2 : float option; (* gap hint for backend selection *)
   mutable last : (Bitset.t * float) option; (* newest kept -> alpha *)
   mutable memo : (Bitset.t * float) list; (* Exact-mode history, newest first *)
   mutable computes : int;
@@ -26,16 +24,13 @@ type t = {
   mutable cold_falls : int;
 }
 
-let create ?(mode = Exact) ?(residual_tol = 0.25) ?domains
-    ?(method_ = Fn_expansion.Spectral.Method.Auto) seed =
+let create ?(mode = Exact) ?(residual_tol = 0.25) ?domains seed =
   {
     mode;
     seed;
     domains;
-    method_;
     residual_tol;
     pair = None;
-    last_lambda2 = None;
     last = None;
     memo = [];
     computes = 0;
@@ -49,19 +44,19 @@ let warm_hits t = t.warm_hits
 let cold_falls t = t.cold_falls
 
 (* The history-free alpha of a mask: a fresh seed-derived rng every
-   call, so the value depends only on (view, kept, seed, method) —
+   call, so the value depends only on (view, kept, seed) —
    what both the Exact engine path and the from-scratch differential
    reference compute, making the two byte-identical.  Fewer than 2
    survivors have expansion 0 by convention; an implicit view whose
    portfolio exhibits no witness reports infinity ("no upper bound
    found"). *)
-let reference ~seed ?domains ?method_ view ~kept =
+let reference ~seed ?domains view ~kept =
   if Bitset.cardinal kept < 2 then 0.0
   else begin
     let rng = Fn_prng.Rng.create (seed lxor 0x0A11CE) in
     match view with
     | Gview.Csr g ->
-      (Fn_expansion.Estimate.run ~alive:kept ~rng ?domains ?method_ g Fn_expansion.Cut.Node)
+      (Fn_expansion.Estimate.run ~alive:kept ~rng ?domains g Fn_expansion.Cut.Node)
         .Fn_expansion.Estimate.value
     | Gview.Implicit _ -> (
       match
@@ -80,10 +75,8 @@ let rec take k = function
    fall back cold.  Gating on the first vector alone let a stale
    second vector ride through: the pair seeds two iterations (or the
    Krylov basis), and a drifted x2 poisons the deflated solve even
-   when x1 still tracks the Fiedler direction.  The cached lambda2
-   rides along as the gap hint, so a collapsing mask steers
-   auto-selection toward shift-invert.  Only the CSR arm is spectral;
-   implicit views use the reference portfolio either way. *)
+   when x1 still tracks the Fiedler direction.  Only the CSR arm is
+   spectral; implicit views use the reference portfolio either way. *)
 let warm_compute t view ~kept =
   t.computes <- t.computes + 1;
   if Bitset.cardinal kept < 2 then 0.0
@@ -105,11 +98,9 @@ let warm_compute t view ~kept =
       let est =
         Fn_expansion.Estimate.run ~alive:kept
           ~rng:(Fn_prng.Rng.create (t.seed lxor 0x0A11CE))
-          ?domains:t.domains ?warm ~method_:t.method_ ?gap_hint:t.last_lambda2 g
-          Fn_expansion.Cut.Node
+          ?domains:t.domains ?warm g Fn_expansion.Cut.Node
       in
       t.pair <- est.Fn_expansion.Estimate.fiedler_pair;
-      t.last_lambda2 <- est.Fn_expansion.Estimate.lambda2;
       est.Fn_expansion.Estimate.value
     | Gview.Implicit _ -> reference ~seed:t.seed ?domains:t.domains view ~kept
   end
@@ -124,9 +115,7 @@ let query t view ~kept =
         match List.find_opt (fun (k, _) -> Bitset.equal k kept) t.memo with
         | Some (_, a) -> a
         | None ->
-          let a =
-            reference ~seed:t.seed ?domains:t.domains ~method_:t.method_ view ~kept
-          in
+          let a = reference ~seed:t.seed ?domains:t.domains view ~kept in
           t.computes <- t.computes + 1;
           t.memo <- (Bitset.copy kept, a) :: take (memo_cap - 1) t.memo;
           a)
@@ -137,13 +126,11 @@ let query t view ~kept =
 
 let force t ~kept a =
   t.pair <- None;
-  t.last_lambda2 <- None;
   t.last <- Some (Bitset.copy kept, a)
 
 let reconcile t view ~kept =
   t.pair <- None;
-  t.last_lambda2 <- None;
-  let a = reference ~seed:t.seed ?domains:t.domains ~method_:t.method_ view ~kept in
+  let a = reference ~seed:t.seed ?domains:t.domains view ~kept in
   t.computes <- t.computes + 1;
   t.last <- Some (Bitset.copy kept, a);
   a

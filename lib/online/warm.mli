@@ -16,11 +16,10 @@ open Fn_graph
       stay under [residual_tol] (cold fallback otherwise — a stale
       second vector must not ride through on the first one's health).
       Warm starts are method-aware: the cached pair seeds whichever
-      backend {!Fn_expansion.Spectral.Method.select} picks, and the
-      cached lambda2 rides along as the gap hint steering that
-      selection.  Faster under drift but history-dependent — the
-      periodic audit reconciles it back to the cold reference and
-      counts divergences.
+      backend {!Fn_expansion.Spectral.Method.select} picks.  Faster
+      under drift but history-dependent — the periodic audit
+      reconciles it back to the cold reference and counts
+      divergences.
 
     Implicit views keep the deterministic ball-witness portfolio in
     both modes. *)
@@ -36,12 +35,9 @@ val create :
   ?mode:mode ->
   ?residual_tol:float ->
   ?domains:int ->
-  ?method_:Fn_expansion.Spectral.Method.t ->
   int ->
   t
-(** [create seed].  Defaults: {!Exact}, [residual_tol] 0.25,
-    [method_] [Auto] (resolved per mask by
-    {!Fn_expansion.Spectral.Method.select}). *)
+(** [create seed].  Defaults: {!Exact}, [residual_tol] 0.25. *)
 
 val mode : t -> mode
 
@@ -55,7 +51,6 @@ val cold_falls : t -> int
 val reference :
   seed:int ->
   ?domains:int ->
-  ?method_:Fn_expansion.Spectral.Method.t ->
   Gview.t ->
   kept:Bitset.t ->
   float

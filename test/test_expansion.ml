@@ -128,12 +128,39 @@ let test_edge_profile_hypercube () =
   let profile = Exact.edge_isoperimetric_profile (Fn_topology.Hypercube.graph 3) in
   check_bool "Q3 edge profile" true (profile = [| 3; 4; 5; 4 |])
 
+(* Q4, K12 or the 4x4 torus with each node faulty with probability
+   1/2: the survivors' minimum degree is below the host's (K12 with 6
+   survivors: 5 against 11), and the bound must use the survivors'. *)
+let gen_masked_instance =
+  let open QCheck2.Gen in
+  oneofl
+    [
+      Fn_topology.Hypercube.graph 4;
+      Fn_topology.Basic.complete 12;
+      fst (Fn_topology.Torus.graph [| 4; 4 |]);
+    ]
+  >>= fun g ->
+  list_repeat (Graph.num_nodes g) bool >>= fun bits ->
+  let alive = Bitset.create (Graph.num_nodes g) in
+  List.iteri (fun v b -> if b then Bitset.add alive v) bits;
+  return (g, Some alive)
+
 let prop_spectral_lower_sound =
-  prop "certified lower bound never exceeds exact edge expansion" ~count:50
-    (Testutil.gen_connected_graph ~max_n:11 ())
-    (fun g ->
-      let exact = (Exact.edge_expansion g).Cut.value in
-      let est = Estimate.run ~force_heuristic:true ~rng:(rng ()) g Cut.Edge in
+  prop "certified lower bound never exceeds exact edge expansion" ~count:100
+    QCheck2.Gen.(
+      oneof
+        [
+          map (fun g -> (g, None)) (Testutil.gen_connected_graph ~max_n:11 ());
+          gen_masked_instance;
+        ])
+    (fun (g, alive) ->
+      let survivors =
+        match alive with None -> g | Some m -> (Subgraph.induce g m).Subgraph.graph
+      in
+      Graph.num_nodes survivors < 2
+      ||
+      let exact = (Exact.edge_expansion survivors).Cut.value in
+      let est = Estimate.run ?alive ~force_heuristic:true ~rng:(rng ()) g Cut.Edge in
       match est.Estimate.lower with
       | None -> false
       | Some lb -> lb <= exact +. 1e-6)

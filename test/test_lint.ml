@@ -226,6 +226,8 @@ let test_no_raw_csr () =
     (hit ~path:"lib/graph_core/check.ml" "let xadj = Graph.xadj g");
   check_bool "routing sim allowlisted" false
     (hit ~path:"lib/routing/sim.ml" "let a = Graph.adj g");
+  check_bool "spectral matvec allowlisted" false
+    (hit ~path:"lib/expansion/spectral_op.ml" "let rows = csr_rows (Graph.xadj g) (Graph.adj g)");
   check_bool "iter_neighbors ok" false (hit "let () = Graph.iter_neighbors g v f");
   check_bool "local adj binding ok" false (hit "let adj = neighbors g v");
   check_bool "other module's adj ok" false (hit "let a = Mesh.adj g");

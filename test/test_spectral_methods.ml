@@ -1,18 +1,20 @@
-(* The spectral backend registry: differential agreement of the Krylov
-   methods against the bit-exact Power reference, seeded determinism
-   and bit-stability across domains, auto-selection policy, and the
+(* The spectral layer: the one matvec against a naive row formula,
+   pinned Power bits, differential agreement of Lanczos against the
+   bit-exact Power reference, seeded determinism and bit-stability
+   across domains, the size policy and its explicit override, and the
    method-aware entry points (Gview path, warm starts, metrics). *)
 
+open Fn_graph
 open Fn_expansion
 open Testutil
 
-let krylov_methods = [ Spectral.Method.Lanczos; Spectral.Method.Shift_invert ]
+let methods = [ Spectral.Method.Power; Spectral.Method.Lanczos ]
 
 let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 (* Power needs headroom beyond its default 1000 iterations on the
-   slow-mixing families (C64's eigenvalue ratio is ~0.993); the Krylov
-   methods converge orders of magnitude sooner. *)
+   slow-mixing families (C64's eigenvalue ratio is ~0.993); Lanczos
+   converges orders of magnitude sooner. *)
 let power_ref ?alive g = Spectral.lambda2 ?alive ~method_:Spectral.Method.Power ~max_iter:20_000 g
 
 let families () =
@@ -29,14 +31,10 @@ let test_differential_families () =
   List.iter
     (fun (name, g) ->
       let reference = power_ref g in
-      List.iter
-        (fun m ->
-          let r = Spectral.lambda2 ~method_:m ~max_iter:20_000 g in
-          check_float_eps 1e-6
-            (Printf.sprintf "%s: %s lambda2 agrees with power" name
-               (Spectral.Method.to_string m))
-            reference.Spectral.lambda2 r.Spectral.lambda2)
-        krylov_methods)
+      let r = Spectral.lambda2 ~method_:Spectral.Method.Lanczos ~max_iter:20_000 g in
+      check_float_eps 1e-6
+        (Printf.sprintf "%s: lanczos lambda2 agrees with power" name)
+        reference.Spectral.lambda2 r.Spectral.lambda2)
     (families ())
 
 let post_prune_case () =
@@ -53,13 +51,11 @@ let post_prune_case () =
 let test_differential_post_prune () =
   let g, kept = post_prune_case () in
   let reference = power_ref ~alive:kept g in
-  List.iter
-    (fun m ->
-      let r = Spectral.lambda2 ~alive:kept ~method_:m ~max_iter:20_000 g in
-      check_float_eps 1e-6
-        (Printf.sprintf "post-prune: %s agrees with power" (Spectral.Method.to_string m))
-        reference.Spectral.lambda2 r.Spectral.lambda2)
-    krylov_methods
+  let r =
+    Spectral.lambda2 ~alive:kept ~method_:Spectral.Method.Lanczos ~max_iter:20_000 g
+  in
+  check_float_eps 1e-6 "post-prune: lanczos agrees with power" reference.Spectral.lambda2
+    r.Spectral.lambda2
 
 let test_deterministic_reruns () =
   (* no Fn_prng state is drawn anywhere: the same call twice must give
@@ -77,7 +73,7 @@ let test_deterministic_reruns () =
         (Printf.sprintf "%s fiedler bitwise deterministic" (Spectral.Method.to_string m))
         true
         (Array.for_all2 bits_equal a.Spectral.fiedler b.Spectral.fiedler))
-    (Spectral.Method.Power :: krylov_methods)
+    methods
 
 let test_domains_bitwise_identical_per_method () =
   (* the chunked matvec contract extends to every backend: 1024 nodes
@@ -101,41 +97,173 @@ let test_domains_bitwise_identical_per_method () =
             true
             (Array.for_all2 bits_equal a.Spectral.fiedler b.Spectral.fiedler))
         [ 2; 3; 4 ])
-    (Spectral.Method.Power :: krylov_methods)
+    methods
 
-let test_auto_selection () =
+(* ---- the one matvec ---- *)
+
+(* The operator's rows written out naively: for an alive node v with
+   alive-degree d_v > 0, (M src)_v = src_v + (sum over alive neighbors
+   w, in neighbor order, of src_w / sqrt d_w) / sqrt d_v; isolated
+   alive nodes are identity rows and dead rows are 0.  Dead neighbors
+   are skipped here, where the matvec adds an explicit 0 instead. *)
+let naive_apply view alive src =
+  let is_alive v = Bitset.mem alive v in
+  let deg v =
+    let d = ref 0 in
+    Gview.iter_neighbors view v (fun w -> if is_alive w then incr d);
+    !d
+  in
+  Array.init (Gview.num_nodes view) (fun v ->
+      if not (is_alive v) then 0.0
+      else begin
+        let dv = deg v in
+        if dv = 0 then src.(v)
+        else begin
+          let acc = ref 0.0 in
+          Gview.iter_neighbors view v (fun w ->
+              if is_alive w then acc := !acc +. (src.(w) /. sqrt (float_of_int (deg w))));
+          src.(v) +. (!acc /. sqrt (float_of_int dv))
+        end
+      end)
+
+(* 20% iid faults, then the whole neighborhood of three nodes killed:
+   most rows keep a dead neighbor and those three are isolated alive
+   nodes *)
+let isolated = [ 0; 100; 517 ]
+
+let matvec_mask view =
+  let n = Gview.num_nodes view in
+  let alive = Bitset.create_full n in
+  let rng = Fn_prng.Rng.create 17 in
+  for v = 0 to n - 1 do
+    if Fn_prng.Rng.float rng 1.0 < 0.2 then Bitset.remove alive v
+  done;
+  List.iter
+    (fun v ->
+      Bitset.add alive v;
+      Gview.iter_neighbors view v (fun w -> Bitset.remove alive w))
+    isolated;
+  alive
+
+let test_matvec_matches_naive_rows () =
+  (* n >= 1024 so domains 3 takes the pool path; the source has -0.0
+     entries and mixed signs *)
+  List.iter
+    (fun (name, view) ->
+      let n = Gview.num_nodes view in
+      let mask = matvec_mask view in
+      List.iter
+        (fun v ->
+          let alive_nbrs = ref 0 in
+          Gview.iter_neighbors view v (fun w -> if Bitset.mem mask w then incr alive_nbrs);
+          check_bool (name ^ ": isolated alive node") true
+            (Bitset.mem mask v && !alive_nbrs = 0))
+        isolated;
+      let src =
+        Array.init n (fun i -> if i mod 7 = 0 then -0.0 else cos (float_of_int (i * 7919)))
+      in
+      List.iter
+        (fun (mask_name, alive, naive_mask) ->
+          let expected = naive_apply view naive_mask src in
+          let expected2 = naive_apply view naive_mask expected in
+          List.iter
+            (fun domains ->
+              let op = Spectral_op.create ?alive ~domains view in
+              let got = Array.make n nan and got2 = Array.make n nan in
+              Spectral_op.with_apply op (fun apply ->
+                  apply src got;
+                  apply got got2);
+              let label = Printf.sprintf "%s %s domains=%d" name mask_name domains in
+              check_bool (label ^ ": M src bits") true (Array.for_all2 bits_equal expected got);
+              check_bool (label ^ ": M (M src) bits") true
+                (Array.for_all2 bits_equal expected2 got2))
+            [ 1; 3 ])
+        [ ("masked", Some mask, mask); ("unmasked", None, Bitset.create_full n) ])
+    [
+      ("csr mesh32x33", Gview.Csr (fst (Fn_topology.Mesh.graph [| 32; 33 |])));
+      ("implicit torus32x32", Fn_topology.Implicit.torus [| 32; 32 |]);
+    ]
+
+(* Bits of Power's lambda2 as the naive row formula above computes
+   them, run to (or near) the 1000-matvec budget: a matvec that moved
+   any bit of any row would move these. *)
+let test_power_bits_pinned () =
+  let power ?alive ?domains view =
+    (Spectral.lambda2_v ?alive ?domains ~method_:Spectral.Method.Power view).Spectral.lambda2
+  in
+  let check name expected got =
+    Alcotest.(check int64) name expected (Int64.bits_of_float got)
+  in
+  check "torus16x16" 4585645878780073376L
+    (power (Gview.Csr (fst (Fn_topology.Torus.graph [| 16; 16 |]))));
+  let mesh = fst (Fn_topology.Mesh.graph [| 32; 32 |]) in
+  let faults = Fn_faults.Random_faults.nodes_iid (Fn_prng.Rng.create 3) mesh 0.15 in
+  check "mesh32x32, 15% faults" 4567408391909454336L
+    (power ~alive:faults.Fn_faults.Fault_set.alive (Gview.Csr mesh));
+  let torus = Fn_topology.Implicit.torus [| 32; 32 |] in
+  let n = Gview.num_nodes torus in
+  let alive = Bitset.create_full n in
+  let rng = Fn_prng.Rng.create 5 in
+  for v = 0 to n - 1 do
+    if Fn_prng.Rng.float rng 1.0 < 0.1 then Bitset.remove alive v
+  done;
+  check "implicit torus32x32, 10% faults, domains 3" 4576195513252368640L
+    (power ~alive ~domains:3 torus)
+
+(* the backend a solve ran, as its exit span names it *)
+let method_of_span events =
+  List.find_map
+    (fun e ->
+      if e.Fn_obs.Sink.kind = Fn_obs.Sink.Exit then
+        List.find_map
+          (fun (k, v) -> match v with Fn_obs.Sink.Str s when k = "method" -> Some s | _ -> None)
+          e.Fn_obs.Sink.fields
+      else None)
+    events
+
+let test_size_selection () =
   let open Spectral.Method in
-  check_bool "small resolves to power" true (select ~n_alive:100 Auto = Power);
+  check_bool "small selects power" true (select ~n_alive:100 = Power);
   check_bool "below threshold stays power" true
-    (select ~n_alive:(power_max_nodes - 1) Auto = Power);
-  check_bool "large resolves to lanczos" true (select ~n_alive:200_000 Auto = Lanczos);
-  check_bool "collapsed gap hint resolves to shift-invert" true
-    (select ~n_alive:200_000 ~gap_hint:1e-8 Auto = Shift_invert);
-  check_bool "healthy gap hint stays lanczos" true
-    (select ~n_alive:200_000 ~gap_hint:0.1 Auto = Lanczos);
-  check_bool "gap hint ignored at small n" true
-    (select ~n_alive:100 ~gap_hint:1e-8 Auto = Power);
+    (select ~n_alive:(power_max_nodes - 1) = Power);
+  check_bool "threshold selects lanczos" true (select ~n_alive:power_max_nodes = Lanczos);
+  check_bool "large selects lanczos" true (select ~n_alive:200_000 = Lanczos);
+  (* an explicit ?method_ overrides the size policy on both sides of
+     the threshold, through both entry points: the Power/Lanczos
+     differential tests and bench kernels rely on it *)
+  let side = int_of_float (ceil (sqrt (float_of_int power_max_nodes))) in
+  let small = Gview.Csr (Fn_topology.Basic.cycle 64) in
+  let large = Fn_topology.Implicit.torus [| side; side |] in
   List.iter
-    (fun m ->
-      check_bool
-        (Printf.sprintf "explicit %s passes through" (to_string m))
-        true
-        (select ~n_alive:1_000_000 m = m))
-    [ Power; Lanczos; Shift_invert ]
-
-let test_method_names_roundtrip () =
-  List.iter
-    (fun m ->
-      match Spectral.Method.of_string (Spectral.Method.to_string m) with
-      | Some m' -> check_bool (Spectral.Method.to_string m ^ " roundtrips") true (m = m')
-      | None -> Alcotest.failf "of_string failed for %s" (Spectral.Method.to_string m))
-    Spectral.Method.all;
-  check_bool "unknown rejected" true (Spectral.Method.of_string "qr" = None)
+    (fun (entry, solve) ->
+      let run method_ ~max_iter view =
+        let sink, events = Fn_obs.Sink.memory () in
+        let r = solve ~obs:sink method_ ~max_iter view in
+        (r, method_of_span (events ()))
+      in
+      let label s = entry ^ ": " ^ s in
+      let default, m = run None ~max_iter:20_000 small in
+      check_bool (label "small default runs power") true (m = Some "power");
+      let lanczos, m = run (Some Lanczos) ~max_iter:20_000 small in
+      check_bool (label "explicit lanczos runs lanczos below the threshold") true
+        (m = Some "lanczos");
+      check_bool (label "explicit lanczos needs fewer applies than power") true
+        (lanczos.Spectral.iterations < default.Spectral.iterations);
+      let default, m = run None ~max_iter:2 large in
+      check_bool (label "large default runs lanczos") true (m = Some "lanczos");
+      let power, m = run (Some Power) ~max_iter:2 large in
+      check_bool (label "explicit power runs power at the threshold") true (m = Some "power");
+      check_bool (label "explicit power's embedding differs from lanczos'") false
+        (Array.for_all2 bits_equal power.Spectral.fiedler default.Spectral.fiedler))
+    [
+      ("lambda2_v", fun ~obs method_ ~max_iter v -> Spectral.lambda2_v ~obs ?method_ ~max_iter v);
+      ( "solve_v",
+        fun ~obs method_ ~max_iter v -> fst (Spectral.solve_v ~obs ?method_ ~max_iter v) );
+    ]
 
 let test_implicit_view_spectral_path () =
-  (* the tentpole's Gview capability: an implicit torus gets the same
-     lambda2 as its materialized CSR, for the reference and for the
-     Krylov methods *)
+  (* the Gview capability: an implicit torus gets the same lambda2 as
+     its materialized CSR, for both backends *)
   let implicit = Fn_topology.Implicit.torus [| 12; 12 |] in
   let csr, _ = Fn_topology.Torus.graph [| 12; 12 |] in
   let reference = power_ref csr in
@@ -145,7 +273,7 @@ let test_implicit_view_spectral_path () =
       check_float_eps 1e-6
         (Printf.sprintf "implicit torus %s agrees" (Spectral.Method.to_string m))
         reference.Spectral.lambda2 r.Spectral.lambda2)
-    (Spectral.Method.Power :: krylov_methods)
+    methods
 
 let test_warm_starts_method_aware () =
   (* a cached Fiedler pair must seed every backend and land on the
@@ -163,7 +291,7 @@ let test_warm_starts_method_aware () =
         (Printf.sprintf "warm %s converges faster than cold" (Spectral.Method.to_string m))
         true
         (r.Spectral.iterations <= cold.Spectral.iterations))
-    (Spectral.Method.Power :: krylov_methods)
+    methods
 
 let test_solve_histogram_observes_total () =
   (* regression for the satellite bugfix: the spectral.iterations
@@ -202,20 +330,18 @@ let test_solve_histogram_observes_total () =
   | None -> Alcotest.fail "no spectral.solve exit span recorded"
 
 let test_spectral_cut_domains_matches_default () =
-  (* satellite regression: Sweep.spectral_cut now threads ?domains and
-     ?method_ — domains:1 must equal the default byte for byte, and
-     domains:2 must too (matvec and sweeps are bit-stable across
-     domains) *)
+  (* regression: Sweep.spectral_cut threads ?domains — domains:1 must
+     equal the default byte for byte, and domains:2 must too (matvec
+     and sweeps are bit-stable across domains) *)
   let g = fst (Fn_topology.Mesh.graph [| 16; 16 |]) in
   let base = Sweep.spectral_cut g Cut.Edge in
   List.iter
     (fun (name, c) ->
-      check_bool (name ^ " same set") true (Fn_graph.Bitset.equal c.Cut.set base.Cut.set);
+      check_bool (name ^ " same set") true (Bitset.equal c.Cut.set base.Cut.set);
       check_bool (name ^ " same value bits") true (bits_equal c.Cut.value base.Cut.value))
     [
       ("domains 1", Sweep.spectral_cut ~domains:1 g Cut.Edge);
       ("domains 2", Sweep.spectral_cut ~domains:2 g Cut.Edge);
-      ("explicit power", Sweep.spectral_cut ~method_:Spectral.Method.Power g Cut.Edge);
     ]
 
 let test_warm_gate_rejects_single_vector_drift () =
@@ -226,8 +352,8 @@ let test_warm_gate_rejects_single_vector_drift () =
      would have reused the stale pair. *)
   let module Warm = Fn_online.Warm in
   let g = Fn_topology.Expander.random_regular (Fn_prng.Rng.create 21) ~n:400 ~d:6 in
-  let n = Fn_graph.Graph.num_nodes g in
-  let full = Fn_graph.Bitset.create_full n in
+  let n = Graph.num_nodes g in
+  let full = Bitset.create_full n in
   let seed = 77 in
   (* replicate the pair Warm caches on its first compute (same seed
      derivation as Warm.warm_compute) *)
@@ -242,8 +368,8 @@ let test_warm_gate_rejects_single_vector_drift () =
   (* scan single-node removals for the widest r2-over-r1 separation *)
   let best = ref None in
   for v = 0 to n - 1 do
-    let kept = Fn_graph.Bitset.copy full in
-    Fn_graph.Bitset.remove kept v;
+    let kept = Bitset.copy full in
+    Bitset.remove kept v;
     let r1 = Spectral.residual ~alive:kept g x1 in
     let r2 = Spectral.residual ~alive:kept g x2 in
     if r2 > r1 then begin
@@ -257,7 +383,7 @@ let test_warm_gate_rejects_single_vector_drift () =
   | Some (kept, r1, r2) ->
     let tol = 0.5 *. (r1 +. r2) in
     check_bool "x1 under the gate, x2 over it" true (r1 <= tol && r2 > tol);
-    let view = Fn_graph.Gview.Csr g in
+    let view = Gview.Csr g in
     let t = Warm.create ~mode:Warm.Warm ~residual_tol:tol seed in
     ignore (Warm.query t view ~kept:full);
     ignore (Warm.query t view ~kept);
@@ -274,6 +400,11 @@ let test_warm_gate_rejects_single_vector_drift () =
 let () =
   Alcotest.run "spectral_methods"
     [
+      ( "matvec",
+        [
+          case "matches naive rows" test_matvec_matches_naive_rows;
+          case "power bits pinned" test_power_bits_pinned;
+        ] );
       ( "differential",
         [
           case "generator families" test_differential_families;
@@ -288,8 +419,7 @@ let () =
         ] );
       ( "registry",
         [
-          case "auto selection" test_auto_selection;
-          case "method names roundtrip" test_method_names_roundtrip;
+          case "size selection" test_size_selection;
           case "warm starts method-aware" test_warm_starts_method_aware;
           case "warm gate rejects single-vector drift" test_warm_gate_rejects_single_vector_drift;
           case "histogram observes total iterations" test_solve_histogram_observes_total;
