@@ -222,6 +222,25 @@ let () =
       Fn_expansion.Estimate.run ~force_heuristic:true ~rng:(fresh ()) (Lazy.force torus16)
         Fn_expansion.Cut.Edge)
 
+(* one Local_search.improve call on the certify shape: a random
+   6-regular expander on 512 nodes under a fixed 20% fault mask,
+   refining a 128-node alive BFS ball for node expansion over the
+   4 passes Estimate.run uses *)
+let expander512_start =
+  lazy
+    (let rng = fresh () in
+     let g = Fn_topology.Expander.random_regular rng ~n:512 ~d:6 in
+     let alive = (Fn_faults.Random_faults.nodes_iid rng g 0.2).Fn_faults.Fault_set.alive in
+     let src = Option.get (Fn_graph.Bitset.choose alive) in
+     let ball = Fn_graph.Bfs.ball_of_size ~alive g src 128 in
+     (g, alive, Fn_expansion.Cut.make ~alive g Fn_expansion.Cut.Node ball))
+
+let () =
+  reg ~suite:substrate ~items:512 "local_search_expander512" (dep expander512_start)
+    (fun () ->
+      let g, alive, start = Lazy.force expander512_start in
+      Fn_expansion.Local_search.improve ~alive ~max_passes:4 g start)
+
 (* the Prune round loop (finder + scratch boundary accounting) on a
    faulty mesh with a fixed threshold *)
 let mesh16_faults =

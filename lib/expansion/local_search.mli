@@ -2,12 +2,25 @@ open Fn_graph
 
 (** Local improvement of a cut by single-node moves.
 
-    Classic Fiduccia–Mattheyses-style hill climbing restricted to
-    moves that keep U the small side: repeatedly apply the best
-    expansion-reducing move (inserting a boundary node into U or
-    evicting a member) until a pass yields no improvement or the pass
+    First-improvement hill climbing in passes.  Each pass fixes its
+    candidate list at the start: every member of U and every alive
+    non-member adjacent to one, walked in the reverse of the order they
+    are met (members ascending, each followed by its neighbors in
+    adjacency order), each node once.  A candidate moves, in or out of
+    U, when the move keeps 1 <= |U| and 2|U| <= the alive count and
+    its value beats the current one by more than 1e-12; a move whose
+    value is undefined (an empty side, as in {!Cut.value_of}) is
+    rejected.  Passes repeat until one accepts no move or the pass
     budget runs out.  This is an upper-bound refiner: the result is
-    never worse than the input cut. *)
+    never worse than the input cut.
+
+    After an O(n + edges out of U) set-up, evaluating a move costs
+    O(degree of the moved node): the search keeps per-node
+    counts of adjacent alive members, the node and edge boundaries and
+    the side sizes, so the value is the same integer ratio
+    {!Cut.value_of} would compute from scratch, bit for bit.  Dead
+    members of U are inert: they never move and add nothing to the
+    boundary, though |U| above counts them. *)
 
 val improve :
   ?alive:Bitset.t -> ?max_passes:int -> Graph.t -> Cut.t -> Cut.t

@@ -41,18 +41,45 @@ let power_iteration op ~apply ?(max_iter = 1000) ?(tol = 1e-9) ?start ~deflate_a
   Spectral_op.deflate op basis y;
   ignore (Spectral_op.normalize op y);
   let z = Array.make n 0.0 in
+  (* The per-iteration [deflate], [normalize], L1 diff and copy of y,
+     fused: [subtract c w rest] removes c w from z and, in the same
+     pass, accumulates the next projection coefficient (against the
+     head of [rest]) or, after the last basis vector, the squared
+     norm.  Every reduction still runs in index order over the same
+     operands, so the bits are those of the separate passes. *)
+  let rec subtract c w rest =
+    match rest with
+    | next :: rest ->
+      let acc = ref 0.0 in
+      for i = 0 to n - 1 do
+        let zi = z.(i) -. (c *. w.(i)) in
+        z.(i) <- zi;
+        acc := !acc +. (zi *. next.(i))
+      done;
+      subtract !acc next rest
+    | [] ->
+      let acc = ref 0.0 in
+      for i = 0 to n - 1 do
+        let zi = z.(i) -. (c *. w.(i)) in
+        z.(i) <- zi;
+        acc := !acc +. (zi *. zi)
+      done;
+      !acc
+  in
+  let v1 = op.Spectral_op.v1 in
   let iterations = ref 0 in
   (try
      for it = 1 to max_iter do
        iterations := it;
        apply y z;
-       Spectral_op.deflate op basis z;
-       ignore (Spectral_op.normalize op z);
+       let nrm = sqrt (subtract (Spectral_op.dot op z v1) v1 basis) in
        let diff = ref 0.0 in
+       (* z is dead after this pass: the next [apply] overwrites it *)
        for i = 0 to n - 1 do
-         diff := !diff +. abs_float (z.(i) -. y.(i))
+         let zi = if nrm > 0.0 then z.(i) /. nrm else z.(i) in
+         diff := !diff +. abs_float (zi -. y.(i));
+         y.(i) <- zi
        done;
-       Array.blit z 0 y 0 n;
        if !diff < tol then raise Exit
      done
    with Exit -> ());

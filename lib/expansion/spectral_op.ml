@@ -6,9 +6,18 @@ type t = {
   alive : Bitset.t option;
   deg : int array;
   sqrt_deg : float array;
+  row : Bytes.t;
   v1 : float array;
   domains : int;
 }
+
+(* Row classes, one byte per node in [row]: the matvec reads the class
+   instead of probing the mask and the degree on every row. *)
+let dead = '\000'
+
+let isolated = '\001'
+
+let interior = '\002'
 
 (* Row ranges below this node count are not worth a pool barrier per
    matvec: the synchronization would cost more than the arithmetic. *)
@@ -37,6 +46,10 @@ let create ?alive ?(domains = 1) view =
             !c)
     done);
   let sqrt_deg = Array.map (fun d -> sqrt (float_of_int d)) deg in
+  let row =
+    Bytes.init n (fun v ->
+        if not (is_alive v) then dead else if deg.(v) = 0 then isolated else interior)
+  in
   (* trivial eigenvector of 2I - L: D^{1/2} 1, normalized *)
   let v1 = Array.make n 0.0 in
   let norm1 = sqrt (Array.fold_left (fun acc d -> acc +. float_of_int d) 0.0 deg) in
@@ -44,57 +57,52 @@ let create ?alive ?(domains = 1) view =
     for v = 0 to n - 1 do
       if is_alive v then v1.(v) <- sqrt_deg.(v) /. norm1
     done;
-  { view; n; alive; deg; sqrt_deg; v1; domains }
+  { view; n; alive; deg; sqrt_deg; row; v1; domains }
 
-let is_alive t v = match t.alive with None -> true | Some m -> Bitset.mem m v
+let is_alive t v = Bytes.get t.row v <> dead
 
 let alive_count t = match t.alive with None -> t.n | Some m -> Bitset.cardinal m
 
 (* Gather-reduced row loops over the pre-scaled masked source
-   [u = src / sqrt_deg] (zero on dead and isolated nodes): per edge a
-   single [u] gather, no mask probe.  A dead neighbor adds its 0 where
-   a branch would have skipped it; the accumulator starts at +0.0 and
-   round-to-nearest addition can never turn it into -0.0, so that
-   [+. 0.] leaves it unchanged bit for bit.  Each row touches only
-   row-local state, so disjoint ranges may run concurrently with
-   bit-identical results.  The CSR arm reads the flat arrays in place:
-   a float accumulator captured by a neighbor closure would be boxed
-   on every edge visit. *)
+   [u = src / sqrt_deg] (zero on dead and isolated nodes): per row one
+   class byte, per edge a single [u] gather, no mask probe.  A dead
+   neighbor adds its 0 where a branch would have skipped it; the
+   accumulator starts at +0.0 and round-to-nearest addition can never
+   turn it into -0.0, so that [+. 0.] leaves it unchanged bit for bit.
+   Each row touches only row-local state, so disjoint ranges may run
+   concurrently with bit-identical results.  The CSR arm reads the
+   flat arrays in place: a float accumulator captured by a neighbor
+   closure would be boxed on every edge visit. *)
 let csr_rows t xadj adj u src dst lo hi =
-  let deg = t.deg and sqrt_deg = t.sqrt_deg in
+  let row = t.row and sqrt_deg = t.sqrt_deg in
   for v = lo to hi - 1 do
-    if is_alive t v then begin
-      if deg.(v) = 0 then dst.(v) <- src.(v)
-      else begin
-        let acc = ref 0.0 in
-        for k = xadj.(v) to xadj.(v + 1) - 1 do
-          acc := !acc +. u.(Array.unsafe_get adj k)
-        done;
-        dst.(v) <- src.(v) +. (!acc /. sqrt_deg.(v))
-      end
+    let c = Bytes.get row v in
+    if c = interior then begin
+      let acc = ref 0.0 in
+      for k = xadj.(v) to xadj.(v + 1) - 1 do
+        acc := !acc +. u.(Array.unsafe_get adj k)
+      done;
+      dst.(v) <- src.(v) +. (!acc /. sqrt_deg.(v))
     end
-    else dst.(v) <- 0.0
+    else dst.(v) <- (if c = isolated then src.(v) else 0.0)
   done
 
 let implicit_rows t iter u src dst lo hi =
-  let deg = t.deg and sqrt_deg = t.sqrt_deg in
+  let row = t.row and sqrt_deg = t.sqrt_deg in
   for v = lo to hi - 1 do
-    if is_alive t v then begin
-      if deg.(v) = 0 then dst.(v) <- src.(v)
-      else begin
-        let acc = ref 0.0 in
-        iter v (fun w -> acc := !acc +. u.(w));
-        dst.(v) <- src.(v) +. (!acc /. sqrt_deg.(v))
-      end
+    let c = Bytes.get row v in
+    if c = interior then begin
+      let acc = ref 0.0 in
+      iter v (fun w -> acc := !acc +. u.(w));
+      dst.(v) <- src.(v) +. (!acc /. sqrt_deg.(v))
     end
-    else dst.(v) <- 0.0
+    else dst.(v) <- (if c = isolated then src.(v) else 0.0)
   done
 
 let scale_source t u src lo hi =
-  let deg = t.deg and sqrt_deg = t.sqrt_deg in
+  let row = t.row and sqrt_deg = t.sqrt_deg in
   for i = lo to hi - 1 do
-    u.(i) <-
-      (if is_alive t i && deg.(i) > 0 then src.(i) /. sqrt_deg.(i) else 0.0)
+    u.(i) <- (if Bytes.get row i = interior then src.(i) /. sqrt_deg.(i) else 0.0)
   done
 
 let with_apply t f =
@@ -157,4 +165,4 @@ let lift t x =
 
 let embed t y =
   Array.init t.n (fun v ->
-      if is_alive t v && t.deg.(v) > 0 then y.(v) /. t.sqrt_deg.(v) else 0.0)
+      if Bytes.get t.row v = interior then y.(v) /. t.sqrt_deg.(v) else 0.0)

@@ -13,6 +13,12 @@ open Fn_graph
     lift/embed), so that Power, Lanczos and {!Spectral.residual} all
     agree on the operator bit for bit.
 
+    The mask is read once: {!create} gives every node a row class
+    (dead, isolated alive, or interior with alive-degree > 0), and the
+    matvec reads that one byte per row instead of probing the
+    {!Bitset} mask.  Dead rows are zero, isolated rows are identity
+    rows, interior rows are a neighbor gather.
+
     The operator is {!Gview.t}-capable: the CSR arm runs a flat-array
     row loop over the graph's own adjacency arrays, the implicit arm
     drives the generator's neighbor closure, which is what gives
@@ -30,6 +36,9 @@ type t = private {
   alive : Bitset.t option;
   deg : int array;  (** alive-restricted degrees; 0 for dead nodes *)
   sqrt_deg : float array;
+  row : Bytes.t;
+      (** per-node row class: ['\000'] dead, ['\001'] isolated alive
+          (alive-degree 0), ['\002'] interior *)
   v1 : float array;
       (** trivial eigenvector of M in y-space: D^{1/2} 1 normalized,
           zero when the alive fragment has no edges *)
@@ -41,6 +50,7 @@ val create : ?alive:Bitset.t -> ?domains:int -> Gview.t -> t
     [domains] (default 1) is recorded for {!with_apply}. *)
 
 val is_alive : t -> int -> bool
+(** Reads the row class: O(1), no mask probe. *)
 
 val alive_count : t -> int
 (** Number of alive nodes (= [n] without a mask); O(mask words). *)
@@ -50,13 +60,14 @@ val with_apply : t -> ((float array -> float array -> unit) -> 'a) -> 'a
     into [dst]: isolated alive nodes are identity rows, dead rows are
     zeroed.  Each matvec first materializes the masked pre-scaled
     source [u = src / sqrt_deg] (zero on dead and isolated nodes) in
-    one sequential pass, so the per-edge work is a single [u] gather
-    with no mask probe; a dead neighbor's [+. 0.] cannot change a row
-    sum that starts at [+0.0].  With [domains > 1] on a graph big
-    enough for the barrier to pay (>= 1024 nodes) the rows are
-    chunked over a {!Fn_parallel.Par.Pool} created once for the
-    body's whole lifetime; either way the bits are identical for
-    every [domains] count. *)
+    one pass, so the per-row work is one row-class byte and the
+    per-edge work a single [u] gather; a dead neighbor's [+. 0.]
+    cannot change a row sum that starts at [+0.0].  With
+    [domains > 1] on a graph big enough for the barrier to pay
+    (>= 1024 nodes) the rows are chunked over a
+    {!Fn_parallel.Par.Pool} created once for the body's whole
+    lifetime; either way the bits are identical for every [domains]
+    count. *)
 
 val dot : t -> float array -> float array -> float
 

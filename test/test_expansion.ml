@@ -80,6 +80,128 @@ let test_local_search_never_worse () =
   let improved = Local_search.improve g bad in
   check_bool "improved or equal" true (improved.Cut.value <= bad.Cut.value +. 1e-12)
 
+(* The from-scratch move rule Local_search.improve must reproduce bit
+   for bit: flip, re-evaluate the whole cut with Cut.value_of, keep the
+   move when it beats the current value by more than 1e-12, otherwise
+   flip back. *)
+let reference_improve ?alive ~max_passes g cut =
+  let is_alive v = match alive with None -> true | Some m -> Bitset.mem m v in
+  let total = match alive with None -> Graph.num_nodes g | Some m -> Bitset.cardinal m in
+  let u = Bitset.copy cut.Cut.set in
+  let evaluate set =
+    try Some (Cut.value_of ?alive g cut.Cut.objective set) with Invalid_argument _ -> None
+  in
+  let current = ref cut.Cut.value in
+  let improved_once = ref true in
+  let passes = ref 0 in
+  while !improved_once && !passes < max_passes do
+    improved_once := false;
+    incr passes;
+    let candidates = ref [] in
+    Bitset.iter
+      (fun v ->
+        candidates := v :: !candidates;
+        Graph.iter_neighbors g v (fun w ->
+            if is_alive w && not (Bitset.mem u w) then candidates := w :: !candidates))
+      u;
+    let seen = Bitset.create (Graph.num_nodes g) in
+    List.iter
+      (fun v ->
+        if not (Bitset.mem seen v) then begin
+          Bitset.add seen v;
+          if is_alive v then begin
+            let inside = Bitset.mem u v in
+            let size = Bitset.cardinal u in
+            let new_size = if inside then size - 1 else size + 1 in
+            if new_size >= 1 && 2 * new_size <= total then begin
+              Bitset.set u v (not inside);
+              match evaluate u with
+              | Some value when value < !current -. 1e-12 ->
+                current := value;
+                improved_once := true
+              | _ -> Bitset.set u v inside
+            end
+          end
+        end)
+      !candidates
+  done;
+  { Cut.set = u; value = !current; objective = cut.Cut.objective }
+
+let same_cut a b =
+  Bitset.equal a.Cut.set b.Cut.set
+  && Int64.equal (Int64.bits_of_float a.Cut.value) (Int64.bits_of_float b.Cut.value)
+
+(* Q4, an 8x8 torus and a random 6-regular graph on 64 nodes, each
+   node dead w.p. 1/4 (and once unmasked); starts are random sets that
+   keep dead members, and BFS balls grown through dead nodes *)
+let test_local_search_matches_reference () =
+  let rng = Fn_prng.Rng.create 2718 in
+  let graphs =
+    [
+      ("Q4", Fn_topology.Hypercube.graph 4);
+      ("torus8x8", fst (Fn_topology.Torus.graph [| 8; 8 |]));
+      ("rr64", Fn_topology.Expander.random_regular (Fn_prng.Rng.create 64) ~n:64 ~d:6);
+    ]
+  in
+  let compared = ref 0 and with_dead = ref 0 in
+  List.iter
+    (fun (name, g) ->
+      let n = Graph.num_nodes g in
+      let mask = Bitset.create_full n in
+      for v = 0 to n - 1 do
+        if Fn_prng.Rng.float rng 1.0 < 0.25 then Bitset.remove mask v
+      done;
+      List.iter
+        (fun alive ->
+          let starts =
+            List.init 6 (fun i ->
+                let p = 0.1 +. (0.08 *. float_of_int i) in
+                let s = Bitset.create n in
+                for v = 0 to n - 1 do
+                  if Fn_prng.Rng.float rng 1.0 < p then Bitset.add s v
+                done;
+                s)
+            @ List.map (fun k -> Bfs.ball_of_size g (Fn_prng.Rng.int rng n) k) [ 3; 6; 12 ]
+          in
+          List.iter
+            (fun objective ->
+              let cuts =
+                List.filter_map
+                  (fun s ->
+                    match Cut.make ?alive g objective s with
+                    | c -> Some c
+                    | exception Invalid_argument _ -> None)
+                  starts
+              in
+              for max_passes = 1 to 4 do
+                let label = Printf.sprintf "%s masked=%b passes=%d" name (alive <> None) max_passes in
+                List.iter
+                  (fun c ->
+                    incr compared;
+                    if alive <> None && not (Bitset.subset c.Cut.set mask) then incr with_dead;
+                    check_bool (label ^ ": improve")
+                      true
+                      (same_cut (reference_improve ?alive ~max_passes g c)
+                         (Local_search.improve ?alive ~max_passes g c)))
+                  cuts;
+                let starts = Array.of_list cuts in
+                let refs = Array.map (reference_improve ?alive ~max_passes g) starts in
+                let expected = Array.fold_left Cut.better refs.(0) refs in
+                List.iter
+                  (fun domains ->
+                    check_bool
+                      (Printf.sprintf "%s: improve_many domains=%d" label domains)
+                      true
+                      (same_cut expected
+                         (Local_search.improve_many ?alive ~max_passes ~domains g starts)))
+                  [ 1; 3 ]
+              done)
+            [ Cut.Node; Cut.Edge ])
+        [ Some mask; None ])
+    graphs;
+  check_bool "enough comparisons" true (!compared >= 300);
+  check_bool "starts with dead members" true (!with_dead >= 100)
+
 let test_estimate_exact_small () =
   let est = Estimate.run (Fn_topology.Basic.cycle 12) Cut.Node in
   check_bool "exact flag" true est.Estimate.exact;
@@ -238,6 +360,7 @@ let () =
           case "sweep mesh cut" test_sweep_finds_mesh_cut;
           case "sweep arity" test_sweep_arity_checks;
           case "local search monotone" test_local_search_never_worse;
+          case "local search matches reference" test_local_search_matches_reference;
           case "estimate exact small" test_estimate_exact_small;
           case "estimate disconnected" test_estimate_disconnected;
           case "estimate mesh 8x8" test_estimate_heuristic_on_larger;

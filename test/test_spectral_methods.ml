@@ -184,22 +184,47 @@ let test_matvec_matches_naive_rows () =
       ("implicit torus32x32", Fn_topology.Implicit.torus [| 32; 32 |]);
     ]
 
+(* FNV-1a over the IEEE bits of every entry, in order *)
+let fnv_bits arrays =
+  let h = ref 0xcbf29ce484222325L in
+  List.iter
+    (Array.iter (fun x ->
+         let b = Int64.bits_of_float x in
+         for k = 0 to 7 do
+           let byte = Int64.logand (Int64.shift_right_logical b (8 * k)) 0xffL in
+           h := Int64.mul (Int64.logxor !h byte) 0x100000001b3L
+         done))
+    arrays;
+  !h
+
 (* Bits of Power's lambda2 as the naive row formula above computes
    them, run to (or near) the 1000-matvec budget: a matvec that moved
-   any bit of any row would move these. *)
+   any bit of any row would move these.  The two-vector solve shares
+   the first vector, so it gives the same lambda2 bits; its
+   first-vector iteration count and a hash of both embeddings are
+   pinned too.  The second vector is deflated against v1 and then y1,
+   so a Power pass that reordered or dropped either projection would
+   move the hash. *)
 let test_power_bits_pinned () =
-  let power ?alive ?domains view =
-    (Spectral.lambda2_v ?alive ?domains ~method_:Spectral.Method.Power view).Spectral.lambda2
+  let check ?alive ?domains name (lambda2, iterations, hash) view =
+    let one = Spectral.lambda2_v ?alive ?domains ~method_:Spectral.Method.Power view in
+    let r, f2 = Spectral.solve_v ?alive ?domains ~method_:Spectral.Method.Power view in
+    Alcotest.(check int64) (name ^ ": lambda2 bits") lambda2
+      (Int64.bits_of_float one.Spectral.lambda2);
+    Alcotest.(check int64) (name ^ ": solve lambda2 bits") lambda2
+      (Int64.bits_of_float r.Spectral.lambda2);
+    check_int (name ^ ": solve iterations") iterations r.Spectral.iterations;
+    Alcotest.(check int64) (name ^ ": solve embeddings hash") hash
+      (fnv_bits [ r.Spectral.fiedler; f2 ])
   in
-  let check name expected got =
-    Alcotest.(check int64) name expected (Int64.bits_of_float got)
-  in
-  check "torus16x16" 4585645878780073376L
-    (power (Gview.Csr (fst (Fn_topology.Torus.graph [| 16; 16 |]))));
+  check "torus16x16"
+    (4585645878780073376L, 991, -9098451656385512106L)
+    (Gview.Csr (fst (Fn_topology.Torus.graph [| 16; 16 |])));
   let mesh = fst (Fn_topology.Mesh.graph [| 32; 32 |]) in
   let faults = Fn_faults.Random_faults.nodes_iid (Fn_prng.Rng.create 3) mesh 0.15 in
-  check "mesh32x32, 15% faults" 4567408391909454336L
-    (power ~alive:faults.Fn_faults.Fault_set.alive (Gview.Csr mesh));
+  check ~alive:faults.Fn_faults.Fault_set.alive "mesh32x32, 15% faults"
+    (4567408391909454336L, 1000, -4584612307086898449L)
+    (Gview.Csr mesh);
   let torus = Fn_topology.Implicit.torus [| 32; 32 |] in
   let n = Gview.num_nodes torus in
   let alive = Bitset.create_full n in
@@ -207,8 +232,9 @@ let test_power_bits_pinned () =
   for v = 0 to n - 1 do
     if Fn_prng.Rng.float rng 1.0 < 0.1 then Bitset.remove alive v
   done;
-  check "implicit torus32x32, 10% faults, domains 3" 4576195513252368640L
-    (power ~alive ~domains:3 torus)
+  check ~alive ~domains:3 "implicit torus32x32, 10% faults, domains 3"
+    (4576195513252368640L, 1000, 337727919610733217L)
+    torus
 
 (* the backend a solve ran, as its exit span names it *)
 let method_of_span events =
