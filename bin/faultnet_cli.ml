@@ -7,12 +7,18 @@
      span        estimate the span of a graph file
      percolate   estimate a percolation threshold
      attack      apply an adversary and report component structure
-     experiment  run one of the E1-E14 validation experiments
-     bench       micro-benchmark the experiment/substrate kernels
+     route       route a random permutation, optionally through faults
+     report      full resilience report of a faulty graph
+     connectivity  exact edge connectivity and Menger path counts
+     metrics     structural metrics of a graph
 
    Subcommands touching the instrumented kernels (expansion, prune,
-   percolate, experiment) accept --trace FILE (JSONL span stream) and
-   --metrics (registry dump on stderr at exit). *)
+   percolate) accept --trace FILE (JSONL span stream) and --metrics
+   (registry dump on stderr at exit).
+
+   The E1-E14 experiments, the micro-benchmarks and the online daemon
+   each have their own binary: bin/experiments.exe, bench/main.exe and
+   bin/faultnetd.exe. *)
 
 open Cmdliner
 
@@ -262,7 +268,7 @@ let percolate_cmd =
     | Error (`Msg m) -> `Error (false, m)
     | Ok g ->
       with_obs ~trace ~metrics @@ fun obs ->
-      let r = Fn_percolation.Threshold.estimate ~obs ~runs ~rng mode g in
+      let r = Fn_percolation.Threshold.estimate ~obs ~runs ~rng mode (Fn_graph.Gview.Csr g) in
       Printf.printf "threshold estimate: p* = %.4f (gamma level %.2f, %d runs)\n"
         r.Fn_percolation.Threshold.p_star r.Fn_percolation.Threshold.level
         r.Fn_percolation.Threshold.runs;
@@ -294,7 +300,7 @@ let attack_cmd =
     | Ok g -> (
       let report faults =
         let alive = faults.Fn_faults.Fault_set.alive in
-        let comps = Fn_graph.Components.compute ~alive g in
+        let comps = Fn_graph.Components.compute ~alive (Fn_graph.Gview.Csr g) in
         Printf.printf "faults: %d; components: %d; largest: %d of %d\n"
           (Fn_faults.Fault_set.count faults)
           comps.Fn_graph.Components.count
@@ -333,7 +339,7 @@ let route_cmd =
       let faults = Fn_faults.Random_faults.nodes_iid rng g fault_p in
       let alive = faults.Fn_faults.Fault_set.alive in
       let demand = Fn_routing.Demand.permutation rng ~alive g in
-      let survivor = Fn_graph.Components.largest_members ~alive g in
+      let survivor = Fn_graph.Components.largest_members ~alive (Fn_graph.Gview.Csr g) in
       let reference = Fn_routing.Route.shortest g demand in
       let faulty = Fn_routing.Route.shortest ~alive:survivor g demand in
       let sim = Fn_routing.Sim.run g faulty in
@@ -364,7 +370,7 @@ let metrics_cmd =
       Printf.printf "nodes %d  edges %d  degrees [%d, %d]\n" (Graph.num_nodes g)
         (Graph.num_edges g) (Graph.min_degree g) (Graph.max_degree g);
       Printf.printf "connected: %b  diameter (double-sweep >=): %d  mean distance ~ %.2f\n"
-        (Components.is_connected g)
+        (Components.is_connected (Gview.Csr g))
         (Metrics.diameter_estimate rng g)
         (Metrics.mean_distance rng g);
       Printf.printf "clustering: %.4f\n" (Metrics.clustering_coefficient g);
@@ -421,259 +427,22 @@ let report_cmd =
     (Cmd.info "report" ~doc:"Full resilience report: connectivity, expansion, emulation, routing")
     term
 
-(* ---- experiment ---- *)
-
-let experiment_cmd =
-  let id =
-    let doc = "Experiment id (E1..E14)." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"ID" ~doc)
-  in
-  let quick =
-    let doc = "Reduced sizes/trials." in
-    Arg.(value & flag & info [ "quick" ] ~doc)
-  in
-  let json =
-    let doc = "Emit the outcome as one JSON object instead of a rendered table." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let deadline =
-    let doc = "Per-attempt deadline in seconds for each supervised unit of work." in
-    Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"S" ~doc)
-  in
-  let retries =
-    let doc = "Retries after a failed supervised unit (deterministic backoff)." in
-    Arg.(
-      value
-      & opt int Fn_resilience.Policy.default.Fn_resilience.Policy.retries
-      & info [ "retries" ] ~docv:"N" ~doc)
-  in
-  let chaos =
-    let doc =
-      "Probability in [0,1] of injecting a deterministic fault (exception or delay) \
-       into each supervised unit; results are unchanged as long as the policy lets \
-       the unit eventually succeed."
-    in
-    Arg.(value & opt float 0.0 & info [ "chaos" ] ~docv:"P" ~doc)
-  in
-  let chaos_seed =
-    let doc = "Seed of the chaos-injection stream (independent of --seed)." in
-    Arg.(value & opt int 0 & info [ "chaos-seed" ] ~docv:"N" ~doc)
-  in
-  let resume =
-    let doc =
-      "Journal completed work to $(docv) (JSONL) and replay anything already journaled \
-       there, resuming an interrupted run."
-    in
-    Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"FILE" ~doc)
-  in
-  let run seed id quick json deadline retries chaos chaos_seed resume trace metrics =
-    match Fn_experiments.Registry.find id with
-    | None -> `Error (false, Printf.sprintf "unknown experiment %S (E1..E14)" id)
-    | Some e -> (
-      let policy =
-        try Ok (Fn_resilience.Policy.make ?deadline_s:deadline ~retries ~chaos ~chaos_seed ())
-        with Invalid_argument m -> Error m
-      in
-      match policy with
-      | Error m -> `Error (false, m)
-      | Ok policy -> (
-        let journal =
-          match resume with
-          | None -> Ok None
-          | Some path ->
-            Result.map Option.some
-              (Fn_resilience.Journal.open_ ~path
-                 ~meta:
-                   [
-                     ("seed", Fn_obs.Jsonx.Int seed); ("quick", Fn_obs.Jsonx.Bool quick);
-                   ])
-        in
-        match journal with
-        | Error m -> `Error (false, m)
-        | Ok journal ->
-          let finish_journal () = Option.iter Fn_resilience.Journal.close journal in
-          Fun.protect ~finally:finish_journal @@ fun () ->
-          with_obs ~trace ~metrics @@ fun obs ->
-          let cfg =
-            Fn_experiments.Workload.config ~quick ~seed ~obs ~resilience:policy ?journal ()
-          in
-          let outcome = Fn_experiments.Registry.run_entry e cfg in
-          if json then print_endline (Fn_experiments.Outcome.to_json outcome)
-          else print_string (Fn_experiments.Outcome.render outcome);
-          if Fn_experiments.Outcome.all_passed outcome then `Ok ()
-          else `Error (false, "checks failed")))
-  in
-  let term =
-    Term.(
-      ret
-        (const run $ seed_arg $ id $ quick $ json $ deadline $ retries $ chaos $ chaos_seed
-       $ resume $ trace_arg $ metrics_arg))
-  in
-  Cmd.v (Cmd.info "experiment" ~doc:"Run a paper-validation experiment") term
-
-(* ---- bench ---- *)
-
-let bench_cmd =
-  let quick =
-    let doc = "Reduced sampling (about 0.2s per kernel)." in
-    Arg.(value & flag & info [ "quick" ] ~doc)
-  in
-  let json =
-    let doc = "Write BENCH_<suite>.json files into the current directory." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let filter =
-    let doc = "Only kernels whose name contains $(docv) (full regex filtering and the baseline gate live in bench/main.exe)." in
-    Arg.(value & opt (some string) None & info [ "filter" ] ~docv:"SUBSTR" ~doc)
-  in
-  let contains ~sub name =
-    let n = String.length sub and m = String.length name in
-    let rec scan i = i + n <= m && (String.sub name i n = sub || scan (i + 1)) in
-    n = 0 || scan 0
-  in
-  let run seed quick json filter =
-    let name_filter name = match filter with None -> true | Some sub -> contains ~sub name in
-    let opts = if quick then Fn_bench.Measure.quick else Fn_bench.Measure.default in
-    let progress (k : Fn_bench.Suite.kernel) =
-      Printf.eprintf "benchmarking %s/%s ...\n%!" k.Fn_bench.Suite.suite k.Fn_bench.Suite.name
-    in
-    let grouped =
-      Fn_bench.Suite.run ~progress ~filter:name_filter ~seed opts Fn_bench.Kernels.all
-    in
-    if grouped = [] then `Error (false, "no kernel matches the filter")
-    else begin
-      if json then
-        List.iter
-          (fun (suite, results) ->
-            let b = Fn_bench.Baseline.of_run ~suite ~quick results in
-            print_endline ("wrote " ^ Fn_bench.Baseline.save ~dir:"." b))
-          grouped
-      else List.iter (fun g -> print_string (Fn_bench.Report.suite_table g)) grouped;
-      `Ok ()
-    end
-  in
-  let term = Term.(ret (const run $ seed_arg $ quick $ json $ filter)) in
-  Cmd.v
-    (Cmd.info "bench" ~doc:"Micro-benchmark the experiment and substrate kernels (fn_bench)")
-    term
-
-(* ---- serve ---- *)
-
-let serve_cmd =
-  let alpha_arg =
-    let doc = "Design expansion alpha; the certificate threshold is alpha*epsilon." in
-    Arg.(value & opt float 0.5 & info [ "alpha" ] ~docv:"F" ~doc)
-  in
-  let epsilon_arg =
-    let doc = "Prune slack epsilon in (0,1)." in
-    Arg.(value & opt float 0.5 & info [ "epsilon" ] ~docv:"F" ~doc)
-  in
-  let radius_arg =
-    let doc = "Certificate ball radius." in
-    Arg.(value & opt int 2 & info [ "radius" ] ~docv:"R" ~doc)
-  in
-  let mode_arg =
-    let doc = "Alpha estimation mode: exact (history-free, byte-reproducible) or warm \
-               (spectral warm starts, audited)." in
-    let mode_conv =
-      Arg.enum [ ("exact", Fn_online.Warm.Exact); ("warm", Fn_online.Warm.Warm) ]
-    in
-    Arg.(value & opt mode_conv Fn_online.Warm.Exact & info [ "mode" ] ~docv:"MODE" ~doc)
-  in
-  let audit_arg =
-    let doc = "Run a full-recompute audit every $(docv) accepted batches (0 = never)." in
-    Arg.(value & opt int 0 & info [ "audit-every" ] ~docv:"N" ~doc)
-  in
-  let domains_arg =
-    let doc = "Worker domains for the expansion estimator." in
-    Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
-  in
-  let journal_arg =
-    let doc = "Record accepted batches to $(docv) (JSONL) for kill-and-resume." in
-    Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
-  in
-  let resume_arg =
-    let doc = "Replay an existing journal before serving." in
-    Arg.(value & flag & info [ "resume" ] ~doc)
-  in
-  let compact_arg =
-    let doc =
-      "Compact the journal (snapshot + suffix) every $(docv) accepted batches (0 = \
-       never); bounds recovery cost."
-    in
-    Arg.(value & opt int 0 & info [ "compact-every" ] ~docv:"N" ~doc)
-  in
-  let dirty_arg =
-    let doc =
-      "Overload-shedding threshold: shed batches dirtying more than this fraction of \
-       the graph and serve stale-but-stamped answers until the deferred recompute (1.0 \
-       = never shed)."
-    in
-    Arg.(value & opt float 1.0 & info [ "max-dirty-frac" ] ~docv:"F" ~doc)
-  in
-  let postmortem_arg =
-    let doc = "Directory for audit-quarantine post-mortem snapshots." in
-    Arg.(value & opt (some string) None & info [ "postmortem" ] ~docv:"DIR" ~doc)
-  in
-  let deadline_arg =
-    let doc = "Per-query deadline in seconds (post-hoc; replies err deadline)." in
-    Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SECS" ~doc)
-  in
-  let run seed topology alpha epsilon radius mode audit_every domains journal resume
-      compact_every max_dirty_frac postmortem deadline trace metrics =
-    with_obs ~trace ~metrics (fun obs ->
-        let rng = rng_of_seed seed in
-        match Fn_online.Server.view_of_spec rng topology with
-        | Error m -> `Error (false, m)
-        | Ok view ->
-          let cfg =
-            {
-              Fn_online.Engine.seed;
-              radius;
-              alpha;
-              epsilon;
-              mode;
-              audit_every;
-              max_dirty_frac;
-              postmortem;
-              domains;
-              obs;
-            }
-          in
-          let engine = Fn_online.Engine.create ~cfg view in
-          let meta = [ ("topology", Fn_obs.Jsonx.Str topology) ] in
-          let policy =
-            Option.map (fun d -> Fn_resilience.Policy.make ~deadline_s:d ()) deadline
-          in
-          (match
-             Fn_online.Server.serve ?journal ~resume ~meta ?policy ~compact_every engine
-               stdin stdout
-           with
-          | Ok () -> `Ok ()
-          | Error m -> `Error (false, m)))
-  in
-  let term =
-    Term.(
-      ret
-        (const run $ seed_arg $ topology_arg $ alpha_arg $ epsilon_arg $ radius_arg
-       $ mode_arg $ audit_arg $ domains_arg $ journal_arg $ resume_arg $ compact_arg
-       $ dirty_arg $ postmortem_arg $ deadline_arg $ trace_arg $ metrics_arg))
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Serve online expansion certificates under streaming churn on stdin/stdout \
-          (the faultnetd protocol; supports implicit itorus:/imesh:/ihypercube: specs)")
-    term
-
 let () =
   let doc = "Fault-tolerant network expansion toolkit (SPAA 2004 reproduction)" in
-  let info = Cmd.info "faultnet" ~version:"1.0.0" ~doc in
+  let man =
+    [
+      `S Manpage.s_see_also;
+      `P "$(b,bin/experiments.exe) runs the E1-E14 paper-validation experiments.";
+      `P "$(b,bench/main.exe) runs and gates the micro-benchmarks.";
+      `P "$(b,bin/faultnetd.exe) serves online expansion certificates on stdin/stdout.";
+    ]
+  in
+  let info = Cmd.info "faultnet" ~version:"1.0.0" ~doc ~man in
   let group =
     Cmd.group info
       [
         gen_cmd; expansion_cmd; prune_cmd; span_cmd; percolate_cmd; attack_cmd; route_cmd; report_cmd; connectivity_cmd;
-        metrics_cmd; experiment_cmd; bench_cmd; serve_cmd;
+        metrics_cmd;
       ]
   in
   exit (Cmd.eval group)

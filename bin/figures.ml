@@ -17,7 +17,7 @@ open Fn_prng
 open Fn_faults
 
 let gamma g alive =
-  let comps = Components.compute ~alive g in
+  let comps = Components.compute ~alive (Gview.Csr g) in
   float_of_int (Components.largest_size comps) /. float_of_int (Graph.num_nodes g)
 
 let mean xs = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
@@ -127,7 +127,7 @@ let f5_percolation_curves rng ~quick dir =
   let table = Fn_stats.Table.create [ "family"; "p"; "gamma_mean"; "gamma_std" ] in
   List.iter
     (fun (name, g) ->
-      let pts = Fn_percolation.Threshold.gamma_curve ~runs ~rng Fn_percolation.Threshold.Bond g ps in
+      let pts = Fn_percolation.Threshold.gamma_curve ~runs ~rng Fn_percolation.Threshold.Bond (Gview.Csr g) ps in
       List.iter
         (fun (p, m, s) ->
           Fn_stats.Table.add_row table

@@ -8,7 +8,7 @@ open Fn_graph
 open Fn_faults
 
 let gamma g alive =
-  let comps = Components.compute ~alive g in
+  let comps = Components.compute ~alive (Gview.Csr g) in
   float_of_int (Components.largest_size comps) /. float_of_int (Graph.num_nodes g)
 
 let () =

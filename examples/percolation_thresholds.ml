@@ -23,7 +23,7 @@ let () =
   in
   List.iter
     (fun (name, g, p_theory, source) ->
-      let r = Threshold.estimate ~runs ~rng Threshold.Bond g in
+      let r = Threshold.estimate ~runs ~rng Threshold.Bond (Fn_graph.Gview.Csr g) in
       Printf.printf "%-22s %-8d %-11.4f %-10.4f %s\n" name (Fn_graph.Graph.num_nodes g)
         r.Threshold.p_star p_theory source)
     families;

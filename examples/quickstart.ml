@@ -23,7 +23,7 @@ let () =
   let alive = faults.Fn_faults.Fault_set.alive in
   Printf.printf "faults injected: %d nodes down\n" (Fn_faults.Fault_set.count faults);
   let gamma_before =
-    let comps = Components.compute ~alive g in
+    let comps = Components.compute ~alive (Gview.Csr g) in
     float_of_int (Components.largest_size comps) /. float_of_int (Graph.num_nodes g)
   in
   Printf.printf "largest surviving component: %.1f%% of the network\n" (100.0 *. gamma_before);

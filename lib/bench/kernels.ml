@@ -54,7 +54,7 @@ let survivor16 =
     (let rng = fresh () in
      let g = Lazy.force mesh16 in
      let faults = Fn_faults.Random_faults.nodes_iid rng g 0.1 in
-     Fn_graph.Components.largest_members ~alive:faults.Fn_faults.Fault_set.alive g)
+     Fn_graph.Components.largest_members ~alive:faults.Fn_faults.Fault_set.alive (Fn_graph.Gview.Csr g))
 
 let small_fragment = lazy (Fn_graph.Bitset.create_full 16)
 
@@ -91,7 +91,7 @@ let () =
       let g = Lazy.force chain_graph in
       let centers = Lazy.force chain_centers in
       let faults = Fn_faults.Adversary.targets g ~targets:centers ~budget:(Array.length centers) in
-      Fn_graph.Components.compute ~alive:faults.Fn_faults.Fault_set.alive g)
+      Fn_graph.Components.compute ~alive:faults.Fn_faults.Fault_set.alive (Fn_graph.Gview.Csr g))
 
 let () =
   reg ~suite:experiments ~items:256 "e4_recursive_attack" (dep mesh16) (fun () ->
@@ -102,7 +102,7 @@ let () =
       let rng = fresh () in
       let g = Lazy.force chain_graph in
       let faults = Fn_faults.Random_faults.nodes_iid rng g 0.05 in
-      Fn_graph.Components.compute ~alive:faults.Fn_faults.Fault_set.alive g)
+      Fn_graph.Components.compute ~alive:faults.Fn_faults.Fault_set.alive (Fn_graph.Gview.Csr g))
 
 let () =
   reg ~suite:experiments ~items:256 "e6_prune2_random"
@@ -124,7 +124,7 @@ let () =
 
 let () =
   reg ~suite:experiments ~items:1024 "e8_percolation" (dep mesh32) (fun () ->
-      Fn_percolation.Newman_ziff.bond_run (fresh ()) (Lazy.force mesh32))
+      Fn_percolation.Newman_ziff.bond_run (fresh ()) (Fn_graph.Gview.Csr (Lazy.force mesh32)))
 
 let () =
   reg ~suite:experiments ~items:128 "e9_can_churn"
@@ -161,15 +161,15 @@ let () =
 
 let () =
   reg ~suite:substrate ~items:4096 "bfs_mesh64" (dep mesh64) (fun () ->
-      Fn_graph.Bfs.distances (Lazy.force mesh64) 0)
+      Fn_graph.Bfs.distances (Fn_graph.Gview.Csr (Lazy.force mesh64)) 0)
 
 let () =
   reg ~suite:substrate ~items:4096 "components_mesh64" (dep mesh64) (fun () ->
-      Fn_graph.Components.compute (Lazy.force mesh64))
+      Fn_graph.Components.compute (Fn_graph.Gview.Csr (Lazy.force mesh64)))
 
 let () =
   reg ~suite:substrate ~items:256 "spectral_torus16" (dep torus16) (fun () ->
-      Fn_expansion.Spectral.lambda2 (Lazy.force torus16))
+      Fn_expansion.Spectral.lambda2 (Fn_graph.Gview.Csr (Lazy.force torus16)))
 
 let () =
   reg ~suite:substrate ~items:16 "exact_expansion_4x4" (dep mesh4) (fun () ->
@@ -193,7 +193,7 @@ let () =
 let () =
   reg ~suite:substrate ~items:4096 "ball_growth_mesh64" (dep mesh64) (fun () ->
       let g = Lazy.force mesh64 in
-      let t = Fn_graph.Bfs.ball_grower g 0 in
+      let t = Fn_graph.Bfs.ball_grower (Fn_graph.Gview.Csr g) 0 in
       let k = ref 2 in
       let last = ref (Fn_graph.Bitset.create 1) in
       while !k <= 4096 do
@@ -213,7 +213,7 @@ let () =
   reg ~suite:substrate ~items:1024 "sweep_score_mesh32"
     (deps [ dep mesh32; dep sweep_score32 ])
     (fun () ->
-      Fn_expansion.Sweep.best_prefix (Lazy.force mesh32)
+      Fn_expansion.Sweep.best_prefix (Fn_graph.Gview.Csr (Lazy.force mesh32))
         ~score:(Lazy.force sweep_score32) Fn_expansion.Cut.Edge)
 
 (* the heuristic estimator end to end (sampling + sweeps + refinement) *)
@@ -232,8 +232,8 @@ let expander512_start =
      let g = Fn_topology.Expander.random_regular rng ~n:512 ~d:6 in
      let alive = (Fn_faults.Random_faults.nodes_iid rng g 0.2).Fn_faults.Fault_set.alive in
      let src = Option.get (Fn_graph.Bitset.choose alive) in
-     let ball = Fn_graph.Bfs.ball_of_size ~alive g src 128 in
-     (g, alive, Fn_expansion.Cut.make ~alive g Fn_expansion.Cut.Node ball))
+     let ball = Fn_graph.Bfs.ball_of_size ~alive (Fn_graph.Gview.Csr g) src 128 in
+     (g, alive, Fn_expansion.Cut.make ~alive (Fn_graph.Gview.Csr g) Fn_expansion.Cut.Node ball))
 
 let () =
   reg ~suite:substrate ~items:512 "local_search_expander512" (dep expander512_start)
@@ -295,7 +295,7 @@ let torus1e7 = lazy (Fn_topology.Implicit.torus [| 2000; 5000 |])
 let () =
   reg ~suite:scale ~items:(1 lsl 20) "bfs_ball_growth_torus1e7" (dep torus1e7) (fun () ->
       let view = Lazy.force torus1e7 in
-      let t = Fn_graph.Bfs.ball_grower_v view ((1000 * 5000) + 2500) in
+      let t = Fn_graph.Bfs.ball_grower view ((1000 * 5000) + 2500) in
       let k = ref 2 in
       let last = ref (Fn_graph.Bitset.create 1) in
       while !k <= 1 lsl 20 do
@@ -321,7 +321,7 @@ let () =
         if !rounds > 0 then None
         else begin
           incr rounds;
-          Some (Fn_graph.Bfs.ball_of_size_v ~alive view 0 4096)
+          Some (Fn_graph.Bfs.ball_of_size ~alive view 0 4096)
         end
       in
       Faultnet.Prune.run_v ~finder view ~alive ~alpha:2.0 ~epsilon)
@@ -522,8 +522,8 @@ let () =
 let () =
   reg ~suite:ablations ~items:256 "sweep_single_fiedler" (dep mesh16) (fun () ->
       let g = Lazy.force mesh16 in
-      let r = Fn_expansion.Spectral.lambda2 g in
-      Fn_expansion.Sweep.best_prefix g ~score:r.Fn_expansion.Spectral.fiedler
+      let r = Fn_expansion.Spectral.lambda2 (Fn_graph.Gview.Csr g) in
+      Fn_expansion.Sweep.best_prefix (Fn_graph.Gview.Csr g) ~score:r.Fn_expansion.Spectral.fiedler
         Fn_expansion.Cut.Edge)
 
 let () =
@@ -531,13 +531,13 @@ let () =
       let g = Lazy.force mesh16 in
       (* the production portfolio path: one fused solve for the
          Fiedler pair *)
-      let spectral, f2 = Fn_expansion.Spectral.solve g in
+      let spectral, f2 = Fn_expansion.Spectral.solve (Fn_graph.Gview.Csr g) in
       let f1 = spectral.Fn_expansion.Spectral.fiedler in
       let rot op = Array.init (Array.length f1) (fun i -> op f1.(i) f2.(i)) in
       List.fold_left Fn_expansion.Cut.better
-        (Fn_expansion.Sweep.best_prefix g ~score:f1 Fn_expansion.Cut.Edge)
+        (Fn_expansion.Sweep.best_prefix (Fn_graph.Gview.Csr g) ~score:f1 Fn_expansion.Cut.Edge)
         (List.map
-           (fun score -> Fn_expansion.Sweep.best_prefix g ~score Fn_expansion.Cut.Edge)
+           (fun score -> Fn_expansion.Sweep.best_prefix (Fn_graph.Gview.Csr g) ~score Fn_expansion.Cut.Edge)
            [ f2; rot ( +. ); rot ( -. ) ]))
 
 (* exact vs heuristic low-expansion finder on a fragment *)
@@ -585,7 +585,7 @@ let barbell1e5 =
 let barbell1e5_power_ref =
   lazy
     (let g, alive = Lazy.force barbell1e5 in
-     (Fn_expansion.Spectral.lambda2 ~alive ~method_:Fn_expansion.Spectral.Method.Power g)
+     (Fn_expansion.Spectral.lambda2 ~alive ~method_:Fn_expansion.Spectral.Method.Power (Fn_graph.Gview.Csr g))
        .Fn_expansion.Spectral.lambda2)
 
 let check_agreement name reference r =
@@ -599,7 +599,7 @@ let check_agreement name reference r =
 let () =
   reg ~suite:spectral ~items:102_400 "power_postfault_1e5" (dep barbell1e5) (fun () ->
       let g, alive = Lazy.force barbell1e5 in
-      Fn_expansion.Spectral.lambda2 ~alive ~method_:Fn_expansion.Spectral.Method.Power g)
+      Fn_expansion.Spectral.lambda2 ~alive ~method_:Fn_expansion.Spectral.Method.Power (Fn_graph.Gview.Csr g))
 
 let () =
   reg ~suite:spectral ~items:102_400 "lanczos_postfault_1e5"
@@ -608,7 +608,7 @@ let () =
       let g, alive = Lazy.force barbell1e5 in
       check_agreement "lanczos_postfault_1e5"
         (Lazy.force barbell1e5_power_ref)
-        (Fn_expansion.Spectral.lambda2 ~alive ~method_:Fn_expansion.Spectral.Method.Lanczos g))
+        (Fn_expansion.Spectral.lambda2 ~alive ~method_:Fn_expansion.Spectral.Method.Lanczos (Fn_graph.Gview.Csr g)))
 
 (* Clean 100x100 torus (n = 1e4): the gap is ~2e-3, so Power burns its
    whole iteration budget while Lanczos converges inside one restart
@@ -618,6 +618,6 @@ let torus100 = lazy (fst (Fn_topology.Torus.cube ~d:2 ~side:100))
 let () =
   reg ~suite:spectral ~items:10_000 "lanczos_torus100" (dep torus100) (fun () ->
       Fn_expansion.Spectral.lambda2
-        ~method_:Fn_expansion.Spectral.Method.Lanczos (Lazy.force torus100))
+        ~method_:Fn_expansion.Spectral.Method.Lanczos (Fn_graph.Gview.Csr (Lazy.force torus100)))
 
 let all = List.rev !kernels_rev

@@ -4,17 +4,13 @@ type objective = Node | Edge
 
 type t = { set : Bitset.t; value : float; objective : objective }
 
-let value_of_v ?alive view objective u =
+let value_of ?alive view objective u =
   match objective with
-  | Node -> Boundary.node_expansion_v ?alive view u
-  | Edge -> Boundary.edge_expansion_v ?alive view u
+  | Node -> Boundary.node_expansion ?alive view u
+  | Edge -> Boundary.edge_expansion ?alive view u
 
-let value_of ?alive g objective u = value_of_v ?alive (Gview.Csr g) objective u
-
-let make_v ?alive view objective u =
-  { set = Bitset.copy u; value = value_of_v ?alive view objective u; objective }
-
-let make ?alive g objective u = make_v ?alive (Gview.Csr g) objective u
+let make ?alive view objective u =
+  { set = Bitset.copy u; value = value_of ?alive view objective u; objective }
 
 let better a b = if b.value < a.value then b else a
 

@@ -15,18 +15,13 @@ type t = {
   objective : objective;
 }
 
-val make : ?alive:Bitset.t -> Graph.t -> objective -> Bitset.t -> t
-(** Evaluate a set; raises [Invalid_argument] on empty sides (see
-    {!Boundary}). *)
+val make : ?alive:Bitset.t -> Gview.t -> objective -> Bitset.t -> t
+(** Evaluate a set on either {!Gview.t} arm; raises
+    [Invalid_argument] on empty sides (see {!Boundary}). *)
 
 val better : t -> t -> t
 (** The cut with the smaller value (ties: first). *)
 
-val value_of : ?alive:Bitset.t -> Graph.t -> objective -> Bitset.t -> float
-
-val make_v : ?alive:Bitset.t -> Gview.t -> objective -> Bitset.t -> t
-(** {!make} on either {!Gview.t} representation. *)
-
-val value_of_v : ?alive:Bitset.t -> Gview.t -> objective -> Bitset.t -> float
+val value_of : ?alive:Bitset.t -> Gview.t -> objective -> Bitset.t -> float
 
 val pp : Format.formatter -> t -> unit

@@ -33,8 +33,8 @@ let pick_source pool rng total =
   | Some nodes -> nodes.(Rng.int rng total)
   | None -> Rng.int rng total
 
-let disconnected_witness ?alive g =
-  let comps = Components.compute ?alive g in
+let disconnected_witness ?alive view =
+  let comps = Components.compute ?alive view in
   if comps.Components.count <= 1 then None
   else begin
     (* smallest component is a zero-boundary witness *)
@@ -49,7 +49,7 @@ let disconnected_witness ?alive g =
    targets, largest first.  One resumable traversal serves the whole
    schedule (Bfs.grow_ball) instead of a fresh BFS per size. *)
 let balls_from ?alive view ~total ~half src =
-  let grower = Bfs.ball_grower_v ?alive view src in
+  let grower = Bfs.ball_grower ?alive view src in
   let out = ref [] in
   let size = ref 2 in
   while !size <= half do
@@ -88,12 +88,12 @@ let ball_candidates_par ?obs ?alive view rng samples ~domains =
     Array.fold_left (fun acc balls -> balls @ acc) [] per
   end
 
-(* View-facing slice of the portfolio: BFS-ball candidates evaluated
-   through one generation-stamped scratch.  The spectral sweep and
-   local search stay CSR-only, so this is what large implicit
-   topologies (and their Prune finders) use; the node count and degree
-   bound both come from O(1) view metadata. *)
-let ball_witness_v ?alive ?rng ?(samples = 8) view objective =
+(* The BFS-ball slice of the portfolio: candidates evaluated through
+   one generation-stamped scratch.  Local search stays CSR-only, so
+   this (with {!spectral_witness}) is what large implicit topologies
+   and their Prune finders use; the node count and degree bound both
+   come from O(1) view metadata. *)
+let ball_witness ?alive ?rng ?(samples = 8) view objective =
   let rng = match rng with Some r -> r | None -> Rng.create 0xFA17 in
   let total, pool = sample_pool ?alive view in
   if total < 2 then None
@@ -110,10 +110,10 @@ let ball_witness_v ?alive ?rng ?(samples = 8) view objective =
           let value =
             match objective with
             | Cut.Node ->
-              float_of_int (Boundary.Scratch.node_boundary_size_v scratch ?alive view set)
+              float_of_int (Boundary.Scratch.node_boundary_size scratch ?alive view set)
               /. float_of_int size
             | Cut.Edge ->
-              float_of_int (Boundary.Scratch.edge_boundary_size_v scratch ?alive view set)
+              float_of_int (Boundary.Scratch.edge_boundary_size scratch ?alive view set)
               /. float_of_int (min size (total - size))
           in
           let cut = { Cut.set; value; objective } in
@@ -127,20 +127,20 @@ let ball_witness_v ?alive ?rng ?(samples = 8) view objective =
    solve plus the four rotated sweeps.  This is what gives implicit
    topologies a spectral path; without it large implicit views would
    have ball witnesses alone. *)
-let spectral_witness_v ?obs ?alive ?(domains = 1) view objective =
+let spectral_witness ?obs ?alive ?(domains = 1) view objective =
   let total =
     match alive with Some m -> Bitset.cardinal m | None -> Gview.num_nodes view
   in
   if total < 2 then None
   else begin
-    let spectral, f2 = Spectral.solve_v ?obs ?alive ~domains view in
+    let spectral, f2 = Spectral.solve ?obs ?alive ~domains view in
     let f1 = spectral.Spectral.fiedler in
     let rotate a b op = Array.init (Array.length a) (fun i -> op a.(i) b.(i)) in
     let scores = [| f1; f2; rotate f1 f2 ( +. ); rotate f1 f2 ( -. ) |] in
     let best =
       Array.fold_left
         (fun acc score ->
-          let cut = Sweep.best_prefix_v ?alive view ~score objective in
+          let cut = Sweep.best_prefix ?alive view ~score objective in
           match acc with Some b -> Some (Cut.better b cut) | None -> Some cut)
         None scores
     in
@@ -154,6 +154,7 @@ let run ?(obs = Fn_obs.Sink.null) ?alive ?rng ?(domains = 1) ?(samples = 8)
     match alive with Some m -> Bitset.cardinal m | None -> Graph.num_nodes g
   in
   if total < 2 then invalid_arg "Estimate.run: need at least 2 alive nodes";
+  let view = Gview.Csr g in
   let on = Fn_obs.Sink.enabled obs in
   let sp =
     if on then
@@ -167,7 +168,7 @@ let run ?(obs = Fn_obs.Sink.null) ?alive ?rng ?(domains = 1) ?(samples = 8)
     else Fn_obs.Span.null
   in
   let result =
-    match disconnected_witness ?alive g with
+    match disconnected_witness ?alive view with
     | Some w ->
       { value = 0.0; witness = w; objective; exact = true; lower = Some 0.0;
         fiedler_pair = None }
@@ -188,7 +189,7 @@ let run ?(obs = Fn_obs.Sink.null) ?alive ?rng ?(domains = 1) ?(samples = 8)
       (* one fused spectral solve: the lambda2 Fiedler vector IS the
          first vector of the pair, so Spectral.solve shares the power
          iteration instead of running it twice *)
-      let spectral, f2 = Spectral.solve ~obs ?alive ~domains ?warm g in
+      let spectral, f2 = Spectral.solve ~obs ?alive ~domains ?warm view in
       (* sweep the Fiedler pair and two 45-degree rotations: when the
          lambda2 eigenspace is degenerate (square meshes, tori) the
          single power-iteration vector is an arbitrary rotation of the
@@ -200,12 +201,11 @@ let run ?(obs = Fn_obs.Sink.null) ?alive ?rng ?(domains = 1) ?(samples = 8)
          parallel fan-out returns exactly the sequential fold *)
       let sweeps =
         Fn_parallel.Par.map ~obs ~domains
-          (fun score -> Sweep.best_prefix ?alive g ~score objective)
+          (fun score -> Sweep.best_prefix ?alive view ~score objective)
           scores
       in
       let sweep = Array.fold_left Cut.better sweeps.(0) sweeps in
       let balls =
-        let view = Gview.Csr g in
         if domains <= 1 then ball_candidates ?alive view rng samples
         else ball_candidates_par ~obs ?alive view rng samples ~domains
       in
@@ -214,7 +214,7 @@ let run ?(obs = Fn_obs.Sink.null) ?alive ?rng ?(domains = 1) ?(samples = 8)
            filter_map element for element *)
         Fn_parallel.Par.map ~obs ~domains
           (fun set ->
-            match Cut.value_of ?alive g objective set with
+            match Cut.value_of ?alive view objective set with
             | v -> Some { Cut.set; value = v; objective }
             | exception Invalid_argument _ -> None)
           (Array.of_list balls)

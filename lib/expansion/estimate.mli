@@ -62,7 +62,7 @@ val run :
     refinement hill-climbs several starts — a deterministic variant
     whose output depends only on [domains > 1], not on the count. *)
 
-val ball_witness_v :
+val ball_witness :
   ?alive:Bitset.t ->
   ?rng:Rng.t ->
   ?samples:int ->
@@ -79,7 +79,7 @@ val ball_witness_v :
     byte-reproducible for a fixed [rng] (default seed 0xFA17,
     [samples] 8). *)
 
-val spectral_witness_v :
+val spectral_witness :
   ?obs:Fn_obs.Sink.t ->
   ?alive:Bitset.t ->
   ?domains:int ->
@@ -87,7 +87,7 @@ val spectral_witness_v :
   Cut.objective ->
   (Cut.t * (float array * float array)) option
 (** The spectral slice of the portfolio on either {!Gview.t} arm: one
-    {!Spectral.solve_v} (backend chosen by {!Spectral.Method.select})
+    {!Spectral.solve} (backend chosen by {!Spectral.Method.select})
     plus the four rotated Fiedler sweeps; returns the best sweep cut
     and the embedding pair, or [None] with fewer than 2 alive nodes.
     This is what gives implicit topologies a spectral path — a matvec

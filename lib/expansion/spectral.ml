@@ -494,7 +494,7 @@ let iterations_histogram () =
 
 (* ---- public entry points ---- *)
 
-let lambda2_v ?(obs = Fn_obs.Sink.null) ?alive ?(domains = 1) ?(max_iter = 1000)
+let lambda2 ?(obs = Fn_obs.Sink.null) ?alive ?(domains = 1) ?(max_iter = 1000)
     ?(tol = 1e-9) ?method_ view =
   let on = Fn_obs.Sink.enabled obs in
   let sp = if on then Fn_obs.Span.enter obs "spectral.lambda2" else Fn_obs.Span.null in
@@ -524,16 +524,13 @@ let lambda2_v ?(obs = Fn_obs.Sink.null) ?alive ?(domains = 1) ?(max_iter = 1000)
   end;
   { lambda2; fiedler; iterations }
 
-let lambda2 ?obs ?alive ?domains ?max_iter ?tol ?method_ g =
-  lambda2_v ?obs ?alive ?domains ?max_iter ?tol ?method_ (Gview.Csr g)
-
 (* How far an embedding is from being an eigenvector of 2I - L on the
    current (alive-restricted) operator: lift x to y-space, deflate the
    trivial direction, normalize, apply once and measure
    ||My - (y·My)y||.  Warm-start policies use this to decide whether a
    previous Fiedler pair is still worth iterating from after the mask
    changed; [infinity] when the lifted vector has no support left. *)
-let residual_v ?alive view x =
+let residual ?alive view x =
   let n = Gview.num_nodes view in
   if Array.length x <> n then invalid_arg "Spectral.residual: vector size mismatch";
   let op = Spectral_op.create ?alive view in
@@ -556,9 +553,7 @@ let residual_v ?alive view x =
     sqrt !acc
   end
 
-let residual ?alive g x = residual_v ?alive (Gview.Csr g) x
-
-let solve_v ?(obs = Fn_obs.Sink.null) ?alive ?(domains = 1) ?(max_iter = 1000)
+let solve ?(obs = Fn_obs.Sink.null) ?alive ?(domains = 1) ?(max_iter = 1000)
     ?(tol = 1e-9) ?warm ?method_ view =
   let on = Fn_obs.Sink.enabled obs in
   let sp = if on then Fn_obs.Span.enter obs "spectral.solve" else Fn_obs.Span.null in
@@ -576,9 +571,6 @@ let solve_v ?(obs = Fn_obs.Sink.null) ?alive ?(domains = 1) ?(max_iter = 1000)
     Fn_obs.Metrics.observe (iterations_histogram ()) (float_of_int s.s_it_total)
   end;
   ({ lambda2 = s.s_lambda2; fiedler = s.s_f1; iterations = s.s_it_first }, s.s_f2)
-
-let solve ?obs ?alive ?domains ?max_iter ?tol ?warm ?method_ g =
-  solve_v ?obs ?alive ?domains ?max_iter ?tol ?warm ?method_ (Gview.Csr g)
 
 let cheeger_lower r = r.lambda2 /. 2.0
 

@@ -10,8 +10,9 @@ open Fn_graph
     graph, edge expansion = φ·d on balanced cuts, giving cheap
     two-sided bounds that our tests check against {!Exact}.
 
-    Every entry point is a front for one of two backends over the same
-    shared operator and matvec ({!Spectral_op}):
+    Every entry point takes a {!Gview.t} and is a front for one of two
+    backends over the same shared operator and matvec
+    ({!Spectral_op}):
 
     - {!Method.Power} — the historical fused power iteration, kept
       bit-exact; the reference that Lanczos is differential-tested
@@ -61,9 +62,11 @@ val lambda2 :
   ?max_iter:int ->
   ?tol:float ->
   ?method_:Method.t ->
-  Graph.t ->
+  Gview.t ->
   result
-(** λ₂ and the Fiedler embedding of the alive-restricted operator.
+(** λ₂ and the Fiedler embedding of the alive-restricted operator, on
+    either {!Gview.t} arm (an implicit view pays one neighbor-closure
+    call per row per matvec instead of a CSR scan).
     The alive mask restricts the operator to the induced subgraph.
     Isolated alive nodes are permitted (they contribute λ = 1 rows);
     the graph restricted to [alive] should be connected for λ₂ to
@@ -78,19 +81,6 @@ val lambda2 :
     count — parallelism here is an implementation detail, not an
     algorithm change.  This holds for every method. *)
 
-val lambda2_v :
-  ?obs:Fn_obs.Sink.t ->
-  ?alive:Bitset.t ->
-  ?domains:int ->
-  ?max_iter:int ->
-  ?tol:float ->
-  ?method_:Method.t ->
-  Gview.t ->
-  result
-(** {!lambda2} over any {!Gview.t}: implicit topologies get the same
-    spectral path, paying one neighbor-closure call per row per
-    matvec instead of a CSR scan. *)
-
 val solve :
   ?obs:Fn_obs.Sink.t ->
   ?alive:Bitset.t ->
@@ -99,7 +89,7 @@ val solve :
   ?tol:float ->
   ?warm:float array * float array ->
   ?method_:Method.t ->
-  Graph.t ->
+  Gview.t ->
   result * float array
 (** [lambda2] plus a second bottom embedding: the Fiedler vector of
     the result and a second vector orthogonal to it span the bottom
@@ -124,27 +114,13 @@ val solve :
     reproducibility must stay cold (see {!residual} for the check
     online callers gate warm starts on). *)
 
-val solve_v :
-  ?obs:Fn_obs.Sink.t ->
-  ?alive:Bitset.t ->
-  ?domains:int ->
-  ?max_iter:int ->
-  ?tol:float ->
-  ?warm:float array * float array ->
-  ?method_:Method.t ->
-  Gview.t ->
-  result * float array
-
-val residual :
-  ?alive:Bitset.t -> Graph.t -> float array -> float
-(** [residual g x] measures how far the embedding [x] (an earlier
+val residual : ?alive:Bitset.t -> Gview.t -> float array -> float
+(** [residual view x] measures how far the embedding [x] (an earlier
     Fiedler vector) is from an eigenvector of the current
     alive-restricted operator: the L2 norm of [My - (y·My)y] for the
     lifted, deflated, normalized [y].  Small (≲ 0.1) means [x] is
     still a good warm start after a mask change; [infinity] when [x]
     has no alive support left. *)
-
-val residual_v : ?alive:Bitset.t -> Gview.t -> float array -> float
 
 val cheeger_lower : result -> float
 (** λ₂ / 2 — a certified lower bound on conductance. *)

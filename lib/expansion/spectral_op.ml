@@ -26,25 +26,18 @@ let par_node_threshold = 1024
 let create ?alive ?(domains = 1) view =
   let n = Gview.num_nodes view in
   let is_alive v = match alive with None -> true | Some m -> Bitset.mem m v in
+  let iter = Gview.iter_neighbors view in
   let deg = Array.make n 0 in
-  (match view with
-  | Gview.Csr g ->
-    for v = 0 to n - 1 do
-      if is_alive v then
-        deg.(v) <-
-          (match alive with None -> Graph.degree g v | Some m -> Graph.alive_degree g m v)
-    done
-  | Gview.Implicit r ->
-    for v = 0 to n - 1 do
-      if is_alive v then
-        deg.(v) <-
-          (match alive with
-          | None -> r.Gview.degree v
-          | Some m ->
-            let c = ref 0 in
-            r.Gview.iter_neighbors v (fun w -> if Bitset.mem m w then incr c);
-            !c)
-    done);
+  for v = 0 to n - 1 do
+    if is_alive v then
+      deg.(v) <-
+        (match alive with
+        | None -> Gview.degree view v
+        | Some m ->
+          let c = ref 0 in
+          iter v (fun w -> if Bitset.mem m w then incr c);
+          !c)
+  done;
   let sqrt_deg = Array.map (fun d -> sqrt (float_of_int d)) deg in
   let row =
     Bytes.init n (fun v ->

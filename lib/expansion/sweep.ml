@@ -1,15 +1,9 @@
 open Fn_graph
 
-let best_prefix_v ?alive view ~score objective =
+let best_prefix ?alive view ~score objective =
   let n = Gview.num_nodes view in
   if Array.length score <> n then invalid_arg "Sweep.best_prefix: score length mismatch";
-  (* match the view once: the sweep's inner loop only needs a neighbor
-     iterator *)
-  let iter =
-    match view with
-    | Gview.Csr g -> Graph.iter_neighbors g
-    | Gview.Implicit r -> r.Gview.iter_neighbors
-  in
+  let iter = Gview.iter_neighbors view in
   let is_alive v = match alive with None -> true | Some m -> Bitset.mem m v in
   let order =
     let arr =
@@ -66,12 +60,6 @@ let best_prefix_v ?alive view ~score objective =
   done;
   { Cut.set; value = !best_val; objective }
 
-let best_prefix ?alive g ~score objective =
-  best_prefix_v ?alive (Gview.Csr g) ~score objective
-
-let spectral_cut_v ?alive ?domains view objective =
-  let r = Spectral.lambda2_v ?alive ?domains view in
-  best_prefix_v ?alive view ~score:r.Spectral.fiedler objective
-
-let spectral_cut ?alive ?domains g objective =
-  spectral_cut_v ?alive ?domains (Gview.Csr g) objective
+let spectral_cut ?alive ?domains view objective =
+  let r = Spectral.lambda2 ?alive ?domains view in
+  best_prefix ?alive view ~score:r.Spectral.fiedler objective

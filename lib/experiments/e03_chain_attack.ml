@@ -30,7 +30,7 @@ let run (cfg : Workload.config) =
             let gamma_attack = Workload.gamma_of_alive h attack.Fault_set.alive in
             let random = Adversary.random rng h ~budget in
             let gamma_random = Workload.gamma_of_alive h random.Fault_set.alive in
-            let comps = Components.compute ~alive:attack.Fault_set.alive h in
+            let comps = Components.compute ~alive:attack.Fault_set.alive (Gview.Csr h) in
             (gamma_attack, gamma_random, Components.largest_size comps))
       in
       if frac = 1.0 then final_gamma := gamma_attack;
@@ -47,7 +47,7 @@ let run (cfg : Workload.config) =
   let largest, shattered, random_resilient =
     sup "E3.verdict" (fun () ->
         let full_attack = Adversary.targets h ~targets:centers ~budget:m in
-        let comps = Components.compute ~alive:full_attack.Fault_set.alive h in
+        let comps = Components.compute ~alive:full_attack.Fault_set.alive (Gview.Csr h) in
         let largest = Components.largest_size comps in
         let random = Adversary.random rng h ~budget:m in
         let random_resilient =

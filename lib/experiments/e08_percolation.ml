@@ -39,7 +39,7 @@ let run (cfg : Workload.config) =
       let r =
         sup (Printf.sprintf "E8.%s" name) (fun () ->
             Threshold.estimate ~obs ?domains:cfg.Workload.domains ~runs ~rng
-              Threshold.Bond g)
+              Threshold.Bond (Fn_graph.Gview.Csr g))
       in
       let ratio = r.Threshold.p_star /. p_theory in
       (* the gamma-level constant and finite size shift the crossing;

@@ -37,7 +37,7 @@ let run (cfg : Workload.config) =
           let reference = Route.shortest g demand in
           let ideal = Sim.run g reference in
           (* route on the largest surviving component *)
-          let survivor = Components.largest_members ~alive g in
+          let survivor = Components.largest_members ~alive (Gview.Csr g) in
           let faulty = Route.shortest ~alive:survivor g demand in
           let sim = Sim.run g faulty in
           ( Route.routable_fraction faulty,

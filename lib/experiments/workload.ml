@@ -43,7 +43,7 @@ let gamma_of_alive g alive =
   let n = Graph.num_nodes g in
   if n = 0 then 0.0
   else begin
-    let comps = Components.compute ~alive g in
+    let comps = Components.compute ~alive (Gview.Csr g) in
     float_of_int (Components.largest_size comps) /. float_of_int n
   end
 

@@ -1,14 +1,12 @@
 open Fn_graph
 open Fn_prng
 
-(* The compactification core runs on [Gview.t]; the [Graph.t] entry
-   points below wrap the CSR arm.  Everything it needs — reachability,
-   components, edge-boundary counts — already has a view form, so
-   Prune2's round loop can cull compact sets on implicit topologies
-   without materializing them. *)
+(* Compactness and compactification take a [Gview.t]: everything they
+   need (reachability, components, edge-boundary counts) is
+   order-free, so Prune2's round loop culls compact sets on implicit
+   topologies without materializing them. *)
 
-let restrict_v ?alive view u =
-  ignore view;
+let restrict ?alive u =
   match alive with
   | None -> Bitset.copy u
   | Some m ->
@@ -16,56 +14,49 @@ let restrict_v ?alive view u =
     Bitset.inter_into out m;
     out
 
-let complement_within_v ?alive view u =
+let complement_within ?alive view u =
   let n = Gview.num_nodes view in
   let out = match alive with None -> Bitset.create_full n | Some m -> Bitset.copy m in
   Bitset.diff_into out u;
   out
 
-let complement_within ?alive g u = complement_within_v ?alive (Gview.Csr g) u
-
-let is_compact_v ?alive view u =
-  let inside = restrict_v ?alive view u in
-  let outside = complement_within_v ?alive view u in
+let is_compact ?alive view u =
+  let inside = restrict ?alive u in
+  let outside = complement_within ?alive view u in
   (not (Bitset.is_empty inside))
   && (not (Bitset.is_empty outside))
-  && Dfs.is_connected_subset_v view inside
-  && Dfs.is_connected_subset_v view outside
+  && Dfs.is_connected_subset view inside
+  && Dfs.is_connected_subset view outside
 
-let is_compact ?alive g u = is_compact_v ?alive (Gview.Csr g) u
+let edge_ratio ?alive view x =
+  float_of_int (Boundary.edge_boundary_size ?alive view x) /. float_of_int (Bitset.cardinal x)
 
-let edge_ratio_v ?alive view x =
-  float_of_int (Boundary.edge_boundary_size_v ?alive view x) /. float_of_int (Bitset.cardinal x)
-
-let compactify_v ?alive view s =
-  let s = restrict_v ?alive view s in
+let compactify ?alive view s =
+  let s = restrict ?alive s in
   if Bitset.is_empty s then invalid_arg "Compact.compactify: empty set";
-  if not (Dfs.is_connected_subset_v view s) then
+  if not (Dfs.is_connected_subset view s) then
     invalid_arg "Compact.compactify: S not connected";
-  let outside = complement_within_v ?alive view s in
+  let outside = complement_within ?alive view s in
   if Bitset.is_empty outside then invalid_arg "Compact.compactify: S is everything";
-  if Dfs.is_connected_subset_v view outside then s
+  if Dfs.is_connected_subset view outside then s
   else begin
     let total =
       match alive with None -> Gview.num_nodes view | Some m -> Bitset.cardinal m
     in
-    let comps = Components.compute_v ~alive:outside view in
+    let comps = Components.compute ~alive:outside view in
     (* Case 1: a complement component holds at least half the nodes *)
     let big = ref (-1) in
     for id = 0 to comps.Components.count - 1 do
       if 2 * comps.Components.sizes.(id) >= total then big := id
     done;
-    if !big >= 0 then begin
-      let k = complement_within_v ?alive view (Components.members comps !big) in
-      k
-    end
+    if !big >= 0 then complement_within ?alive view (Components.members comps !big)
     else begin
       (* Case 2: some component has edge expansion <= S's *)
-      let s_ratio = edge_ratio_v ?alive view s in
+      let s_ratio = edge_ratio ?alive view s in
       let best = ref None in
       for id = 0 to comps.Components.count - 1 do
         let c = Components.members comps id in
-        let r = edge_ratio_v ?alive view c in
+        let r = edge_ratio ?alive view c in
         match !best with
         | Some (_, br) when br <= r -> ()
         | _ -> best := Some (c, r)
@@ -78,8 +69,6 @@ let compactify_v ?alive view s =
         s
     end
   end
-
-let compactify ?alive g s = compactify_v ?alive (Gview.Csr g) s
 
 let enumerate g =
   let n = Graph.num_nodes g in
@@ -129,8 +118,9 @@ let random_compact rng ?alive g ~target_size =
   let n = Graph.num_nodes g in
   let alive_set = match alive with None -> Bitset.create_full n | Some m -> m in
   let total = Bitset.cardinal alive_set in
+  let view = Gview.Csr g in
   if total < 2 || target_size < 1 || 2 * target_size > total then None
-  else if not (Dfs.is_connected_subset g alive_set) then None
+  else if not (Dfs.is_connected_subset view alive_set) then None
   else begin
     let nodes = Bitset.to_array alive_set in
     let src = nodes.(Rng.int rng (Array.length nodes)) in
@@ -156,10 +146,10 @@ let random_compact rng ?alive g ~target_size =
       end
     done;
     (* absorb all complement components but the largest *)
-    let outside = complement_within ?alive g in_u in
+    let outside = complement_within ?alive view in_u in
     if Bitset.is_empty outside then None
     else begin
-      let comps = Components.compute ~alive:outside g in
+      let comps = Components.compute ~alive:outside view in
       let biggest = ref 0 in
       for id = 1 to comps.Components.count - 1 do
         if comps.Components.sizes.(id) > comps.Components.sizes.(!biggest) then biggest := id
@@ -167,6 +157,6 @@ let random_compact rng ?alive g ~target_size =
       for id = 0 to comps.Components.count - 1 do
         if id <> !biggest then Bitset.union_into in_u (Components.members comps id)
       done;
-      if is_compact ?alive g in_u then Some in_u else None
+      if is_compact ?alive view in_u then Some in_u else None
     end
   end

@@ -6,24 +6,23 @@ open Fn_prng
     A set U is compact in G when both U and its complement induce
     connected subgraphs.  The span is a maximum over compact sets, and
     Prune2 culls the compactification K_G(S) of the low-expansion
-    sets it finds (Lemma 3.3). *)
+    sets it finds (Lemma 3.3).
 
-val is_compact : ?alive:Bitset.t -> Graph.t -> Bitset.t -> bool
+    {!is_compact} and {!compactify} do not depend on neighbor order,
+    so they take a {!Gview.t} and agree exactly across its arms —
+    Prune2's round loop culls compact sets from implicit topologies
+    through them.  {!enumerate} and {!random_compact} work on a
+    materialized {!Graph.t}. *)
+
+val is_compact : ?alive:Bitset.t -> Gview.t -> Bitset.t -> bool
 (** Both [u ∩ alive] and [alive \ u] must be non-empty and
     connected. *)
 
-val compactify : ?alive:Bitset.t -> Graph.t -> Bitset.t -> Bitset.t
+val compactify : ?alive:Bitset.t -> Gview.t -> Bitset.t -> Bitset.t
 (** Lemma 3.3: for a connected S with |S| < |alive|/2, returns a
     compact set K_G(S) whose edge expansion is at most S's.  Raises
     [Invalid_argument] if S is not connected or not a proper
     subset. *)
-
-val is_compact_v : ?alive:Bitset.t -> Gview.t -> Bitset.t -> bool
-(** {!is_compact} on either {!Gview.t} representation. *)
-
-val compactify_v : ?alive:Bitset.t -> Gview.t -> Bitset.t -> Bitset.t
-(** {!compactify} on either representation — Prune2's round loop uses
-    this to cull compact sets from implicit topologies. *)
 
 val enumerate : Graph.t -> Bitset.t list
 (** All compact sets of a connected graph with at most 20 nodes,

@@ -15,8 +15,8 @@ open Fn_prng
 type t = alive:Bitset.t -> Graph.t -> threshold:float -> Bitset.t option
 
 type t_v = alive:Bitset.t -> Gview.t -> threshold:float -> Bitset.t option
-(** A finder over either {!Gview.t} arm — what the Prune / Prune2
-    round loops actually drive. *)
+(** A finder over either {!Gview.t} arm — what {!Prune.run_v} drives
+    (the online engine runs Prune on implicit views). *)
 
 val exact_limit : int
 (** Fragment size up to which the exact finder is used (18). *)
@@ -41,7 +41,7 @@ val default_v :
     unchanged (byte-identical results).  On the implicit arm large
     fragments run the BFS-ball slice plus — now that the spectral
     operator is {!Gview.t}-capable — the spectral sweep
-    ({!Fn_expansion.Estimate.spectral_witness_v}), keeping the better
+    ({!Fn_expansion.Estimate.spectral_witness}), keeping the better
     witness.  The spectral slice is skipped above 500k alive nodes
     (the Krylov basis would cost hundreds of MB); a [None] is
     correspondingly weaker evidence of high expansion there. *)

@@ -29,9 +29,9 @@ let simulate_virtual_edge geo u v =
   | _ -> invalid_arg "Mesh_span.simulate_virtual_edge: not a virtual edge"
 
 let certify mesh geo s =
-  if not (Compact.is_compact mesh s) then
-    invalid_arg "Mesh_span.certify: set is not compact";
-  let boundary = Boundary.node_boundary mesh s in
+  let view = Gview.Csr mesh in
+  if not (Compact.is_compact view s) then invalid_arg "Mesh_span.certify: set is not compact";
+  let boundary = Boundary.node_boundary view s in
   let b = Bitset.cardinal boundary in
   if b = 0 then None
   else begin

@@ -47,7 +47,7 @@ let run_v ?(obs = Fn_obs.Sink.null) ?finder ?rng ?domains view ~alive ~alpha ~ep
       | Some s ->
         incr iterations;
         let size = Bitset.cardinal s in
-        let boundary = Boundary.Scratch.node_boundary_size_v scratch ~alive:current view s in
+        let boundary = Boundary.Scratch.node_boundary_size scratch ~alive:current view s in
         assert (size >= 1);
         assert (Bitset.subset s current);
         culled := { set = s; size; boundary } :: !culled;
@@ -90,6 +90,7 @@ let run ?obs ?finder ?rng ?domains g ~alive ~alpha ~epsilon =
 let total_culled r = List.fold_left (fun acc c -> acc + c.size) 0 r.culled
 
 let verify_certificates g ~alive r =
+  let view = Gview.Csr g in
   let current = Bitset.copy alive in
   let ok = ref true in
   List.iter
@@ -98,7 +99,7 @@ let verify_certificates g ~alive r =
       if not (Bitset.subset c.set current) then ok := false;
       let size = Bitset.cardinal c.set in
       if size <> c.size || 2 * size > total then ok := false;
-      let boundary = Boundary.node_boundary_size ~alive:current g c.set in
+      let boundary = Boundary.node_boundary_size ~alive:current view c.set in
       if boundary <> c.boundary then ok := false;
       if float_of_int boundary > (r.threshold *. float_of_int size) +. 1e-9 then ok := false;
       Bitset.diff_into current c.set)

@@ -67,8 +67,10 @@ val run_v :
     scratch boundary count, cull accounting) never materializes
     edges, so Prune runs on implicit 10^7-node topologies; the
     default finder is {!Low_expansion.default_v}, whose implicit arm
-    is the narrower ball-only portfolio.  [run g] equals
-    [run_v (Gview.Csr g)] exactly. *)
+    is the narrower ball-and-spectral portfolio.  [run g] equals
+    [run_v (Gview.Csr g)] exactly.  The online engine and the
+    [prune_round_torus1e7] kernel drive Prune through here on
+    implicit views; {!run} keeps {!Graph.t} for its callers. *)
 
 val total_culled : result -> int
 

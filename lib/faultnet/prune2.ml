@@ -19,14 +19,14 @@ type result = {
    (the ratio of a disjoint union is a weighted mediant of the
    components' ratios).  Pick the best component. *)
 let best_connected_piece ~scratch ~alive view s threshold =
-  let comps = Components.compute_v ~alive:s view in
+  let comps = Components.compute ~alive:s view in
   if comps.Components.count = 0 then None
   else begin
     let best = ref None in
     for id = 0 to comps.Components.count - 1 do
       let c = Components.members comps id in
       let ratio =
-        float_of_int (Boundary.Scratch.edge_boundary_size_v scratch ~alive view c)
+        float_of_int (Boundary.Scratch.edge_boundary_size scratch ~alive view c)
         /. float_of_int (Bitset.cardinal c)
       in
       match !best with
@@ -38,14 +38,15 @@ let best_connected_piece ~scratch ~alive view s threshold =
     | _ -> None
   end
 
-let run_v ?(obs = Fn_obs.Sink.null) ?finder ?rng ?domains view ~alive ~alpha_e ~epsilon =
+let run ?(obs = Fn_obs.Sink.null) ?finder ?rng ?domains g ~alive ~alpha_e ~epsilon =
   if alpha_e <= 0.0 then invalid_arg "Prune2.run: alpha_e must be positive";
   if epsilon <= 0.0 || epsilon >= 1.0 then invalid_arg "Prune2.run: need 0 < epsilon < 1";
   let finder =
     match finder with
     | Some f -> f
-    | None -> Low_expansion.default_v ?rng ?domains Fn_expansion.Cut.Edge
+    | None -> Low_expansion.default ?rng ?domains Fn_expansion.Cut.Edge
   in
+  let view = Gview.Csr g in
   (* one generation-stamped scratch serves every boundary count of the
      run (round certificates and the witness component split) *)
   let scratch = Boundary.Scratch.create (Gview.num_nodes view) in
@@ -70,17 +71,17 @@ let run_v ?(obs = Fn_obs.Sink.null) ?finder ?rng ?domains view ~alive ~alpha_e ~
   while !continue do
     if Bitset.cardinal current < 2 then continue := false
     else
-      match finder ~alive:current view ~threshold with
+      match finder ~alive:current g ~threshold with
       | None -> continue := false
       | Some witness -> (
         match best_connected_piece ~scratch ~alive:current view witness threshold with
         | None -> continue := false
         | Some s ->
           incr iterations;
-          let k = Compact.compactify_v ~alive:current view s in
+          let k = Compact.compactify ~alive:current view s in
           let size = Bitset.cardinal k in
           let edge_boundary =
-            Boundary.Scratch.edge_boundary_size_v scratch ~alive:current view k
+            Boundary.Scratch.edge_boundary_size scratch ~alive:current view k
           in
           culled := { found = s; compacted = k; size; edge_boundary } :: !culled;
           Bitset.diff_into current k;
@@ -108,21 +109,10 @@ let run_v ?(obs = Fn_obs.Sink.null) ?finder ?rng ?domains view ~alive ~alpha_e ~
         ];
   { kept = current; culled = List.rev !culled; iterations = !iterations; threshold }
 
-let run ?obs ?finder ?rng ?domains g ~alive ~alpha_e ~epsilon =
-  (* a custom Graph finder closes over [g]; the default lifts to
-     Low_expansion.default_v, whose CSR arm is Low_expansion.default *)
-  let finder =
-    Option.map
-      (fun f ~alive view ~threshold ->
-        ignore view;
-        f ~alive g ~threshold)
-      finder
-  in
-  run_v ?obs ?finder ?rng ?domains (Gview.Csr g) ~alive ~alpha_e ~epsilon
-
 let total_culled r = List.fold_left (fun acc c -> acc + c.size) 0 r.culled
 
 let verify_certificates g ~alive r =
+  let view = Gview.Csr g in
   let current = Bitset.copy alive in
   let ok = ref true in
   List.iter
@@ -130,21 +120,21 @@ let verify_certificates g ~alive r =
       let total = Bitset.cardinal current in
       if not (Bitset.subset c.found current) then ok := false;
       if not (Bitset.subset c.compacted current) then ok := false;
-      if not (Dfs.is_connected_subset g c.found) then ok := false;
+      if not (Dfs.is_connected_subset view c.found) then ok := false;
       let s_size = Bitset.cardinal c.found in
       if 2 * s_size > total then ok := false;
-      let s_boundary = Boundary.edge_boundary_size ~alive:current g c.found in
+      let s_boundary = Boundary.edge_boundary_size ~alive:current view c.found in
       if float_of_int s_boundary > (r.threshold *. float_of_int s_size) +. 1e-9 then ok := false;
       (* Claim 3.5 / Lemma 3.3: the culled set must be compact in G_i --
          provided G_i is connected, which is the lemma's hypothesis (on
          a disconnected remnant whole components are culled and the
          complement may itself be disconnected) *)
       if
-        Dfs.is_connected_subset g current
-        && not (Compact.is_compact ~alive:current g c.compacted)
+        Dfs.is_connected_subset view current
+        && not (Compact.is_compact ~alive:current view c.compacted)
       then ok := false;
       let k_size = Bitset.cardinal c.compacted in
-      let k_boundary = Boundary.edge_boundary_size ~alive:current g c.compacted in
+      let k_boundary = Boundary.edge_boundary_size ~alive:current view c.compacted in
       if k_size <> c.size || k_boundary <> c.edge_boundary then ok := false;
       let s_ratio = float_of_int s_boundary /. float_of_int s_size in
       let k_ratio = float_of_int k_boundary /. float_of_int k_size in

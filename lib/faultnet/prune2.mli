@@ -51,21 +51,6 @@ val run :
     measured edge-boundary ratio, survivor count); the default null
     sink costs nothing. *)
 
-val run_v :
-  ?obs:Fn_obs.Sink.t ->
-  ?finder:Low_expansion.t_v ->
-  ?rng:Rng.t ->
-  ?domains:int ->
-  Gview.t ->
-  alive:Bitset.t ->
-  alpha_e:float ->
-  epsilon:float ->
-  result
-(** {!run} on either {!Gview.t} arm: witness split, compactification
-    and edge-boundary certificates all run through the view layer, so
-    whole rounds execute on implicit topologies without materializing
-    edges.  [run g] equals [run_v (Gview.Csr g)] exactly. *)
-
 val total_culled : result -> int
 
 val verify_certificates : Graph.t -> alive:Bitset.t -> result -> bool

@@ -23,7 +23,7 @@ let analyze ?rng ?epsilon g ~faults =
   let n = Graph.num_nodes g in
   let before = Fn_expansion.Estimate.run ~rng g Fn_expansion.Cut.Edge in
   let alpha_e_before = before.Fn_expansion.Estimate.value in
-  let comps = Components.compute ~alive g in
+  let comps = Components.compute ~alive (Gview.Csr g) in
   let gamma = float_of_int (Components.largest_size comps) /. float_of_int n in
   let delta = Graph.max_degree g in
   let epsilon =
@@ -48,7 +48,7 @@ let analyze ?rng ?epsilon g ~faults =
   let routable, stretch =
     if Array.length demand = 0 then (1.0, nan)
     else begin
-      let survivor = Components.largest_members ~alive g in
+      let survivor = Components.largest_members ~alive (Gview.Csr g) in
       let reference = Fn_routing.Route.shortest g demand in
       let faulty = Fn_routing.Route.shortest ~alive:survivor g demand in
       (Fn_routing.Route.routable_fraction faulty, Fn_routing.Route.stretch ~reference faulty)

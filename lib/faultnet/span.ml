@@ -17,7 +17,7 @@ type estimate = {
 }
 
 let of_compact_set ?(exact_terminals = 9) g u =
-  let boundary = Boundary.node_boundary g u in
+  let boundary = Boundary.node_boundary (Gview.Csr g) u in
   let b = Bitset.cardinal boundary in
   if b = 0 then None
   else begin

@@ -27,6 +27,7 @@ let targets g ~targets ~budget =
 let ball_isolation ?(samples = 16) rng g ~budget =
   let n = Graph.num_nodes g in
   if budget < 0 || budget > n then invalid_arg "Adversary.ball_isolation: bad budget";
+  let view = Gview.Csr g in
   let best_boundary = ref None in
   let best_ball_size = ref (-1) in
   for _ = 1 to samples do
@@ -35,8 +36,8 @@ let ball_isolation ?(samples = 16) rng g ~budget =
     let r = ref 1 in
     let continue = ref true in
     while !continue do
-      let ball = Bfs.ball g src !r in
-      let boundary = Boundary.node_boundary g ball in
+      let ball = Bfs.ball view src !r in
+      let boundary = Boundary.node_boundary view ball in
       let bsize = Bitset.cardinal boundary in
       let ball_size = Bitset.cardinal ball in
       if bsize <= budget && bsize > 0 && 2 * ball_size <= n then begin
@@ -66,13 +67,14 @@ let recursive_cut ?rng ?(max_budget = max_int) g ~epsilon =
   if epsilon <= 0.0 || epsilon > 1.0 then invalid_arg "Adversary.recursive_cut: bad epsilon";
   let rng = match rng with Some r -> r | None -> Rng.create 0x25D1 in
   let n = Graph.num_nodes g in
+  let view = Gview.Csr g in
   let threshold = max 2 (int_of_float (ceil (epsilon *. float_of_int n))) in
   let faulty = Bitset.create n in
   let alive = Bitset.create_full n in
   let steps = ref [] in
   let spent = ref 0 in
   let rec loop () =
-    let comps = Components.compute ~alive g in
+    let comps = Components.compute ~alive view in
     (* largest fragment at or above the threshold *)
     let target = ref (-1) in
     for id = 0 to comps.Components.count - 1 do
@@ -86,7 +88,7 @@ let recursive_cut ?rng ?(max_budget = max_int) g ~epsilon =
       let fragment_size = Bitset.cardinal fragment in
       let est = Estimate.run ~alive:fragment ~rng g Cut.Node in
       let u = est.Estimate.witness in
-      let boundary = Boundary.node_boundary ~alive:fragment g u in
+      let boundary = Boundary.node_boundary ~alive:fragment view u in
       let removed = Bitset.cardinal boundary in
       if removed = 0 || !spent + removed > max_budget then ()
       else begin
@@ -99,7 +101,7 @@ let recursive_cut ?rng ?(max_budget = max_int) g ~epsilon =
     end
   in
   loop ();
-  let comps = Components.compute ~alive g in
+  let comps = Components.compute ~alive view in
   let final_fragments =
     Array.to_list comps.Components.sizes |> List.sort (fun a b -> Int.compare b a)
   in

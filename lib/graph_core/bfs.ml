@@ -1,8 +1,8 @@
 let is_alive alive v =
   match alive with None -> true | Some mask -> Bitset.mem mask v
 
-let check_src view alive src =
-  if src < 0 || src >= Gview.num_nodes view then invalid_arg "Bfs: source out of range";
+let check_src n alive src =
+  if src < 0 || src >= n then invalid_arg "Bfs: source out of range";
   if not (is_alive alive src) then invalid_arg "Bfs: source not alive"
 
 (* Frontiers are flat int-array ring buffers with head/tail cursors:
@@ -10,19 +10,18 @@ let check_src view alive src =
    a traversal costs one array allocation instead of a heap cell per
    push (Queue.t).  [head = tail] means empty.
 
-   Every traversal takes a [Gview.t] and matches it once at the top:
-   the [Csr] arm loops over the flat adjacency arrays exactly as
-   before, the [Implicit] arm drives the generator closure.  The
-   [Graph.t] entry points below are thin [Csr] wrappers. *)
+   Each traversal binds [Gview.iter_neighbors view] once and runs one
+   loop over it, on either arm of the view. *)
 
-let multi_source_distances_v ?alive view srcs =
+let multi_source_distances ?alive view srcs =
+  let iter = Gview.iter_neighbors view in
   let n = Gview.num_nodes view in
   let dist = Array.make n (-1) in
   let queue = Array.make (max 1 n) 0 in
   let head = ref 0 and tail = ref 0 in
   Array.iter
     (fun s ->
-      check_src view alive s;
+      check_src n alive s;
       if dist.(s) < 0 then begin
         dist.(s) <- 0;
         queue.(!tail) <- s;
@@ -36,39 +35,24 @@ let multi_source_distances_v ?alive view srcs =
       incr tail
     end
   in
-  (match view with
-  | Gview.Csr g ->
-    while !head < !tail do
-      let u = queue.(!head) in
-      incr head;
-      Graph.iter_neighbors g u (fun v -> visit u v)
-    done
-  | Gview.Implicit i ->
-    let iter = i.Gview.iter_neighbors in
-    while !head < !tail do
-      let u = queue.(!head) in
-      incr head;
-      iter u (fun v -> visit u v)
-    done);
+  while !head < !tail do
+    let u = queue.(!head) in
+    incr head;
+    iter u (fun v -> visit u v)
+  done;
   dist
 
-let multi_source_distances ?alive g srcs = multi_source_distances_v ?alive (Gview.Csr g) srcs
+let distances ?alive view src = multi_source_distances ?alive view [| src |]
 
-let distances_v ?alive view src = multi_source_distances_v ?alive view [| src |]
-
-let distances ?alive g src = multi_source_distances ?alive g [| src |]
-
-let reachable_v ?alive view src =
-  let dist = distances_v ?alive view src in
+let reachable ?alive view src =
+  let dist = distances ?alive view src in
   let out = Bitset.create (Gview.num_nodes view) in
   Array.iteri (fun v d -> if d >= 0 then Bitset.add out v) dist;
   out
 
-let reachable ?alive g src = reachable_v ?alive (Gview.Csr g) src
-
 let tree ?alive g src =
-  check_src (Gview.Csr g) alive src;
   let n = Graph.num_nodes g in
+  check_src n alive src;
   let parent = Array.make n (-1) in
   let queue = Array.make (max 1 n) 0 in
   let head = ref 0 and tail = ref 0 in
@@ -87,9 +71,10 @@ let tree ?alive g src =
   done;
   parent
 
-let ball_v ?alive view src r =
-  check_src view alive src;
+let ball ?alive view src r =
+  let iter = Gview.iter_neighbors view in
   let n = Gview.num_nodes view in
+  check_src n alive src;
   let dist = Array.make n (-1) in
   let out = Bitset.create n in
   let queue = Array.make (max 1 n) 0 in
@@ -106,30 +91,19 @@ let ball_v ?alive view src r =
       incr tail
     end
   in
-  (match view with
-  | Gview.Csr g ->
-    while !head < !tail do
-      let u = queue.(!head) in
-      incr head;
-      if dist.(u) < r then Graph.iter_neighbors g u (fun v -> visit u v)
-    done
-  | Gview.Implicit i ->
-    let iter = i.Gview.iter_neighbors in
-    while !head < !tail do
-      let u = queue.(!head) in
-      incr head;
-      if dist.(u) < r then iter u (fun v -> visit u v)
-    done);
+  while !head < !tail do
+    let u = queue.(!head) in
+    incr head;
+    if dist.(u) < r then iter u (fun v -> visit u v)
+  done;
   out
-
-let ball ?alive g src r = ball_v ?alive (Gview.Csr g) src r
 
 (* Resumable ball growth: the frontier state persists between calls,
    so growing a ball through doubling size targets (Estimate's
    geometric candidate schedule) traverses each node once overall
    instead of restarting the BFS per target. *)
 type ball_grower = {
-  view : Gview.t;
+  iter : int -> (int -> unit) -> unit;
   alive : Bitset.t option;
   seen : bool array;
   queue : int array;
@@ -139,12 +113,12 @@ type ball_grower = {
   mutable size : int;
 }
 
-let ball_grower_v ?alive view src =
-  check_src view alive src;
+let ball_grower ?alive view src =
   let n = Gview.num_nodes view in
+  check_src n alive src;
   let t =
     {
-      view;
+      iter = Gview.iter_neighbors view;
       alive;
       seen = Array.make n false;
       queue = Array.make (max 1 n) 0;
@@ -158,8 +132,6 @@ let ball_grower_v ?alive view src =
   t.queue.(0) <- src;
   t
 
-let ball_grower ?alive g src = ball_grower_v ?alive (Gview.Csr g) src
-
 let ball_size t = t.size
 
 let ball_exhausted t = t.head >= t.tail
@@ -172,32 +144,19 @@ let grow_ball t k =
       t.tail <- t.tail + 1
     end
   in
-  (match t.view with
-  | Gview.Csr g ->
-    while t.size < k && t.head < t.tail do
-      let u = t.queue.(t.head) in
-      t.head <- t.head + 1;
-      Bitset.add t.ball u;
-      t.size <- t.size + 1;
-      Graph.iter_neighbors g u expand
-    done
-  | Gview.Implicit i ->
-    let iter = i.Gview.iter_neighbors in
-    while t.size < k && t.head < t.tail do
-      let u = t.queue.(t.head) in
-      t.head <- t.head + 1;
-      Bitset.add t.ball u;
-      t.size <- t.size + 1;
-      iter u expand
-    done);
+  while t.size < k && t.head < t.tail do
+    let u = t.queue.(t.head) in
+    t.head <- t.head + 1;
+    Bitset.add t.ball u;
+    t.size <- t.size + 1;
+    t.iter u expand
+  done;
   Bitset.copy t.ball
 
-let ball_of_size_v ?alive view src k = grow_ball (ball_grower_v ?alive view src) k
+let ball_of_size ?alive view src k = grow_ball (ball_grower ?alive view src) k
 
-let ball_of_size ?alive g src k = grow_ball (ball_grower ?alive g src) k
-
-let eccentricity ?alive g src =
-  let dist = distances ?alive g src in
+let eccentricity ?alive view src =
+  let dist = distances ?alive view src in
   Array.fold_left max 0 dist
 
 let path_to ~parents target =

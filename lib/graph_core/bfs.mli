@@ -4,45 +4,31 @@
     [alive] means the whole graph is alive.  Distances use [-1] for
     unreachable (or dead) nodes.
 
-    The traversal core runs on {!Gview.t} (the [_v] entry points) and
-    matches the representation once at the top: CSR inputs keep the
-    flat-array loops, implicit inputs drive the generator closure
-    without ever materializing edges.  The [Graph.t] functions are
-    thin [Gview.Csr] wrappers kept for the existing call sites. *)
+    Every result here except {!tree} is independent of neighbor order,
+    so it takes a {!Gview.t} and agrees exactly across its arms; each
+    traversal is one loop over {!Gview.iter_neighbors}.  {!tree}
+    follows CSR row order and keeps {!Graph.t} (the order rule in
+    {!Gview}). *)
 
-val distances_v : ?alive:Bitset.t -> Gview.t -> int -> int array
-(** Hop distances from [src] on either representation; [-1] marks
-    unreachable nodes.  [src] must be alive. *)
-
-val multi_source_distances_v : ?alive:Bitset.t -> Gview.t -> int array -> int array
-
-val reachable_v : ?alive:Bitset.t -> Gview.t -> int -> Bitset.t
-
-val ball_v : ?alive:Bitset.t -> Gview.t -> int -> int -> Bitset.t
-(** [ball_v view src r] is the set of alive nodes within distance [r];
-    order-insensitive, so both arms agree exactly. *)
-
-val ball_of_size_v : ?alive:Bitset.t -> Gview.t -> int -> int -> Bitset.t
-
-val distances : ?alive:Bitset.t -> Graph.t -> int -> int array
-(** [distances g src] is the array of hop distances from [src];
+val distances : ?alive:Bitset.t -> Gview.t -> int -> int array
+(** [distances view src] is the array of hop distances from [src];
     [-1] marks unreachable nodes.  [src] must be alive. *)
 
-val multi_source_distances : ?alive:Bitset.t -> Graph.t -> int array -> int array
+val multi_source_distances : ?alive:Bitset.t -> Gview.t -> int array -> int array
 (** Distances from the nearest of several sources. *)
 
-val reachable : ?alive:Bitset.t -> Graph.t -> int -> Bitset.t
+val reachable : ?alive:Bitset.t -> Gview.t -> int -> Bitset.t
 (** Set of alive nodes reachable from [src] (including [src]). *)
 
 val tree : ?alive:Bitset.t -> Graph.t -> int -> int array
 (** BFS parent array: [parent.(src) = src], [-1] for unreachable. *)
 
-val ball : ?alive:Bitset.t -> Graph.t -> int -> int -> Bitset.t
-(** [ball g src r] is the set of alive nodes within distance [r]. *)
+val ball : ?alive:Bitset.t -> Gview.t -> int -> int -> Bitset.t
+(** [ball view src r] is the set of alive nodes within distance [r]. *)
 
-val ball_of_size : ?alive:Bitset.t -> Graph.t -> int -> int -> Bitset.t
-(** [ball_of_size g src k] grows a BFS region from [src] and stops as
-    soon as at least [k] nodes are collected (or the component is
+val ball_of_size : ?alive:Bitset.t -> Gview.t -> int -> int -> Bitset.t
+(** [ball_of_size view src k] grows a BFS region from [src] and stops
+    as soon as at least [k] nodes are collected (or the component is
     exhausted).  BFS order makes the result connected. *)
 
 type ball_grower
@@ -51,20 +37,17 @@ type ball_grower
     increasing size schedule (e.g. doubling) visits each node once
     overall instead of restarting per size. *)
 
-val ball_grower : ?alive:Bitset.t -> Graph.t -> int -> ball_grower
-(** [ball_grower g src] starts a traversal at [src] with no node
-    collected yet.  [src] must be alive. *)
-
-val ball_grower_v : ?alive:Bitset.t -> Gview.t -> int -> ball_grower
-(** Like {!ball_grower} on either representation.  On an implicit view
-    the grower holds O(n) traversal state but touches only the ball it
+val ball_grower : ?alive:Bitset.t -> Gview.t -> int -> ball_grower
+(** [ball_grower view src] starts a traversal at [src] with no node
+    collected yet.  [src] must be alive.  On an implicit view the
+    grower holds O(n) traversal state but touches only the ball it
     actually grows — the 10^7-node bench kernels go through here. *)
 
 val grow_ball : ball_grower -> int -> Bitset.t
 (** [grow_ball t k] extends the traversal until at least [k] nodes
     are collected (or the component is exhausted) and returns a fresh
     copy of the current ball.  [grow_ball t k] after [grow_ball t j]
-    with [j <= k] equals [ball_of_size g src k]: BFS order is
+    with [j <= k] equals [ball_of_size view src k]: BFS order is
     deterministic, so resuming and restarting agree.  Monotone: the
     ball only ever gains nodes. *)
 
@@ -76,7 +59,7 @@ val ball_exhausted : ball_grower -> bool
 (** True once the component of the source has been fully collected;
     further {!grow_ball} calls return the same set. *)
 
-val eccentricity : ?alive:Bitset.t -> Graph.t -> int -> int
+val eccentricity : ?alive:Bitset.t -> Gview.t -> int -> int
 (** Largest finite distance from the source. *)
 
 val path_to : parents:int array -> int -> int list

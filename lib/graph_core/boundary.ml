@@ -1,19 +1,11 @@
 let is_alive alive v =
   match alive with None -> true | Some mask -> Bitset.mem mask v
 
-(* The counting kernels are written once over a neighbor iterator and
-   bound per representation: the CSR arm passes [Graph.iter_neighbors g]
-   (the flat-array row loop), the implicit arm passes the generator
-   closure.  The dispatch happens once per boundary query — outside
-   the per-member loop — so both arms stay monomorphic inside. *)
+(* Each counting kernel binds [Gview.iter_neighbors view] once per
+   query, outside the per-member loop, and runs one loop over it. *)
 
-let neighbor_iter view =
-  match view with
-  | Gview.Csr g -> Graph.iter_neighbors g
-  | Gview.Implicit i -> i.Gview.iter_neighbors
-
-let node_boundary_v ?alive view u =
-  let iter = neighbor_iter view in
+let node_boundary ?alive view u =
+  let iter = Gview.iter_neighbors view in
   let out = Bitset.create (Gview.num_nodes view) in
   Bitset.iter
     (fun v ->
@@ -22,14 +14,10 @@ let node_boundary_v ?alive view u =
     u;
   out
 
-let node_boundary ?alive g u = node_boundary_v ?alive (Gview.Csr g) u
+let node_boundary_size ?alive view u = Bitset.cardinal (node_boundary ?alive view u)
 
-let node_boundary_size_v ?alive view u = Bitset.cardinal (node_boundary_v ?alive view u)
-
-let node_boundary_size ?alive g u = node_boundary_size_v ?alive (Gview.Csr g) u
-
-let edge_boundary_size_v ?alive view u =
-  let iter = neighbor_iter view in
+let edge_boundary_size ?alive view u =
+  let iter = Gview.iter_neighbors view in
   let count = ref 0 in
   Bitset.iter
     (fun v ->
@@ -37,8 +25,6 @@ let edge_boundary_size_v ?alive view u =
         iter v (fun w -> if (not (Bitset.mem u w)) && is_alive alive w then incr count))
     u;
   !count
-
-let edge_boundary_size ?alive g u = edge_boundary_size_v ?alive (Gview.Csr g) u
 
 let edge_boundary ?alive g u =
   let out = ref [] in
@@ -50,8 +36,8 @@ let edge_boundary ?alive g u =
     u;
   List.rev !out
 
-let internal_edge_count_v ?alive view u =
-  let iter = neighbor_iter view in
+let internal_edge_count ?alive view u =
+  let iter = Gview.iter_neighbors view in
   let twice = ref 0 in
   Bitset.iter
     (fun v ->
@@ -59,8 +45,6 @@ let internal_edge_count_v ?alive view u =
         iter v (fun w -> if Bitset.mem u w && is_alive alive w then incr twice))
     u;
   !twice / 2
-
-let internal_edge_count ?alive g u = internal_edge_count_v ?alive (Gview.Csr g) u
 
 let alive_cardinal alive u =
   match alive with
@@ -85,9 +69,9 @@ module Scratch = struct
     if Array.length t.in_set <> Gview.num_nodes view then
       invalid_arg "Boundary.Scratch: universe size mismatch"
 
-  let node_boundary_size_v t ?alive view u =
+  let node_boundary_size t ?alive view u =
     check t view;
-    let iter = neighbor_iter view in
+    let iter = Gview.iter_neighbors view in
     t.stamp <- t.stamp + 1;
     let m = t.stamp in
     let in_set = t.in_set and seen = t.seen in
@@ -104,11 +88,9 @@ module Scratch = struct
       u;
     !count
 
-  let node_boundary_size t ?alive g u = node_boundary_size_v t ?alive (Gview.Csr g) u
-
-  let edge_boundary_size_v t ?alive view u =
+  let edge_boundary_size t ?alive view u =
     check t view;
-    let iter = neighbor_iter view in
+    let iter = Gview.iter_neighbors view in
     t.stamp <- t.stamp + 1;
     let m = t.stamp in
     let in_set = t.in_set in
@@ -120,24 +102,18 @@ module Scratch = struct
           iter v (fun w -> if in_set.(w) <> m && is_alive alive w then incr count))
       u;
     !count
-
-  let edge_boundary_size t ?alive g u = edge_boundary_size_v t ?alive (Gview.Csr g) u
 end
 
-let node_expansion_v ?alive view u =
+let node_expansion ?alive view u =
   let size = alive_cardinal alive u in
   if size = 0 then invalid_arg "Boundary.node_expansion: empty set";
-  float_of_int (node_boundary_size_v ?alive view u) /. float_of_int size
+  float_of_int (node_boundary_size ?alive view u) /. float_of_int size
 
-let node_expansion ?alive g u = node_expansion_v ?alive (Gview.Csr g) u
-
-let edge_expansion_v ?alive view u =
+let edge_expansion ?alive view u =
   let inside = alive_cardinal alive u in
   let total =
     match alive with None -> Gview.num_nodes view | Some mask -> Bitset.cardinal mask
   in
   let outside = total - inside in
   if inside = 0 || outside = 0 then invalid_arg "Boundary.edge_expansion: empty side";
-  float_of_int (edge_boundary_size_v ?alive view u) /. float_of_int (min inside outside)
-
-let edge_expansion ?alive g u = edge_expansion_v ?alive (Gview.Csr g) u
+  float_of_int (edge_boundary_size ?alive view u) /. float_of_int (min inside outside)

@@ -4,36 +4,25 @@
     belong to neither side and dead endpoints kill an edge.  [u]
     itself is excluded from its own boundary, as in the paper.
 
-    The counting core runs on {!Gview.t} (the [_v] entry points):
-    boundary sizes are order-insensitive, so the CSR and implicit arms
-    agree exactly on the same topology.  The [Graph.t] functions are
-    thin [Gview.Csr] wrappers. *)
+    Boundary sets and sizes do not depend on neighbor order, so every
+    function here takes a {!Gview.t} and agrees exactly across its
+    arms; each count is one loop over {!Gview.iter_neighbors}.
+    {!edge_boundary} lists edges in CSR row order and keeps
+    {!Graph.t} (the order rule in {!Gview}). *)
 
-val node_boundary_v : ?alive:Bitset.t -> Gview.t -> Bitset.t -> Bitset.t
-
-val node_boundary_size_v : ?alive:Bitset.t -> Gview.t -> Bitset.t -> int
-
-val edge_boundary_size_v : ?alive:Bitset.t -> Gview.t -> Bitset.t -> int
-
-val internal_edge_count_v : ?alive:Bitset.t -> Gview.t -> Bitset.t -> int
-
-val node_expansion_v : ?alive:Bitset.t -> Gview.t -> Bitset.t -> float
-
-val edge_expansion_v : ?alive:Bitset.t -> Gview.t -> Bitset.t -> float
-
-val node_boundary : ?alive:Bitset.t -> Graph.t -> Bitset.t -> Bitset.t
-(** [node_boundary g u] is Γ(U): alive nodes outside [u] adjacent to a
+val node_boundary : ?alive:Bitset.t -> Gview.t -> Bitset.t -> Bitset.t
+(** [node_boundary view u] is Γ(U): alive nodes outside [u] adjacent to a
     node of [u].  Members of [u] that are dead contribute nothing. *)
 
-val node_boundary_size : ?alive:Bitset.t -> Graph.t -> Bitset.t -> int
+val node_boundary_size : ?alive:Bitset.t -> Gview.t -> Bitset.t -> int
 
-val edge_boundary_size : ?alive:Bitset.t -> Graph.t -> Bitset.t -> int
+val edge_boundary_size : ?alive:Bitset.t -> Gview.t -> Bitset.t -> int
 (** |(U, V\U)|: alive-alive edges with exactly one endpoint in [u]. *)
 
 val edge_boundary : ?alive:Bitset.t -> Graph.t -> Bitset.t -> (int * int) list
 (** The boundary edges themselves, as [(inside, outside)] pairs. *)
 
-val internal_edge_count : ?alive:Bitset.t -> Graph.t -> Bitset.t -> int
+val internal_edge_count : ?alive:Bitset.t -> Gview.t -> Bitset.t -> int
 (** Alive edges with both endpoints in [u]. *)
 
 module Scratch : sig
@@ -51,24 +40,19 @@ module Scratch : sig
   val create : int -> t
   (** [create n] builds scratch for graphs with universe size [n]. *)
 
-  val node_boundary_size : t -> ?alive:Bitset.t -> Graph.t -> Bitset.t -> int
+  val node_boundary_size : t -> ?alive:Bitset.t -> Gview.t -> Bitset.t -> int
   (** Equals {!Boundary.node_boundary_size} on the same arguments.
       Raises [Invalid_argument] if the scratch universe does not
-      match the graph. *)
+      match the graph.  The Prune round loop drives this on implicit
+      tori without materializing edges. *)
 
-  val edge_boundary_size : t -> ?alive:Bitset.t -> Graph.t -> Bitset.t -> int
+  val edge_boundary_size : t -> ?alive:Bitset.t -> Gview.t -> Bitset.t -> int
   (** Equals {!Boundary.edge_boundary_size} on the same arguments. *)
-
-  val node_boundary_size_v : t -> ?alive:Bitset.t -> Gview.t -> Bitset.t -> int
-  (** {!node_boundary_size} on either representation — the Prune round
-      loop drives this on implicit tori without materializing edges. *)
-
-  val edge_boundary_size_v : t -> ?alive:Bitset.t -> Gview.t -> Bitset.t -> int
 end
 
-val node_expansion : ?alive:Bitset.t -> Graph.t -> Bitset.t -> float
+val node_expansion : ?alive:Bitset.t -> Gview.t -> Bitset.t -> float
 (** |Γ(U)| / |U∩alive|.  Raises [Invalid_argument] on an empty set. *)
 
-val edge_expansion : ?alive:Bitset.t -> Graph.t -> Bitset.t -> float
+val edge_expansion : ?alive:Bitset.t -> Gview.t -> Bitset.t -> float
 (** |(U, V\U)| / min(|U|, |V\U|) over alive nodes.  Raises
     [Invalid_argument] if either side is empty. *)

@@ -3,16 +3,11 @@ type t = { labels : int array; sizes : int array; count : int }
 let is_alive alive v =
   match alive with None -> true | Some mask -> Bitset.mem mask v
 
-let neighbor_iter view =
-  match view with
-  | Gview.Csr g -> Graph.iter_neighbors g
-  | Gview.Implicit i -> i.Gview.iter_neighbors
-
 (* Root scan order (ascending node id) fixes the component ids, and
    membership is order-insensitive, so both Gview arms label the same
    topology identically. *)
-let compute_v ?alive view =
-  let iter = neighbor_iter view in
+let compute ?alive view =
+  let iter = Gview.iter_neighbors view in
   let n = Gview.num_nodes view in
   let labels = Array.make n (-1) in
   let sizes = ref [] in
@@ -41,8 +36,6 @@ let compute_v ?alive view =
   List.iteri (fun i s -> sizes_arr.(!count - 1 - i) <- s) !sizes;
   { labels; sizes = sizes_arr; count = !count }
 
-let compute ?alive g = compute_v ?alive (Gview.Csr g)
-
 let largest t =
   if t.count = 0 then raise Not_found;
   let best = ref 0 in
@@ -53,11 +46,11 @@ let largest t =
 
 let largest_size t = if t.count = 0 then 0 else t.sizes.(largest t)
 
-let gamma ?alive g =
-  let n = Graph.num_nodes g in
+let gamma ?alive view =
+  let n = Gview.num_nodes view in
   if n = 0 then 0.0
   else
-    let c = compute ?alive g in
+    let c = compute ?alive view in
     float_of_int (largest_size c) /. float_of_int n
 
 let members t id =
@@ -66,9 +59,9 @@ let members t id =
   Array.iteri (fun v l -> if l = id then Bitset.add out v) t.labels;
   out
 
-let largest_members ?alive g =
-  let c = compute ?alive g in
-  if c.count = 0 then Bitset.create (Graph.num_nodes g) else members c (largest c)
+let largest_members ?alive view =
+  let c = compute ?alive view in
+  if c.count = 0 then Bitset.create (Gview.num_nodes view) else members c (largest c)
 
 let size_histogram t =
   let tbl = Hashtbl.create 16 in
@@ -80,10 +73,6 @@ let size_histogram t =
   Hashtbl.fold (fun size count acc -> (size, count) :: acc) tbl []
   |> List.sort Graph.compare_int_pair
 
-let is_connected ?alive g =
-  let c = compute ?alive g in
-  c.count <= 1
-
-let is_connected_v ?alive view =
-  let c = compute_v ?alive view in
+let is_connected ?alive view =
+  let c = compute ?alive view in
   c.count <= 1

@@ -25,17 +25,13 @@ let preorder ?alive g src =
   List.iteri (fun i v -> out.(!count - 1 - i) <- v) !order;
   out
 
-(* Reachability is order-insensitive, so the view core needs no
-   reverse iteration: either arm's neighbor order gives the same set. *)
-let reachable_v ?alive view src =
+(* Reachability is order-insensitive, so it needs no reverse
+   iteration: either arm's neighbor order gives the same set. *)
+let reachable ?alive view src =
   if src < 0 || src >= Gview.num_nodes view then
     invalid_arg "Dfs.reachable: source out of range";
   if not (is_alive alive src) then invalid_arg "Dfs.reachable: source not alive";
-  let iter =
-    match view with
-    | Gview.Csr g -> Graph.iter_neighbors g
-    | Gview.Implicit i -> i.Gview.iter_neighbors
-  in
+  let iter = Gview.iter_neighbors view in
   let out = Bitset.create (Gview.num_nodes view) in
   let stack = Stack.create () in
   Bitset.add out src;
@@ -50,16 +46,12 @@ let reachable_v ?alive view src =
   done;
   out
 
-let reachable ?alive g src = reachable_v ?alive (Gview.Csr g) src
-
-let is_connected_subset_v view s =
+let is_connected_subset view s =
   match Bitset.choose s with
   | None -> true
   | Some src ->
-    let r = reachable_v ~alive:s view src in
+    let r = reachable ~alive:s view src in
     Bitset.cardinal r = Bitset.cardinal s
-
-let is_connected_subset g s = is_connected_subset_v (Gview.Csr g) s
 
 let forest ?alive g =
   let n = Graph.num_nodes g in

@@ -1,30 +1,37 @@
 (** Pluggable graph access: one interface over two representations.
 
-    Every traversal/boundary algorithm in faultnet accepts a [Gview.t]
-    and matches it {e once} at the top:
-
-    - [Csr g] wraps a materialized {!Graph.t}; the algorithm's CSR arm
-      keeps its tight flat-array loops, so performance (and output) is
-      exactly the classic path.
+    - [Csr g] wraps a materialized {!Graph.t}.
     - [Implicit r] defines the topology by a neighbor {e function}
       (coordinate / bit arithmetic); no edge set is ever stored, which
       is what lets structured topologies (meshes, tori, hypercubes,
       butterflies, de Bruijn, chain-replacement graphs) scale to
-      n = 10^7 and beyond on O(n)-or-less memory.
+      n = 10^7 and beyond on O(n)-or-less memory.  Build one with
+      {!implicit}.
 
-    A variant — not a functor — keeps both arms monomorphic: the CSR
-    loops see concrete int arrays, the implicit loops see one closure,
-    and no algorithm is compiled per-representation (see DESIGN.md,
-    "Pluggable graph access").
+    The traversal, boundary, component, percolation, cut, sweep,
+    spectral and compactness functions take a [Gview.t] and nothing
+    else: each kernel is one loop over the iterator
+    {!iter_neighbors} returns, so it is written once and runs on
+    either arm (see DESIGN.md, "Pluggable graph access").  A caller
+    holding a {!Graph.t} passes [Gview.Csr g].
 
-    Implicit views must describe simple undirected graphs over nodes
-    [0 .. n-1]: [iter_neighbors v] emits each neighbor exactly once, no
-    self-loops, and edges are symmetric ([w] emitted for [v] iff [v]
-    emitted for [w]).  Neighbor order is the generator's choice; only
-    order-insensitive results (distances, boundary sizes, component
-    membership) are guaranteed identical across arms.  {!materialize}
-    validates all of this, and the property tests compare every
-    implicit generator edge-for-edge against its materialized twin. *)
+    {b The order rule.}  Implicit views must describe simple
+    undirected graphs over nodes [0 .. n-1]: [iter_neighbors v] emits
+    each neighbor exactly once, no self-loops, and edges are symmetric
+    ([w] emitted for [v] iff [v] emitted for [w]).  Neighbor order is
+    the generator's choice, so:
+
+    - a result that does not depend on neighbor order (distances,
+      balls, reachability, boundary sizes, component membership,
+      percolation curves, expansion values) takes [Gview.t] and is
+      identical on an implicit view and on its materialized twin;
+    - a result that follows CSR row order ({!Bfs.tree},
+      {!Dfs.preorder}, {!Dfs.forest}, {!Boundary.edge_boundary}) keeps
+      {!Graph.t}.
+
+    {!materialize} validates the implicit invariants, and the property
+    tests compare every implicit generator edge-for-edge against its
+    materialized twin and every order-free function across arms. *)
 
 type implicit = {
   n : int;  (** node count *)
@@ -36,9 +43,6 @@ type implicit = {
 }
 
 type t = Csr of Graph.t | Implicit of implicit
-
-val of_graph : Graph.t -> t
-(** [of_graph g] is [Csr g]. *)
 
 val implicit :
   n:int ->
@@ -61,8 +65,11 @@ val max_degree : t -> int
 val degree : t -> int -> int
 
 val iter_neighbors : t -> int -> (int -> unit) -> unit
-(** One-call dispatch.  Hot loops should instead match the view once
-    and loop inside the arm. *)
+(** [iter_neighbors view] matches the arm once and returns its
+    iterator: {!Graph.iter_neighbors} (ascending row order) on [Csr],
+    the generator closure on [Implicit].  Kernels bind it once outside
+    their loop, [let iter = Gview.iter_neighbors view in], and call
+    [iter v f] per node. *)
 
 val has_edge : t -> int -> int -> bool
 

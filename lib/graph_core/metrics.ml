@@ -9,17 +9,18 @@ let diameter ?alive g =
   let nodes = alive_nodes ?alive g in
   if Array.length nodes < 2 then 0
   else begin
+    let view = Gview.Csr g in
     let best = ref 0 in
     Array.iter
       (fun src ->
-        let d = Bfs.distances ?alive g src in
+        let d = Bfs.distances ?alive view src in
         Array.iter (fun x -> if x > !best then best := x) d)
       nodes;
     !best
   end
 
 let farthest_from ?alive g src =
-  let d = Bfs.distances ?alive g src in
+  let d = Bfs.distances ?alive (Gview.Csr g) src in
   let best = ref src and best_d = ref 0 in
   Array.iteri
     (fun v x ->
@@ -51,10 +52,11 @@ let mean_distance ?alive ?(samples = 32) rng g =
   else begin
     let k = min samples n in
     let picks = Rng.sample rng n k in
+    let view = Gview.Csr g in
     let total = ref 0 and count = ref 0 in
     Array.iter
       (fun idx ->
-        let d = Bfs.distances ?alive g nodes.(idx) in
+        let d = Bfs.distances ?alive view nodes.(idx) in
         Array.iter
           (fun x ->
             if x > 0 then begin

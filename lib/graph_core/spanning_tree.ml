@@ -5,7 +5,7 @@ let bfs_tree ?alive g root =
   let order = ref [] in
   let count = ref 0 in
   (* Recover BFS order by re-running distances; cheap and simple. *)
-  let dist = Bfs.distances ?alive g root in
+  let dist = Bfs.distances ?alive (Gview.Csr g) root in
   let nodes_with_dist = ref [] in
   Array.iteri (fun v d -> if d >= 0 then nodes_with_dist := (d, v) :: !nodes_with_dist) dist;
   let sorted = List.sort Graph.compare_int_pair !nodes_with_dist in

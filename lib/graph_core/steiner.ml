@@ -33,7 +33,7 @@ let approx ?alive g terminals =
   let n = Graph.num_nodes g' in
   let t = Array.length ts in
   (* distances and BFS parents from every terminal *)
-  let dist = Array.map (fun s -> Bfs.distances g' s) ts in
+  let dist = Array.map (Bfs.distances (Gview.Csr g')) ts in
   Array.iteri
     (fun i d ->
       Array.iteri
@@ -105,7 +105,7 @@ let exact ?alive g terminals =
   let n = Graph.num_nodes g' in
   let t = Array.length ts in
   if t > 12 then invalid_arg "Steiner.exact: too many terminals (max 12)";
-  let dist = Array.init n (fun v -> Bfs.distances g' v) in
+  let dist = Array.init n (Bfs.distances (Gview.Csr g')) in
   Array.iter
     (fun ti ->
       Array.iter
@@ -222,6 +222,6 @@ let verify ?alive g terminals r =
   let alive_ok =
     match alive with None -> true | Some mask -> Bitset.subset r.nodes mask
   in
-  let connected = Dfs.is_connected_subset g r.nodes in
+  let connected = Dfs.is_connected_subset (Gview.Csr g) r.nodes in
   let tree_edges_ok = r.edge_count = Bitset.cardinal r.nodes - 1 in
   ok_universe && all_terminals && alive_ok && connected && tree_edges_ok

@@ -504,6 +504,70 @@ let no_raw_csr_outside_kernels =
   rule
 
 (* ------------------------------------------------------------------ *)
+(* 10. no-gview-arm-match                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Every traversal, boundary and component kernel is written once, as
+   one loop over [Gview.iter_neighbors view]; a match on the view's
+   arms is how per-representation twins of a kernel start.  Implicit
+   views are built with the [Gview.implicit] smart constructor, so the
+   [Gview.Implicit] constructor only ever appears in patterns: the
+   rule fires on it anywhere, and on [Gview.Csr] at the start of a
+   match arm (after [|], [with] or [function]), which also catches
+   [| Gview.Csr g -> ... | _ -> ...].  An unqualified [Implicit] or
+   [Csr] arm (inside gview.ml, or under an open of Gview) fires too.
+   Like no-raw-csr-outside-kernels it fires whether or not [Gview] is
+   itself qualified. *)
+let no_gview_arm_match =
+  let arm_start c i = is_op c i "|" || is_ident c i "with" || is_ident c i "function" in
+  (* first token of the module path qualifying the token at [i] *)
+  let rec path_start c i =
+    match tok c (i - 2) with
+    | Some { kind = Token.Uident; _ } when is_dot c (i - 1) -> path_start c (i - 2)
+    | _ -> i
+  in
+  let via_gview c i =
+    qualified c i
+    && match tok c (i - 2) with Some { kind = Token.Uident; text = "Gview"; _ } -> true | _ -> false
+  in
+  let rec check rule ctx i acc =
+    let c = ctx.code in
+    if i >= Array.length c then List.rev acc
+    else
+      let acc =
+        match c.(i) with
+        | { kind = Token.Uident; text = ("Implicit" | "Csr") as ctor; _ }
+          when not (is_dot c (i + 1)) ->
+            let in_arm = arm_start c (path_start c i - 1) in
+            if
+              (via_gview c i && (ctor = "Implicit" || in_arm))
+              || ((not (qualified c i)) && in_arm)
+            then
+              finding rule ctx
+                ~message:
+                  "a match on the Gview arms splits one kernel into per-representation \
+                   copies; bind Gview.iter_neighbors view once and write one loop, or \
+                   allowlist this file with the reason its arms do different work"
+                c.(i)
+              :: acc
+            else acc
+        | _ -> acc
+      in
+      check rule ctx (i + 1) acc
+  in
+  let rec rule =
+    {
+      name = "no-gview-arm-match";
+      severity = Error;
+      doc =
+        "Gview.Implicit / Gview.Csr match arms only in allowlisted files whose arms \
+         do different work";
+      check = (fun ctx -> if is_ml ctx.path then check rule ctx 0 [] else []);
+    }
+  in
+  rule
+
+(* ------------------------------------------------------------------ *)
 (* Registry and allowlist                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -526,6 +590,7 @@ let all =
     no_todo_naked;
     no_exit_in_lib;
     no_raw_csr_outside_kernels;
+    no_gview_arm_match;
     par_capture_mutation;
     rng_unsplit_in_par;
     par_float_reduce;
@@ -578,6 +643,27 @@ let allowlist =
           "the spectral matvec's CSR arm is a flat-array kernel (a closure over the \
            row sum would box it on every edge); its implicit arm stays on the \
            neighbor closure";
+      ] );
+    ( "no-gview-arm-match",
+      [
+        prefix "lib/graph_core/gview.ml"
+          "defines Gview.t: its accessors are the one place each arm is unpacked, \
+           so every kernel elsewhere can loop over Gview.iter_neighbors";
+        prefix "lib/expansion/spectral_op.ml"
+          "the matvec's CSR arm gathers over Graph.xadj/Graph.adj in place (a \
+           neighbor closure would box the float accumulator on every edge); the \
+           implicit arm drives the generator closure";
+        prefix "lib/faultnet/low_expansion.ml"
+          "the finder portfolio differs per arm: CSR fragments run the full \
+           Estimate.run portfolio with local search, implicit fragments the ball \
+           and spectral slices under a memory cap";
+        prefix "lib/online/warm.ml"
+          "alpha is computed differently per arm: Estimate.run with \
+           residual-gated warm Fiedler pairs on CSR, the reference ball portfolio \
+           on implicit views";
+        prefix "lib/percolation/newman_ziff.ml"
+          "bond_run's CSR arm reuses the already sorted Graph.edges array; the \
+           implicit arm collects the generator's edges and sorts them";
       ] );
     ( "no-catchall-exn",
       [

@@ -33,6 +33,12 @@ val no_exit_in_lib : Rule.t
     a library bypasses supervision ({!Fn_resilience}) and kills sibling
     domains; only [bin/] chooses exit codes. *)
 
+val no_gview_arm_match : Rule.t
+(** Forbid matching on the [Gview.t] arms ([Gview.Implicit]
+    anywhere, [Gview.Csr] at the start of a match arm) outside the
+    allowlisted files whose arms do different work: every other kernel
+    is one loop over [Gview.iter_neighbors]. *)
+
 (** Tier-2 scope-aware rules, re-exported from {!Rules_par} and
     {!Rules_order} so the registry is the single list. *)
 

@@ -1,7 +1,7 @@
 open Fn_graph
 
 type t = {
-  view : Gview.t;
+  iter : int -> (int -> unit) -> unit;
   n : int;
   dist : int array;
   stamp : int array;
@@ -12,7 +12,7 @@ type t = {
 let create view =
   let n = Gview.num_nodes view in
   {
-    view;
+    iter = Gview.iter_neighbors view;
     n;
     dist = Array.make (max 1 n) 0;
     stamp = Array.make (max 1 n) 0;
@@ -33,7 +33,7 @@ let survey t ~alive ?into ~radius src =
   if not (Bitset.mem alive src) then invalid_arg "Delta_bfs.survey: source not alive";
   t.gen <- t.gen + 1;
   let gen = t.gen in
-  let dist = t.dist and stamp = t.stamp and queue = t.queue in
+  let iter = t.iter and dist = t.dist and stamp = t.stamp and queue = t.queue in
   let head = ref 0 and tail = ref 1 in
   let s = ref 1 and b = ref 0 in
   stamp.(src) <- gen;
@@ -54,22 +54,12 @@ let survey t ~alive ?into ~radius src =
       else incr b
     end
   in
-  (match t.view with
-  | Gview.Csr g ->
-    while !head < !tail do
-      let u = queue.(!head) in
-      incr head;
-      let du = dist.(u) in
-      Graph.iter_neighbors g u (fun v -> visit du v)
-    done
-  | Gview.Implicit i ->
-    let iter = i.Gview.iter_neighbors in
-    while !head < !tail do
-      let u = queue.(!head) in
-      incr head;
-      let du = dist.(u) in
-      iter u (fun v -> visit du v)
-    done);
+  while !head < !tail do
+    let u = queue.(!head) in
+    incr head;
+    let du = dist.(u) in
+    iter u (fun v -> visit du v)
+  done;
   (!s, !b)
 
 (* Unrestricted multi-source BFS bounded at depth [radius], calling
@@ -82,7 +72,7 @@ let region t ~radius ~sources f =
   if radius < 0 then invalid_arg "Delta_bfs.region: negative radius";
   t.gen <- t.gen + 1;
   let gen = t.gen in
-  let dist = t.dist and stamp = t.stamp and queue = t.queue in
+  let iter = t.iter and dist = t.dist and stamp = t.stamp and queue = t.queue in
   let head = ref 0 and tail = ref 0 in
   List.iter
     (fun v ->
@@ -104,19 +94,9 @@ let region t ~radius ~sources f =
       f v
     end
   in
-  match t.view with
-  | Gview.Csr g ->
-    while !head < !tail do
-      let u = queue.(!head) in
-      incr head;
-      let du = dist.(u) in
-      if du < radius then Graph.iter_neighbors g u (fun v -> visit du v)
-    done
-  | Gview.Implicit i ->
-    let iter = i.Gview.iter_neighbors in
-    while !head < !tail do
-      let u = queue.(!head) in
-      incr head;
-      let du = dist.(u) in
-      if du < radius then iter u (fun v -> visit du v)
-    done
+  while !head < !tail do
+    let u = queue.(!head) in
+    incr head;
+    let du = dist.(u) in
+    if du < radius then iter u (fun v -> visit du v)
+  done

@@ -3,12 +3,13 @@ open Fn_graph
 (** Bounded-radius BFS with generation-stamped scratch.
 
     The online engine runs thousands of small local traversals per
-    churn batch.  {!Bfs.ball_grower_v} allocates O(n) per creation,
+    churn batch.  {!Bfs.ball_grower} allocates O(n) per creation,
     which would dominate at that call rate, so this module keeps one
     O(n) scratch (distance, stamp, queue) per view and resets it by
     bumping a generation counter — each traversal costs only the
-    nodes it actually touches.  Works on both {!Gview.t} arms; the
-    view is matched once per traversal, outside the loop. *)
+    nodes it actually touches.  Works on both {!Gview.t} arms: the
+    view's neighbor iterator is bound once at {!create}, and each
+    traversal is one loop over it. *)
 
 type t
 

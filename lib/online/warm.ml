@@ -60,7 +60,7 @@ let reference ~seed ?domains view ~kept =
         .Fn_expansion.Estimate.value
     | Gview.Implicit _ -> (
       match
-        Fn_expansion.Estimate.ball_witness_v ~alive:kept ~rng view Fn_expansion.Cut.Node
+        Fn_expansion.Estimate.ball_witness ~alive:kept ~rng view Fn_expansion.Cut.Node
       with
       | Some c -> c.Fn_expansion.Cut.value
       | None -> infinity)
@@ -86,8 +86,8 @@ let warm_compute t view ~kept =
       let warm =
         match t.pair with
         | Some (x1, x2)
-          when Fn_expansion.Spectral.residual ~alive:kept g x1 <= t.residual_tol
-               && Fn_expansion.Spectral.residual ~alive:kept g x2 <= t.residual_tol ->
+          when Fn_expansion.Spectral.residual ~alive:kept view x1 <= t.residual_tol
+               && Fn_expansion.Spectral.residual ~alive:kept view x2 <= t.residual_tol ->
           t.warm_hits <- t.warm_hits + 1;
           t.pair
         | Some _ ->

@@ -20,39 +20,28 @@ let sweep_done obs kind start_ns c =
   end;
   c
 
-(* The sweeps run on either [Gview.t] arm: site occupation only needs
-   the neighbor iterator, and the bond sweep needs one flat endpoint
+(* The sweeps take a [Gview.t]: site occupation is one loop over the
+   view's neighbor iterator, and the bond sweep needs one flat endpoint
    array (inherent to Newman–Ziff's random edge order) which the
    implicit arm collects from the generator without ever building a
    CSR structure. *)
 
-let site_run_v ?(obs = Fn_obs.Sink.null) rng view =
+let site_run ?(obs = Fn_obs.Sink.null) rng view =
   let start_ns = if Fn_obs.Sink.enabled obs then Fn_obs.Clock.now_ns () else 0 in
+  let iter = Gview.iter_neighbors view in
   let n = Gview.num_nodes view in
   let order = Rng.permutation rng n in
   let uf = Union_find.create n in
   let occupied = Array.make n false in
   let out = Array.make (max n 1) 1 in
   let absorb v w = if occupied.(w) then ignore (Union_find.union uf v w) in
-  (match view with
-  | Gview.Csr g ->
-    Array.iteri
-      (fun k v ->
-        occupied.(v) <- true;
-        Graph.iter_neighbors g v (fun w -> absorb v w);
-        out.(k) <- Union_find.max_component_size uf)
-      order
-  | Gview.Implicit i ->
-    let iter = i.Gview.iter_neighbors in
-    Array.iteri
-      (fun k v ->
-        occupied.(v) <- true;
-        iter v (fun w -> absorb v w);
-        out.(k) <- Union_find.max_component_size uf)
-      order);
+  Array.iteri
+    (fun k v ->
+      occupied.(v) <- true;
+      iter v (fun w -> absorb v w);
+      out.(k) <- Union_find.max_component_size uf)
+    order;
   sweep_done obs "site" start_ns { occupied_largest = out; total = n; n }
-
-let site_run ?obs rng g = site_run_v ?obs rng (Gview.Csr g)
 
 let bond_run_edges ?(obs = Fn_obs.Sink.null) rng ~n edges =
   let start_ns = if Fn_obs.Sink.enabled obs then Fn_obs.Clock.now_ns () else 0 in
@@ -67,11 +56,15 @@ let bond_run_edges ?(obs = Fn_obs.Sink.null) rng ~n edges =
     edges;
   sweep_done obs "bond" start_ns { occupied_largest = out; total = m; n }
 
-let bond_run ?obs rng g = bond_run_edges ?obs rng ~n:(Graph.num_nodes g) (Graph.edges g)
-
-let bond_run_v ?obs rng view =
+(* The two arms build the same sorted edge array differently: the CSR
+   edge list is already in [Graph.edges] order; the implicit arm
+   collects the generator's edges and sorts them into that order, so
+   the shuffled sequence — and the whole curve — is byte-identical
+   across arms for the same rng. *)
+let bond_run ?obs rng view =
+  let n = Gview.num_nodes view in
   match view with
-  | Gview.Csr g -> bond_run ?obs rng g
+  | Gview.Csr g -> bond_run_edges ?obs rng ~n (Graph.edges g)
   | Gview.Implicit _ ->
     let m = Gview.num_edges view in
     let edges = Array.make (max 1 m) (0, 0) in
@@ -80,11 +73,8 @@ let bond_run_v ?obs rng view =
         edges.(!k) <- (u, v);
         incr k);
     let edges = Array.sub edges 0 m in
-    (* lex order matches [Graph.edges] on the materialized twin, so
-       the shuffled sequence — and the whole curve — is byte-identical
-       across arms for the same rng *)
     Array.sort Graph.compare_int_pair edges;
-    bond_run_edges ?obs rng ~n:(Gview.num_nodes view) edges
+    bond_run_edges ?obs rng ~n edges
 
 let gamma_at c p =
   if p < 0.0 || p > 1.0 then invalid_arg "Newman_ziff.gamma_at: p out of [0,1]";

@@ -19,26 +19,21 @@ type curve = {
   n : int;  (** number of nodes of the graph *)
 }
 
-val site_run : ?obs:Fn_obs.Sink.t -> Rng.t -> Graph.t -> curve
+val site_run : ?obs:Fn_obs.Sink.t -> Rng.t -> Gview.t -> curve
 (** One site-percolation sweep: nodes appear in random order; an edge
-    is live when both endpoints are occupied.  An enabled [obs] sink
-    gets one ["percolation.sweep"] instant per completed sweep —
-    progress reporting when many sweeps run in parallel. *)
+    is live when both endpoints are occupied.  Curves are
+    byte-identical across {!Gview.t} arms: cluster sizes do not depend
+    on neighbor order.  An enabled [obs] sink gets one
+    ["percolation.sweep"] instant per completed sweep — progress
+    reporting when many sweeps run in parallel. *)
 
-val bond_run : ?obs:Fn_obs.Sink.t -> Rng.t -> Graph.t -> curve
+val bond_run : ?obs:Fn_obs.Sink.t -> Rng.t -> Gview.t -> curve
 (** One bond-percolation sweep: all nodes present, edges appear in
-    random order — the G^(p) model of the paper's Section 1.1. *)
-
-val site_run_v : ?obs:Fn_obs.Sink.t -> Rng.t -> Gview.t -> curve
-(** {!site_run} on either representation.  Curves are byte-identical
-    across arms: cluster sizes do not depend on neighbor order. *)
-
-val bond_run_v : ?obs:Fn_obs.Sink.t -> Rng.t -> Gview.t -> curve
-(** {!bond_run} on either representation.  The implicit arm collects
-    the flat endpoint array from the generator (O(m) tuples — inherent
-    to the random edge order; no CSR structure is built) and sorts it
-    into [Graph.edges] order so the same rng yields the same curve as
-    the materialized twin. *)
+    random order — the G^(p) model of the paper's Section 1.1.  The
+    implicit arm collects the flat endpoint array from the generator
+    (O(m) tuples — inherent to the random edge order; no CSR structure
+    is built) and sorts it into [Graph.edges] order, so the same rng
+    yields the same curve as the materialized twin. *)
 
 val gamma_at : curve -> float -> float
 (** [gamma_at c p]: largest-component fraction of the {e node} count

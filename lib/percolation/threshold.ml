@@ -3,16 +3,16 @@ type mode = Site | Bond
 
 type result = { p_star : float; level : float; runs : int }
 
-let curves ?(obs = Fn_obs.Sink.null) ?domains ~rng ~runs mode g =
+let curves ?(obs = Fn_obs.Sink.null) ?domains ~rng ~runs mode view =
   let make = match mode with Site -> Newman_ziff.site_run | Bond -> Newman_ziff.bond_run in
-  Fn_parallel.Par.trials ~obs ?domains ~rng runs (fun r -> make ~obs r g)
+  Fn_parallel.Par.trials ~obs ?domains ~rng runs (fun r -> make ~obs r view)
 
 let mean_gamma cs p =
   let total = Array.fold_left (fun acc c -> acc +. Newman_ziff.gamma_at c p) 0.0 cs in
   total /. float_of_int (Array.length cs)
 
 let estimate ?(obs = Fn_obs.Sink.null) ?domains ?(runs = 32) ?(level = 0.4)
-    ?(tolerance = 1e-3) ~rng mode g =
+    ?(tolerance = 1e-3) ~rng mode view =
   if runs < 1 then invalid_arg "Threshold.estimate: need runs >= 1";
   let on = Fn_obs.Sink.enabled obs in
   let sp =
@@ -26,7 +26,7 @@ let estimate ?(obs = Fn_obs.Sink.null) ?domains ?(runs = 32) ?(level = 0.4)
           ]
     else Fn_obs.Span.null
   in
-  let cs = curves ~obs ?domains ~rng ~runs mode g in
+  let cs = curves ~obs ?domains ~rng ~runs mode view in
   let lo = ref 0.0 and hi = ref 1.0 in
   (* γ is monotone in p on a fixed curve set, so bisection is sound *)
   while !hi -. !lo > tolerance do
@@ -37,8 +37,8 @@ let estimate ?(obs = Fn_obs.Sink.null) ?domains ?(runs = 32) ?(level = 0.4)
   if on then Fn_obs.Span.exit sp ~fields:[ ("p_star", Fn_obs.Sink.Float p_star) ];
   { p_star; level; runs }
 
-let gamma_curve ?obs ?domains ?(runs = 32) ~rng mode g ps =
-  let cs = curves ?obs ?domains ~rng ~runs mode g in
+let gamma_curve ?obs ?domains ?(runs = 32) ~rng mode view ps =
+  let cs = curves ?obs ?domains ~rng ~runs mode view in
   List.map
     (fun p ->
       let values = Array.map (fun c -> Newman_ziff.gamma_at c p) cs in

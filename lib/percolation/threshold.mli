@@ -25,7 +25,7 @@ val estimate :
   ?tolerance:float ->
   rng:Rng.t ->
   mode ->
-  Graph.t ->
+  Gview.t ->
   result
 (** Defaults: [runs] 32 curves (shared by every probe), [level] 0.4,
     [tolerance] 1e-3 on p.  The same set of curves is evaluated at
@@ -40,7 +40,7 @@ val gamma_curve :
   ?runs:int ->
   rng:Rng.t ->
   mode ->
-  Graph.t ->
+  Gview.t ->
   float list ->
   (float * float * float) list
 (** [(p, mean γ, std γ)] at each requested probability. *)

@@ -146,7 +146,7 @@ let connected_random_regular rng n d =
     if tries > 1_000 then failwith "Random_graphs.connected_random_regular: cannot connect"
     else begin
       let g = random_regular rng n d in
-      if Components.is_connected g then g else go (tries + 1)
+      if Components.is_connected (Gview.Csr g) then g else go (tries + 1)
     end
   in
   go 0

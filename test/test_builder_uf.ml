@@ -42,7 +42,7 @@ let prop_union_find_vs_components =
       let n = Graph.num_nodes g in
       let uf = Union_find.create n in
       Graph.iter_edges g (fun u v -> ignore (Union_find.union uf u v));
-      let comps = Components.compute g in
+      let comps = Components.compute (Gview.Csr g) in
       Union_find.num_components uf = comps.Components.count
       && Union_find.max_component_size uf = Components.largest_size comps)
 

@@ -45,7 +45,7 @@ let test_overlay_connected () =
       let g = Fn_topology.Can.graph can in
       check_int "node count" n (Graph.num_nodes g);
       check_bool (Printf.sprintf "overlay connected d=%d n=%d" d n) true
-        (Components.is_connected g))
+        (Components.is_connected (Gview.Csr g)))
     [ (1, 16); (2, 64); (3, 64); (4, 32) ]
 
 let test_neighbor_predicate () =

@@ -1,25 +1,27 @@
-(* End-to-end tests of the command-line binary: spawn it, capture
+(* End-to-end tests of the command-line binaries: spawn one, capture
    stdout, compare.  The test runs from _build/default/test, so the
-   binary sits at ../bin/faultnet_cli.exe. *)
+   binaries sit in ../bin. *)
 
 open Testutil
 
-let binary =
+let bin_path name =
   (* cwd is _build/default/test under `dune runtest`, the project root
      under `dune exec` *)
   let candidates =
     [
-      Filename.concat (Filename.concat ".." "bin") "faultnet_cli.exe";
-      List.fold_left Filename.concat "_build" [ "default"; "bin"; "faultnet_cli.exe" ];
+      Filename.concat (Filename.concat ".." "bin") name;
+      List.fold_left Filename.concat "_build" [ "default"; "bin"; name ];
     ]
   in
   match List.find_opt Sys.file_exists candidates with
   | Some p -> p
   | None -> List.hd candidates
 
-let run_cli args =
+let binary = bin_path "faultnet_cli.exe"
+
+let run_bin bin args =
   let out = Filename.temp_file "faultnet_cli" ".out" in
-  let cmd = Printf.sprintf "%s %s > %s 2>&1" binary args out in
+  let cmd = Printf.sprintf "%s %s > %s 2>&1" bin args out in
   let code = Sys.command cmd in
   let ic = open_in out in
   let text =
@@ -30,6 +32,13 @@ let run_cli args =
       (fun () -> really_input_string ic (in_channel_length ic))
   in
   (code, String.trim text)
+
+let run_cli args = run_bin binary args
+
+let contains hay needle =
+  let nl = String.length needle and sl = String.length hay in
+  let rec scan i = i + nl <= sl && (String.sub hay i nl = needle || scan (i + 1)) in
+  scan 0
 
 let test_gen_mesh () =
   let code, out = run_cli "gen -t mesh:3x3" in
@@ -66,47 +75,15 @@ let test_file_roundtrip () =
         |> List.exists (fun l -> l = "node expansion (exact): 1.000000 (witness side 2)")))
 
 let test_unknown_experiment_fails () =
-  let code, out = run_cli "experiment E99" in
-  check_bool "nonzero exit" true (code <> 0);
-  check_bool "mentions the id" true
-    (let needle = "E99" in
-     let nl = String.length needle and sl = String.length out in
-     let rec scan i = i + nl <= sl && (String.sub out i nl = needle || scan (i + 1)) in
-     scan 0)
+  let code, out = run_bin (bin_path "experiments.exe") "E99" in
+  check_int "exit 2" 2 code;
+  check_bool "mentions the id" true (contains out "E99")
 
 (* ------------------------------------------------------------------ *)
 (* lint binary: --only / --explain                                     *)
 (* ------------------------------------------------------------------ *)
 
-let lint_binary =
-  let candidates =
-    [
-      Filename.concat (Filename.concat ".." "bin") "lint.exe";
-      List.fold_left Filename.concat "_build" [ "default"; "bin"; "lint.exe" ];
-    ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None -> List.hd candidates
-
-let run_lint args =
-  let out = Filename.temp_file "fn_lint_cli" ".out" in
-  let cmd = Printf.sprintf "%s %s > %s 2>&1" lint_binary args out in
-  let code = Sys.command cmd in
-  let ic = open_in out in
-  let text =
-    Fun.protect
-      ~finally:(fun () ->
-        close_in ic;
-        Sys.remove out)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  (code, String.trim text)
-
-let contains hay needle =
-  let nl = String.length needle and sl = String.length hay in
-  let rec scan i = i + nl <= sl && (String.sub hay i nl = needle || scan (i + 1)) in
-  scan 0
+let run_lint args = run_bin (bin_path "lint.exe") args
 
 (* A scratch tree holding one file that violates two scope-aware rules:
    the closure handed to Par.map mutates a captured ref and draws from a

@@ -6,16 +6,16 @@ let path5 = Fn_topology.Basic.path 5
 let cycle6 = Fn_topology.Basic.cycle 6
 
 let test_is_compact_path () =
-  check_bool "prefix compact" true (Compact.is_compact path5 (Bitset.of_list 5 [ 0; 1 ]));
-  check_bool "middle not compact" false (Compact.is_compact path5 (Bitset.of_list 5 [ 2 ]));
-  check_bool "empty not compact" false (Compact.is_compact path5 (Bitset.create 5));
-  check_bool "everything not compact" false (Compact.is_compact path5 (Bitset.create_full 5))
+  check_bool "prefix compact" true (Compact.is_compact (Gview.Csr path5) (Bitset.of_list 5 [ 0; 1 ]));
+  check_bool "middle not compact" false (Compact.is_compact (Gview.Csr path5) (Bitset.of_list 5 [ 2 ]));
+  check_bool "empty not compact" false (Compact.is_compact (Gview.Csr path5) (Bitset.create 5));
+  check_bool "everything not compact" false (Compact.is_compact (Gview.Csr path5) (Bitset.create_full 5))
 
 let test_is_compact_masked () =
   let alive = Bitset.of_list 5 [ 0; 1; 2 ] in
-  check_bool "prefix of fragment" true (Compact.is_compact ~alive path5 (Bitset.of_list 5 [ 0 ]));
+  check_bool "prefix of fragment" true (Compact.is_compact ~alive (Gview.Csr path5) (Bitset.of_list 5 [ 0 ]));
   check_bool "disconnecting middle" false
-    (Compact.is_compact ~alive path5 (Bitset.of_list 5 [ 1 ]))
+    (Compact.is_compact ~alive (Gview.Csr path5) (Bitset.of_list 5 [ 1 ]))
 
 let test_enumerate_path () =
   (* compact sets of P_n are prefixes and suffixes: 2(n-1) *)
@@ -42,7 +42,7 @@ let test_enumerate_all_are_compact () =
   let sets = Compact.enumerate g in
   List.iter
     (fun s ->
-      if not (Compact.is_compact g s) then
+      if not (Compact.is_compact (Gview.Csr g) s) then
         Alcotest.failf "enumerated non-compact set %s" (Format.asprintf "%a" Bitset.pp s))
     sets
 
@@ -52,26 +52,26 @@ let test_enumerate_limit () =
 
 let test_compactify_already_compact () =
   let s = Bitset.of_list 5 [ 0; 1 ] in
-  let k = Compact.compactify path5 s in
+  let k = Compact.compactify (Gview.Csr path5) s in
   check_bool "unchanged" true (Bitset.equal k s)
 
 let test_compactify_middle_of_path () =
   (* S = {2} in P5 splits the complement; K must be compact with edge
      ratio <= S's (S has ratio 2/1 = 2) *)
   let s = Bitset.of_list 5 [ 2 ] in
-  let k = Compact.compactify path5 s in
-  check_bool "result compact" true (Compact.is_compact path5 k);
+  let k = Compact.compactify (Gview.Csr path5) s in
+  check_bool "result compact" true (Compact.is_compact (Gview.Csr path5) k);
   let ratio set =
-    float_of_int (Boundary.edge_boundary_size path5 set)
+    float_of_int (Boundary.edge_boundary_size (Gview.Csr path5) set)
     /. float_of_int (Bitset.cardinal set)
   in
   check_bool "ratio no worse" true (ratio k <= ratio s +. 1e-9)
 
 let test_compactify_rejects () =
   Alcotest.check_raises "disconnected S" (Invalid_argument "Compact.compactify: S not connected")
-    (fun () -> ignore (Compact.compactify path5 (Bitset.of_list 5 [ 0; 2 ])));
+    (fun () -> ignore (Compact.compactify (Gview.Csr path5) (Bitset.of_list 5 [ 0; 2 ])));
   Alcotest.check_raises "everything" (Invalid_argument "Compact.compactify: S is everything")
-    (fun () -> ignore (Compact.compactify path5 (Bitset.create_full 5)))
+    (fun () -> ignore (Compact.compactify (Gview.Csr path5) (Bitset.create_full 5)))
 
 let test_random_compact () =
   let rng = Fn_prng.Rng.create 66 in
@@ -80,7 +80,7 @@ let test_random_compact () =
     match Compact.random_compact rng g ~target_size:(1 + Fn_prng.Rng.int rng 17) with
     | None -> ()
     | Some u ->
-      if not (Compact.is_compact g u) then Alcotest.fail "random_compact returned non-compact"
+      if not (Compact.is_compact (Gview.Csr g) u) then Alcotest.fail "random_compact returned non-compact"
   done
 
 let test_random_compact_degenerate () =
@@ -96,7 +96,7 @@ let gen_graph_with_connected_set =
     let n = Graph.num_nodes g in
     int_range 0 (n - 1) >>= fun src ->
     int_range 1 (max 1 (n / 2)) >>= fun size ->
-    let s = Bfs.ball_of_size g src size in
+    let s = Bfs.ball_of_size (Gview.Csr g) src size in
     return (g, s))
 
 let prop_compactify_lemma33 =
@@ -105,12 +105,12 @@ let prop_compactify_lemma33 =
       let n = Graph.num_nodes g in
       if Bitset.cardinal s = 0 || Bitset.cardinal s >= n then true
       else begin
-        let k = Compact.compactify g s in
+        let k = Compact.compactify (Gview.Csr g) s in
         let ratio set =
-          float_of_int (Boundary.edge_boundary_size g set)
+          float_of_int (Boundary.edge_boundary_size (Gview.Csr g) set)
           /. float_of_int (Bitset.cardinal set)
         in
-        Compact.is_compact g k && ratio k <= ratio s +. 1e-9
+        Compact.is_compact (Gview.Csr g) k && ratio k <= ratio s +. 1e-9
       end)
 
 let prop_enumerate_symmetric =

@@ -5,44 +5,44 @@ let path5 = Fn_topology.Basic.path 5
 let two_triangles = Graph.of_edges 6 [ (0, 1); (1, 2); (0, 2); (3, 4); (4, 5); (3, 5) ]
 
 let test_components_connected () =
-  let c = Components.compute path5 in
+  let c = Components.compute (Gview.Csr path5) in
   check_int "one component" 1 c.Components.count;
   check_int "size" 5 (Components.largest_size c)
 
 let test_components_disconnected () =
-  let c = Components.compute two_triangles in
+  let c = Components.compute (Gview.Csr two_triangles) in
   check_int "two components" 2 c.Components.count;
   check_int "largest" 3 (Components.largest_size c);
   check_bool "histogram" true (Components.size_histogram c = [ (3, 2) ])
 
 let test_components_masked () =
   let alive = Bitset.of_list 5 [ 0; 1; 3; 4 ] in
-  let c = Components.compute ~alive path5 in
+  let c = Components.compute ~alive (Gview.Csr path5) in
   check_int "split by dead node" 2 c.Components.count;
   check_int "dead label" (-1) c.Components.labels.(2)
 
 let test_gamma () =
-  check_float "full gamma" 1.0 (Components.gamma path5);
+  check_float "full gamma" 1.0 (Components.gamma (Gview.Csr path5));
   let alive = Bitset.of_list 5 [ 0; 1; 3; 4 ] in
-  check_float "masked gamma" 0.4 (Components.gamma ~alive path5);
-  check_float "empty graph" 0.0 (Components.gamma (Graph.empty 0))
+  check_float "masked gamma" 0.4 (Components.gamma ~alive (Gview.Csr path5));
+  check_float "empty graph" 0.0 (Components.gamma (Gview.Csr (Graph.empty 0)))
 
 let test_members_and_largest_members () =
-  let c = Components.compute two_triangles in
+  let c = Components.compute (Gview.Csr two_triangles) in
   let m = Components.members c 0 in
   check_int "members size" 3 (Bitset.cardinal m);
-  let lm = Components.largest_members path5 in
+  let lm = Components.largest_members (Gview.Csr path5) in
   check_int "largest members" 5 (Bitset.cardinal lm);
   let empty_alive = Bitset.create 5 in
-  let lm = Components.largest_members ~alive:empty_alive path5 in
+  let lm = Components.largest_members ~alive:empty_alive (Gview.Csr path5) in
   check_int "no alive -> empty" 0 (Bitset.cardinal lm)
 
 let test_is_connected () =
-  check_bool "path" true (Components.is_connected path5);
-  check_bool "two triangles" false (Components.is_connected two_triangles);
+  check_bool "path" true (Components.is_connected (Gview.Csr path5));
+  check_bool "two triangles" false (Components.is_connected (Gview.Csr two_triangles));
   check_bool "empty alive counts as connected" true
-    (Components.is_connected ~alive:(Bitset.create 5) path5);
-  check_bool "empty graph" true (Components.is_connected (Graph.empty 0))
+    (Components.is_connected ~alive:(Bitset.create 5) (Gview.Csr path5));
+  check_bool "empty graph" true (Components.is_connected (Gview.Csr (Graph.empty 0)))
 
 (* ---- boundaries ---- *)
 
@@ -50,20 +50,20 @@ let mesh4, _ = Fn_topology.Mesh.cube ~d:2 ~side:4
 
 let test_node_boundary_path () =
   let u = Bitset.of_list 5 [ 0; 1 ] in
-  let b = Boundary.node_boundary path5 u in
+  let b = Boundary.node_boundary (Gview.Csr path5) u in
   check_bool "boundary is {2}" true (Bitset.to_list b = [ 2 ]);
-  check_int "size" 1 (Boundary.node_boundary_size path5 u)
+  check_int "size" 1 (Boundary.node_boundary_size (Gview.Csr path5) u)
 
 let test_node_boundary_mesh_corner () =
   let u = Bitset.of_list 16 [ 0 ] in
-  check_int "corner has 2 neighbours" 2 (Boundary.node_boundary_size mesh4 u);
+  check_int "corner has 2 neighbours" 2 (Boundary.node_boundary_size (Gview.Csr mesh4) u);
   let u = Bitset.of_list 16 [ 5 ] in
-  check_int "interior has 4" 4 (Boundary.node_boundary_size mesh4 u)
+  check_int "interior has 4" 4 (Boundary.node_boundary_size (Gview.Csr mesh4) u)
 
 let test_edge_boundary () =
   (* left 2x4 half of the 4x4 mesh: 4 crossing edges *)
   let u = Bitset.of_list 16 [ 0; 1; 4; 5; 8; 9; 12; 13 ] in
-  check_int "half mesh cut" 4 (Boundary.edge_boundary_size mesh4 u);
+  check_int "half mesh cut" 4 (Boundary.edge_boundary_size (Gview.Csr mesh4) u);
   let pairs = Boundary.edge_boundary mesh4 u in
   check_int "edge list length" 4 (List.length pairs);
   List.iter
@@ -74,44 +74,44 @@ let test_edge_boundary () =
 
 let test_internal_edges () =
   let u = Bitset.of_list 16 [ 0; 1; 4; 5 ] in
-  check_int "2x2 block internal edges" 4 (Boundary.internal_edge_count mesh4 u)
+  check_int "2x2 block internal edges" 4 (Boundary.internal_edge_count (Gview.Csr mesh4) u)
 
 let test_masked_boundary () =
   let u = Bitset.of_list 5 [ 0; 1 ] in
   let alive = Bitset.of_list 5 [ 0; 1; 3; 4 ] in
-  check_int "dead boundary node not counted" 0 (Boundary.node_boundary_size ~alive path5 u);
-  check_int "dead edge endpoint not counted" 0 (Boundary.edge_boundary_size ~alive path5 u)
+  check_int "dead boundary node not counted" 0 (Boundary.node_boundary_size ~alive (Gview.Csr path5) u);
+  check_int "dead edge endpoint not counted" 0 (Boundary.edge_boundary_size ~alive (Gview.Csr path5) u)
 
 let test_expansions () =
   let u = Bitset.of_list 5 [ 0; 1 ] in
-  check_float "node expansion" 0.5 (Boundary.node_expansion path5 u);
-  check_float "edge expansion" 0.5 (Boundary.edge_expansion path5 u);
+  check_float "node expansion" 0.5 (Boundary.node_expansion (Gview.Csr path5) u);
+  check_float "edge expansion" 0.5 (Boundary.edge_expansion (Gview.Csr path5) u);
   Alcotest.check_raises "empty set" (Invalid_argument "Boundary.node_expansion: empty set")
-    (fun () -> ignore (Boundary.node_expansion path5 (Bitset.create 5)));
+    (fun () -> ignore (Boundary.node_expansion (Gview.Csr path5) (Bitset.create 5)));
   Alcotest.check_raises "full set" (Invalid_argument "Boundary.edge_expansion: empty side")
-    (fun () -> ignore (Boundary.edge_expansion path5 (Bitset.create_full 5)))
+    (fun () -> ignore (Boundary.edge_expansion (Gview.Csr path5) (Bitset.create_full 5)))
 
 let prop_boundary_disjoint_from_set =
   prop "node boundary is outside the set"
     (Testutil.gen_graph_and_subset ~max_n:10 ())
     (fun (g, u) ->
-      let b = Boundary.node_boundary g u in
+      let b = Boundary.node_boundary (Gview.Csr g) u in
       Bitset.disjoint b u)
 
 let prop_edge_boundary_symmetric =
   prop "edge boundary of U equals edge boundary of complement"
     (Testutil.gen_graph_and_subset ~max_n:10 ())
     (fun (g, u) ->
-      Boundary.edge_boundary_size g u = Boundary.edge_boundary_size g (Bitset.complement u))
+      Boundary.edge_boundary_size (Gview.Csr g) u = Boundary.edge_boundary_size (Gview.Csr g) (Bitset.complement u))
 
 let prop_boundary_le_edge_boundary =
   prop "node boundary <= edge boundary"
     (Testutil.gen_graph_and_subset ~max_n:10 ())
-    (fun (g, u) -> Boundary.node_boundary_size g u <= Boundary.edge_boundary_size g u)
+    (fun (g, u) -> Boundary.node_boundary_size (Gview.Csr g) u <= Boundary.edge_boundary_size (Gview.Csr g) u)
 
 let prop_gamma_bounds =
   prop "gamma in [0,1]" (Testutil.gen_any_graph ~max_n:12 ()) (fun g ->
-      let gm = Components.gamma g in
+      let gm = Components.gamma (Gview.Csr g) in
       gm >= 0.0 && gm <= 1.0)
 
 (* ---- differential: generation-stamped Scratch vs plain counts ----
@@ -139,9 +139,9 @@ let prop_scratch_node_boundary_matches =
       let scratch = Boundary.Scratch.create (Graph.num_nodes g) in
       List.for_all
         (fun u ->
-          Boundary.Scratch.node_boundary_size scratch g u = Boundary.node_boundary_size g u
-          && Boundary.Scratch.node_boundary_size scratch ~alive g u
-             = Boundary.node_boundary_size ~alive g u)
+          Boundary.Scratch.node_boundary_size scratch (Gview.Csr g) u = Boundary.node_boundary_size (Gview.Csr g) u
+          && Boundary.Scratch.node_boundary_size scratch ~alive (Gview.Csr g) u
+             = Boundary.node_boundary_size ~alive (Gview.Csr g) u)
         sets)
 
 let prop_scratch_edge_boundary_matches =
@@ -150,16 +150,16 @@ let prop_scratch_edge_boundary_matches =
       let scratch = Boundary.Scratch.create (Graph.num_nodes g) in
       List.for_all
         (fun u ->
-          Boundary.Scratch.edge_boundary_size scratch g u = Boundary.edge_boundary_size g u
-          && Boundary.Scratch.edge_boundary_size scratch ~alive g u
-             = Boundary.edge_boundary_size ~alive g u)
+          Boundary.Scratch.edge_boundary_size scratch (Gview.Csr g) u = Boundary.edge_boundary_size (Gview.Csr g) u
+          && Boundary.Scratch.edge_boundary_size scratch ~alive (Gview.Csr g) u
+             = Boundary.edge_boundary_size ~alive (Gview.Csr g) u)
         sets)
 
 let test_scratch_universe_check () =
   let scratch = Boundary.Scratch.create 4 in
   Alcotest.check_raises "universe mismatch"
     (Invalid_argument "Boundary.Scratch: universe size mismatch") (fun () ->
-      ignore (Boundary.Scratch.node_boundary_size scratch path5 (Bitset.of_list 5 [ 0 ])))
+      ignore (Boundary.Scratch.node_boundary_size scratch (Gview.Csr path5) (Bitset.of_list 5 [ 0 ])))
 
 let () =
   Alcotest.run "components_boundary"

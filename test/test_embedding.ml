@@ -52,7 +52,7 @@ let test_empty_survivor_rejected () =
 let test_images_are_kept () =
   let rng = Fn_prng.Rng.create 4 in
   let faults = Fn_faults.Random_faults.nodes_iid rng mesh6 0.2 in
-  let kept = Components.largest_members ~alive:faults.Fn_faults.Fault_set.alive mesh6 in
+  let kept = Components.largest_members ~alive:faults.Fn_faults.Fault_set.alive (Gview.Csr mesh6) in
   if Bitset.cardinal kept > 0 then begin
     let emb = Embedding.self_embed mesh6 ~kept in
     Array.iter

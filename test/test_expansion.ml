@@ -56,27 +56,27 @@ let test_exact_limits () =
 let test_cut_make_and_better () =
   let g = Fn_topology.Basic.path 4 in
   let u = Bitset.of_list 4 [ 0 ] in
-  let c = Cut.make g Cut.Node u in
+  let c = Cut.make (Gview.Csr g) Cut.Node u in
   check_float "value" 1.0 c.Cut.value;
   let u2 = Bitset.of_list 4 [ 0; 1 ] in
-  let c2 = Cut.make g Cut.Node u2 in
+  let c2 = Cut.make (Gview.Csr g) Cut.Node u2 in
   check_float "better value" 0.5 (Cut.better c c2).Cut.value
 
 let test_sweep_finds_mesh_cut () =
   let g, _ = Fn_topology.Mesh.cube ~d:2 ~side:4 in
-  let c = Sweep.spectral_cut g Cut.Edge in
+  let c = Sweep.spectral_cut (Gview.Csr g) Cut.Edge in
   check_float "sweep finds the optimal mesh cut" 0.5 c.Cut.value
 
 let test_sweep_arity_checks () =
   let g = Fn_topology.Basic.path 4 in
   Alcotest.check_raises "score length"
     (Invalid_argument "Sweep.best_prefix: score length mismatch") (fun () ->
-      ignore (Sweep.best_prefix g ~score:[| 0.0 |] Cut.Node))
+      ignore (Sweep.best_prefix (Gview.Csr g) ~score:[| 0.0 |] Cut.Node))
 
 let test_local_search_never_worse () =
   let g, _ = Fn_topology.Mesh.cube ~d:2 ~side:4 in
   (* start from a bad cut: scattered nodes *)
-  let bad = Cut.make g Cut.Node (Bitset.of_list 16 [ 0; 7; 10 ]) in
+  let bad = Cut.make (Gview.Csr g) Cut.Node (Bitset.of_list 16 [ 0; 7; 10 ]) in
   let improved = Local_search.improve g bad in
   check_bool "improved or equal" true (improved.Cut.value <= bad.Cut.value +. 1e-12)
 
@@ -89,7 +89,7 @@ let reference_improve ?alive ~max_passes g cut =
   let total = match alive with None -> Graph.num_nodes g | Some m -> Bitset.cardinal m in
   let u = Bitset.copy cut.Cut.set in
   let evaluate set =
-    try Some (Cut.value_of ?alive g cut.Cut.objective set) with Invalid_argument _ -> None
+    try Some (Cut.value_of ?alive (Gview.Csr g) cut.Cut.objective set) with Invalid_argument _ -> None
   in
   let current = ref cut.Cut.value in
   let improved_once = ref true in
@@ -161,14 +161,14 @@ let test_local_search_matches_reference () =
                   if Fn_prng.Rng.float rng 1.0 < p then Bitset.add s v
                 done;
                 s)
-            @ List.map (fun k -> Bfs.ball_of_size g (Fn_prng.Rng.int rng n) k) [ 3; 6; 12 ]
+            @ List.map (fun k -> Bfs.ball_of_size (Gview.Csr g) (Fn_prng.Rng.int rng n) k) [ 3; 6; 12 ]
           in
           List.iter
             (fun objective ->
               let cuts =
                 List.filter_map
                   (fun s ->
-                    match Cut.make ?alive g objective s with
+                    match Cut.make ?alive (Gview.Csr g) objective s with
                     | c -> Some c
                     | exception Invalid_argument _ -> None)
                   starts
@@ -300,7 +300,7 @@ let prop_witness_is_valid_cut =
     (Testutil.gen_connected_graph ~max_n:12 ())
     (fun g ->
       let est = Estimate.run ~force_heuristic:true ~rng:(rng ()) g Cut.Edge in
-      abs_float (Cut.value_of g Cut.Edge est.Estimate.witness -. est.Estimate.value) < 1e-9)
+      abs_float (Cut.value_of (Gview.Csr g) Cut.Edge est.Estimate.witness -. est.Estimate.value) < 1e-9)
 
 let test_estimate_domains_one_is_default () =
   (* ~domains:1 must be the same sequential code path as the default *)
@@ -326,7 +326,7 @@ let test_estimate_parallel_independent_of_domain_count () =
     (Int64.equal (Int64.bits_of_float a.Estimate.value) (Int64.bits_of_float c.Estimate.value));
   (* and it is still a sound upper bound with a consistent witness *)
   check_bool "witness value" true
-    (abs_float (Cut.value_of g Cut.Edge a.Estimate.witness -. a.Estimate.value) < 1e-9)
+    (abs_float (Cut.value_of (Gview.Csr g) Cut.Edge a.Estimate.witness -. a.Estimate.value) < 1e-9)
 
 let prop_analytic_formulas_guard =
   prop "analytic guards reject bad input" (QCheck2.Gen.int_range (-3) 1) (fun n ->

@@ -71,7 +71,7 @@ let test_adversary_degree () =
   let star = Fn_topology.Basic.star 10 in
   let fs = Adversary.degree_targeted star ~budget:1 in
   check_bool "kills the hub" true (Bitset.mem fs.Fault_set.faulty 0);
-  let comps = Components.compute ~alive:fs.Fault_set.alive star in
+  let comps = Components.compute ~alive:fs.Fault_set.alive (Gview.Csr star) in
   check_int "isolates all leaves" 9 comps.Components.count
 
 let test_adversary_targets () =
@@ -86,7 +86,7 @@ let test_ball_isolation_disconnects () =
   (* enough budget to cut out a ball in the mesh *)
   let fs = Adversary.ball_isolation (rng ()) mesh8 ~budget:20 in
   check_bool "spent something" true (Fault_set.count fs > 0);
-  let comps = Components.compute ~alive:fs.Fault_set.alive mesh8 in
+  let comps = Components.compute ~alive:fs.Fault_set.alive (Gview.Csr mesh8) in
   check_bool "disconnected the mesh" true (comps.Components.count >= 2)
 
 let test_ball_isolation_zero_budget () =

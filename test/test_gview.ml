@@ -140,26 +140,70 @@ let arms name view twin =
   let csr = Gview.Csr twin in
   let n = Graph.num_nodes twin in
   check_bool (name ^ ": distances") true
-    (Bfs.distances_v csr 0 = Bfs.distances_v view 0);
+    (Bfs.distances csr 0 = Bfs.distances view 0);
   check_bool (name ^ ": multi-source") true
-    (Bfs.multi_source_distances_v csr [| 0; n - 1 |]
-    = Bfs.multi_source_distances_v view [| 0; n - 1 |]);
+    (Bfs.multi_source_distances csr [| 0; n - 1 |]
+    = Bfs.multi_source_distances view [| 0; n - 1 |]);
   check_bool (name ^ ": ball r=2") true
-    (Bitset.equal (Bfs.ball_v csr 0 2) (Bfs.ball_v view 0 2));
+    (Bitset.equal (Bfs.ball csr 0 2) (Bfs.ball view 0 2));
   let alive = Bitset.create_full n in
   Bitset.remove alive (n / 2);
-  let u = Bfs.ball_v ~alive csr 0 1 in
-  check_int (name ^ ": node boundary") (Boundary.node_boundary_size_v ~alive csr u)
-    (Boundary.node_boundary_size_v ~alive view u);
+  let u = Bfs.ball ~alive csr 0 1 in
+  check_int (name ^ ": node boundary") (Boundary.node_boundary_size ~alive csr u)
+    (Boundary.node_boundary_size ~alive view u);
   check_int (name ^ ": edge boundary")
-    (Boundary.edge_boundary_size_v ~alive csr u)
-    (Boundary.edge_boundary_size_v ~alive view u);
+    (Boundary.edge_boundary_size ~alive csr u)
+    (Boundary.edge_boundary_size ~alive view u);
   check_int (name ^ ": internal edges")
-    (Boundary.internal_edge_count_v ~alive csr u)
-    (Boundary.internal_edge_count_v ~alive view u);
-  let ca = Components.compute_v ~alive csr and cb = Components.compute_v ~alive view in
+    (Boundary.internal_edge_count ~alive csr u)
+    (Boundary.internal_edge_count ~alive view u);
+  let ca = Components.compute ~alive csr and cb = Components.compute ~alive view in
   check_int (name ^ ": component count") ca.Components.count cb.Components.count;
-  check_bool (name ^ ": component labels") true (ca.Components.labels = cb.Components.labels)
+  check_bool (name ^ ": component labels") true (ca.Components.labels = cb.Components.labels);
+  (* none of the results below depends on neighbor order, so both arms
+     must agree exactly; floats are compared bit for bit *)
+  let same_set what a b = check_bool (name ^ ": " ^ what) true (Bitset.equal a b) in
+  let same_float what a b = check_bool (name ^ ": " ^ what) true (Float.equal a b) in
+  same_set "bfs reachable" (Bfs.reachable ~alive csr 0) (Bfs.reachable ~alive view 0);
+  (* a size that closes a BFS layer makes the grown prefix order-free *)
+  let k = Bitset.cardinal (Bfs.ball csr 0 2) in
+  same_set "ball of size" (Bfs.ball_of_size csr 0 k) (Bfs.ball_of_size view 0 k);
+  check_int (name ^ ": eccentricity") (Bfs.eccentricity ~alive csr 0)
+    (Bfs.eccentricity ~alive view 0);
+  same_set "node boundary set" (Boundary.node_boundary ~alive csr u)
+    (Boundary.node_boundary ~alive view u);
+  same_float "node expansion" (Boundary.node_expansion ~alive csr u)
+    (Boundary.node_expansion ~alive view u);
+  same_float "edge expansion" (Boundary.edge_expansion ~alive csr u)
+    (Boundary.edge_expansion ~alive view u);
+  check_bool (name ^ ": is connected")
+    (Components.is_connected ~alive csr)
+    (Components.is_connected ~alive view);
+  same_float "gamma" (Components.gamma ~alive csr) (Components.gamma ~alive view);
+  same_set "largest members" (Components.largest_members ~alive csr)
+    (Components.largest_members ~alive view);
+  same_set "dfs reachable" (Dfs.reachable ~alive csr 0) (Dfs.reachable ~alive view 0);
+  check_bool (name ^ ": connected subset")
+    (Dfs.is_connected_subset csr u)
+    (Dfs.is_connected_subset view u);
+  check_bool (name ^ ": is compact")
+    (Faultnet.Compact.is_compact ~alive csr u)
+    (Faultnet.Compact.is_compact ~alive view u);
+  same_set "compactify" (Faultnet.Compact.compactify ~alive csr u)
+    (Faultnet.Compact.compactify ~alive view u);
+  let module Cut = Fn_expansion.Cut in
+  List.iter
+    (fun (what, objective) ->
+      same_float ("cut value " ^ what)
+        (Cut.value_of ~alive csr objective u)
+        (Cut.value_of ~alive view objective u);
+      (* a fixed score scattered over the node ids *)
+      let score = Array.init n (fun v -> float_of_int (v * 7919 mod n)) in
+      let a = Fn_expansion.Sweep.best_prefix ~alive csr ~score objective in
+      let b = Fn_expansion.Sweep.best_prefix ~alive view ~score objective in
+      same_set ("sweep set " ^ what) a.Cut.set b.Cut.set;
+      same_float ("sweep value " ^ what) a.Cut.value b.Cut.value)
+    [ ("node", Cut.Node); ("edge", Cut.Edge) ]
 
 let test_arm_agreement () =
   let twin_t, _ = Torus.graph [| 4; 5 |] in
@@ -171,8 +215,8 @@ let test_arm_agreement () =
 let test_ball_grower_arms () =
   let dims = [| 5; 5 |] in
   let twin, _ = Torus.graph dims in
-  let ga = Bfs.ball_grower_v (Gview.Csr twin) 7 in
-  let gb = Bfs.ball_grower_v (Implicit.torus dims) 7 in
+  let ga = Bfs.ball_grower (Gview.Csr twin) 7 in
+  let gb = Bfs.ball_grower (Implicit.torus dims) 7 in
   List.iter
     (fun k ->
       let a = Bfs.grow_ball ga k and b = Bfs.grow_ball gb k in
@@ -185,13 +229,13 @@ let test_percolation_arms () =
   let dims = [| 4; 6 |] in
   let twin, _ = Torus.graph dims in
   let view = Implicit.torus dims in
-  let site_a = Fn_percolation.Newman_ziff.site_run_v (Rng.create 42) (Gview.Csr twin) in
-  let site_b = Fn_percolation.Newman_ziff.site_run_v (Rng.create 42) view in
+  let site_a = Fn_percolation.Newman_ziff.site_run (Rng.create 42) (Gview.Csr twin) in
+  let site_b = Fn_percolation.Newman_ziff.site_run (Rng.create 42) view in
   check_bool "site curves" true
     (site_a.Fn_percolation.Newman_ziff.occupied_largest
     = site_b.Fn_percolation.Newman_ziff.occupied_largest);
-  let bond_a = Fn_percolation.Newman_ziff.bond_run_v (Rng.create 43) (Gview.Csr twin) in
-  let bond_b = Fn_percolation.Newman_ziff.bond_run_v (Rng.create 43) view in
+  let bond_a = Fn_percolation.Newman_ziff.bond_run (Rng.create 43) (Gview.Csr twin) in
+  let bond_b = Fn_percolation.Newman_ziff.bond_run (Rng.create 43) view in
   check_bool "bond curves" true
     (bond_a.Fn_percolation.Newman_ziff.occupied_largest
     = bond_b.Fn_percolation.Newman_ziff.occupied_largest)
@@ -214,7 +258,7 @@ let test_prune_arms () =
      identically on csr and implicit inputs *)
   let finder ~alive view ~threshold =
     ignore threshold;
-    let comps = Components.compute_v ~alive view in
+    let comps = Components.compute ~alive view in
     if comps.Components.count <= 1 then None
     else begin
       let smallest = ref 0 in
@@ -236,13 +280,13 @@ let test_prune_arms () =
   check_bool "arms agree under shared finder" true (Bitset.equal r.Prune.kept r'.Prune.kept);
   check_int "arms agree on rounds" r'.Prune.iterations r.Prune.iterations
 
-let test_ball_witness_v () =
+let test_ball_witness () =
   (* two K4s joined by one bridge: a radius-1 ball from inside either
      clique is exactly half the graph and witnesses the bridge cut *)
   let clique base = [ (base, base + 1); (base, base + 2); (base, base + 3);
                       (base + 1, base + 2); (base + 1, base + 3); (base + 2, base + 3) ] in
   let g = Graph.of_edges 8 (clique 0 @ clique 4 @ [ (3, 4) ]) in
-  match Fn_expansion.Estimate.ball_witness_v (Gview.Csr g) Fn_expansion.Cut.Edge with
+  match Fn_expansion.Estimate.ball_witness (Gview.Csr g) Fn_expansion.Cut.Edge with
   | None -> Alcotest.fail "expected a witness"
   | Some cut ->
     check_bool "found the bridge" true (cut.Fn_expansion.Cut.value <= 0.25 +. 1e-9)
@@ -267,6 +311,6 @@ let () =
           case "ball grower" test_ball_grower_arms;
           case "percolation curves" test_percolation_arms;
           case "prune" test_prune_arms;
-          case "ball witness" test_ball_witness_v;
+          case "ball witness" test_ball_witness;
         ] );
     ]

@@ -20,12 +20,12 @@ let test_million_node_torus () =
   (* one BFS ball: radius 50 around the center, |B_r| = 2r^2+2r+1 on
      an unwrapped-locally flat torus *)
   let center = ((side / 2) * side) + (side / 2) in
-  let ball = Bfs.ball_v view center 50 in
+  let ball = Bfs.ball view center 50 in
   check_int "ball cardinality" ((2 * 50 * 50) + (2 * 50) + 1) (Bitset.cardinal ball);
   (* one boundary query on that ball: the diamond's node boundary is
      the next BFS shell, 4(r+1) nodes; its edge boundary 4(2r+1) *)
-  check_int "node boundary" (4 * 51) (Boundary.node_boundary_size_v view ball);
-  check_int "edge boundary" (4 * 101) (Boundary.edge_boundary_size_v view ball);
+  check_int "node boundary" (4 * 51) (Boundary.node_boundary_size view ball);
+  check_int "edge boundary" (4 * 101) (Boundary.edge_boundary_size view ball);
   let elapsed = Fn_obs.Clock.elapsed_s ~since_ns:t0 in
   if elapsed > budget_s then
     Alcotest.failf "10^6-node smoke blew its %.0fs budget: %.2fs" budget_s elapsed

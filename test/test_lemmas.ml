@@ -77,14 +77,14 @@ let check_lemma22 g alive (res : Faultnet.Prune.result) =
   | culled ->
     let union = Bitset.create (Graph.num_nodes g) in
     List.iter (fun c -> Bitset.union_into union c.Faultnet.Prune.set) culled;
-    let union_boundary = Boundary.node_boundary_size ~alive g union in
+    let union_boundary = Boundary.node_boundary_size ~alive (Gview.Csr g) union in
     (* per-set boundaries in G_f (the lemma's statement): each culled
        certificate stores the boundary in G_i, which only shrinks as
        nodes are removed, so the G_f boundary is bounded by the sum of
        per-G_f boundaries; measure them directly *)
     let sum_boundaries =
       List.fold_left
-        (fun acc c -> acc + Boundary.node_boundary_size ~alive g c.Faultnet.Prune.set)
+        (fun acc c -> acc + Boundary.node_boundary_size ~alive (Gview.Csr g) c.Faultnet.Prune.set)
         0 culled
     in
     let threshold_mass =

@@ -233,6 +233,40 @@ let test_no_raw_csr () =
   check_bool "other module's adj ok" false (hit "let a = Mesh.adj g");
   check_bool "comment mention ok" false (hit "(* Graph.xadj is banned *) let x = 1")
 
+let test_no_gview_arm_match () =
+  let hit ?path src = List.mem "no-gview-arm-match" (rules_hit (lint ?path src)) in
+  check_bool "Implicit arm" true
+    (hit "let f view = match view with Gview.Csr _ -> 1 | Gview.Implicit _ -> 2");
+  check_bool "Csr arm with a wildcard" true
+    (hit "let f view = match view with Gview.Csr g -> Graph.num_nodes g | _ -> 0");
+  check_bool "function arm" true (hit "let f = function Gview.Csr _ -> 1 | _ -> 0");
+  check_bool "qualified Fn_graph.Gview.Implicit caught" true
+    (hit ~path:"bench/hot.ml" "let f = function Fn_graph.Gview.Implicit _ -> 1 | _ -> 0");
+  check_bool "bare arm under an open" true
+    (hit "let f view = Gview.(match view with Implicit _ -> 1 | Csr _ -> 0)");
+  check_bool "tests are linted too" true
+    (hit ~path:"test/t.ml" "let f = function Gview.Implicit _ -> 1 | _ -> 0");
+  List.iter
+    (fun path ->
+      check_bool (path ^ " allowlisted") false
+        (hit ~path "let f = function Gview.Csr _ -> 1 | Gview.Implicit _ -> 2"))
+    [
+      "lib/graph_core/gview.ml";
+      "lib/expansion/spectral_op.ml";
+      "lib/faultnet/low_expansion.ml";
+      "lib/online/warm.ml";
+      "lib/percolation/newman_ziff.ml";
+    ];
+  check_bool "building a Csr view ok" false (hit "let v = Gview.Csr g");
+  check_bool "Csr view as an arm's result ok" false
+    (hit "let f = function Some g -> Gview.Csr g | None -> empty");
+  check_bool "Implicit module path ok" false
+    (hit "let v = Fn_topology.Implicit.torus [| 4; 4 |]");
+  check_bool "smart constructor ok" false (hit "let v = Gview.implicit ~n ~max_degree:2 iter");
+  check_bool "iter_neighbors ok" false
+    (hit "let f view = let iter = Gview.iter_neighbors view in iter 0 ignore");
+  check_bool "comment mention ok" false (hit "(* | Gview.Implicit i -> *) let x = 1")
+
 let test_no_todo_naked () =
   let hit src = List.mem "no-todo-naked" (rules_hit (lint src)) in
   check_bool "naked TODO" true (hit "(* TODO handle overflow *) let x = 1");
@@ -563,6 +597,7 @@ let () =
           Alcotest.test_case "no-raw-timing" `Quick test_no_raw_timing;
           Alcotest.test_case "no-exit-in-lib" `Quick test_no_exit_in_lib;
           Alcotest.test_case "no-raw-csr-outside-kernels" `Quick test_no_raw_csr;
+          Alcotest.test_case "no-gview-arm-match" `Quick test_no_gview_arm_match;
           Alcotest.test_case "no-todo-naked" `Quick test_no_todo_naked;
         ] );
       ( "suppression",

@@ -11,7 +11,7 @@ let test_exact_finder_finds_witness () =
   match finder ~alive:(full 10) g ~threshold:0.3 with
   | None -> Alcotest.fail "expected a witness"
   | Some s ->
-    let value = Fn_expansion.Cut.value_of g Fn_expansion.Cut.Node s in
+    let value = Fn_expansion.Cut.value_of (Gview.Csr g) Fn_expansion.Cut.Node s in
     check_bool "below threshold" true (value <= 0.3)
 
 let test_exact_finder_none_above () =
@@ -33,7 +33,7 @@ let test_default_returns_component () =
   | None -> Alcotest.fail "disconnected graph must yield a component"
   | Some s ->
     check_int "small component" 2 (Bitset.cardinal s);
-    check_bool "zero boundary" true (Boundary.node_boundary_size g s = 0)
+    check_bool "zero boundary" true (Boundary.node_boundary_size (Gview.Csr g) s = 0)
 
 let test_default_heuristic_on_large () =
   (* 10x10 mesh: node expansion ~ 0.1; generous threshold finds a set *)
@@ -42,7 +42,7 @@ let test_default_heuristic_on_large () =
   match finder ~alive:(full 100) g ~threshold:0.3 with
   | None -> Alcotest.fail "mesh has low-expansion sets"
   | Some s ->
-    let value = Fn_expansion.Cut.value_of g Fn_expansion.Cut.Node s in
+    let value = Fn_expansion.Cut.value_of (Gview.Csr g) Fn_expansion.Cut.Node s in
     check_bool "below threshold" true (value <= 0.3);
     check_bool "at most half" true (2 * Bitset.cardinal s <= 100)
 
@@ -69,7 +69,7 @@ let prop_witness_always_below_threshold =
       match finder ~alive:(full n) g ~threshold:0.5 with
       | None -> true
       | Some s ->
-        Fn_expansion.Cut.value_of g Fn_expansion.Cut.Node s <= 0.5 +. 1e-9
+        Fn_expansion.Cut.value_of (Gview.Csr g) Fn_expansion.Cut.Node s <= 0.5 +. 1e-9
         && 2 * Bitset.cardinal s <= n)
 
 let () =

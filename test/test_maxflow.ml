@@ -43,9 +43,9 @@ let test_min_cut_side () =
   let side = Maxflow.min_cut_side path5 ~src:0 ~dst:4 in
   check_bool "contains src" true (Bitset.mem side 0);
   check_bool "excludes dst" false (Bitset.mem side 4);
-  check_int "boundary equals flow" 1 (Boundary.edge_boundary_size path5 side);
+  check_int "boundary equals flow" 1 (Boundary.edge_boundary_size (Gview.Csr path5) side);
   let side = Maxflow.min_cut_side mesh4 ~src:0 ~dst:15 in
-  check_int "mesh cut boundary" 2 (Boundary.edge_boundary_size mesh4 side)
+  check_int "mesh cut boundary" 2 (Boundary.edge_boundary_size (Gview.Csr mesh4) side)
 
 let test_vertex_disjoint () =
   check_int "path" 1 (Maxflow.vertex_disjoint_paths path5 ~src:0 ~dst:4);
@@ -83,7 +83,7 @@ let prop_flow_equals_cut =
       let n = Graph.num_nodes g in
       let flow = Maxflow.max_flow g ~src:0 ~dst:(n - 1) in
       let side = Maxflow.min_cut_side g ~src:0 ~dst:(n - 1) in
-      flow = Boundary.edge_boundary_size g side)
+      flow = Boundary.edge_boundary_size (Gview.Csr g) side)
 
 let prop_flow_bounded_by_degrees =
   prop "flow <= min(deg src, deg dst)" ~count:60

@@ -15,7 +15,7 @@ let rect_set geo rows cols =
 let test_rectangle_certificate () =
   (* 2x2 interior block of the 6x6 mesh *)
   let s = rect_set geo6 [ 2; 3 ] [ 2; 3 ] in
-  check_bool "block compact" true (Compact.is_compact mesh6 s);
+  check_bool "block compact" true (Compact.is_compact (Gview.Csr mesh6) s);
   match Mesh_span.certify mesh6 geo6 s with
   | None -> Alcotest.fail "expected certificate"
   | Some c ->
@@ -84,7 +84,7 @@ let test_tree_nodes_form_connected_subgraph () =
   | None -> Alcotest.fail "expected certificate"
   | Some c ->
     check_bool "tree nodes connected in mesh" true
-      (Dfs.is_connected_subset mesh6 c.Mesh_span.tree_nodes)
+      (Dfs.is_connected_subset (Gview.Csr mesh6) c.Mesh_span.tree_nodes)
 
 let () =
   Alcotest.run "mesh_span"

@@ -117,7 +117,7 @@ let test_survey_boundary_is_prune_boundary () =
       let ball = Bitset.create n in
       let s, b = Delta_bfs.survey bfs ~alive ~into:ball ~radius:2 src in
       check_int "size" (Bitset.cardinal ball) s;
-      check_int "boundary" (Boundary.node_boundary_size_v ~alive view ball) b
+      check_int "boundary" (Boundary.node_boundary_size ~alive view ball) b
   done
 
 let test_region_marks_neighborhood () =

@@ -100,7 +100,7 @@ let prop_product_node_count =
 let prop_product_connected =
   prop "product of connected graphs is connected" ~count:30
     QCheck2.Gen.(pair (Testutil.gen_connected_graph ~max_n:5 ()) (Testutil.gen_connected_graph ~max_n:5 ()))
-    (fun (g, h) -> Components.is_connected (Fn_topology.Product.cartesian g h))
+    (fun (g, h) -> Components.is_connected (Gview.Csr (Fn_topology.Product.cartesian g h)))
 
 let () =
   Alcotest.run "product"

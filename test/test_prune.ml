@@ -136,7 +136,7 @@ let prop_round_boundaries_match_naive_replay =
         let current = Bitset.copy alive in
         List.for_all
           (fun c ->
-            let expected = Boundary.node_boundary_size ~alive:current g c.Prune.set in
+            let expected = Boundary.node_boundary_size ~alive:current (Gview.Csr g) c.Prune.set in
             let ok = expected = c.Prune.boundary in
             Bitset.diff_into current c.Prune.set;
             ok)

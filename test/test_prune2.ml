@@ -37,7 +37,7 @@ let test_culled_sets_connected_and_compact_shape () =
     let res = Prune2.run ~rng:(rng ()) g ~alive ~alpha_e:0.125 ~epsilon:0.25 in
     List.iter
       (fun c ->
-        check_bool "found set connected" true (Dfs.is_connected_subset g c.Prune2.found);
+        check_bool "found set connected" true (Dfs.is_connected_subset (Gview.Csr g) c.Prune2.found);
         check_bool "compacted contains or is disjoint from found" true
           (Bitset.subset c.Prune2.found c.Prune2.compacted
           || Bitset.disjoint c.Prune2.found c.Prune2.compacted))
@@ -106,7 +106,7 @@ let prop_round_edge_boundaries_match_naive_replay =
         let current = Bitset.copy alive in
         List.for_all
           (fun c ->
-            let expected = Boundary.edge_boundary_size ~alive:current g c.Prune2.compacted in
+            let expected = Boundary.edge_boundary_size ~alive:current (Gview.Csr g) c.Prune2.compacted in
             let ok = expected = c.Prune2.edge_boundary in
             Bitset.diff_into current c.Prune2.compacted;
             ok)

@@ -8,7 +8,7 @@ let test_lambda2_cycle () =
   (* normalized Laplacian of C_n has lambda2 = 1 - cos(2 pi / n) *)
   List.iter
     (fun n ->
-      let r = Spectral.lambda2 (Fn_topology.Basic.cycle n) in
+      let r = Spectral.lambda2 (Gview.Csr (Fn_topology.Basic.cycle n)) in
       let expected = 1.0 -. cos (2.0 *. pi /. float_of_int n) in
       check_float_eps 1e-4
         (Printf.sprintf "lambda2 of C%d" n)
@@ -17,18 +17,18 @@ let test_lambda2_cycle () =
 
 let test_lambda2_complete () =
   (* K_n: lambda2 = n/(n-1) *)
-  let r = Spectral.lambda2 (Fn_topology.Basic.complete 10) in
+  let r = Spectral.lambda2 (Gview.Csr (Fn_topology.Basic.complete 10)) in
   check_float_eps 1e-4 "lambda2 of K10" (10.0 /. 9.0) r.Spectral.lambda2
 
 let test_lambda2_disconnected_is_zero () =
   let g = Graph.of_edges 6 [ (0, 1); (1, 2); (3, 4); (4, 5) ] in
-  let r = Spectral.lambda2 g in
+  let r = Spectral.lambda2 (Gview.Csr g) in
   check_float_eps 1e-6 "disconnected lambda2 ~ 0" 0.0 r.Spectral.lambda2
 
 let test_fiedler_separates_barbell () =
   (* the Fiedler vector must place the two cliques on opposite sides *)
   let g = Fn_topology.Basic.barbell 6 in
-  let r = Spectral.lambda2 g in
+  let r = Spectral.lambda2 (Gview.Csr g) in
   let f = r.Spectral.fiedler in
   let side v = f.(v) > 0.0 in
   let left_side = side 0 in
@@ -45,7 +45,7 @@ let test_cheeger_sandwich () =
      conductance of small graphs sits inside the sandwich *)
   List.iter
     (fun (name, g, d) ->
-      let r = Spectral.lambda2 g in
+      let r = Spectral.lambda2 (Gview.Csr g) in
       let exact = (Exact.edge_expansion g).Cut.value in
       let phi = exact /. float_of_int d in
       check_bool (name ^ ": phi >= lambda2/2") true (phi >= Spectral.cheeger_lower r -. 1e-6);
@@ -61,7 +61,7 @@ let test_alive_mask_restriction () =
   (* a cycle with half the nodes dead behaves like a path *)
   let g = Fn_topology.Basic.cycle 12 in
   let alive = Bitset.of_list 12 [ 0; 1; 2; 3; 4; 5 ] in
-  let r = Spectral.lambda2 ~alive g in
+  let r = Spectral.lambda2 ~alive (Gview.Csr g) in
   check_bool "positive for connected fragment" true (r.Spectral.lambda2 > 1e-4);
   (* dead nodes have zero fiedler entries *)
   for v = 6 to 11 do
@@ -74,7 +74,7 @@ let test_conductance_conversion () =
 
 let test_isolated_alive_nodes_tolerated () =
   let g = Graph.of_edges 3 [ (0, 1) ] in
-  let r = Spectral.lambda2 g in
+  let r = Spectral.lambda2 (Gview.Csr g) in
   check_bool "finite" true (Float.is_finite r.Spectral.lambda2)
 
 let test_domains_bitwise_identical () =
@@ -83,10 +83,10 @@ let test_domains_bitwise_identical () =
      1024 nodes sits at the parallel threshold, and the expander's
      spectral gap keeps the iteration count small *)
   let g = Fn_topology.Expander.random_regular (Fn_prng.Rng.create 99) ~n:1024 ~d:6 in
-  let a = Spectral.lambda2 g in
+  let a = Spectral.lambda2 (Gview.Csr g) in
   List.iter
     (fun domains ->
-      let b = Spectral.lambda2 ~domains g in
+      let b = Spectral.lambda2 ~domains (Gview.Csr g) in
       check_bool
         (Printf.sprintf "lambda2 bits equal, domains=%d" domains)
         true

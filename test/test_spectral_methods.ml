@@ -15,7 +15,7 @@ let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 (* Power needs headroom beyond its default 1000 iterations on the
    slow-mixing families (C64's eigenvalue ratio is ~0.993); Lanczos
    converges orders of magnitude sooner. *)
-let power_ref ?alive g = Spectral.lambda2 ?alive ~method_:Spectral.Method.Power ~max_iter:20_000 g
+let power_ref ?alive g = Spectral.lambda2 ?alive ~method_:Spectral.Method.Power ~max_iter:20_000 (Gview.Csr g)
 
 let families () =
   [
@@ -31,7 +31,7 @@ let test_differential_families () =
   List.iter
     (fun (name, g) ->
       let reference = power_ref g in
-      let r = Spectral.lambda2 ~method_:Spectral.Method.Lanczos ~max_iter:20_000 g in
+      let r = Spectral.lambda2 ~method_:Spectral.Method.Lanczos ~max_iter:20_000 (Gview.Csr g) in
       check_float_eps 1e-6
         (Printf.sprintf "%s: lanczos lambda2 agrees with power" name)
         reference.Spectral.lambda2 r.Spectral.lambda2)
@@ -52,7 +52,7 @@ let test_differential_post_prune () =
   let g, kept = post_prune_case () in
   let reference = power_ref ~alive:kept g in
   let r =
-    Spectral.lambda2 ~alive:kept ~method_:Spectral.Method.Lanczos ~max_iter:20_000 g
+    Spectral.lambda2 ~alive:kept ~method_:Spectral.Method.Lanczos ~max_iter:20_000 (Gview.Csr g)
   in
   check_float_eps 1e-6 "post-prune: lanczos agrees with power" reference.Spectral.lambda2
     r.Spectral.lambda2
@@ -63,8 +63,8 @@ let test_deterministic_reruns () =
   let g = Fn_topology.Expander.random_regular (Fn_prng.Rng.create 11) ~n:400 ~d:6 in
   List.iter
     (fun m ->
-      let a = Spectral.lambda2 ~method_:m g in
-      let b = Spectral.lambda2 ~method_:m g in
+      let a = Spectral.lambda2 ~method_:m (Gview.Csr g) in
+      let b = Spectral.lambda2 ~method_:m (Gview.Csr g) in
       check_bool
         (Printf.sprintf "%s lambda2 bitwise deterministic" (Spectral.Method.to_string m))
         true
@@ -82,10 +82,10 @@ let test_domains_bitwise_identical_per_method () =
   let g = Fn_topology.Expander.random_regular (Fn_prng.Rng.create 99) ~n:1024 ~d:6 in
   List.iter
     (fun m ->
-      let a = Spectral.lambda2 ~method_:m g in
+      let a = Spectral.lambda2 ~method_:m (Gview.Csr g) in
       List.iter
         (fun domains ->
-          let b = Spectral.lambda2 ~method_:m ~domains g in
+          let b = Spectral.lambda2 ~method_:m ~domains (Gview.Csr g) in
           check_bool
             (Printf.sprintf "%s lambda2 bits equal, domains=%d"
                (Spectral.Method.to_string m) domains)
@@ -207,8 +207,8 @@ let fnv_bits arrays =
    move the hash. *)
 let test_power_bits_pinned () =
   let check ?alive ?domains name (lambda2, iterations, hash) view =
-    let one = Spectral.lambda2_v ?alive ?domains ~method_:Spectral.Method.Power view in
-    let r, f2 = Spectral.solve_v ?alive ?domains ~method_:Spectral.Method.Power view in
+    let one = Spectral.lambda2 ?alive ?domains ~method_:Spectral.Method.Power view in
+    let r, f2 = Spectral.solve ?alive ?domains ~method_:Spectral.Method.Power view in
     Alcotest.(check int64) (name ^ ": lambda2 bits") lambda2
       (Int64.bits_of_float one.Spectral.lambda2);
     Alcotest.(check int64) (name ^ ": solve lambda2 bits") lambda2
@@ -282,9 +282,9 @@ let test_size_selection () =
       check_bool (label "explicit power's embedding differs from lanczos'") false
         (Array.for_all2 bits_equal power.Spectral.fiedler default.Spectral.fiedler))
     [
-      ("lambda2_v", fun ~obs method_ ~max_iter v -> Spectral.lambda2_v ~obs ?method_ ~max_iter v);
-      ( "solve_v",
-        fun ~obs method_ ~max_iter v -> fst (Spectral.solve_v ~obs ?method_ ~max_iter v) );
+      ("lambda2", fun ~obs method_ ~max_iter v -> Spectral.lambda2 ~obs ?method_ ~max_iter v);
+      ( "solve",
+        fun ~obs method_ ~max_iter v -> fst (Spectral.solve ~obs ?method_ ~max_iter v) );
     ]
 
 let test_implicit_view_spectral_path () =
@@ -295,7 +295,7 @@ let test_implicit_view_spectral_path () =
   let reference = power_ref csr in
   List.iter
     (fun m ->
-      let r = Spectral.lambda2_v ~method_:m ~max_iter:20_000 implicit in
+      let r = Spectral.lambda2 ~method_:m ~max_iter:20_000 implicit in
       check_float_eps 1e-6
         (Printf.sprintf "implicit torus %s agrees" (Spectral.Method.to_string m))
         reference.Spectral.lambda2 r.Spectral.lambda2)
@@ -305,11 +305,11 @@ let test_warm_starts_method_aware () =
   (* a cached Fiedler pair must seed every backend and land on the
      same lambda2 as the cold solve *)
   let g = Fn_topology.Expander.random_regular (Fn_prng.Rng.create 31) ~n:600 ~d:6 in
-  let cold, f2 = Spectral.solve g in
+  let cold, f2 = Spectral.solve (Gview.Csr g) in
   let warm = (cold.Spectral.fiedler, f2) in
   List.iter
     (fun m ->
-      let r, _ = Spectral.solve ~warm ~method_:m g in
+      let r, _ = Spectral.solve ~warm ~method_:m (Gview.Csr g) in
       check_float_eps 1e-6
         (Printf.sprintf "warm %s matches cold lambda2" (Spectral.Method.to_string m))
         cold.Spectral.lambda2 r.Spectral.lambda2;
@@ -333,7 +333,7 @@ let test_solve_histogram_observes_total () =
   let sum_before = Fn_obs.Metrics.histogram_sum h in
   let count_before = Fn_obs.Metrics.histogram_count h in
   let sink, events = Fn_obs.Sink.memory () in
-  let r, _ = Spectral.solve ~obs:sink g in
+  let r, _ = Spectral.solve ~obs:sink (Gview.Csr g) in
   let observed = Fn_obs.Metrics.histogram_sum h -. sum_before in
   check_int "one observation" 1 (Fn_obs.Metrics.histogram_count h - count_before);
   check_bool "histogram observes more than the first vector's count" true
@@ -360,14 +360,14 @@ let test_spectral_cut_domains_matches_default () =
      equal the default byte for byte, and domains:2 must too (matvec
      and sweeps are bit-stable across domains) *)
   let g = fst (Fn_topology.Mesh.graph [| 16; 16 |]) in
-  let base = Sweep.spectral_cut g Cut.Edge in
+  let base = Sweep.spectral_cut (Gview.Csr g) Cut.Edge in
   List.iter
     (fun (name, c) ->
       check_bool (name ^ " same set") true (Bitset.equal c.Cut.set base.Cut.set);
       check_bool (name ^ " same value bits") true (bits_equal c.Cut.value base.Cut.value))
     [
-      ("domains 1", Sweep.spectral_cut ~domains:1 g Cut.Edge);
-      ("domains 2", Sweep.spectral_cut ~domains:2 g Cut.Edge);
+      ("domains 1", Sweep.spectral_cut ~domains:1 (Gview.Csr g) Cut.Edge);
+      ("domains 2", Sweep.spectral_cut ~domains:2 (Gview.Csr g) Cut.Edge);
     ]
 
 let test_warm_gate_rejects_single_vector_drift () =
@@ -396,8 +396,8 @@ let test_warm_gate_rejects_single_vector_drift () =
   for v = 0 to n - 1 do
     let kept = Bitset.copy full in
     Bitset.remove kept v;
-    let r1 = Spectral.residual ~alive:kept g x1 in
-    let r2 = Spectral.residual ~alive:kept g x2 in
+    let r1 = Spectral.residual ~alive:kept (Gview.Csr g) x1 in
+    let r2 = Spectral.residual ~alive:kept (Gview.Csr g) x2 in
     if r2 > r1 then begin
       match !best with
       | Some (_, br1, br2) when br2 -. br1 >= r2 -. r1 -> ()

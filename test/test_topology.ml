@@ -64,7 +64,7 @@ let test_central_hyperplane () =
   (* removing the plane bisects the mesh *)
   let g, _ = Fn_topology.Mesh.graph [| 4; 6 |] in
   let alive = Bitset.complement (Bitset.of_array 24 plane) in
-  let comps = Components.compute ~alive g in
+  let comps = Components.compute ~alive (Gview.Csr g) in
   check_int "two halves" 2 comps.Components.count;
   Alcotest.check_raises "bad dim" (Invalid_argument "Mesh.central_hyperplane: bad dimension")
     (fun () -> ignore (Fn_topology.Mesh.central_hyperplane ~dim:2 geo))
@@ -92,7 +92,7 @@ let test_hypercube () =
   check_int "nodes" 16 (Graph.num_nodes g);
   check_bool "4-regular" true (Check.regular g 4);
   check_bool "dimension recovered" true (Fn_topology.Hypercube.dimension g = Some 4);
-  check_bool "connected" true (Components.is_connected g);
+  check_bool "connected" true (Components.is_connected (Gview.Csr g));
   check_bool "non power of two" true
     (Fn_topology.Hypercube.dimension (Fn_topology.Basic.path 6) = None);
   let g0 = Fn_topology.Hypercube.graph 0 in
@@ -104,7 +104,7 @@ let test_butterfly () =
   let g = Fn_topology.Butterfly.unwrapped 3 in
   check_int "nodes" 32 (Graph.num_nodes g);
   check_int "edges" (2 * 3 * 8) (Graph.num_edges g);
-  check_bool "connected" true (Components.is_connected g);
+  check_bool "connected" true (Components.is_connected (Gview.Csr g));
   check_int "max degree" 4 (Graph.max_degree g);
   let w = Fn_topology.Butterfly.wrapped 3 in
   check_int "wrapped nodes" 24 (Graph.num_nodes w);
@@ -118,13 +118,13 @@ let test_butterfly () =
 let test_debruijn () =
   let g = Fn_topology.Debruijn.graph 5 in
   check_int "nodes" 32 (Graph.num_nodes g);
-  check_bool "connected" true (Components.is_connected g);
+  check_bool "connected" true (Components.is_connected (Gview.Csr g));
   check_bool "degree <= 4" true (Graph.max_degree g <= 4)
 
 let test_shuffle_exchange () =
   let g = Fn_topology.Shuffle_exchange.graph 5 in
   check_int "nodes" 32 (Graph.num_nodes g);
-  check_bool "connected" true (Components.is_connected g);
+  check_bool "connected" true (Components.is_connected (Gview.Csr g));
   check_bool "degree <= 3" true (Graph.max_degree g <= 3)
 
 (* ---- basic families ---- *)
@@ -139,7 +139,7 @@ let test_basic_families () =
   let bb = Fn_topology.Basic.barbell 4 in
   check_int "barbell nodes" 8 (Graph.num_nodes bb);
   check_int "barbell edges" 13 (Graph.num_edges bb);
-  check_bool "barbell connected" true (Components.is_connected bb);
+  check_bool "barbell connected" true (Components.is_connected (Gview.Csr bb));
   let bt = Fn_topology.Basic.binary_tree 7 in
   check_int "tree edges" 6 (Graph.num_edges bt);
   check_int "root degree" 2 (Graph.degree bt 0)
@@ -183,7 +183,7 @@ let test_random_regular () =
 let test_connected_random_regular () =
   let r = rng () in
   let g = Fn_topology.Random_graphs.connected_random_regular r 100 3 in
-  check_bool "connected" true (Components.is_connected g);
+  check_bool "connected" true (Components.is_connected (Gview.Csr g));
   check_bool "3-regular" true (Check.regular g 3)
 
 (* ---- expanders ---- *)
@@ -192,7 +192,7 @@ let test_margulis () =
   let g = Fn_topology.Expander.margulis 8 in
   check_int "nodes" 64 (Graph.num_nodes g);
   check_bool "degree <= 8" true (Graph.max_degree g <= 8);
-  check_bool "connected" true (Components.is_connected g);
+  check_bool "connected" true (Components.is_connected (Gview.Csr g));
   Check.csr_exn g
 
 (* ---- chain graph ---- *)
@@ -205,7 +205,7 @@ let test_chain_graph_structure () =
   check_int "nodes" 20 (Graph.num_nodes h);
   (* each chain contributes k+1 = 5 edges *)
   check_int "edges" 20 (Graph.num_edges h);
-  check_bool "connected" true (Components.is_connected h);
+  check_bool "connected" true (Components.is_connected (Gview.Csr h));
   check_int "originals" 4 (Bitset.cardinal (Fn_topology.Chain_graph.original_nodes cg));
   let centers = Fn_topology.Chain_graph.chain_centers cg in
   check_int "one center per edge" 4 (Array.length centers);
@@ -234,7 +234,7 @@ let test_claim24_witness () =
     (fun base_list ->
       let base_set = Bitset.of_list 16 base_list in
       let w = Fn_topology.Chain_graph.claim24_witness cg ~base_set in
-      let expansion = Boundary.node_expansion h w in
+      let expansion = Boundary.node_expansion (Gview.Csr h) w in
       let bound = Fn_topology.Chain_graph.expansion_prediction cg in
       if expansion > bound +. 1e-9 then
         Alcotest.failf "witness expansion %.4f above 2/k = %.4f" expansion bound;
@@ -246,7 +246,7 @@ let test_claim24_witness () =
             if inu <> inv then acc + 1 else acc)
           base 0
       in
-      check_int "boundary = leaving base edges" leaving (Boundary.node_boundary_size h w))
+      check_int "boundary = leaving base edges" leaving (Boundary.node_boundary_size (Gview.Csr h) w))
     [ [ 0 ]; [ 0; 1; 2 ]; List.init 8 Fun.id ]
 
 let test_chain_attack_shatters () =
@@ -256,7 +256,7 @@ let test_chain_attack_shatters () =
   let centers = Fn_topology.Chain_graph.chain_centers cg in
   let faulty = Bitset.of_array (Graph.num_nodes h) centers in
   let alive = Bitset.complement faulty in
-  let comps = Components.compute ~alive h in
+  let comps = Components.compute ~alive (Gview.Csr h) in
   (* every surviving component is a base node with half-chains:
      size <= delta*k/2 + 1 = 5 *)
   check_bool "all components small" true

@@ -6,35 +6,35 @@ let cycle6 = Fn_topology.Basic.cycle 6
 let mesh4, _ = Fn_topology.Mesh.cube ~d:2 ~side:4
 
 let test_bfs_path () =
-  let d = Bfs.distances path5 0 in
+  let d = Bfs.distances (Gview.Csr path5) 0 in
   check_bool "path distances" true (d = [| 0; 1; 2; 3; 4 |]);
-  let d = Bfs.distances path5 2 in
+  let d = Bfs.distances (Gview.Csr path5) 2 in
   check_bool "from middle" true (d = [| 2; 1; 0; 1; 2 |])
 
 let test_bfs_cycle () =
-  let d = Bfs.distances cycle6 0 in
+  let d = Bfs.distances (Gview.Csr cycle6) 0 in
   check_bool "cycle distances" true (d = [| 0; 1; 2; 3; 2; 1 |])
 
 let test_bfs_masked () =
   (* killing node 2 of the path cuts 3,4 off *)
   let alive = Bitset.of_list 5 [ 0; 1; 3; 4 ] in
-  let d = Bfs.distances ~alive path5 0 in
+  let d = Bfs.distances ~alive (Gview.Csr path5) 0 in
   check_bool "masked distances" true (d = [| 0; 1; -1; -1; -1 |])
 
 let test_bfs_source_checks () =
   Alcotest.check_raises "bad source" (Invalid_argument "Bfs: source out of range") (fun () ->
-      ignore (Bfs.distances path5 9));
+      ignore (Bfs.distances (Gview.Csr path5) 9));
   let alive = Bitset.of_list 5 [ 1 ] in
   Alcotest.check_raises "dead source" (Invalid_argument "Bfs: source not alive") (fun () ->
-      ignore (Bfs.distances ~alive path5 0))
+      ignore (Bfs.distances ~alive (Gview.Csr path5) 0))
 
 let test_multi_source () =
-  let d = Bfs.multi_source_distances path5 [| 0; 4 |] in
+  let d = Bfs.multi_source_distances (Gview.Csr path5) [| 0; 4 |] in
   check_bool "two sources" true (d = [| 0; 1; 2; 1; 0 |])
 
 let test_reachable () =
   let alive = Bitset.of_list 5 [ 0; 1; 3; 4 ] in
-  let r = Bfs.reachable ~alive path5 3 in
+  let r = Bfs.reachable ~alive (Gview.Csr path5) 3 in
   check_bool "reachable half" true (Bitset.to_list r = [ 3; 4 ])
 
 let test_tree_and_path_to () =
@@ -54,25 +54,25 @@ let test_tree_and_path_to () =
       ignore (Bfs.path_to ~parents:(Bfs.tree ~alive path5 0) 4))
 
 let test_ball () =
-  let b = Bfs.ball mesh4 5 1 in
+  let b = Bfs.ball (Gview.Csr mesh4) 5 1 in
   check_int "radius-1 ball in mesh" 5 (Bitset.cardinal b);
-  let b0 = Bfs.ball mesh4 5 0 in
+  let b0 = Bfs.ball (Gview.Csr mesh4) 5 0 in
   check_bool "radius 0" true (Bitset.to_list b0 = [ 5 ]);
-  let ball_all = Bfs.ball mesh4 5 10 in
+  let ball_all = Bfs.ball (Gview.Csr mesh4) 5 10 in
   check_int "big radius covers all" 16 (Bitset.cardinal ball_all)
 
 let test_ball_of_size () =
-  let b = Bfs.ball_of_size mesh4 0 7 in
+  let b = Bfs.ball_of_size (Gview.Csr mesh4) 0 7 in
   check_int "exact size when available" 7 (Bitset.cardinal b);
-  check_bool "connected" true (Dfs.is_connected_subset mesh4 b);
+  check_bool "connected" true (Dfs.is_connected_subset (Gview.Csr mesh4) b);
   let alive = Bitset.of_list 5 [ 0; 1 ] in
-  let b = Bfs.ball_of_size ~alive path5 0 10 in
+  let b = Bfs.ball_of_size ~alive (Gview.Csr path5) 0 10 in
   check_int "bounded by component" 2 (Bitset.cardinal b)
 
 let test_eccentricity () =
-  check_int "path end" 4 (Bfs.eccentricity path5 0);
-  check_int "path middle" 2 (Bfs.eccentricity path5 2);
-  check_int "cycle" 3 (Bfs.eccentricity cycle6 1)
+  check_int "path end" 4 (Bfs.eccentricity (Gview.Csr path5) 0);
+  check_int "path middle" 2 (Bfs.eccentricity (Gview.Csr path5) 2);
+  check_int "cycle" 3 (Bfs.eccentricity (Gview.Csr cycle6) 1)
 
 let test_dfs_preorder () =
   let order = Dfs.preorder path5 0 in
@@ -82,11 +82,11 @@ let test_dfs_preorder () =
   check_int "starts at source" 0 order.(0)
 
 let test_dfs_connected_subset () =
-  check_bool "empty is connected" true (Dfs.is_connected_subset path5 (Bitset.create 5));
+  check_bool "empty is connected" true (Dfs.is_connected_subset (Gview.Csr path5) (Bitset.create 5));
   check_bool "segment connected" true
-    (Dfs.is_connected_subset path5 (Bitset.of_list 5 [ 1; 2; 3 ]));
+    (Dfs.is_connected_subset (Gview.Csr path5) (Bitset.of_list 5 [ 1; 2; 3 ]));
   check_bool "gap disconnected" false
-    (Dfs.is_connected_subset path5 (Bitset.of_list 5 [ 0; 2 ]))
+    (Dfs.is_connected_subset (Gview.Csr path5) (Bitset.of_list 5 [ 0; 2 ]))
 
 let test_dfs_forest () =
   let alive = Bitset.of_list 5 [ 0; 1; 3; 4 ] in
@@ -100,7 +100,7 @@ let prop_bfs_distances_triangle_inequality =
   prop "BFS distance drops by exactly 1 along tree edges" ~count:100
     (Testutil.gen_connected_graph ~max_n:12 ())
     (fun g ->
-      let d = Bfs.distances g 0 in
+      let d = Bfs.distances (Gview.Csr g) 0 in
       let parents = Bfs.tree g 0 in
       let ok = ref true in
       for v = 0 to Graph.num_nodes g - 1 do
@@ -112,7 +112,7 @@ let prop_bfs_distances_triangle_inequality =
 
 let prop_reachable_equals_dfs =
   prop "BFS and DFS reachability agree" (Testutil.gen_any_graph ~max_n:12 ()) (fun g ->
-      Bitset.equal (Bfs.reachable g 0) (Dfs.reachable g 0))
+      Bitset.equal (Bfs.reachable (Gview.Csr g) 0) (Dfs.reachable (Gview.Csr g) 0))
 
 (* ---- differential: ring-buffer BFS vs a Queue-based reference ----
    The production BFS uses a flat int-array ring buffer; this reference
@@ -193,8 +193,8 @@ let gen_graph_mask_src =
 let prop_ring_distances_match_queue =
   prop "ring-buffer distances equal Queue reference" ~count:300 gen_graph_mask_src
     (fun (g, alive, src) ->
-      Bfs.distances ~alive g src = Ref_bfs.distances ~alive g src
-      && Bfs.distances g src = Ref_bfs.distances g src)
+      Bfs.distances ~alive (Gview.Csr g) src = Ref_bfs.distances ~alive g src
+      && Bfs.distances (Gview.Csr g) src = Ref_bfs.distances g src)
 
 let prop_ring_tree_matches_queue =
   prop "ring-buffer parents equal Queue reference" ~count:300 gen_graph_mask_src
@@ -208,7 +208,7 @@ let prop_ring_ball_matches_queue =
       let n = Graph.num_nodes g in
       let ok = ref true in
       for k = 0 to n + 1 do
-        if not (Bitset.equal (Bfs.ball_of_size ~alive g src k) (Ref_bfs.ball_of_size ~alive g src k))
+        if not (Bitset.equal (Bfs.ball_of_size ~alive (Gview.Csr g) src k) (Ref_bfs.ball_of_size ~alive g src k))
         then ok := false
       done;
       !ok)
@@ -217,13 +217,13 @@ let prop_grow_ball_resume_equals_restart =
   prop "grow_ball through a size schedule equals restarting per size" ~count:150
     gen_graph_mask_src (fun (g, alive, src) ->
       let n = Graph.num_nodes g in
-      let grower = Bfs.ball_grower ~alive g src in
+      let grower = Bfs.ball_grower ~alive (Gview.Csr g) src in
       let ok = ref true in
       let k = ref 1 in
       let prev = ref 0 in
       while !k <= 2 * n do
         let resumed = Bfs.grow_ball grower !k in
-        if not (Bitset.equal resumed (Bfs.ball_of_size ~alive g src !k)) then ok := false;
+        if not (Bitset.equal resumed (Bfs.ball_of_size ~alive (Gview.Csr g) src !k)) then ok := false;
         if Bitset.cardinal resumed <> Bfs.ball_size grower then ok := false;
         if Bfs.ball_size grower < !prev then ok := false;
         prev := Bfs.ball_size grower;
@@ -233,7 +233,7 @@ let prop_grow_ball_resume_equals_restart =
       Bfs.ball_exhausted grower && !ok)
 
 let test_ball_grower_exhaustion () =
-  let t = Bfs.ball_grower path5 0 in
+  let t = Bfs.ball_grower (Gview.Csr path5) 0 in
   let b = Bfs.grow_ball t 3 in
   check_int "grew to 3" 3 (Bitset.cardinal b);
   check_bool "not exhausted at 3 of 5" false (Bfs.ball_exhausted t);
