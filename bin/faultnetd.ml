@@ -10,7 +10,7 @@
 let usage () =
   prerr_endline
     "usage: faultnetd --topology SPEC [--seed N] [--alpha F] [--epsilon F] [--radius N]\n\
-    \       [--mode exact|warm] [--audit-every N] [--domains N]\n\
+    \       [--audit-every N] [--domains N]\n\
     \       [--journal PATH] [--resume] [--compact-every N]\n\
     \       [--max-dirty-frac F] [--postmortem DIR] [--deadline SECS]\n\
     \       [--trace FILE] [--metrics]\n\
@@ -24,7 +24,6 @@ let () =
   let alpha = ref 0.5 in
   let epsilon = ref 0.5 in
   let radius = ref 2 in
-  let mode = ref Fn_online.Warm.Exact in
   let audit_every = ref 0 in
   let domains = ref None in
   let journal = ref None in
@@ -37,6 +36,10 @@ let () =
   let metrics = ref false in
   let int_of s = match int_of_string_opt s with Some v -> v | None -> usage () in
   let float_of s = match float_of_string_opt s with Some v -> v | None -> usage () in
+  let reject m =
+    prerr_endline ("faultnetd: " ^ m);
+    exit 2
+  in
   let rec parse = function
     | [] -> ()
     | "--topology" :: v :: rest | "-t" :: v :: rest ->
@@ -54,12 +57,6 @@ let () =
     | "--radius" :: v :: rest ->
       radius := int_of v;
       parse rest
-    | "--mode" :: v :: rest -> (
-      match Fn_online.Warm.mode_of_string v with
-      | Some m ->
-        mode := m;
-        parse rest
-      | None -> usage ())
     | "--audit-every" :: v :: rest ->
       audit_every := int_of v;
       parse rest
@@ -74,6 +71,7 @@ let () =
       parse rest
     | "--compact-every" :: v :: rest ->
       compact_every := int_of v;
+      if !compact_every < 0 then reject "--compact-every must be >= 0";
       parse rest
     | "--max-dirty-frac" :: v :: rest ->
       max_dirty_frac := float_of v;
@@ -107,26 +105,28 @@ let () =
     in
     Fun.protect ~finally:finish (fun () ->
         let rng = Fn_prng.Rng.create !seed in
-        match Fn_online.Server.view_of_spec rng spec with
-        | Error m ->
-          prerr_endline ("faultnetd: " ^ m);
-          exit 2
-        | Ok view ->
-          let cfg =
-            {
-              Fn_online.Engine.seed = !seed;
-              radius = !radius;
-              alpha = !alpha;
-              epsilon = !epsilon;
-              mode = !mode;
-              audit_every = !audit_every;
-              max_dirty_frac = !max_dirty_frac;
-              postmortem = !postmortem;
-              domains = !domains;
-              obs = sink;
-            }
-          in
-          let engine = Fn_online.Engine.create ~cfg view in
+        let cfg =
+          {
+            Fn_online.Engine.seed = !seed;
+            radius = !radius;
+            alpha = !alpha;
+            epsilon = !epsilon;
+            audit_every = !audit_every;
+            max_dirty_frac = !max_dirty_frac;
+            postmortem = !postmortem;
+            domains = !domains;
+            obs = sink;
+          }
+        in
+        (* A flag value the generators or the engine refuse (an odd
+           n*d expander, radius 0, epsilon outside (0, 1)) raises
+           Invalid_argument: report it as the usage error it is. *)
+        match
+          Result.map (Fn_online.Engine.create ~cfg) (Fn_online.Server.view_of_spec rng spec)
+        with
+        | exception Invalid_argument m -> reject m
+        | Error m -> reject m
+        | Ok engine ->
           let meta = [ ("topology", Fn_obs.Jsonx.Str spec) ] in
           let policy =
             match !deadline with

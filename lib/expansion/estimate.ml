@@ -7,7 +7,6 @@ type t = {
   objective : Cut.objective;
   exact : bool;
   lower : float option;
-  fiedler_pair : (float array * float array) option;
 }
 
 (* Cap on parallel local-search starts.  A constant (rather than the
@@ -15,6 +14,11 @@ type t = {
    [domains > 1], so the contract is two-valued: the sequential
    algorithm at [domains = 1], one fixed parallel algorithm above. *)
 let max_refine_starts = 4
+
+(* BFS sources sampled per estimate, and the pass budget of the local
+   search that refines the best candidate. *)
+let ball_samples = 8
+let local_search_passes = 4
 
 (* Sampling metadata comes from the view, not from an O(n) pass: with
    no alive mask the pool is all of [0, n) and a source is drawn as
@@ -93,7 +97,7 @@ let ball_candidates_par ?obs ?alive view rng samples ~domains =
    this (with {!spectral_witness}) is what large implicit topologies
    and their Prune finders use; the node count and degree bound both
    come from O(1) view metadata. *)
-let ball_witness ?alive ?rng ?(samples = 8) view objective =
+let ball_witness ?alive ?rng view objective =
   let rng = match rng with Some r -> r | None -> Rng.create 0xFA17 in
   let total, pool = sample_pool ?alive view in
   if total < 2 then None
@@ -101,7 +105,7 @@ let ball_witness ?alive ?rng ?(samples = 8) view objective =
     let scratch = Boundary.Scratch.create (Gview.num_nodes view) in
     let half = total / 2 in
     let best = ref None in
-    for _ = 1 to samples do
+    for _ = 1 to ball_samples do
       let src = pick_source pool rng total in
       List.iter
         (fun set ->
@@ -123,32 +127,40 @@ let ball_witness ?alive ?rng ?(samples = 8) view objective =
     !best
   end
 
-(* The spectral slice of the portfolio on either {!Gview.t} arm: one
-   solve plus the four rotated sweeps.  This is what gives implicit
-   topologies a spectral path; without it large implicit views would
-   have ball witnesses alone. *)
-let spectral_witness ?obs ?alive ?(domains = 1) view objective =
+(* The spectral slice of the portfolio: one fused solve (the lambda2
+   Fiedler vector IS the first vector of the pair, so Spectral.solve
+   shares the power iteration instead of running it twice), then sweeps
+   of the pair and its two 45-degree rotations.  When the lambda2
+   eigenspace is degenerate (square meshes, tori) the single
+   power-iteration vector is an arbitrary rotation of the axis modes,
+   and one of these four recovers a near-axis cut.  The sweeps are
+   pure and merged lowest-index-first, so the parallel fan-out returns
+   exactly the sequential map. *)
+let spectral_sweeps ~obs ?alive ~domains view objective =
+  let spectral, f2 = Spectral.solve ~obs ?alive ~domains view in
+  let f1 = spectral.Spectral.fiedler in
+  let rotate a b op = Array.init (Array.length a) (fun i -> op a.(i) b.(i)) in
+  let scores = [| f1; f2; rotate f1 f2 ( +. ); rotate f1 f2 ( -. ) |] in
+  let sweeps =
+    Fn_parallel.Par.map ~obs ~domains
+      (fun score -> Sweep.best_prefix ?alive view ~score objective)
+      scores
+  in
+  (spectral, sweeps)
+
+let best_sweep sweeps = Array.fold_left Cut.better sweeps.(0) sweeps
+
+(* What gives implicit topologies a spectral path; without it large
+   implicit views would have ball witnesses alone. *)
+let spectral_witness ?(obs = Fn_obs.Sink.null) ?alive ?(domains = 1) view objective =
   let total =
     match alive with Some m -> Bitset.cardinal m | None -> Gview.num_nodes view
   in
   if total < 2 then None
-  else begin
-    let spectral, f2 = Spectral.solve ?obs ?alive ~domains view in
-    let f1 = spectral.Spectral.fiedler in
-    let rotate a b op = Array.init (Array.length a) (fun i -> op a.(i) b.(i)) in
-    let scores = [| f1; f2; rotate f1 f2 ( +. ); rotate f1 f2 ( -. ) |] in
-    let best =
-      Array.fold_left
-        (fun acc score ->
-          let cut = Sweep.best_prefix ?alive view ~score objective in
-          match acc with Some b -> Some (Cut.better b cut) | None -> Some cut)
-        None scores
-    in
-    Option.map (fun cut -> (cut, (f1, f2))) best
-  end
+  else Some (best_sweep (snd (spectral_sweeps ~obs ?alive ~domains view objective)))
 
-let run ?(obs = Fn_obs.Sink.null) ?alive ?rng ?(domains = 1) ?(samples = 8)
-    ?(local_search_passes = 4) ?(force_heuristic = false) ?warm g objective =
+let run ?(obs = Fn_obs.Sink.null) ?alive ?rng ?(domains = 1) ?(force_heuristic = false) g
+    objective =
   let rng = match rng with Some r -> r | None -> Rng.create 0xFA17 in
   let total =
     match alive with Some m -> Bitset.cardinal m | None -> Graph.num_nodes g
@@ -170,8 +182,7 @@ let run ?(obs = Fn_obs.Sink.null) ?alive ?rng ?(domains = 1) ?(samples = 8)
   let result =
     match disconnected_witness ?alive view with
     | Some w ->
-      { value = 0.0; witness = w; objective; exact = true; lower = Some 0.0;
-        fiedler_pair = None }
+      { value = 0.0; witness = w; objective; exact = true; lower = Some 0.0 }
     | None ->
     let use_exact =
       (not force_heuristic) && Option.is_none alive && Graph.num_nodes g <= Exact.max_nodes
@@ -183,31 +194,14 @@ let run ?(obs = Fn_obs.Sink.null) ?alive ?rng ?(domains = 1) ?(samples = 8)
         | Cut.Edge -> Exact.edge_expansion g
       in
       { value = cut.Cut.value; witness = cut.Cut.set; objective; exact = true;
-        lower = Some cut.Cut.value; fiedler_pair = None }
+        lower = Some cut.Cut.value }
     end
     else begin
-      (* one fused spectral solve: the lambda2 Fiedler vector IS the
-         first vector of the pair, so Spectral.solve shares the power
-         iteration instead of running it twice *)
-      let spectral, f2 = Spectral.solve ~obs ?alive ~domains ?warm view in
-      (* sweep the Fiedler pair and two 45-degree rotations: when the
-         lambda2 eigenspace is degenerate (square meshes, tori) the
-         single power-iteration vector is an arbitrary rotation of the
-         axis modes, and one of these four recovers a near-axis cut *)
-      let f1 = spectral.Spectral.fiedler in
-      let rotate a b op = Array.init (Array.length a) (fun i -> op a.(i) b.(i)) in
-      let scores = [| f1; f2; rotate f1 f2 ( +. ); rotate f1 f2 ( -. ) |] in
-      (* the sweeps are pure and merged lowest-index-first, so the
-         parallel fan-out returns exactly the sequential fold *)
-      let sweeps =
-        Fn_parallel.Par.map ~obs ~domains
-          (fun score -> Sweep.best_prefix ?alive view ~score objective)
-          scores
-      in
-      let sweep = Array.fold_left Cut.better sweeps.(0) sweeps in
+      let spectral, sweeps = spectral_sweeps ~obs ?alive ~domains view objective in
+      let sweep = best_sweep sweeps in
       let balls =
-        if domains <= 1 then ball_candidates ?alive view rng samples
-        else ball_candidates_par ~obs ?alive view rng samples ~domains
+        if domains <= 1 then ball_candidates ?alive view rng ball_samples
+        else ball_candidates_par ~obs ?alive view rng ball_samples ~domains
       in
       let candidates =
         (* pure evaluation: the parallel map matches the sequential
@@ -223,9 +217,7 @@ let run ?(obs = Fn_obs.Sink.null) ?alive ?rng ?(domains = 1) ?(samples = 8)
       in
       let best = List.fold_left Cut.better sweep candidates in
       let refined =
-        if local_search_passes <= 0 then best
-        else if domains <= 1 then
-          Local_search.improve ?alive ~max_passes:local_search_passes g best
+        if domains <= 1 then Local_search.improve ?alive ~max_passes:local_search_passes g best
         else begin
           (* multi-start refinement: hill-climb the few best distinct
              starts in parallel; includes the overall best, so the
@@ -252,7 +244,7 @@ let run ?(obs = Fn_obs.Sink.null) ?alive ?rng ?(domains = 1) ?(samples = 8)
         | Cut.Node -> None
       in
       { value = refined.Cut.value; witness = refined.Cut.set; objective; exact = false;
-        lower; fiedler_pair = Some (f1, f2) }
+        lower }
     end
   in
   if on then
@@ -263,7 +255,3 @@ let run ?(obs = Fn_obs.Sink.null) ?alive ?rng ?(domains = 1) ?(samples = 8)
           ("exact", Fn_obs.Sink.Bool result.exact);
         ];
   result
-
-let node ?obs ?alive ?rng ?domains g = run ?obs ?alive ?rng ?domains g Cut.Node
-
-let edge ?obs ?alive ?rng ?domains g = run ?obs ?alive ?rng ?domains g Cut.Edge

@@ -9,10 +9,11 @@ open Fn_prng
     expansion, the direction that matters when checking the paper's
     lower-bound guarantees:
 
-    - the spectral sweep cut (with Cheeger certificates in [lower]);
-    - BFS balls of geometrically spaced sizes around sampled nodes
+    - the spectral sweep cut (with a Cheeger estimate in [lower]);
+    - BFS balls of geometrically spaced sizes around 8 sampled nodes
       (optimal for meshes and other locally flat graphs);
-    - FM-style local search refinement of the best candidate.
+    - first-improvement local search ({!Local_search.improve}, 4
+      passes) refining the best candidate.
 
     On graphs small enough, {!Exact} is used and [exact] is set. *)
 
@@ -21,11 +22,15 @@ type t = {
   witness : Bitset.t;
   objective : Cut.objective;
   exact : bool;
-  lower : float option;  (** certified lower bound, when available *)
-  fiedler_pair : (float array * float array) option;
-      (** the spectral embeddings behind the sweep cuts, when the
-          heuristic branch ran — reusable as [?warm] for the next
-          estimate on a nearby alive mask *)
+  lower : float option;
+      (** A lower bound on the exact branch and on a disconnected
+          witness (both exact).  On the heuristic branch with the
+          [Edge] objective it is the Cheeger estimate
+          {!Spectral.cheeger_lower} turned into edge expansion, which
+          bounds only a converged λ₂: when [Power] stops on its
+          iteration budget with λ₂ overstated, it can exceed the true
+          edge expansion, even this estimate's own [value].  [None] on
+          the heuristic branch with [Node]. *)
 }
 
 val run :
@@ -33,19 +38,14 @@ val run :
   ?alive:Bitset.t ->
   ?rng:Rng.t ->
   ?domains:int ->
-  ?samples:int ->
-  ?local_search_passes:int ->
   ?force_heuristic:bool ->
-  ?warm:float array * float array ->
   Graph.t ->
   Cut.objective ->
   t
-(** Defaults: [samples] 8, [local_search_passes] 4, [rng] seeded with
-    0xFA17, [domains] 1, [force_heuristic] false (use {!Exact} when
-    feasible).  Requires >= 2 alive nodes.  [warm] is forwarded to
-    {!Spectral.solve} on the heuristic branch: warm-started runs are
-    faster on nearby masks but not bit-identical to cold ones, so the
-    default stays cold.  The spectral backend is chosen by
+(** Defaults: [rng] seeded with 0xFA17, [domains] 1, [force_heuristic]
+    false (use {!Exact} when feasible).  Requires >= 2 alive nodes.
+    The result depends only on the graph, the mask, [rng]'s state and
+    whether [domains > 1].  The spectral backend is chosen by
     {!Spectral.Method.select}: [Power] below
     {!Spectral.Method.power_max_nodes} alive nodes, keeping this
     path byte-identical to the pre-registry code.  A disconnected
@@ -65,7 +65,6 @@ val run :
 val ball_witness :
   ?alive:Bitset.t ->
   ?rng:Rng.t ->
-  ?samples:int ->
   Gview.t ->
   Cut.objective ->
   Cut.t option
@@ -76,8 +75,8 @@ val ball_witness :
     the finder large implicit topologies use — the node count and the
     degree bound come from O(1) view metadata, no O(n) pass, no edge
     materialization; local search remains CSR-only.  Sequential and
-    byte-reproducible for a fixed [rng] (default seed 0xFA17,
-    [samples] 8). *)
+    byte-reproducible for a fixed [rng] (default seed 0xFA17); 8
+    sources are sampled. *)
 
 val spectral_witness :
   ?obs:Fn_obs.Sink.t ->
@@ -85,18 +84,13 @@ val spectral_witness :
   ?domains:int ->
   Gview.t ->
   Cut.objective ->
-  (Cut.t * (float array * float array)) option
+  Cut.t option
 (** The spectral slice of the portfolio on either {!Gview.t} arm: one
     {!Spectral.solve} (backend chosen by {!Spectral.Method.select})
-    plus the four rotated Fiedler sweeps; returns the best sweep cut
-    and the embedding pair, or [None] with fewer than 2 alive nodes.
+    plus the four rotated Fiedler sweeps, the same slice {!run} runs;
+    returns the best sweep cut, or [None] with fewer than 2 alive
+    nodes.
     This is what gives implicit topologies a spectral path — a matvec
     here costs one neighbor-closure call per alive node.
     Deterministic and bit-stable across [domains] like everything
     spectral. *)
-
-val node :
-  ?obs:Fn_obs.Sink.t -> ?alive:Bitset.t -> ?rng:Rng.t -> ?domains:int -> Graph.t -> t
-
-val edge :
-  ?obs:Fn_obs.Sink.t -> ?alive:Bitset.t -> ?rng:Rng.t -> ?domains:int -> Graph.t -> t

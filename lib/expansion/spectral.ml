@@ -19,25 +19,12 @@ end
 
 (* ---- Power: the historical fused iteration, kept bit-exact ---- *)
 
-let power_iteration op ~apply ?(max_iter = 1000) ?(tol = 1e-9) ?start ~deflate_against () =
+let power_iteration op ~apply ?(max_iter = 1000) ?(tol = 1e-9) ~deflate_against () =
   let n = op.Spectral_op.n in
   let basis = deflate_against in
   (* deterministic pseudo-random start; offset by the deflation depth
      so the second vector starts elsewhere *)
-  let phase = 1 + List.length deflate_against in
-  let cold_start () = Spectral_op.cold_start op ~phase in
-  (* A warm start is a previous *embedding* x = D^{-1/2} y: lift it
-     back to y-space under the current degrees/mask.  If deflation
-     collapses it (mask change killed its support), fall back to the
-     cold start rather than iterating on a zero vector. *)
-  let y =
-    match start with
-    | Some x when Array.length x = n ->
-      let y = Spectral_op.lift op x in
-      Spectral_op.deflate op basis y;
-      if sqrt (Spectral_op.dot op y y) > 1e-12 then y else cold_start ()
-    | _ -> cold_start ()
-  in
+  let y = Spectral_op.cold_start op ~phase:(1 + List.length deflate_against) in
   Spectral_op.deflate op basis y;
   ignore (Spectral_op.normalize op y);
   let z = Array.make n 0.0 in
@@ -207,7 +194,7 @@ let lanczos_stall_factor = 0.5
    DGKS-gated second pass — full-basis work happens only on the
    arrowhead column right after a restart, where the exact-arithmetic
    couplings are genuinely dense. *)
-let lanczos_top2 op ~apply ~max_applies ~tol ?start () =
+let lanczos_top2 op ~apply ~max_applies ~tol =
   let n = op.Spectral_op.n in
   let dim = max 1 (Spectral_op.alive_count op) in
   let max_basis = max 3 (min lanczos_max_basis dim) in
@@ -222,14 +209,7 @@ let lanczos_top2 op ~apply ~max_applies ~tol ?start () =
     Spectral_op.deflate op [] y;
     y
   in
-  let y0 =
-    match start with
-    | Some x when Array.length x = n ->
-      let y = Spectral_op.lift op x in
-      Spectral_op.deflate op [] y;
-      if sqrt (Spectral_op.dot op y y) > 1e-12 then y else cold ()
-    | _ -> cold ()
-  in
+  let y0 = cold () in
   if Spectral_op.normalize op y0 <= breakdown_tol then
     (* no alive mass at all: mirror the power iteration's degenerate
        output (lambda2 = 2, zero embeddings) *)
@@ -446,16 +426,13 @@ type solved = {
   s_it_total : int;  (** total operator applications *)
 }
 
-let solve_power op ~max_iter ~tol ~warm =
-  let start1, start2 =
-    match warm with None -> (None, None) | Some (x1, x2) -> (Some x1, Some x2)
-  in
+let solve_power op ~max_iter ~tol =
   Spectral_op.with_apply op (fun apply ->
       let lambda2, y1, f1, it1 =
-        power_iteration op ~apply ~max_iter ~tol ?start:start1 ~deflate_against:[] ()
+        power_iteration op ~apply ~max_iter ~tol ~deflate_against:[] ()
       in
       let _, _, f2, it2 =
-        power_iteration op ~apply ~max_iter ~tol ?start:start2 ~deflate_against:[ y1 ] ()
+        power_iteration op ~apply ~max_iter ~tol ~deflate_against:[ y1 ] ()
       in
       {
         s_lambda2 = lambda2;
@@ -465,10 +442,9 @@ let solve_power op ~max_iter ~tol ~warm =
         s_it_total = it1 + it2;
       })
 
-let solve_lanczos op ~max_iter ~tol ~warm =
-  let start = match warm with Some (x1, _) -> Some x1 | None -> None in
+let solve_lanczos op ~max_iter ~tol =
   Spectral_op.with_apply op (fun apply ->
-      let p = lanczos_top2 op ~apply ~max_applies:(2 * max_iter) ~tol ?start () in
+      let p = lanczos_top2 op ~apply ~max_applies:(2 * max_iter) ~tol in
       {
         s_lambda2 = max 0.0 (2.0 -. p.theta1);
         s_f1 = Spectral_op.embed op p.py1;
@@ -477,10 +453,10 @@ let solve_lanczos op ~max_iter ~tol ~warm =
         s_it_total = p.applies;
       })
 
-let run_method method_ op ~max_iter ~tol ~warm =
+let run_method method_ op ~max_iter ~tol =
   match method_ with
-  | Method.Power -> solve_power op ~max_iter ~tol ~warm
-  | Method.Lanczos -> solve_lanczos op ~max_iter ~tol ~warm
+  | Method.Power -> solve_power op ~max_iter ~tol
+  | Method.Lanczos -> solve_lanczos op ~max_iter ~tol
 
 (* an explicit [method_] wins; otherwise the size policy picks *)
 let resolve op = function
@@ -509,7 +485,7 @@ let lambda2 ?(obs = Fn_obs.Sink.null) ?alive ?(domains = 1) ?(max_iter = 1000)
           in
           (lambda2, fiedler, iterations))
     | Method.Lanczos ->
-      let s = solve_lanczos op ~max_iter ~tol ~warm:None in
+      let s = solve_lanczos op ~max_iter ~tol in
       (s.s_lambda2, s.s_f1, s.s_it_total)
   in
   if on then begin
@@ -524,42 +500,13 @@ let lambda2 ?(obs = Fn_obs.Sink.null) ?alive ?(domains = 1) ?(max_iter = 1000)
   end;
   { lambda2; fiedler; iterations }
 
-(* How far an embedding is from being an eigenvector of 2I - L on the
-   current (alive-restricted) operator: lift x to y-space, deflate the
-   trivial direction, normalize, apply once and measure
-   ||My - (y·My)y||.  Warm-start policies use this to decide whether a
-   previous Fiedler pair is still worth iterating from after the mask
-   changed; [infinity] when the lifted vector has no support left. *)
-let residual ?alive view x =
-  let n = Gview.num_nodes view in
-  if Array.length x <> n then invalid_arg "Spectral.residual: vector size mismatch";
-  let op = Spectral_op.create ?alive view in
-  let y = Spectral_op.lift op x in
-  Spectral_op.deflate op [] y;
-  let nrm = sqrt (Spectral_op.dot op y y) in
-  if nrm <= 1e-12 then infinity
-  else begin
-    for i = 0 to n - 1 do
-      y.(i) <- y.(i) /. nrm
-    done;
-    let z = Array.make n 0.0 in
-    Spectral_op.with_apply op (fun apply -> apply y z);
-    let mu = Spectral_op.dot op y z in
-    let acc = ref 0.0 in
-    for i = 0 to n - 1 do
-      let d = z.(i) -. (mu *. y.(i)) in
-      acc := !acc +. (d *. d)
-    done;
-    sqrt !acc
-  end
-
 let solve ?(obs = Fn_obs.Sink.null) ?alive ?(domains = 1) ?(max_iter = 1000)
-    ?(tol = 1e-9) ?warm ?method_ view =
+    ?(tol = 1e-9) ?method_ view =
   let on = Fn_obs.Sink.enabled obs in
   let sp = if on then Fn_obs.Span.enter obs "spectral.solve" else Fn_obs.Span.null in
   let op = Spectral_op.create ?alive ~domains view in
   let m = resolve op method_ in
-  let s = run_method m op ~max_iter ~tol ~warm in
+  let s = run_method m op ~max_iter ~tol in
   if on then begin
     Fn_obs.Span.exit sp
       ~fields:

@@ -87,7 +87,6 @@ val solve :
   ?domains:int ->
   ?max_iter:int ->
   ?tol:float ->
-  ?warm:float array * float array ->
   ?method_:Method.t ->
   Gview.t ->
   result * float array
@@ -98,32 +97,19 @@ val solve :
     mix of the eigenspace; sweeping several rotations of the pair
     recovers the axis-aligned cuts (see {!Estimate}).  Returns the
     {!result} and the second, deflated embedding.  [Power] runs a
-    second iteration deflated against the first vector (without
-    [warm], its first vector is bit-identical to {!lambda2}'s);
-    [Lanczos] gets both vectors from one Krylov basis.
-
-    [warm] seeds the solve with a previous embedding pair (e.g. the
-    output of an earlier [solve] on a nearby alive mask) instead of
-    the deterministic cosine start; when the mask barely moved this
-    converges in a handful of iterations.  Warm starts are
-    method-aware: [Power] seeds its two iterations with the pair,
-    [Lanczos] seeds its first basis vector with the lifted first
-    embedding.  A warm vector that deflates to (near) zero
-    under the new mask falls back to the cold start.  Warm results
-    are {e not} bit-identical to cold ones — callers needing exact
-    reproducibility must stay cold (see {!residual} for the check
-    online callers gate warm starts on). *)
-
-val residual : ?alive:Bitset.t -> Gview.t -> float array -> float
-(** [residual view x] measures how far the embedding [x] (an earlier
-    Fiedler vector) is from an eigenvector of the current
-    alive-restricted operator: the L2 norm of [My - (y·My)y] for the
-    lifted, deflated, normalized [y].  Small (≲ 0.1) means [x] is
-    still a good warm start after a mask change; [infinity] when [x]
-    has no alive support left. *)
+    second iteration deflated against the first vector (its first
+    vector is bit-identical to {!lambda2}'s); [Lanczos] gets both
+    vectors from one Krylov basis.  Every solve starts from the
+    deterministic cosine vector, so the result depends only on the
+    view, the mask and the parameters — never on earlier solves. *)
 
 val cheeger_lower : result -> float
-(** λ₂ / 2 — a certified lower bound on conductance. *)
+(** λ₂ / 2 — the Cheeger estimate of a conductance lower bound.  It
+    bounds conductance only when [result.lambda2] is the converged λ₂:
+    [Power] returns after [max_iter] steps whether or not [tol] was
+    met, and an unconverged λ₂ can overstate the true one several
+    times over (meshes and tori of a few thousand nodes), in which
+    case this is no bound at all. *)
 
 val cheeger_upper : result -> float
 (** sqrt(2 λ₂) — the Cheeger upper bound on conductance. *)

@@ -153,9 +153,6 @@ let cold_start t ~phase =
   Array.init t.n (fun i ->
       if is_alive t i then cos (float_of_int (((i + phase) * 7919) + phase)) else 0.0)
 
-let lift t x =
-  Array.init t.n (fun i -> if is_alive t i then x.(i) *. t.sqrt_deg.(i) else 0.0)
-
 let embed t y =
   Array.init t.n (fun v ->
       if Bytes.get t.row v = interior then y.(v) /. t.sqrt_deg.(v) else 0.0)

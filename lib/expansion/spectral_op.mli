@@ -10,8 +10,8 @@ open Fn_graph
     This module owns the degree/mask setup, the trivial-vector
     deflation, the (optionally pool-chunked) matvec and the small
     vector kit (deflate, normalize, deterministic cold start, x-space
-    lift/embed), so that Power, Lanczos and {!Spectral.residual} all
-    agree on the operator bit for bit.
+    embed), so that Power and Lanczos agree on the operator bit for
+    bit.
 
     The mask is read once: {!create} gives every node a row class
     (dead, isolated alive, or interior with alive-degree > 0), and the
@@ -85,10 +85,6 @@ val cold_start : t -> phase:int -> float array
     integer sequence offset by [phase] so deflated restarts begin
     elsewhere; zero on dead nodes.  No {!Fn_prng} state is drawn, so
     every backend is trivially deterministic under seeds. *)
-
-val lift : t -> float array -> float array
-(** x-space embedding -> y-space: multiply by D^{1/2} under the
-    current mask (warm starts are embeddings of a previous solve). *)
 
 val embed : t -> float array -> float array
 (** y-space -> x-space Fiedler embedding: divide by D^{1/2}; zero on

@@ -42,7 +42,6 @@ let run (cfg : Workload.config) =
                       radius = 2;
                       alpha = alpha_e;
                       epsilon;
-                      mode = Fn_online.Warm.Exact;
                       audit_every = 0;
                       max_dirty_frac = 1.0;
                       postmortem = None;

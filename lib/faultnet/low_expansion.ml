@@ -109,7 +109,7 @@ let default_v ?rng ?domains objective ~alive view ~threshold =
            a spectral sweep too; keep the better of both slices *)
         let spectral =
           if size <= spectral_node_cap then
-            Option.map fst (Estimate.spectral_witness ~alive ?domains view objective)
+            Estimate.spectral_witness ~alive ?domains view objective
           else None
         in
         let best =

@@ -657,10 +657,9 @@ let allowlist =
           "the finder portfolio differs per arm: CSR fragments run the full \
            Estimate.run portfolio with local search, implicit fragments the ball \
            and spectral slices under a memory cap";
-        prefix "lib/online/warm.ml"
-          "alpha is computed differently per arm: Estimate.run with \
-           residual-gated warm Fiedler pairs on CSR, the reference ball portfolio \
-           on implicit views";
+        prefix "lib/online/alpha_cache.ml"
+          "alpha is computed differently per arm: the full Estimate.run portfolio \
+           on CSR, the ball portfolio on implicit views";
         prefix "lib/percolation/newman_ziff.ml"
           "bond_run's CSR arm reuses the already sorted Graph.edges array; the \
            implicit arm collects the generator's edges and sorts them";

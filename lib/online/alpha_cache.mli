@@ -1,0 +1,43 @@
+open Fn_graph
+
+(** Cached survivor expansion.
+
+    The engine answers [alpha?] with the node expansion of the current
+    Prune survivor set.  Every estimate is history-free — a fresh
+    seed-derived rng and a cold spectral start — so the value depends
+    only on (view, kept mask, seed).  This is what the from-scratch
+    differential reference computes, so incremental and scratch agree
+    byte for byte; a small mask-keyed memo makes churn that revisits a
+    recent survivor set free.
+
+    CSR views run the full {!Fn_expansion.Estimate.run} portfolio;
+    implicit views the deterministic ball-witness portfolio. *)
+
+type t
+
+val create : ?domains:int -> int -> t
+(** [create seed]: an empty cache whose estimates derive their rng
+    from [seed]. *)
+
+val computes : t -> int
+(** Full estimates performed (cache hits excluded). *)
+
+val reference :
+  seed:int ->
+  ?domains:int ->
+  Gview.t ->
+  kept:Bitset.t ->
+  float
+(** The history-free alpha of a mask — node expansion estimate with a
+    fresh rng derived from [seed].  Fewer than 2 survivors yield 0;
+    an implicit view with no ball witness yields [infinity].  The
+    audit and the differential tests call this directly. *)
+
+val query : t -> Gview.t -> kept:Bitset.t -> float
+(** {!reference} for [kept], answered from the most recent mask or
+    the memo when either holds it. *)
+
+val force : t -> kept:Bitset.t -> float -> unit
+(** Seed the cache with an externally computed {!reference} value for
+    [kept] — what the audit does after it has already paid for the
+    scratch estimate. *)

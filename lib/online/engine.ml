@@ -5,7 +5,6 @@ type config = {
   radius : int;
   alpha : float;
   epsilon : float;
-  mode : Warm.mode;
   audit_every : int;
   max_dirty_frac : float;
   postmortem : string option;
@@ -19,7 +18,6 @@ let default_config =
     radius = 2;
     alpha = 0.5;
     epsilon = 0.5;
-    mode = Warm.Exact;
     audit_every = 0;
     max_dirty_frac = 1.0;
     postmortem = None;
@@ -44,8 +42,6 @@ type stats = {
   surveys : int;
   dirty_peak : int;
   alpha_computes : int;
-  warm_hits : int;
-  cold_falls : int;
   shed_batches : int;
   degraded_answers : int;
   quarantines : int;
@@ -56,7 +52,7 @@ type t = {
   view : Gview.t;
   n : int;
   cert : Cert.t;
-  warm : Warm.t;
+  alpha_cache : Alpha_cache.t;
   faulty : Bitset.t;
   mutable events : int;
   mutable batches : int;
@@ -77,7 +73,7 @@ let create ?(cfg = default_config) view =
     cert =
       Cert.create ~radius:cfg.radius ~max_dirty_frac:cfg.max_dirty_frac view ~alive
         ~alpha:cfg.alpha ~epsilon:cfg.epsilon;
-    warm = Warm.create ~mode:cfg.mode ?domains:cfg.domains cfg.seed;
+    alpha_cache = Alpha_cache.create ?domains:cfg.domains cfg.seed;
     faulty = Bitset.create n;
     events = 0;
     batches = 0;
@@ -114,7 +110,7 @@ let note_degraded t =
 
 let alpha t =
   note_degraded t;
-  Warm.query t.warm t.view ~kept:(result t).Faultnet.Prune.kept
+  Alpha_cache.query t.alpha_cache t.view ~kept:(result t).Faultnet.Prune.kept
 
 let in_certificate t v =
   if v < 0 || v >= t.n then invalid_arg "Engine.in_certificate: node out of range";
@@ -173,10 +169,9 @@ let postmortem_write t ~inc ~scr ~a_inc ~a_scr =
 
 (* Full-recompute audit: rerun Prune from scratch on the current mask,
    compare every field against the incremental state, then adopt the
-   scratch truth (cascade cache and alpha cache both reconciled).  In
-   Exact mode any divergence is a bug — the differential tests assert
-   zero; in Warm mode alpha divergences are the expected price of
-   warm starts and this is where they are measured and repaired.
+   scratch truth (cascade cache and alpha cache both reconciled).  Any
+   divergence is a maintenance bug — the differential tests assert
+   zero.
 
    A degraded engine first pays its scheduled full recompute, so the
    audit always compares fresh incremental state.  If divergence is
@@ -192,9 +187,9 @@ let audit t =
     Cert.scratch ~radius:t.cfg.radius t.view ~alive:mask ~alpha:t.cfg.alpha
       ~epsilon:t.cfg.epsilon
   in
-  let a_inc = Warm.query t.warm t.view ~kept:inc.Faultnet.Prune.kept in
+  let a_inc = Alpha_cache.query t.alpha_cache t.view ~kept:inc.Faultnet.Prune.kept in
   let a_scr =
-    Warm.reference ~seed:t.cfg.seed ?domains:t.cfg.domains t.view
+    Alpha_cache.reference ~seed:t.cfg.seed ?domains:t.cfg.domains t.view
       ~kept:scr.Faultnet.Prune.kept
   in
   let kept_equal = Bitset.equal inc.Faultnet.Prune.kept scr.Faultnet.Prune.kept in
@@ -217,7 +212,7 @@ let audit t =
     Cert.refresh t.cert
   end;
   Cert.set_result t.cert scr;
-  Warm.force t.warm ~kept:scr.Faultnet.Prune.kept a_scr;
+  Alpha_cache.force t.alpha_cache ~kept:scr.Faultnet.Prune.kept a_scr;
   let on = Fn_obs.Sink.enabled t.cfg.obs in
   if on then begin
     Fn_obs.Span.instant t.cfg.obs "online.audit"
@@ -278,9 +273,7 @@ let stats t =
     divergences = t.divergences;
     surveys = Cert.recomputed t.cert;
     dirty_peak = Cert.dirty_peak t.cert;
-    alpha_computes = Warm.computes t.warm;
-    warm_hits = Warm.warm_hits t.warm;
-    cold_falls = Warm.cold_falls t.warm;
+    alpha_computes = Alpha_cache.computes t.alpha_cache;
     shed_batches = Cert.shed t.cert;
     degraded_answers = t.degraded_answers;
     quarantines = t.quarantines;

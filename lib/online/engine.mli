@@ -3,23 +3,21 @@ open Fn_graph
 (** The online faultnet engine: one live topology, a fault mask
     evolving under batched churn, and always-current answers to
     "is v alive?", "what does Prune keep?", "what is the survivor
-    expansion?" — maintained incrementally by {!Cert} and {!Warm}
-    instead of recomputed per query.
+    expansion?" — maintained incrementally by {!Cert} and
+    {!Alpha_cache} instead of recomputed per query.
 
-    Determinism contract: in {!Warm.Exact} mode (the default) every
-    answer is a pure function of (view, config, accepted batch
-    sequence) — byte-identical to the from-scratch computation on the
-    same mask, which is exactly what {!audit} checks and the
-    differential tests assert.  {!Warm.Warm} mode trades that for
-    warm-started spectral estimates; its drift is measured and
-    repaired by the audit. *)
+    Determinism contract: every answer is a pure function of (view,
+    config, accepted batch sequence) — byte-identical to the
+    from-scratch computation on the same mask, which is exactly what
+    {!audit} checks and the differential tests assert.  Which queries
+    were asked, and when, moves only the process-local counters of
+    {!stats}; no answer, {!state_digest} or snapshot depends on it. *)
 
 type config = {
   seed : int;  (** derives every rng the engine ever creates *)
   radius : int;  (** certificate ball radius (default 2) *)
   alpha : float;  (** design expansion α of the fault-free topology *)
   epsilon : float;  (** Prune slack ε, threshold α·ε *)
-  mode : Warm.mode;
   audit_every : int;  (** auto-audit period in batches; 0 disables *)
   max_dirty_frac : float;
       (** overload-shedding threshold (see {!Cert.create}); 1.0 = never
@@ -32,7 +30,7 @@ type config = {
 }
 
 val default_config : config
-(** seed 0, radius 2, alpha 0.5, epsilon 0.5, Exact, no auto-audit,
+(** seed 0, radius 2, alpha 0.5, epsilon 0.5, no auto-audit,
     no shedding, no post-mortems, sequential, null sink.  Use record
     update syntax. *)
 
@@ -53,8 +51,6 @@ type stats = {
   surveys : int;  (** ball surveys since creation *)
   dirty_peak : int;  (** largest single-batch dirty region *)
   alpha_computes : int;
-  warm_hits : int;
-  cold_falls : int;
   shed_batches : int;  (** batches absorbed with their refresh deferred *)
   degraded_answers : int;  (** queries served from the stale pinned cascade *)
   quarantines : int;  (** audits that found divergence and rebuilt *)
@@ -88,7 +84,8 @@ val result : t -> Faultnet.Prune.result
 (** The Prune cascade for the current mask (cached; read-only). *)
 
 val alpha : t -> float
-(** Survivor node expansion per the configured {!Warm.mode}. *)
+(** Survivor node expansion: {!Alpha_cache.reference} of the current
+    [result.kept], served from the cache when it holds that mask. *)
 
 val in_certificate : t -> int -> bool
 (** Is [v] in the current survivor set [result.kept]? *)

@@ -24,12 +24,11 @@ let dispatch ?on_batch engine cmd =
     reply
       (Printf.sprintf
          "ok events=%d batches=%d rejected=%d audits=%d divergences=%d surveys=%d \
-          dirty_peak=%d alpha_computes=%d warm_hits=%d cold_falls=%d shed_batches=%d \
-          degraded_answers=%d quarantines=%d"
+          dirty_peak=%d alpha_computes=%d shed_batches=%d degraded_answers=%d \
+          quarantines=%d"
          s.Engine.events s.Engine.batches s.Engine.rejected s.Engine.audits
          s.Engine.divergences s.Engine.surveys s.Engine.dirty_peak s.Engine.alpha_computes
-         s.Engine.warm_hits s.Engine.cold_falls s.Engine.shed_batches
-         s.Engine.degraded_answers s.Engine.quarantines)
+         s.Engine.shed_batches s.Engine.degraded_answers s.Engine.quarantines)
   | Protocol.Audit ->
     let r = Engine.audit engine in
     reply
@@ -163,7 +162,6 @@ let serve ?journal ?(resume = false) ?(meta = []) ?limits ?policy ?(compact_ever
           ("radius", Fn_obs.Jsonx.Int cfg.Engine.radius);
           ("alpha", Fn_obs.Jsonx.Str (Protocol.float_hex cfg.Engine.alpha));
           ("epsilon", Fn_obs.Jsonx.Str (Protocol.float_hex cfg.Engine.epsilon));
-          ("mode", Fn_obs.Jsonx.Str (Warm.mode_to_string cfg.Engine.mode));
           ("audit_every", Fn_obs.Jsonx.Int cfg.Engine.audit_every);
         ]
     in

@@ -11,7 +11,7 @@ open Fn_prng
     the batch whose reply the client never saw.  Recovery restores the
     latest compaction snapshot (if any) and replays the journaled
     suffix through a fresh engine — batch normalization and the
-    Exact-mode estimates are pure functions of the replayed history,
+    alpha estimates are pure functions of the replayed history,
     so the resumed process answers [state?] with the digest the
     uninterrupted one would have.
 
@@ -76,10 +76,11 @@ val serve :
   out_channel ->
   (unit, string) result
 (** {!run_loop} with journaling.  [journal] names the JSONL file; its
-    meta header binds seed, universe, radius, alpha, epsilon, mode and
-    audit period (plus caller [meta], e.g. the topology spec) — a
-    mismatched reopen is refused, as is an existing journal without
-    [resume].  With [resume] the journal is {!recover}ed into [engine]
+    meta header binds seed, universe, radius, alpha, epsilon and audit
+    period (plus caller [meta], e.g. the topology spec) — a mismatched
+    reopen is refused, as is an existing journal without [resume].
+    Stored keys the run does not bind are ignored, so journals whose
+    header still carries a [mode] key resume.  With [resume] the journal is {!recover}ed into [engine]
     (which must be freshly created) before serving begins.
 
     [compact_every > 0] compacts the journal after every that many

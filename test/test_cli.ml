@@ -150,6 +150,38 @@ let test_determinism_across_runs () =
   let _, c = run_cli "report -t torus:8x8 --fault-p 0.1 --seed 6" in
   check_bool "different seed, different faults" true (a <> c)
 
+let daemon = bin_path "faultnetd.exe"
+
+(* Flag values the generators or the engine refuse are usage errors:
+   exit 2 with a one-line "faultnetd:" message on stderr, never an
+   uncaught exception, and no journal opened. *)
+let test_faultnetd_rejects_bad_values () =
+  let journal = Filename.temp_file "faultnetd_bad" ".jsonl" in
+  Sys.remove journal;
+  let err = Filename.temp_file "faultnetd_bad" ".err" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> if Sys.file_exists f then Sys.remove f) [ journal; err ])
+    (fun () ->
+      List.iter
+        (fun args ->
+          let code =
+            Sys.command (Printf.sprintf "%s %s < /dev/null > /dev/null 2> %s" daemon args err)
+          in
+          let text = In_channel.with_open_bin err In_channel.input_all in
+          check_int (args ^ ": exit") 2 code;
+          check_bool (args ^ ": faultnetd: message") true
+            (String.starts_with ~prefix:"faultnetd:" text);
+          check_bool (args ^ ": no uncaught exception") false (contains text "Fatal error"))
+        [
+          "--topology expander:5:3";
+          "--topology torus:4x4 --radius 0";
+          "--topology torus:4x4 --epsilon -1";
+          "--topology torus:4x4 --max-dirty-frac -1";
+          "--topology torus:4x4 --journal " ^ journal ^ " --compact-every -1";
+        ];
+      check_bool "no journal opened" false (Sys.file_exists journal))
+
 let () =
   if not (Sys.file_exists binary) then begin
     print_endline "faultnet_cli.exe not found next to the test; skipping CLI suite";
@@ -165,6 +197,7 @@ let () =
           case "file roundtrip" test_file_roundtrip;
           case "unknown experiment" test_unknown_experiment_fails;
           case "determinism" test_determinism_across_runs;
+          case "faultnetd rejects bad flag values" test_faultnetd_rejects_bad_values;
         ] );
       ( "lint",
         [

@@ -254,7 +254,7 @@ let test_no_gview_arm_match () =
       "lib/graph_core/gview.ml";
       "lib/expansion/spectral_op.ml";
       "lib/faultnet/low_expansion.ml";
-      "lib/online/warm.ml";
+      "lib/online/alpha_cache.ml";
       "lib/percolation/newman_ziff.ml";
     ];
   check_bool "building a Csr view ok" false (hit "let v = Gview.Csr g");

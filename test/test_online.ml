@@ -1,7 +1,8 @@
 (* Fn_online: the incremental-equals-scratch differential invariant,
-   the delta-BFS surveys, batch rejection atomicity, warm-mode audit
-   reconciliation, the line protocol, and daemon kill-and-resume
-   byte-identity through the faultnetd binary. *)
+   the delta-BFS surveys, batch rejection atomicity, the history-free
+   alpha cache, audit quarantine, the line protocol, and daemon
+   kill-and-resume byte-identity through the faultnetd binary,
+   including a journal an earlier build wrote. *)
 
 open Fn_graph
 open Testutil
@@ -9,7 +10,7 @@ module Event = Fn_online.Event
 module Delta_bfs = Fn_online.Delta_bfs
 module Dirty = Fn_online.Dirty
 module Cert = Fn_online.Cert
-module Warm = Fn_online.Warm
+module Alpha_cache = Fn_online.Alpha_cache
 module Engine = Fn_online.Engine
 module Protocol = Fn_online.Protocol
 module Server = Fn_online.Server
@@ -197,7 +198,7 @@ let check_differential view ~alpha ~epsilon ~batches ~batch_size =
       true
       (result_equal (Engine.result engine) scratch);
     let a_inc = Engine.alpha engine in
-    let a_ref = Warm.reference ~seed:99 view ~kept:scratch.Faultnet.Prune.kept in
+    let a_ref = Alpha_cache.reference ~seed:99 view ~kept:scratch.Faultnet.Prune.kept in
     check_bool
       (Printf.sprintf "batch %d: alpha byte-equal" i)
       true
@@ -259,29 +260,86 @@ let test_coalescing_last_write_wins () =
   check_bool "node 3 dead" false (Engine.is_alive engine 3);
   check_int "one event counted" 1 (Engine.stats engine).Engine.events
 
-let test_warm_mode_reconciles () =
-  let view = Gview.Csr (fst (Fn_topology.Torus.cube ~d:2 ~side:12)) in
-  let cfg =
-    { Engine.default_config with Engine.alpha = 1.0; epsilon = 0.5; seed = 7;
-      mode = Warm.Warm }
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* The memo is a cache, not a source of values: every answer, hit or
+   miss, is the reference of the mask asked about.  Misses are counted
+   exactly once, the oldest of memo_cap = 8 masks is evicted, and the
+   cache keeps its own copy of each mask, so a caller mutating its
+   bitset afterwards cannot alias a stale answer onto the new mask. *)
+let test_alpha_cache_memo () =
+  let view = Gview.Csr (fst (Fn_topology.Torus.cube ~d:2 ~side:8)) in
+  let seed = 5 in
+  let n = Gview.num_nodes view in
+  let reference kept = Alpha_cache.reference ~seed view ~kept in
+  (* ten distinct masks: all alive, then one fault at node 7i *)
+  let masks =
+    Array.init 10 (fun i ->
+        let m = Bitset.create_full n in
+        if i > 0 then Bitset.remove m (7 * i);
+        m)
   in
-  let engine = Engine.create ~cfg view in
-  let r = rng () in
-  for _ = 1 to 6 do
-    let batch = random_batch r engine 3 in
-    (match Engine.apply engine batch with
+  let refs = Array.map reference masks in
+  let c = Alpha_cache.create seed in
+  let ask label kept expect ~computes =
+    check_bool (label ^ ": equals reference") true
+      (bits_equal (Alpha_cache.query c view ~kept) expect);
+    check_int (label ^ ": computes") computes (Alpha_cache.computes c)
+  in
+  Array.iteri
+    (fun i m -> ask (Printf.sprintf "first visit %d" i) m refs.(i) ~computes:(i + 1))
+    masks;
+  ask "repeat of the newest" masks.(9) refs.(9) ~computes:10;
+  ask "memo hit" masks.(2) refs.(2) ~computes:10;
+  ask "evicted mask recomputed" masks.(0) refs.(0) ~computes:11;
+  let k = Bitset.copy masks.(3) in
+  ask "copy of a memoised mask" k refs.(3) ~computes:11;
+  Bitset.remove k 40;
+  ask "caller mutated its mask" k (reference k) ~computes:12;
+  let m = Bitset.copy masks.(0) in
+  Bitset.remove m 50;
+  let a = reference m in
+  Alpha_cache.force c ~kept:m a;
+  ask "forced value served" m a ~computes:12
+
+(* The engine.mli determinism contract: asking alpha? moves only the
+   counters of stats.  One engine is asked after every batch; at each
+   step a fresh engine fed the same batches and asked only then must
+   give the same alpha bits, state digest and snapshot. *)
+let check_alpha_queries_move_no_answer view ~alpha ~epsilon =
+  let cfg = { Engine.default_config with Engine.alpha; epsilon; seed = 11 } in
+  let apply e batch =
+    match Engine.apply e batch with
     | Ok _ -> ()
-    | Error _ -> Alcotest.fail "valid batch rejected");
-    ignore (Engine.alpha engine : float)
-  done;
-  let s = Engine.stats engine in
-  check_bool "warm path exercised" true (s.Engine.alpha_computes > 0);
-  ignore (Engine.audit engine : Engine.audit_report);
-  (* post-audit the cached alpha must be the cold reference *)
-  let kept = (Engine.result engine).Faultnet.Prune.kept in
-  let a_ref = Warm.reference ~seed:7 view ~kept in
-  check_bool "reconciled to cold reference" true
-    (Int64.equal (Int64.bits_of_float (Engine.alpha engine)) (Int64.bits_of_float a_ref))
+    | Error err -> Alcotest.failf "valid batch rejected: %s" (Fn_faults.Churn.error_to_string err)
+  in
+  let asked = Engine.create ~cfg view in
+  let r = rng () in
+  let history = ref [] in
+  for i = 1 to 8 do
+    let batch = random_batch r asked 3 in
+    apply asked batch;
+    history := batch :: !history;
+    let a = Engine.alpha asked in
+    let silent = Engine.create ~cfg view in
+    List.iter (apply silent) (List.rev !history);
+    let step what = Printf.sprintf "batch %d: %s" i what in
+    check_bool (step "alpha bits equal") true (bits_equal a (Engine.alpha silent));
+    Alcotest.(check string)
+      (step "state digest") (Engine.state_digest silent) (Engine.state_digest asked);
+    Alcotest.(check string)
+      (step "snapshot")
+      (Fn_obs.Jsonx.to_string (Engine.encode_state silent))
+      (Fn_obs.Jsonx.to_string (Engine.encode_state asked));
+    check_int (step "silent engine estimated once") 1
+      (Engine.stats silent).Engine.alpha_computes
+  done
+
+let test_alpha_queries_move_no_answer () =
+  let g = Fn_topology.Expander.random_regular (rng ()) ~n:64 ~d:4 in
+  check_alpha_queries_move_no_answer (Gview.Csr g) ~alpha:1.5 ~epsilon:0.6;
+  check_alpha_queries_move_no_answer (Fn_topology.Implicit.torus [| 8; 8 |]) ~alpha:1.2
+    ~epsilon:0.5
 
 (* ------------------------------------------------------------------ *)
 (* Protocol and in-process server                                      *)
@@ -609,9 +667,11 @@ let rm_rf_dir dir =
   end
 
 let test_quarantine_self_healing () =
-  (* Warm mode's warm-started alpha is the one sanctioned source of
-     audit divergence: churn + queries until an audit catches one,
-     then the quarantine machinery must fire. *)
+  (* A maintenance bug stands in for the divergence: one kept node is
+     dropped from the engine's cached cascade behind its back.
+     [Engine.result] is documented read-only, so writing to it is
+     exactly the corruption the audit exists to catch; the quarantine
+     machinery must fire. *)
   let dir = Filename.temp_file "fn_quarantine" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o755;
@@ -619,25 +679,28 @@ let test_quarantine_self_healing () =
       let view = Gview.Csr (fst (Fn_topology.Torus.cube ~d:2 ~side:12)) in
       let cfg =
         { Engine.default_config with Engine.alpha = 1.0; epsilon = 0.5; seed = 7;
-          mode = Warm.Warm; postmortem = Some dir }
+          postmortem = Some dir }
       in
       let engine = Engine.create ~cfg view in
       let r = rng () in
-      let divergent = ref 0 in
-      let rounds = ref 0 in
-      while !divergent = 0 && !rounds < 20 do
-        incr rounds;
-        (* several churn+query cycles per audit: the first query after
-           an audit runs cold (audit resets the Fiedler pair), so warm
-           drift only appears from the second kept-changing query on *)
-        for _ = 1 to 3 do
-          apply_exn engine (random_batch r engine 3);
-          ignore (Engine.alpha engine : float)
-        done;
-        let rep = Engine.audit engine in
-        if rep.Engine.faults > 0 then incr divergent
+      for _ = 1 to 3 do
+        apply_exn engine (random_batch r engine 3);
+        ignore (Engine.alpha engine : float)
       done;
-      check_bool "warm drift produced a divergent audit" true (!divergent > 0);
+      let kept = (Engine.result engine).Faultnet.Prune.kept in
+      Bitset.remove kept (Bitset.to_array kept).(0);
+      let rep = Engine.audit engine in
+      check_bool "corrupted cascade produced a divergent audit" true (rep.Engine.faults > 0);
+      check_bool "kept sets differ" false rep.Engine.kept_equal;
+      (* the audit adopted the scratch truth, alpha included *)
+      let scratch =
+        Cert.scratch ~radius:2 view ~alive:(Engine.alive_mask engine) ~alpha:1.0 ~epsilon:0.5
+      in
+      check_bool "alpha reconciled to the scratch reference" true
+        (Int64.equal
+           (Int64.bits_of_float (Engine.alpha engine))
+           (Int64.bits_of_float
+              (Alpha_cache.reference ~seed:7 view ~kept:scratch.Faultnet.Prune.kept)));
       check_int "quarantine counted" 1 (Engine.quarantines engine);
       check_int "stats agree" 1 (Engine.stats engine).Engine.quarantines;
       (* the post-mortem snapshot exists and binds to (seed, n) *)
@@ -934,6 +997,48 @@ let test_daemon_compaction_resume () =
           (tail3 reference = tail3 resumed))
   end
 
+(* fixtures/online/torus16_seed3.jsonl is the journal an earlier
+   faultnetd build wrote for torus16_seed3.session (five batches with
+   alpha? between them, compaction every 2 batches); .out is what that
+   build printed.  Its meta header still carries "mode":"exact", a key
+   today's binary no longer binds.  Resuming a copy must succeed and
+   land on the recorded digest: old headers stay readable, and neither
+   the alpha bits nor the state digest moved through snapshot restore
+   and replay. *)
+let test_daemon_resumes_recorded_journal () =
+  if not (Sys.file_exists daemon) then Alcotest.skip ()
+  else begin
+    let fixture name = Filename.concat (Filename.concat "fixtures" "online") name in
+    let recorded =
+      List.find
+        (fun l -> contains l "digest=")
+        (String.split_on_char '\n' (read_file (fixture "torus16_seed3.out")))
+    in
+    let tmp suffix = Filename.temp_file "fn_online" suffix in
+    let inp = tmp ".in" and out = tmp ".out" and errf = tmp ".err" in
+    let journal = tmp ".jsonl" in
+    Fun.protect
+      ~finally:(fun () ->
+        List.iter
+          (fun f -> if Sys.file_exists f then Sys.remove f)
+          [ inp; out; errf; journal ])
+      (fun () ->
+        write_file journal (read_file (fixture "torus16_seed3.jsonl"));
+        check_bool "header carries the old mode key" true
+          (contains (read_file journal) "\"mode\":\"exact\"");
+        write_file inp "state?\nquit\n";
+        let cmd =
+          Printf.sprintf
+            "%s --topology torus:16x16 --seed 3 --alpha 1.0 --epsilon 0.5 --journal %s \
+             --compact-every 2 --resume < %s > %s 2> %s"
+            daemon journal inp out errf
+        in
+        check_int "resume exits 0" 0 (Sys.command cmd);
+        Alcotest.(check string)
+          "recorded digest" recorded
+          (List.hd (String.split_on_char '\n' (read_file out))))
+  end
+
 let () =
   Alcotest.run "online"
     [
@@ -956,8 +1061,9 @@ let () =
         [
           case "invalid batches are atomic" test_invalid_batch_is_atomic;
           case "coalescing last-write-wins" test_coalescing_last_write_wins;
-          case "warm mode reconciles on audit" test_warm_mode_reconciles;
+          case "alpha? queries move no answer" test_alpha_queries_move_no_answer;
         ] );
+      ("alpha_cache", [ case "memo answers equal reference" test_alpha_cache_memo ]);
       ( "protocol",
         [
           case "roundtrip" test_protocol_roundtrip;
@@ -989,5 +1095,6 @@ let () =
         [
           case "kill-and-resume byte-identity" test_daemon_kill_and_resume;
           case "kill-and-resume with compaction" test_daemon_compaction_resume;
+          case "resumes a journal an earlier build wrote" test_daemon_resumes_recorded_journal;
         ] );
     ]

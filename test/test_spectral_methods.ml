@@ -2,7 +2,7 @@
    pinned Power bits, differential agreement of Lanczos against the
    bit-exact Power reference, seeded determinism and bit-stability
    across domains, the size policy and its explicit override, and the
-   method-aware entry points (Gview path, warm starts, metrics). *)
+   method-aware entry points (Gview path, metrics). *)
 
 open Fn_graph
 open Fn_expansion
@@ -301,24 +301,6 @@ let test_implicit_view_spectral_path () =
         reference.Spectral.lambda2 r.Spectral.lambda2)
     methods
 
-let test_warm_starts_method_aware () =
-  (* a cached Fiedler pair must seed every backend and land on the
-     same lambda2 as the cold solve *)
-  let g = Fn_topology.Expander.random_regular (Fn_prng.Rng.create 31) ~n:600 ~d:6 in
-  let cold, f2 = Spectral.solve (Gview.Csr g) in
-  let warm = (cold.Spectral.fiedler, f2) in
-  List.iter
-    (fun m ->
-      let r, _ = Spectral.solve ~warm ~method_:m (Gview.Csr g) in
-      check_float_eps 1e-6
-        (Printf.sprintf "warm %s matches cold lambda2" (Spectral.Method.to_string m))
-        cold.Spectral.lambda2 r.Spectral.lambda2;
-      check_bool
-        (Printf.sprintf "warm %s converges faster than cold" (Spectral.Method.to_string m))
-        true
-        (r.Spectral.iterations <= cold.Spectral.iterations))
-    methods
-
 let test_solve_histogram_observes_total () =
   (* regression for the satellite bugfix: the spectral.iterations
      histogram used to observe only the first vector's count while the
@@ -370,59 +352,6 @@ let test_spectral_cut_domains_matches_default () =
       ("domains 2", Sweep.spectral_cut ~domains:2 (Gview.Csr g) Cut.Edge);
     ]
 
-let test_warm_gate_rejects_single_vector_drift () =
-  (* satellite regression: the Warm reuse gate must check BOTH cached
-     vectors' residuals.  Find a mask drift where x1 stays healthy but
-     x2 degrades, place the tolerance between the two residuals, and
-     check the engine falls back cold — the old first-vector-only gate
-     would have reused the stale pair. *)
-  let module Warm = Fn_online.Warm in
-  let g = Fn_topology.Expander.random_regular (Fn_prng.Rng.create 21) ~n:400 ~d:6 in
-  let n = Graph.num_nodes g in
-  let full = Bitset.create_full n in
-  let seed = 77 in
-  (* replicate the pair Warm caches on its first compute (same seed
-     derivation as Warm.warm_compute) *)
-  let est =
-    Estimate.run ~alive:full ~rng:(Fn_prng.Rng.create (seed lxor 0x0A11CE)) g Cut.Node
-  in
-  let x1, x2 =
-    match est.Estimate.fiedler_pair with
-    | Some p -> p
-    | None -> Alcotest.fail "no fiedler pair on the heuristic arm"
-  in
-  (* scan single-node removals for the widest r2-over-r1 separation *)
-  let best = ref None in
-  for v = 0 to n - 1 do
-    let kept = Bitset.copy full in
-    Bitset.remove kept v;
-    let r1 = Spectral.residual ~alive:kept (Gview.Csr g) x1 in
-    let r2 = Spectral.residual ~alive:kept (Gview.Csr g) x2 in
-    if r2 > r1 then begin
-      match !best with
-      | Some (_, br1, br2) when br2 -. br1 >= r2 -. r1 -> ()
-      | _ -> best := Some (kept, r1, r2)
-    end
-  done;
-  match !best with
-  | None -> Alcotest.fail "no drift candidate found"
-  | Some (kept, r1, r2) ->
-    let tol = 0.5 *. (r1 +. r2) in
-    check_bool "x1 under the gate, x2 over it" true (r1 <= tol && r2 > tol);
-    let view = Gview.Csr g in
-    let t = Warm.create ~mode:Warm.Warm ~residual_tol:tol seed in
-    ignore (Warm.query t view ~kept:full);
-    ignore (Warm.query t view ~kept);
-    check_int "cold fall on x2 drift" 1 (Warm.cold_falls t);
-    check_int "no warm hit on x2 drift" 0 (Warm.warm_hits t);
-    (* with the tolerance above both residuals the same drift reuses
-       the pair — the gate reads the vectors, not the mask *)
-    let t2 = Warm.create ~mode:Warm.Warm ~residual_tol:(r2 +. 1.0) seed in
-    ignore (Warm.query t2 view ~kept:full);
-    ignore (Warm.query t2 view ~kept);
-    check_int "warm hit when both pass" 1 (Warm.warm_hits t2);
-    check_int "no cold fall when both pass" 0 (Warm.cold_falls t2)
-
 let () =
   Alcotest.run "spectral_methods"
     [
@@ -446,8 +375,6 @@ let () =
       ( "registry",
         [
           case "size selection" test_size_selection;
-          case "warm starts method-aware" test_warm_starts_method_aware;
-          case "warm gate rejects single-vector drift" test_warm_gate_rejects_single_vector_drift;
           case "histogram observes total iterations" test_solve_histogram_observes_total;
         ] );
     ]
