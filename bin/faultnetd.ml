@@ -36,8 +36,9 @@ let () =
   let metrics = ref false in
   let int_of s = match int_of_string_opt s with Some v -> v | None -> usage () in
   let float_of s = match float_of_string_opt s with Some v -> v | None -> usage () in
+  let complain m = prerr_endline ("faultnetd: " ^ m) in
   let reject m =
-    prerr_endline ("faultnetd: " ^ m);
+    complain m;
     exit 2
   in
   let rec parse = function
@@ -103,7 +104,11 @@ let () =
       Fn_obs.Sink.close sink;
       if !metrics then prerr_string (Fn_obs.Metrics.report_text ())
     in
-    Fun.protect ~finally:finish (fun () ->
+    (* [Stdlib.exit] does not unwind, so the protected body returns
+       its exit code and the process exits only after [finish] has
+       closed the trace and printed the metrics. *)
+    exit
+    @@ Fun.protect ~finally:finish (fun () ->
         let rng = Fn_prng.Rng.create !seed in
         let cfg =
           {
@@ -124,8 +129,12 @@ let () =
         match
           Result.map (Fn_online.Engine.create ~cfg) (Fn_online.Server.view_of_spec rng spec)
         with
-        | exception Invalid_argument m -> reject m
-        | Error m -> reject m
+        | exception Invalid_argument m ->
+          complain m;
+          2
+        | Error m ->
+          complain m;
+          2
         | Ok engine ->
           let meta = [ ("topology", Fn_obs.Jsonx.Str spec) ] in
           let policy =
@@ -137,7 +146,7 @@ let () =
              Fn_online.Server.serve ?journal:!journal ~resume:!resume ~meta ?policy
                ~compact_every:!compact_every engine stdin stdout
            with
-          | Ok () -> ()
+          | Ok () -> 0
           | Error m ->
-            prerr_endline ("faultnetd: " ^ m);
-            exit 1))
+            complain m;
+            1))

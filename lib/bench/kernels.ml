@@ -404,6 +404,25 @@ let () =
       done;
       !acc)
 
+(* The alpha? estimate faultnetd recomputes for every state digest (each
+   compaction and each --resume restore): Alpha_cache.reference on the
+   10^6 implicit torus, whose implicit arm runs Estimate.ball_witness
+   (8 BFS samples grown to half the survivor), under a fixed seeded
+   mask of 1,024 faults. *)
+let faulted1024_1e6 =
+  lazy
+    (let n = Fn_graph.Gview.num_nodes (Lazy.force torus1e6) in
+     let alive = Fn_graph.Bitset.create_full n in
+     Array.iter (Fn_graph.Bitset.remove alive) (Fn_prng.Rng.sample (fresh ()) n 1024);
+     alive)
+
+let () =
+  reg ~suite:online "alpha_itorus1e6"
+    (deps [ dep torus1e6; dep faulted1024_1e6 ])
+    (fun () ->
+      Fn_online.Alpha_cache.reference ~seed:1 (Lazy.force torus1e6)
+        ~kept:(Lazy.force faulted1024_1e6))
+
 (* ---- online: crash-only recovery and degraded serving ---- *)
 
 (* Recovery replay vs snapshot restore on the 10^6 implicit torus.

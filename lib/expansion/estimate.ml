@@ -49,83 +49,83 @@ let disconnected_witness ?alive view =
     Some (Components.members comps !smallest)
   end
 
-(* Candidate balls around one source for geometrically doubled size
-   targets, largest first.  One resumable traversal serves the whole
-   schedule (Bfs.grow_ball) instead of a fresh BFS per size. *)
-let balls_from ?alive view ~total ~half src =
-  let grower = Bfs.ball_grower ?alive view src in
+(* A ball candidate: the first [size] nodes a BFS from [src] collects,
+   and its expansion.  The set itself is built only for a winner. *)
+type ball = { src : int; size : int; value : float }
+
+(* One ball sample: restart [grower] at [src], grow it through
+   geometrically doubled size targets and read each ball's value off
+   the grower's boundary counts — one traversal, no set built, no
+   boundary re-scan.  Candidates come largest first.  Every one is a
+   proper cut: the source is alive, so size >= 1, and size <= target
+   <= total/2.  The values are the floats Cut.value_of gives the
+   materialized ball: the same integer counts and the same division. *)
+let sample_balls grower ~total objective src =
+  Bfs.restart_ball grower src;
   let out = ref [] in
-  let size = ref 2 in
-  while !size <= half do
-    let ball = Bfs.grow_ball grower !size in
-    let c = Bfs.ball_size grower in
-    if c >= 1 && 2 * c <= total then out := ball :: !out;
-    size := !size * 2
+  let target = ref 2 in
+  while !target <= total / 2 do
+    Bfs.extend_ball grower !target;
+    let size = Bfs.ball_size grower in
+    let value =
+      match objective with
+      | Cut.Node -> float_of_int (Bfs.ball_node_boundary grower) /. float_of_int size
+      | Cut.Edge ->
+        float_of_int (Bfs.ball_edge_boundary grower) /. float_of_int (min size (total - size))
+    in
+    out := { src; size; value } :: !out;
+    target := !target * 2
   done;
   !out
 
-let ball_candidates ?alive view rng samples =
+(* Per-sample candidate lists, in sample order.  The sources are drawn
+   up front (growth never reads the rng), then one grower's arrays
+   serve every sample. *)
+let ball_candidates ?alive view objective rng samples =
   let total, pool = sample_pool ?alive view in
-  let out = ref [] in
-  if total >= 2 then begin
-    let half = total / 2 in
-    for _ = 1 to samples do
-      let src = pick_source pool rng total in
-      out := balls_from ?alive view ~total ~half src @ !out
-    done
-  end;
-  !out
+  if total < 2 then [||]
+  else begin
+    let srcs = Array.init samples (fun _ -> pick_source pool rng total) in
+    let grower = Bfs.ball_grower ?alive view srcs.(0) in
+    Array.map (sample_balls grower ~total objective) srcs
+  end
 
 (* Parallel sampling: every sample gets its own pre-split generator
    (sequential split, Par.trials) and grows its balls on a worker
-   domain; the merge folds per-sample lists in index order, so the
-   result is deterministic and independent of the domain count. *)
-let ball_candidates_par ?obs ?alive view rng samples ~domains =
+   domain with its own grower, so the result is deterministic and
+   independent of the domain count. *)
+let ball_candidates_par ?obs ?alive view objective rng samples ~domains =
   let total, pool = sample_pool ?alive view in
-  if total < 2 then []
-  else begin
-    let half = total / 2 in
-    let per =
-      Fn_parallel.Par.trials ?obs ~domains ~rng samples (fun r ->
-          balls_from ?alive view ~total ~half (pick_source pool r total))
-    in
-    Array.fold_left (fun acc balls -> balls @ acc) [] per
-  end
+  if total < 2 then [||]
+  else
+    Fn_parallel.Par.trials ?obs ~domains ~rng samples (fun r ->
+        let src = pick_source pool r total in
+        sample_balls (Bfs.ball_grower ?alive view src) ~total objective src)
 
-(* The BFS-ball slice of the portfolio: candidates evaluated through
-   one generation-stamped scratch.  Local search stays CSR-only, so
+(* Cut.better folded over candidates in list order: the first
+   smallest value wins. *)
+let best_ball balls =
+  List.fold_left
+    (fun best b ->
+      match best with Some w when not (b.value < w.value) -> best | Some _ | None -> Some b)
+    None balls
+
+(* A winner's set: BFS order is deterministic, so regrowing from its
+   source to its size rebuilds exactly the ball that was valued. *)
+let ball_cut ?alive view objective b =
+  { Cut.set = Bfs.ball_of_size ?alive view b.src b.size; value = b.value; objective }
+
+(* The BFS-ball slice of the portfolio: one counted traversal per
+   sample; candidates in sample order, each sample's largest first,
+   and only the winner is built.  Local search stays CSR-only, so
    this (with {!spectral_witness}) is what large implicit topologies
    and their Prune finders use; the node count and degree bound both
    come from O(1) view metadata. *)
 let ball_witness ?alive ?rng view objective =
   let rng = match rng with Some r -> r | None -> Rng.create 0xFA17 in
-  let total, pool = sample_pool ?alive view in
-  if total < 2 then None
-  else begin
-    let scratch = Boundary.Scratch.create (Gview.num_nodes view) in
-    let half = total / 2 in
-    let best = ref None in
-    for _ = 1 to ball_samples do
-      let src = pick_source pool rng total in
-      List.iter
-        (fun set ->
-          (* balls_from guarantees 1 <= |set| <= total/2 within alive *)
-          let size = Bitset.cardinal set in
-          let value =
-            match objective with
-            | Cut.Node ->
-              float_of_int (Boundary.Scratch.node_boundary_size scratch ?alive view set)
-              /. float_of_int size
-            | Cut.Edge ->
-              float_of_int (Boundary.Scratch.edge_boundary_size scratch ?alive view set)
-              /. float_of_int (min size (total - size))
-          in
-          let cut = { Cut.set; value; objective } in
-          best := Some (match !best with Some b -> Cut.better b cut | None -> cut))
-        (balls_from ?alive view ~total ~half src)
-    done;
-    !best
-  end
+  ball_candidates ?alive view objective rng ball_samples
+  |> Array.to_list |> List.concat |> best_ball
+  |> Option.map (ball_cut ?alive view objective)
 
 (* The spectral slice of the portfolio: one fused solve (the lambda2
    Fiedler vector IS the first vector of the pair, so Spectral.solve
@@ -199,38 +199,42 @@ let run ?(obs = Fn_obs.Sink.null) ?alive ?rng ?(domains = 1) ?(force_heuristic =
     else begin
       let spectral, sweeps = spectral_sweeps ~obs ?alive ~domains view objective in
       let sweep = best_sweep sweeps in
-      let balls =
-        if domains <= 1 then ball_candidates ?alive view rng ball_samples
-        else ball_candidates_par ~obs ?alive view rng ball_samples ~domains
+      let per_sample =
+        if domains <= 1 then ball_candidates ?alive view objective rng ball_samples
+        else ball_candidates_par ~obs ?alive view objective rng ball_samples ~domains
       in
-      let candidates =
-        (* pure evaluation: the parallel map matches the sequential
-           filter_map element for element *)
-        Fn_parallel.Par.map ~obs ~domains
-          (fun set ->
-            match Cut.value_of ?alive view objective set with
-            | v -> Some { Cut.set; value = v; objective }
-            | exception Invalid_argument _ -> None)
-          (Array.of_list balls)
-        |> Array.to_list
-        |> List.filter_map Fun.id
-      in
-      let best = List.fold_left Cut.better sweep candidates in
+      (* the historical candidate order: the last sample's balls
+         first, each sample's largest first *)
+      let balls = Array.fold_left (fun acc bs -> bs @ acc) [] per_sample in
       let refined =
-        if domains <= 1 then Local_search.improve ?alive ~max_passes:local_search_passes g best
+        if domains <= 1 then begin
+          (* the sweep comes first, so a ball must be strictly smaller
+             to win; only the winner is materialized *)
+          let best =
+            match best_ball balls with
+            | Some b when b.value < sweep.Cut.value -> ball_cut ?alive view objective b
+            | Some _ | None -> sweep
+          in
+          Local_search.improve ?alive ~max_passes:local_search_passes g best
+        end
         else begin
           (* multi-start refinement: hill-climb the few best distinct
              starts in parallel; includes the overall best, so the
              refined value is never worse than the sequential start *)
-          let pool = Array.of_list (Array.to_list sweeps @ candidates) in
-          let idx = Array.init (Array.length pool) Fun.id in
+          let balls = Array.of_list balls in
+          let nsweeps = Array.length sweeps in
+          let value i = if i < nsweeps then sweeps.(i).Cut.value else balls.(i - nsweeps).value in
+          let idx = Array.init (nsweeps + Array.length balls) Fun.id in
           Array.sort
             (fun a b ->
-              let c = Float.compare pool.(a).Cut.value pool.(b).Cut.value in
+              let c = Float.compare (value a) (value b) in
               if c <> 0 then c else Int.compare a b)
             idx;
           let starts =
-            Array.init (min max_refine_starts (Array.length pool)) (fun i -> pool.(idx.(i)))
+            Array.init (min max_refine_starts (Array.length idx)) (fun i ->
+                let k = idx.(i) in
+                if k < nsweeps then sweeps.(k)
+                else ball_cut ?alive view objective balls.(k - nsweeps))
           in
           Local_search.improve_many ~obs ?alive ~max_passes:local_search_passes ~domains g
             starts

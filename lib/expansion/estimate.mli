@@ -11,7 +11,8 @@ open Fn_prng
 
     - the spectral sweep cut (with a Cheeger estimate in [lower]);
     - BFS balls of geometrically spaced sizes around 8 sampled nodes
-      (optimal for meshes and other locally flat graphs);
+      (optimal for meshes and other locally flat graphs), valued from
+      the grower's boundary counts without re-scanning any ball;
     - first-improvement local search ({!Local_search.improve}, 4
       passes) refining the best candidate.
 
@@ -69,14 +70,20 @@ val ball_witness :
   Cut.objective ->
   Cut.t option
 (** The BFS-ball slice of the portfolio on either {!Gview.t} arm: grow
-    geometrically doubled balls around sampled sources and return the
-    best cut witnessed, or [None] when no candidate exists (fewer than
-    2 alive nodes, or every ball overshoots half the pool).  This is
-    the finder large implicit topologies use — the node count and the
+    geometrically doubled balls (2, 4, 8, ... up to half the alive
+    pool) around sampled sources and return the best cut witnessed,
+    or [None] when no candidate exists (fewer than 4 alive nodes, so
+    no size fits in half the pool).  Each sample is one traversal:
+    a {!Bfs.ball_grower} counts the ball's node and edge boundaries
+    as it grows, so every size's value is read in O(1) instead of
+    re-scanning the ball, and only the winning ball is built as a
+    set.  One grower's arrays serve all 8 samples.  This is the
+    finder large implicit topologies use — the node count and the
     degree bound come from O(1) view metadata, no O(n) pass, no edge
     materialization; local search remains CSR-only.  Sequential and
-    byte-reproducible for a fixed [rng] (default seed 0xFA17); 8
-    sources are sampled. *)
+    byte-reproducible for a fixed [rng] (default seed 0xFA17): the
+    fold keeps the first smallest value over samples in order, each
+    sample's balls largest first. *)
 
 val spectral_witness :
   ?obs:Fn_obs.Sink.t ->

@@ -49,9 +49,6 @@ val create : ?alive:Bitset.t -> ?domains:int -> Gview.t -> t
 (** Degree and trivial-vector setup for the alive-restricted operator.
     [domains] (default 1) is recorded for {!with_apply}. *)
 
-val is_alive : t -> int -> bool
-(** Reads the row class: O(1), no mask probe. *)
-
 val alive_count : t -> int
 (** Number of alive nodes (= [n] without a mask); O(mask words). *)
 

@@ -98,20 +98,43 @@ let ball ?alive view src r =
   done;
   out
 
-(* Resumable ball growth: the frontier state persists between calls,
-   so growing a ball through doubling size targets (Estimate's
-   geometric candidate schedule) traverses each node once overall
-   instead of restarting the BFS per target. *)
+(* Resumable ball growth with counted boundaries.  One byte of state
+   per node: unseen, frontier (queued, not yet collected) or ball
+   (collected).  The ball is the queue prefix [0, head) in BFS order
+   and the frontier the suffix [head, tail).  Collecting a node
+   expands all of its neighbours, so once the source is collected
+   every alive neighbour of the ball is queued: the frontier is
+   exactly Γ(ball).  [cut] counts the alive edges with one endpoint in
+   the ball; collecting u adds one per neighbour still outside and
+   takes one away per neighbour already inside.  Each neighbour costs
+   one state read, as a seen-flag test would.  The ball's set is built
+   on demand: [members] holds the first [synced] collected nodes and
+   catches up with the queue only when {!grow_ball} asks for the ball,
+   so {!extend_ball} writes nothing but the state byte and the queue. *)
+let unseen = '\000'
+
+let frontier = '\001'
+
+let collected = '\002'
+
 type ball_grower = {
   iter : int -> (int -> unit) -> unit;
   alive : Bitset.t option;
-  seen : bool array;
+  state : Bytes.t;
   queue : int array;
   mutable head : int;
   mutable tail : int;
-  ball : Bitset.t;
-  mutable size : int;
+  mutable cut : int;
+  members : Bitset.t;
+  mutable synced : int;
 }
+
+let start t src =
+  Bytes.set t.state src frontier;
+  t.queue.(0) <- src;
+  t.head <- 0;
+  t.tail <- 1;
+  t.cut <- 0
 
 let ball_grower ?alive view src =
   let n = Gview.num_nodes view in
@@ -120,38 +143,66 @@ let ball_grower ?alive view src =
     {
       iter = Gview.iter_neighbors view;
       alive;
-      seen = Array.make n false;
+      state = Bytes.make n unseen;
       queue = Array.make (max 1 n) 0;
       head = 0;
-      tail = 1;
-      ball = Bitset.create n;
-      size = 0;
+      tail = 0;
+      cut = 0;
+      members = Bitset.create n;
+      synced = 0;
     }
   in
-  t.seen.(src) <- true;
-  t.queue.(0) <- src;
+  start t src;
   t
 
-let ball_size t = t.size
+let restart_ball t src =
+  check_src (Bytes.length t.state) t.alive src;
+  for i = 0 to t.tail - 1 do
+    Bytes.set t.state t.queue.(i) unseen
+  done;
+  for i = 0 to t.synced - 1 do
+    Bitset.remove t.members t.queue.(i)
+  done;
+  t.synced <- 0;
+  start t src
+
+let ball_size t = t.head
 
 let ball_exhausted t = t.head >= t.tail
 
-let grow_ball t k =
+let ball_node_boundary t = if t.head = 0 then 0 else t.tail - t.head
+
+let ball_edge_boundary t = t.cut
+
+let extend_ball t k =
+  let state = t.state and queue = t.queue and alive = t.alive in
   let expand v =
-    if (not t.seen.(v)) && is_alive t.alive v then begin
-      t.seen.(v) <- true;
-      t.queue.(t.tail) <- v;
-      t.tail <- t.tail + 1
-    end
+    (* the literals are [unseen], [frontier] and [collected] *)
+    match Bytes.get state v with
+    | '\000' ->
+      if is_alive alive v then begin
+        Bytes.set state v frontier;
+        queue.(t.tail) <- v;
+        t.tail <- t.tail + 1;
+        t.cut <- t.cut + 1
+      end
+    | '\001' -> t.cut <- t.cut + 1
+    | _ -> t.cut <- t.cut - 1
   in
-  while t.size < k && t.head < t.tail do
-    let u = t.queue.(t.head) in
+  while t.head < k && t.head < t.tail do
+    let u = queue.(t.head) in
     t.head <- t.head + 1;
-    Bitset.add t.ball u;
-    t.size <- t.size + 1;
+    Bytes.set state u collected;
     t.iter u expand
+  done
+
+let grow_ball t k =
+  extend_ball t k;
+  for i = t.synced to t.head - 1 do
+    Bitset.add t.members t.queue.(i)
   done;
-  Bitset.copy t.ball
+  t.synced <- t.head;
+  Bitset.copy t.members
 
 let ball_of_size ?alive view src k = grow_ball (ball_grower ?alive view src) k
 

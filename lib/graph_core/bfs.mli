@@ -32,32 +32,61 @@ val ball_of_size : ?alive:Bitset.t -> Gview.t -> int -> int -> Bitset.t
     exhausted).  BFS order makes the result connected. *)
 
 type ball_grower
-(** Resumable BFS ball growth from one source.  The traversal state
-    persists across {!grow_ball} calls, so growing through an
-    increasing size schedule (e.g. doubling) visits each node once
-    overall instead of restarting per size. *)
+(** Resumable BFS ball growth from one source, with the ball's node
+    and edge boundaries counted as it grows.  The traversal state
+    persists across {!extend_ball} / {!grow_ball} calls, so growing
+    through an increasing size schedule (e.g. doubling) visits each
+    node once overall instead of restarting per size, and
+    {!restart_ball} reuses the grower's O(n) arrays for the next
+    source. *)
 
 val ball_grower : ?alive:Bitset.t -> Gview.t -> int -> ball_grower
 (** [ball_grower view src] starts a traversal at [src] with no node
-    collected yet.  [src] must be alive.  On an implicit view the
-    grower holds O(n) traversal state but touches only the ball it
-    actually grows — the 10^7-node bench kernels go through here. *)
+    collected yet.  [src] must be alive.  The grower holds O(n) state
+    (one byte per node and an n-int queue) but touches only the ball
+    it grows and that ball's frontier — the 10^7-node bench kernels
+    go through here. *)
+
+val restart_ball : ball_grower -> int -> unit
+(** [restart_ball t src] empties the ball and starts over at [src]
+    (which must be alive) on the same arrays, in time proportional to
+    the nodes the previous traversal queued.  Afterwards [t] behaves
+    exactly like [ball_grower view src]. *)
+
+val extend_ball : ball_grower -> int -> unit
+(** [extend_ball t k] extends the traversal until at least [k] nodes
+    are collected (or the component is exhausted), without building a
+    set.  BFS order is deterministic, so the ball after any schedule
+    of calls ending at [k] (each target at least the previous one) is
+    [ball_of_size view src k].  Monotone: the ball only ever gains
+    nodes. *)
 
 val grow_ball : ball_grower -> int -> Bitset.t
-(** [grow_ball t k] extends the traversal until at least [k] nodes
-    are collected (or the component is exhausted) and returns a fresh
-    copy of the current ball.  [grow_ball t k] after [grow_ball t j]
-    with [j <= k] equals [ball_of_size view src k]: BFS order is
-    deterministic, so resuming and restarting agree.  Monotone: the
-    ball only ever gains nodes. *)
+(** [extend_ball t k], then a fresh set of the current ball. *)
 
 val ball_size : ball_grower -> int
-(** Number of nodes collected so far (the cardinal of the last
-    {!grow_ball} result). *)
+(** Number of nodes collected so far (the cardinal of the current
+    ball). *)
 
 val ball_exhausted : ball_grower -> bool
 (** True once the component of the source has been fully collected;
-    further {!grow_ball} calls return the same set. *)
+    further growth leaves the ball unchanged. *)
+
+val ball_node_boundary : ball_grower -> int
+(** |Γ(B)| of the current ball B, in O(1): equals
+    [Boundary.node_boundary_size ?alive view b] for the set [b] that
+    {!grow_ball} returns.  Once the source is collected, every alive
+    neighbour of B has been queued, so the BFS frontier (queued, not
+    yet collected) is exactly Γ(B); before that B is empty and the
+    count is 0. *)
+
+val ball_edge_boundary : ball_grower -> int
+(** |(B, V\B)| of the current ball B, in O(1): equals
+    [Boundary.edge_boundary_size ?alive view b].  A running count of
+    alive-alive edges with one endpoint in B: collecting a node adds
+    one per alive neighbour outside B and removes one per neighbour
+    already in B.  Exact on any view meeting the {!Gview} contract
+    (symmetric adjacency, no self-loops, each neighbour once). *)
 
 val eccentricity : ?alive:Bitset.t -> Gview.t -> int -> int
 (** Largest finite distance from the source. *)

@@ -124,6 +124,45 @@ let test_next_member () =
   in
   check_bool "scan = to_list" true (scan 0 [] = Bitset.to_list s)
 
+(* Bit-by-bit reference: every universe index probed with [mem], in
+   increasing order, with no word arithmetic. *)
+let naive_members s = List.filter (Bitset.mem s) (List.init (Bitset.universe s) Fun.id)
+
+(* iter, fold and to_array against the reference.  The marks sit at
+   both ends of the first word (bit 0, and bit 62, the sign bit of a
+   native int), at both ends of the second (63 and 125) and at the
+   last bit of the universe; a single-member set at every index walks
+   each bit position of the halving search. *)
+let test_iter_matches_naive () =
+  let agree label s =
+    let expect = naive_members s in
+    let visited = ref [] in
+    Bitset.iter (fun v -> visited := v :: !visited) s;
+    check_bool (label ^ ": iter") true (List.rev !visited = expect);
+    check_bool (label ^ ": fold") true (List.rev (Bitset.fold (fun v acc -> v :: acc) s []) = expect);
+    check_bool (label ^ ": to_array") true (Array.to_list (Bitset.to_array s) = expect)
+  in
+  List.iter
+    (fun n ->
+      let marks = List.filter (fun v -> v < n) [ 0; 62; 63; 125; n - 1 ] in
+      agree (Printf.sprintf "marks n=%d" n) (Bitset.of_list n marks);
+      agree (Printf.sprintf "full n=%d" n) (Bitset.create_full n);
+      let holes = Bitset.create_full n in
+      List.iter (Bitset.remove holes) marks;
+      agree (Printf.sprintf "full minus marks n=%d" n) holes;
+      for v = 0 to n - 1 do
+        agree (Printf.sprintf "singleton %d of %d" v n) (Bitset.of_list n [ v ])
+      done)
+    [ 1; 63; 64; 126; 127; 200 ]
+
+let prop_iter_matches_naive =
+  prop "iter and to_array equal the bit-by-bit reference" gen_int_set (fun (n, xs) ->
+      let s = Bitset.of_list n xs in
+      let visited = ref [] in
+      Bitset.iter (fun v -> visited := v :: !visited) s;
+      let expect = naive_members s in
+      List.rev !visited = expect && Array.to_list (Bitset.to_array s) = expect)
+
 let () =
   Alcotest.run "bitset"
     [
@@ -134,6 +173,7 @@ let () =
           case "add/remove" test_add_remove;
           case "bounds checked" test_bounds_checked;
           case "iter order" test_iter_order;
+          case "iter/fold/to_array = bit-by-bit reference" test_iter_matches_naive;
           case "set operations" test_set_operations;
           case "choose" test_choose;
           case "next_member" test_next_member;
@@ -145,5 +185,6 @@ let () =
           prop_complement_involution;
           prop_cardinal_union_inter;
           prop_fold_counts;
+          prop_iter_matches_naive;
         ] );
     ]

@@ -182,6 +182,42 @@ let test_faultnetd_rejects_bad_values () =
         ];
       check_bool "no journal opened" false (Sys.file_exists journal))
 
+(* An error exit still closes the --trace sink and prints the
+   --metrics report: resume a journal whose second batch faults node 3
+   again, so replay applies the first batch and then refuses. *)
+let test_faultnetd_error_exit_finishes () =
+  let tmp suffix = Filename.temp_file "faultnetd_refused" suffix in
+  let journal = tmp ".jsonl" and trace = tmp ".trace" and err = tmp ".err" in
+  Sys.remove journal;
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> if Sys.file_exists f then Sys.remove f) [ journal; trace; err ])
+    (fun () ->
+      let args = "--topology torus:4x4 --seed 1 --journal " ^ journal in
+      check_int "journaled session" 0
+        (Sys.command (Printf.sprintf "printf 'apply f3\\nquit\\n' | %s %s > /dev/null" daemon args));
+      Out_channel.with_open_gen [ Open_append; Open_text ] 0o644 journal (fun oc ->
+          output_string oc
+            "{\"kind\":\"trial\",\"scope\":\"online.batch\",\"index\":1,\"value\":[\"f3\"]}\n");
+      let code =
+        Sys.command
+          (Printf.sprintf "%s %s --resume --trace %s --metrics < /dev/null > /dev/null 2> %s" daemon
+             args trace err)
+      in
+      check_int "refused resume exits 1" 1 code;
+      let lines =
+        In_channel.with_open_bin trace In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (fun l -> not (String.equal l ""))
+      in
+      check_bool "trace not empty" true (List.length lines > 0);
+      List.iter
+        (fun l -> check_bool ("trace line parses: " ^ l) true (Option.is_some (Fn_obs.Jsonx.parse l)))
+        lines;
+      let text = In_channel.with_open_bin err In_channel.input_all in
+      check_bool "refusal on stderr" true (contains text "faultnetd: journal replay rejected batch 1");
+      check_bool "metrics report on stderr" true (contains text "online.batches"))
+
 let () =
   if not (Sys.file_exists binary) then begin
     print_endline "faultnet_cli.exe not found next to the test; skipping CLI suite";
@@ -198,6 +234,7 @@ let () =
           case "unknown experiment" test_unknown_experiment_fails;
           case "determinism" test_determinism_across_runs;
           case "faultnetd rejects bad flag values" test_faultnetd_rejects_bad_values;
+          case "faultnetd error exit closes trace and metrics" test_faultnetd_error_exit_finishes;
         ] );
       ( "lint",
         [

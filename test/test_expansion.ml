@@ -328,6 +328,129 @@ let test_estimate_parallel_independent_of_domain_count () =
   check_bool "witness value" true
     (abs_float (Cut.value_of (Gview.Csr g) Cut.Edge a.Estimate.witness -. a.Estimate.value) < 1e-9)
 
+(* Estimate.run's heuristic branch as it was before counted growth,
+   rebuilt from public pieces: the four rotated Fiedler sweeps, then
+   every doubled ball of 8 samples materialized and evaluated with
+   Cut.value_of (an Invalid_argument dropped the candidate), folded
+   with Cut.better from the best sweep (last sample first, each
+   sample largest first), then local search from the winner — or,
+   with domains > 1, from the 4 best of sweeps @ candidates. *)
+let reference_heuristic ?alive ~rng ~domains g objective =
+  let view = Gview.Csr g in
+  let spectral, f2 = Spectral.solve ?alive ~domains view in
+  let f1 = spectral.Spectral.fiedler in
+  let rotate op = Array.init (Array.length f1) (fun i -> op f1.(i) f2.(i)) in
+  let sweeps =
+    Array.map
+      (fun score -> Sweep.best_prefix ?alive view ~score objective)
+      [| f1; f2; rotate ( +. ); rotate ( -. ) |]
+  in
+  let sweep = Array.fold_left Cut.better sweeps.(0) sweeps in
+  let total, pool =
+    match alive with
+    | Some m ->
+      let nodes = Bitset.to_array m in
+      (Array.length nodes, Some nodes)
+    | None -> (Graph.num_nodes g, None)
+  in
+  let pick r =
+    match pool with
+    | Some nodes -> nodes.(Fn_prng.Rng.int r total)
+    | None -> Fn_prng.Rng.int r total
+  in
+  let balls_from src =
+    let grower = Bfs.ball_grower ?alive view src in
+    let out = ref [] and size = ref 2 in
+    while !size <= total / 2 do
+      let ball = Bfs.grow_ball grower !size in
+      let c = Bfs.ball_size grower in
+      if c >= 1 && 2 * c <= total then out := ball :: !out;
+      size := !size * 2
+    done;
+    !out
+  in
+  let balls =
+    if domains <= 1 then begin
+      let out = ref [] in
+      for _ = 1 to 8 do
+        out := balls_from (pick rng) @ !out
+      done;
+      !out
+    end
+    else
+      Array.fold_left (fun acc b -> b @ acc) []
+        (Fn_parallel.Par.trials ~domains ~rng 8 (fun r -> balls_from (pick r)))
+  in
+  let candidates =
+    List.filter_map
+      (fun set ->
+        match Cut.value_of ?alive view objective set with
+        | v -> Some { Cut.set; value = v; objective }
+        | exception Invalid_argument _ -> None)
+      balls
+  in
+  if domains <= 1 then
+    Local_search.improve ?alive ~max_passes:4 g (List.fold_left Cut.better sweep candidates)
+  else begin
+    let pool = Array.of_list (Array.to_list sweeps @ candidates) in
+    let idx = Array.init (Array.length pool) Fun.id in
+    Array.sort
+      (fun a b ->
+        let c = Float.compare pool.(a).Cut.value pool.(b).Cut.value in
+        if c <> 0 then c else Int.compare a b)
+      idx;
+    Local_search.improve_many ?alive ~max_passes:4 ~domains g
+      (Array.init (min 4 (Array.length pool)) (fun i -> pool.(idx.(i))))
+  end
+
+(* The ball candidates now come from the grower's counts and only the
+   winners are built; value and witness must not move, sequentially
+   or with domains > 1.  Masks keep the largest component, so the
+   heuristic branch runs (a disconnected mask short-cuts to 0). *)
+let test_estimate_matches_rescan_candidates () =
+  let mrng = Fn_prng.Rng.create 1618 in
+  let largest g p =
+    let m = Bitset.create_full (Graph.num_nodes g) in
+    for v = 0 to Graph.num_nodes g - 1 do
+      if Fn_prng.Rng.unit_float mrng < p then Bitset.remove m v
+    done;
+    Some (Components.largest_members ~alive:m (Gview.Csr g))
+  in
+  let mesh, _ = Fn_topology.Mesh.cube ~d:2 ~side:10 in
+  let torus, _ = Fn_topology.Torus.cube ~d:2 ~side:8 in
+  let expander = Fn_topology.Expander.random_regular (Fn_prng.Rng.create 3) ~n:64 ~d:6 in
+  let cases =
+    [
+      ("mesh 10x10 masked", mesh, largest mesh 0.1);
+      ("torus 8x8", torus, None);
+      ("torus 8x8 masked", torus, largest torus 0.2);
+      ("expander 64/6 masked", expander, largest expander 0.2);
+    ]
+  in
+  List.iter
+    (fun (name, g, alive) ->
+      List.iter
+        (fun (oname, objective) ->
+          List.iter
+            (fun domains ->
+              for seed = 1 to 3 do
+                let label = Printf.sprintf "%s, %s, domains %d, seed %d" name oname domains seed in
+                let expect =
+                  reference_heuristic ?alive ~rng:(Fn_prng.Rng.create seed) ~domains g objective
+                in
+                let got =
+                  Estimate.run ?alive ~rng:(Fn_prng.Rng.create seed) ~domains ~force_heuristic:true
+                    g objective
+                in
+                check_bool (label ^ ": heuristic branch") false got.Estimate.exact;
+                check_bool (label ^ ": value and witness") true
+                  (same_cut expect
+                     { Cut.set = got.Estimate.witness; value = got.Estimate.value; objective })
+              done)
+            [ 1; 3 ])
+        [ ("node", Cut.Node); ("edge", Cut.Edge) ])
+    cases
+
 let prop_analytic_formulas_guard =
   prop "analytic guards reject bad input" (QCheck2.Gen.int_range (-3) 1) (fun n ->
       (try
@@ -367,6 +490,7 @@ let () =
           case "estimate alive mask" test_estimate_alive_mask;
           case "estimate needs 2 nodes" test_estimate_requires_two;
           case "estimate domains=1 is default" test_estimate_domains_one_is_default;
+          case "estimate = re-scan candidates reference" test_estimate_matches_rescan_candidates;
           case "estimate parallel domain-count invariant"
             test_estimate_parallel_independent_of_domain_count;
           case "edge profile path" test_edge_profile_path;

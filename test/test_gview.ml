@@ -291,6 +291,211 @@ let test_ball_witness () =
   | Some cut ->
     check_bool "found the bridge" true (cut.Fn_expansion.Cut.value <= 0.25 +. 1e-9)
 
+(* ---- counted growth: the grower's boundary counts ---- *)
+
+module Cut = Fn_expansion.Cut
+
+let mask_of rng n p =
+  let m = Bitset.create_full n in
+  for v = 0 to n - 1 do
+    if Rng.unit_float rng < p then Bitset.remove m v
+  done;
+  m
+
+(* CSR mesh, torus and expander plus the implicit torus *)
+let growth_views =
+  lazy
+    (let mesh, _ = Mesh.cube ~d:2 ~side:9 in
+     let torus, _ = Torus.cube ~d:2 ~side:8 in
+     let expander = Expander.random_regular (Rng.create 5) ~n:96 ~d:4 in
+     [
+       ("mesh 9x9", Gview.Csr mesh);
+       ("torus 8x8", Gview.Csr torus);
+       ("expander 96/4", Gview.Csr expander);
+       ("implicit torus 10x12", Implicit.torus [| 10; 12 |]);
+     ])
+
+(* no mask, and masks killing a fifth and a half of the nodes: balls
+   then border dead nodes, and the half mask splits the graph into
+   components that growth exhausts *)
+let growth_masks n =
+  let rng = Rng.create (n + 17) in
+  [ ("all alive", None); ("p=0.2", Some (mask_of rng n 0.2)); ("p=0.5", Some (mask_of rng n 0.5)) ]
+
+(* At every doubled size the grower's counts equal a re-scan of the
+   set it returns, on a fresh grower and on one restarted from every
+   earlier source. *)
+let test_counted_growth () =
+  List.iter
+    (fun (name, view) ->
+      let n = Gview.num_nodes view in
+      List.iter
+        (fun (mname, alive) ->
+          let is_alive v = match alive with None -> true | Some m -> Bitset.mem m v in
+          let srcs = List.filter is_alive [ 0; 1; n / 3; n / 2; n - 1 ] in
+          let shared = Bfs.ball_grower ?alive view (List.hd srcs) in
+          List.iter
+            (fun src ->
+              Bfs.restart_ball shared src;
+              let fresh = Bfs.ball_grower ?alive view src in
+              let k = ref 1 and step = ref 0 in
+              while !k <= 2 * n do
+                let label = Printf.sprintf "%s, %s, src %d, k %d" name mname src !k in
+                let set = Bfs.grow_ball fresh !k in
+                (* the restarted grower builds no set at every other size,
+                   so the next grow_ball catches up over two sizes *)
+                if !step mod 2 = 1 then Bfs.extend_ball shared !k
+                else
+                  check_bool (label ^ ": restarted ball") true
+                    (Bitset.equal set (Bfs.grow_ball shared !k));
+                check_int (label ^ ": size") (Bitset.cardinal set) (Bfs.ball_size fresh);
+                check_int (label ^ ": restarted size") (Bfs.ball_size fresh) (Bfs.ball_size shared);
+                List.iter
+                  (fun (what, g) ->
+                    check_int (label ^ ": node boundary, " ^ what)
+                      (Boundary.node_boundary_size ?alive view set)
+                      (Bfs.ball_node_boundary g);
+                    check_int (label ^ ": edge boundary, " ^ what)
+                      (Boundary.edge_boundary_size ?alive view set)
+                      (Bfs.ball_edge_boundary g))
+                  [ ("fresh", fresh); ("restarted", shared) ];
+                incr step;
+                k := !k * 2
+              done)
+            srcs)
+        (growth_masks n))
+    (Lazy.force growth_views)
+
+let test_counted_growth_edges () =
+  (* before the source is collected the ball is empty: both counts 0 *)
+  let view = Implicit.torus [| 4; 4 |] in
+  let g = Bfs.ball_grower view 5 in
+  check_int "empty ball: node boundary" 0 (Bfs.ball_node_boundary g);
+  check_int "empty ball: edge boundary" 0 (Bfs.ball_edge_boundary g);
+  Bfs.extend_ball g 1;
+  check_int "source alone: node boundary" 4 (Bfs.ball_node_boundary g);
+  check_int "source alone: edge boundary" 4 (Bfs.ball_edge_boundary g);
+  Bfs.extend_ball g 16;
+  check_bool "whole graph: exhausted" true (Bfs.ball_exhausted g);
+  check_int "whole graph: node boundary" 0 (Bfs.ball_node_boundary g);
+  check_int "whole graph: edge boundary" 0 (Bfs.ball_edge_boundary g);
+  let alive = Bitset.of_list 16 [ 0; 1 ] in
+  let g = Bfs.ball_grower ~alive view 0 in
+  Alcotest.check_raises "restart at a dead source" (Invalid_argument "Bfs: source not alive")
+    (fun () -> Bfs.restart_ball g 5)
+
+(* ---- the ball witness against its re-scan oracle ---- *)
+
+(* Estimate.ball_witness as it was before counted growth: a fresh
+   grower per sample, every doubled ball materialized and its
+   boundary re-scanned through Boundary.Scratch, Cut.better folded
+   over samples in order, each largest first. *)
+module Rescan_witness = struct
+  let ball_samples = 8
+
+  let sample_pool ?alive view =
+    match alive with
+    | Some m ->
+      let nodes = Bitset.to_array m in
+      (Array.length nodes, Some nodes)
+    | None -> (Gview.num_nodes view, None)
+
+  let pick_source pool rng total =
+    match pool with Some nodes -> nodes.(Rng.int rng total) | None -> Rng.int rng total
+
+  let balls_from ?alive view ~total ~half src =
+    let grower = Bfs.ball_grower ?alive view src in
+    let out = ref [] in
+    let size = ref 2 in
+    while !size <= half do
+      let ball = Bfs.grow_ball grower !size in
+      let c = Bfs.ball_size grower in
+      if c >= 1 && 2 * c <= total then out := ball :: !out;
+      size := !size * 2
+    done;
+    !out
+
+  let ball_witness ?alive ~rng view objective =
+    let total, pool = sample_pool ?alive view in
+    if total < 2 then None
+    else begin
+      let scratch = Boundary.Scratch.create (Gview.num_nodes view) in
+      let half = total / 2 in
+      let best = ref None in
+      for _ = 1 to ball_samples do
+        let src = pick_source pool rng total in
+        List.iter
+          (fun set ->
+            let size = Bitset.cardinal set in
+            let value =
+              match objective with
+              | Cut.Node ->
+                float_of_int (Boundary.Scratch.node_boundary_size scratch ?alive view set)
+                /. float_of_int size
+              | Cut.Edge ->
+                float_of_int (Boundary.Scratch.edge_boundary_size scratch ?alive view set)
+                /. float_of_int (min size (total - size))
+            in
+            let cut = { Cut.set; value; objective } in
+            best := Some (match !best with Some b -> Cut.better b cut | None -> cut))
+          (balls_from ?alive view ~total ~half src)
+      done;
+      !best
+    end
+end
+
+let same_witness label expect got =
+  match (expect, got) with
+  | None, None -> ()
+  | Some a, Some b ->
+    check_bool (label ^ ": set") true (Bitset.equal a.Cut.set b.Cut.set);
+    check_bool (label ^ ": value bits") true
+      (Int64.equal (Int64.bits_of_float a.Cut.value) (Int64.bits_of_float b.Cut.value))
+  | Some _, None -> Alcotest.failf "%s: witness lost" label
+  | None, Some _ -> Alcotest.failf "%s: witness appeared" label
+
+let test_ball_witness_matches_rescan () =
+  let path60 = Basic.path 60 in
+  (* components of 5 nodes: every sample exhausts its component at
+     sizes 8 and 16, repeating the same ball *)
+  let islands = Bitset.create_full 60 in
+  List.iter (fun v -> if v mod 6 = 5 then Bitset.remove islands v) (List.init 60 Fun.id);
+  (* 3 alive nodes: total/2 = 1, so no doubled size fits *)
+  let three = Bitset.of_list 60 [ 10; 11; 40 ] in
+  let cases =
+    List.concat_map
+      (fun (name, view) ->
+        List.map (fun (mname, alive) -> (name ^ ", " ^ mname, view, alive))
+          (growth_masks (Gview.num_nodes view)))
+      (Lazy.force growth_views)
+    @ [
+        ("path 60, islands of 5", Gview.Csr path60, Some islands);
+        ("path 60, 3 alive", Gview.Csr path60, Some three);
+        ("path 60, 1 alive", Gview.Csr path60, Some (Bitset.of_list 60 [ 7 ]));
+      ]
+  in
+  List.iter
+    (fun (label, view, alive) ->
+      List.iter
+        (fun (oname, objective) ->
+          for seed = 1 to 4 do
+            let label = Printf.sprintf "%s, %s, seed %d" label oname seed in
+            let expect =
+              Rescan_witness.ball_witness ?alive ~rng:(Rng.create seed) view objective
+            in
+            let rng = Rng.create seed in
+            let got = Fn_expansion.Estimate.ball_witness ?alive ~rng view objective in
+            same_witness label expect got;
+            (* the caller's rng advances as it did *)
+            let rng' = Rng.create seed in
+            ignore (Rescan_witness.ball_witness ?alive ~rng:rng' view objective);
+            check_int (label ^ ": rng state") (Rng.int rng' 1_000_000) (Rng.int rng 1_000_000)
+          done)
+        [ ("node", Cut.Node); ("edge", Cut.Edge) ])
+    cases;
+  check_bool "3 alive: no witness" true
+    (Option.is_none (Fn_expansion.Estimate.ball_witness ~alive:three (Gview.Csr path60) Cut.Node))
+
 let () =
   Alcotest.run "gview"
     [
@@ -312,5 +517,11 @@ let () =
           case "percolation curves" test_percolation_arms;
           case "prune" test_prune_arms;
           case "ball witness" test_ball_witness;
+        ] );
+      ( "counted growth",
+        [
+          case "counts equal re-scans" test_counted_growth;
+          case "empty, source-only and whole balls" test_counted_growth_edges;
+          case "ball witness = re-scan oracle" test_ball_witness_matches_rescan;
         ] );
     ]
