@@ -232,14 +232,15 @@ let expander512_start =
      let g = Fn_topology.Expander.random_regular rng ~n:512 ~d:6 in
      let alive = (Fn_faults.Random_faults.nodes_iid rng g 0.2).Fn_faults.Fault_set.alive in
      let src = Option.get (Fn_graph.Bitset.choose alive) in
-     let ball = Fn_graph.Bfs.ball_of_size ~alive (Fn_graph.Gview.Csr g) src 128 in
-     (g, alive, Fn_expansion.Cut.make ~alive (Fn_graph.Gview.Csr g) Fn_expansion.Cut.Node ball))
+     let view = Fn_graph.Gview.Csr g in
+     let ball = Fn_graph.Bfs.ball_of_size ~alive view src 128 in
+     (view, alive, Fn_expansion.Cut.make ~alive view Fn_expansion.Cut.Node ball))
 
 let () =
   reg ~suite:substrate ~items:512 "local_search_expander512" (dep expander512_start)
     (fun () ->
-      let g, alive, start = Lazy.force expander512_start in
-      Fn_expansion.Local_search.improve ~alive ~max_passes:4 g start)
+      let view, alive, start = Lazy.force expander512_start in
+      Fn_expansion.Local_search.improve ~alive ~max_passes:4 view start)
 
 (* the Prune round loop (finder + scratch boundary accounting) on a
    faulty mesh with a fixed threshold *)
@@ -406,9 +407,10 @@ let () =
 
 (* The alpha? estimate faultnetd recomputes for every state digest (each
    compaction and each --resume restore): Alpha_cache.reference on the
-   10^6 implicit torus, whose implicit arm runs Estimate.ball_witness
-   (8 BFS samples grown to half the survivor), under a fixed seeded
-   mask of 1,024 faults. *)
+   10^6 implicit torus under a fixed seeded mask of 1,024 faults.  The
+   survivors are above Estimate.spectral_node_cap, so the estimate is
+   Estimate.ball_witness alone (8 BFS samples grown to half the
+   survivor, sources drawn by rank from the mask). *)
 let faulted1024_1e6 =
   lazy
     (let n = Fn_graph.Gview.num_nodes (Lazy.force torus1e6) in
@@ -565,14 +567,14 @@ let () =
     (deps [ dep mesh4; dep small_fragment ])
     (fun () ->
       Faultnet.Low_expansion.exact Fn_expansion.Cut.Node ~alive:(Lazy.force small_fragment)
-        (Lazy.force mesh4) ~threshold:0.4)
+        (Fn_graph.Gview.Csr (Lazy.force mesh4)) ~threshold:0.4)
 
 let () =
   reg ~suite:ablations ~items:16 "finder_portfolio_16"
     (deps [ dep mesh4; dep small_fragment ])
     (fun () ->
       Faultnet.Low_expansion.default Fn_expansion.Cut.Node ~alive:(Lazy.force small_fragment)
-        (Lazy.force mesh4) ~threshold:0.4)
+        (Fn_graph.Gview.Csr (Lazy.force mesh4)) ~threshold:0.4)
 
 (* ---- spectral backends ---- *)
 

@@ -20,34 +20,17 @@ let max_refine_starts = 4
 let ball_samples = 8
 let local_search_passes = 4
 
-(* Sampling metadata comes from the view, not from an O(n) pass: with
-   no alive mask the pool is all of [0, n) and a source is drawn as
-   [Rng.int rng total] directly — same rng stream as indexing the old
-   identity array, without allocating or scanning n cells (on a
-   10^7-node implicit torus that pass would dwarf the sampling). *)
-let sample_pool ?alive view =
-  match alive with
-  | Some m ->
-    let nodes = Bitset.to_array m in
-    (Array.length nodes, Some nodes)
-  | None -> (Gview.num_nodes view, None)
+(* Sampling metadata comes from the view and the mask, not from an
+   O(n) pass: with no alive mask a source is drawn as [Rng.int rng total]
+   directly, and with one the r-th member is found by {!Bitset.select},
+   which skips whole words by popcount — the same sources as indexing
+   the mask's member array, without building it (8 MB at 10^6 nodes). *)
+let alive_count ?alive view =
+  match alive with Some m -> Bitset.cardinal m | None -> Gview.num_nodes view
 
-let pick_source pool rng total =
-  match pool with
-  | Some nodes -> nodes.(Rng.int rng total)
-  | None -> Rng.int rng total
-
-let disconnected_witness ?alive view =
-  let comps = Components.compute ?alive view in
-  if comps.Components.count <= 1 then None
-  else begin
-    (* smallest component is a zero-boundary witness *)
-    let smallest = ref 0 in
-    for id = 1 to comps.Components.count - 1 do
-      if comps.Components.sizes.(id) < comps.Components.sizes.(!smallest) then smallest := id
-    done;
-    Some (Components.members comps !smallest)
-  end
+let pick_source ?alive rng total =
+  let r = Rng.int rng total in
+  match alive with Some m -> Bitset.select m r | None -> r
 
 (* A ball candidate: the first [size] nodes a BFS from [src] collects,
    and its expansion.  The set itself is built only for a winner. *)
@@ -82,10 +65,10 @@ let sample_balls grower ~total objective src =
    up front (growth never reads the rng), then one grower's arrays
    serve every sample. *)
 let ball_candidates ?alive view objective rng samples =
-  let total, pool = sample_pool ?alive view in
+  let total = alive_count ?alive view in
   if total < 2 then [||]
   else begin
-    let srcs = Array.init samples (fun _ -> pick_source pool rng total) in
+    let srcs = Array.init samples (fun _ -> pick_source ?alive rng total) in
     let grower = Bfs.ball_grower ?alive view srcs.(0) in
     Array.map (sample_balls grower ~total objective) srcs
   end
@@ -95,11 +78,11 @@ let ball_candidates ?alive view objective rng samples =
    domain with its own grower, so the result is deterministic and
    independent of the domain count. *)
 let ball_candidates_par ?obs ?alive view objective rng samples ~domains =
-  let total, pool = sample_pool ?alive view in
+  let total = alive_count ?alive view in
   if total < 2 then [||]
   else
     Fn_parallel.Par.trials ?obs ~domains ~rng samples (fun r ->
-        let src = pick_source pool r total in
+        let src = pick_source ?alive r total in
         sample_balls (Bfs.ball_grower ?alive view src) ~total objective src)
 
 (* Cut.better folded over candidates in list order: the first
@@ -117,10 +100,9 @@ let ball_cut ?alive view objective b =
 
 (* The BFS-ball slice of the portfolio: one counted traversal per
    sample; candidates in sample order, each sample's largest first,
-   and only the winner is built.  Local search stays CSR-only, so
-   this (with {!spectral_witness}) is what large implicit topologies
-   and their Prune finders use; the node count and degree bound both
-   come from O(1) view metadata. *)
+   and only the winner is built.  Above the cap this is the whole
+   portfolio; the node count and degree bound both come from O(1) view
+   metadata. *)
 let ball_witness ?alive ?rng view objective =
   let rng = match rng with Some r -> r | None -> Rng.create 0xFA17 in
   ball_candidates ?alive view objective rng ball_samples
@@ -148,25 +130,16 @@ let spectral_sweeps ~obs ?alive ~domains view objective =
   in
   (spectral, sweeps)
 
-let best_sweep sweeps = Array.fold_left Cut.better sweeps.(0) sweeps
+(* Alive nodes above which the portfolio is the ball slice alone: the
+   Krylov basis holds up to 16 vectors of n floats, and the components
+   pass and local search are O(n) each on top of it. *)
+let spectral_node_cap = 500_000
 
-(* What gives implicit topologies a spectral path; without it large
-   implicit views would have ball witnesses alone. *)
-let spectral_witness ?(obs = Fn_obs.Sink.null) ?alive ?(domains = 1) view objective =
-  let total =
-    match alive with Some m -> Bitset.cardinal m | None -> Gview.num_nodes view
-  in
-  if total < 2 then None
-  else Some (best_sweep (snd (spectral_sweeps ~obs ?alive ~domains view objective)))
-
-let run ?(obs = Fn_obs.Sink.null) ?alive ?rng ?(domains = 1) ?(force_heuristic = false) g
-    objective =
+let run_v ?(obs = Fn_obs.Sink.null) ?alive ?rng ?(domains = 1) ?(force_heuristic = false)
+    view objective =
   let rng = match rng with Some r -> r | None -> Rng.create 0xFA17 in
-  let total =
-    match alive with Some m -> Bitset.cardinal m | None -> Graph.num_nodes g
-  in
+  let total = alive_count ?alive view in
   if total < 2 then invalid_arg "Estimate.run: need at least 2 alive nodes";
-  let view = Gview.Csr g in
   let on = Fn_obs.Sink.enabled obs in
   let sp =
     if on then
@@ -180,7 +153,20 @@ let run ?(obs = Fn_obs.Sink.null) ?alive ?rng ?(domains = 1) ?(force_heuristic =
     else Fn_obs.Span.null
   in
   let result =
-    match disconnected_witness ?alive view with
+    if total > spectral_node_cap then begin
+      (* total > spectral_node_cap >= 4: a ball always fits in half *)
+      let cut = Option.get (ball_witness ?alive ~rng view objective) in
+      { value = cut.Cut.value; witness = cut.Cut.set; objective; exact = false; lower = None }
+    end
+    else
+    (* Below the cap every slice runs on the CSR form: the graph itself
+       on [Csr], the materialized twin (rows ascending, as in every
+       Graph.t) on an implicit view.  Spectral sums, ball shells and
+       local-search candidates then follow one neighbor order on both
+       arms, so the result is the twin's bit for bit. *)
+    let g = Gview.materialize view in
+    let view = Gview.Csr g in
+    match Components.smallest_members ?alive view with
     | Some w ->
       { value = 0.0; witness = w; objective; exact = true; lower = Some 0.0 }
     | None ->
@@ -198,7 +184,7 @@ let run ?(obs = Fn_obs.Sink.null) ?alive ?rng ?(domains = 1) ?(force_heuristic =
     end
     else begin
       let spectral, sweeps = spectral_sweeps ~obs ?alive ~domains view objective in
-      let sweep = best_sweep sweeps in
+      let sweep = Array.fold_left Cut.better sweeps.(0) sweeps in
       let per_sample =
         if domains <= 1 then ball_candidates ?alive view objective rng ball_samples
         else ball_candidates_par ~obs ?alive view objective rng ball_samples ~domains
@@ -215,7 +201,7 @@ let run ?(obs = Fn_obs.Sink.null) ?alive ?rng ?(domains = 1) ?(force_heuristic =
             | Some b when b.value < sweep.Cut.value -> ball_cut ?alive view objective b
             | Some _ | None -> sweep
           in
-          Local_search.improve ?alive ~max_passes:local_search_passes g best
+          Local_search.improve ?alive ~max_passes:local_search_passes view best
         end
         else begin
           (* multi-start refinement: hill-climb the few best distinct
@@ -236,7 +222,7 @@ let run ?(obs = Fn_obs.Sink.null) ?alive ?rng ?(domains = 1) ?(force_heuristic =
                 if k < nsweeps then sweeps.(k)
                 else ball_cut ?alive view objective balls.(k - nsweeps))
           in
-          Local_search.improve_many ~obs ?alive ~max_passes:local_search_passes ~domains g
+          Local_search.improve_many ~obs ?alive ~max_passes:local_search_passes ~domains view
             starts
         end
       in
@@ -244,7 +230,7 @@ let run ?(obs = Fn_obs.Sink.null) ?alive ?rng ?(domains = 1) ?(force_heuristic =
         match objective with
         | Cut.Edge ->
           let phi_lb = Spectral.cheeger_lower spectral in
-          Some (Spectral.conductance_to_edge_expansion_lb ?alive g phi_lb)
+          Some (Spectral.conductance_to_edge_expansion_lb ?alive view phi_lb)
         | Cut.Node -> None
       in
       { value = refined.Cut.value; witness = refined.Cut.set; objective; exact = false;
@@ -259,3 +245,6 @@ let run ?(obs = Fn_obs.Sink.null) ?alive ?rng ?(domains = 1) ?(force_heuristic =
           ("exact", Fn_obs.Sink.Bool result.exact);
         ];
   result
+
+let run ?obs ?alive ?rng ?domains ?force_heuristic g =
+  run_v ?obs ?alive ?rng ?domains ?force_heuristic (Gview.Csr g)

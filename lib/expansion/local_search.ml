@@ -1,8 +1,9 @@
 open Fn_graph
 
-let improve ?alive ?(max_passes = 20) g cut =
+let improve ?alive ?(max_passes = 20) view cut =
   let is_alive v = match alive with None -> true | Some m -> Bitset.mem m v in
-  let n = Graph.num_nodes g in
+  let iter = Gview.iter_neighbors view in
+  let n = Gview.num_nodes view in
   let total =
     match alive with None -> n | Some m -> Bitset.cardinal m
   in
@@ -20,7 +21,7 @@ let improve ?alive ?(max_passes = 20) g cut =
     (fun v ->
       if is_alive v then begin
         incr size_alive;
-        Graph.iter_neighbors g v (fun w -> cnt.(w) <- cnt.(w) + 1)
+        iter v (fun w -> cnt.(w) <- cnt.(w) + 1)
       end
       else incr dead_members)
     u;
@@ -40,7 +41,7 @@ let improve ?alive ?(max_passes = 20) g cut =
     end;
     Bitset.add u v;
     incr size_alive;
-    Graph.iter_neighbors g v (fun w ->
+    iter v (fun w ->
         let c = cnt.(w) + 1 in
         cnt.(w) <- c;
         if is_alive w && not (Bitset.mem u w) then begin
@@ -49,7 +50,7 @@ let improve ?alive ?(max_passes = 20) g cut =
         end)
   in
   let evict v =
-    Graph.iter_neighbors g v (fun w ->
+    iter v (fun w ->
         let c = cnt.(w) - 1 in
         cnt.(w) <- c;
         if is_alive w && not (Bitset.mem u w) then begin
@@ -91,7 +92,7 @@ let improve ?alive ?(max_passes = 20) g cut =
     Bitset.iter
       (fun v ->
         candidates := v :: !candidates;
-        Graph.iter_neighbors g v (fun w ->
+        iter v (fun w ->
             if is_alive w && not (Bitset.mem u w) then candidates := w :: !candidates))
       u;
     List.iter
@@ -118,9 +119,9 @@ let improve ?alive ?(max_passes = 20) g cut =
   done;
   { Cut.set = u; value = !current; objective = cut.Cut.objective }
 
-let improve_many ?obs ?alive ?max_passes ?domains g cuts =
+let improve_many ?obs ?alive ?max_passes ?domains view cuts =
   if Array.length cuts = 0 then invalid_arg "Local_search.improve_many: no cuts";
-  let improved = Fn_parallel.Par.map ?obs ?domains (improve ?alive ?max_passes g) cuts in
+  let improved = Fn_parallel.Par.map ?obs ?domains (improve ?alive ?max_passes view) cuts in
   (* deterministic lowest-index merge: Cut.better keeps the earlier
      cut on ties, so the result is independent of the domain count *)
   Array.fold_left Cut.better improved.(0) improved

@@ -20,10 +20,15 @@ open Fn_graph
     the side sizes, so the value is the same integer ratio
     {!Cut.value_of} would compute from scratch, bit for bit.  Dead
     members of U are inert: they never move and add nothing to the
-    boundary, though |U| above counts them. *)
+    boundary, though |U| above counts them.
+
+    The search runs on either {!Gview.t} arm.  Move values do not
+    depend on neighbor order, but the candidate order does, so the
+    result is deterministic per view and not promised equal to the
+    materialized twin's (the order rule in {!Gview}). *)
 
 val improve :
-  ?alive:Bitset.t -> ?max_passes:int -> Graph.t -> Cut.t -> Cut.t
+  ?alive:Bitset.t -> ?max_passes:int -> Gview.t -> Cut.t -> Cut.t
 (** Defaults: [max_passes] 20. *)
 
 val improve_many :
@@ -31,7 +36,7 @@ val improve_many :
   ?alive:Bitset.t ->
   ?max_passes:int ->
   ?domains:int ->
-  Graph.t ->
+  Gview.t ->
   Cut.t array ->
   Cut.t
 (** Hill-climb every start in parallel over [domains] (via

@@ -523,13 +523,15 @@ let cheeger_lower r = r.lambda2 /. 2.0
 
 let cheeger_upper r = sqrt (2.0 *. r.lambda2)
 
-let conductance_to_edge_expansion_lb ?alive g phi =
-  let dmin =
-    match alive with
-    | None -> Graph.min_degree g
-    | Some m ->
-      let best = ref max_int in
-      Bitset.iter (fun v -> best := min !best (Graph.alive_degree g m v)) m;
-      if !best = max_int then 0 else !best
-  in
-  phi *. float_of_int dmin /. 2.0
+let conductance_to_edge_expansion_lb ?alive view phi =
+  let is_alive v = match alive with None -> true | Some m -> Bitset.mem m v in
+  let iter = Gview.iter_neighbors view in
+  let dmin = ref max_int in
+  for v = 0 to Gview.num_nodes view - 1 do
+    if is_alive v then begin
+      let d = ref 0 in
+      iter v (fun w -> if is_alive w then incr d);
+      dmin := min !dmin !d
+    end
+  done;
+  phi *. float_of_int (if !dmin = max_int then 0 else !dmin) /. 2.0

@@ -114,7 +114,7 @@ val cheeger_lower : result -> float
 val cheeger_upper : result -> float
 (** sqrt(2 λ₂) — the Cheeger upper bound on conductance. *)
 
-val conductance_to_edge_expansion_lb : ?alive:Bitset.t -> Graph.t -> float -> float
+val conductance_to_edge_expansion_lb : ?alive:Bitset.t -> Gview.t -> float -> float
 (** [conductance_to_edge_expansion_lb g phi] turns a conductance lower
     bound into an edge-expansion lower bound via the minimum degree:
     αe >= φ · d_min / 2 on balanced cuts (vol(U) >= d_min·|U| and

@@ -5,18 +5,15 @@ open Fn_prng
     the paper's pruning algorithms.
 
     The paper's algorithms are existential (they assume the oracle);
-    this module realizes it: exactly on small fragments, by the
-    {!Fn_expansion.Estimate} portfolio on larger ones.  A finder
-    returns a witness set [S] with expansion at most the threshold
-    and [|S| <= |alive|/2], or [None] when it cannot find one.  A
-    [None] from the heuristic finder does not prove absence — the
-    pruning loop documents the resulting one-sidedness. *)
+    this module realizes it on either {!Gview.t} arm: exactly on small
+    fragments, by the {!Fn_expansion.Estimate.run_v} portfolio on
+    larger ones.  A finder returns a witness set [S] with expansion at
+    most the threshold and [|S| <= |alive|/2], or [None] when it
+    cannot find one.  A [None] from the heuristic finder does not
+    prove absence — the pruning loop documents the resulting
+    one-sidedness. *)
 
-type t = alive:Bitset.t -> Graph.t -> threshold:float -> Bitset.t option
-
-type t_v = alive:Bitset.t -> Gview.t -> threshold:float -> Bitset.t option
-(** A finder over either {!Gview.t} arm — what {!Prune.run_v} drives
-    (the online engine runs Prune on implicit views). *)
+type t = alive:Bitset.t -> Gview.t -> threshold:float -> Bitset.t option
 
 val exact_limit : int
 (** Fragment size up to which the exact finder is used (18). *)
@@ -26,25 +23,18 @@ val default :
   ?domains:int ->
   Fn_expansion.Cut.objective ->
   t
-(** Portfolio finder: disconnected fragments yield a small component
-    immediately; fragments of at most {!exact_limit} alive nodes are
-    solved exactly; larger ones use the heuristic estimator.
-    [domains] is forwarded to {!Fn_expansion.Estimate.run} (default:
-    sequential, byte-reproducible). *)
-
-val default_v :
-  ?rng:Rng.t ->
-  ?domains:int ->
-  Fn_expansion.Cut.objective ->
-  t_v
-(** {!default} over views.  The CSR arm delegates to {!default}
-    unchanged (byte-identical results).  On the implicit arm large
-    fragments run the BFS-ball slice plus — now that the spectral
-    operator is {!Gview.t}-capable — the spectral sweep
-    ({!Fn_expansion.Estimate.spectral_witness}), keeping the better
-    witness.  The spectral slice is skipped above 500k alive nodes
-    (the Krylov basis would cost hundreds of MB); a [None] is
-    correspondingly weaker evidence of high expansion there. *)
+(** Portfolio finder: a disconnected fragment yields its smallest
+    component (value 0); a connected one of at most {!exact_limit}
+    alive nodes is solved exactly, and a larger one runs
+    {!Fn_expansion.Estimate.run_v} — its ball slice alone above
+    {!Fn_expansion.Estimate.spectral_node_cap} alive nodes (a [None]
+    there is weaker evidence).  Each call makes one components pass:
+    the estimator's own between the two limits, the finder's outside
+    them.  [domains] is forwarded to the estimator (default:
+    sequential, byte-reproducible).  Deterministic per view; up to the
+    cap the witness equals the materialized twin's, above it the ball
+    slice follows the view's neighbor order (the order rule in
+    {!Gview}). *)
 
 val exact : Fn_expansion.Cut.objective -> t
 (** Exact only; raises [Invalid_argument] beyond {!exact_limit}. *)

@@ -15,7 +15,7 @@ let run_v ?(obs = Fn_obs.Sink.null) ?finder ?rng ?domains view ~alive ~alpha ~ep
   let finder =
     match finder with
     | Some f -> f
-    | None -> Low_expansion.default_v ?rng ?domains Fn_expansion.Cut.Node
+    | None -> Low_expansion.default ?rng ?domains Fn_expansion.Cut.Node
   in
   (* per-round boundary counts reuse one generation-stamped scratch
      instead of allocating a boundary Bitset every round; equal to
@@ -75,17 +75,7 @@ let run_v ?(obs = Fn_obs.Sink.null) ?finder ?rng ?domains view ~alive ~alpha ~ep
         ];
   { kept = current; culled = List.rev !culled; iterations = !iterations; threshold }
 
-let run ?obs ?finder ?rng ?domains g ~alive ~alpha ~epsilon =
-  (* a custom Graph finder closes over [g]; the default lifts to
-     Low_expansion.default_v, whose CSR arm is Low_expansion.default *)
-  let finder =
-    Option.map
-      (fun f ~alive view ~threshold ->
-        ignore view;
-        f ~alive g ~threshold)
-      finder
-  in
-  run_v ?obs ?finder ?rng ?domains (Gview.Csr g) ~alive ~alpha ~epsilon
+let run ?obs ?finder ?rng ?domains g = run_v ?obs ?finder ?rng ?domains (Gview.Csr g)
 
 let total_culled r = List.fold_left (fun acc c -> acc + c.size) 0 r.culled
 

@@ -10,12 +10,13 @@ open Fn_prng
     faults, the surviving H has at least n - k·f/α nodes and node
     expansion at least (1 - 1/k)·α.
 
-    The set-finding oracle is {!Low_expansion}; with the heuristic
-    finder the loop stops when the portfolio can no longer exhibit a
-    low-expansion set, so the size guarantee is exact (culling only
-    ever removes certified-low-expansion sets, Lemma 2.2 accounting
-    holds) while the final expansion claim is "no witness below the
-    threshold was found". *)
+    The set-finding oracle is a {!Low_expansion.t}, one type over
+    either {!Gview.t} arm; with the heuristic finder the loop stops
+    when the portfolio can no longer exhibit a low-expansion set, so
+    the size guarantee is exact (culling only ever removes
+    certified-low-expansion sets, Lemma 2.2 accounting holds) while
+    the final expansion claim is "no witness below the threshold was
+    found". *)
 
 type culled = {
   set : Bitset.t;  (** S_i, in original node ids *)
@@ -40,22 +41,12 @@ val run :
   alpha:float ->
   epsilon:float ->
   result
-(** [run g ~alive ~alpha ~epsilon] executes Prune(ε) with threshold
-    α·ε.  Requires [alpha > 0] and [0 < epsilon < 1].  [domains] is
-    forwarded to the default {!Low_expansion.default} finder (default
-    1: sequential, byte-reproducible); it is ignored when [finder] is
-    given.  Per-round boundary counts reuse a
-    {!Boundary.Scratch} rather than allocating per round, with
-    results equal to a fresh {!Boundary.node_boundary_size}.
-
-    With an enabled [obs] sink the run is wrapped in a ["prune.run"]
-    span and every cull emits a ["prune.round"] instant (culled size,
-    measured boundary ratio, survivor count); with the default null
-    sink no clock is read and nothing is allocated. *)
+(** [run g] is [run_v (Gview.Csr g)]; the finder is called on that
+    view. *)
 
 val run_v :
   ?obs:Fn_obs.Sink.t ->
-  ?finder:Low_expansion.t_v ->
+  ?finder:Low_expansion.t ->
   ?rng:Rng.t ->
   ?domains:int ->
   Gview.t ->
@@ -63,14 +54,23 @@ val run_v :
   alpha:float ->
   epsilon:float ->
   result
-(** {!run} on either {!Gview.t} arm.  The round loop (finder call,
-    scratch boundary count, cull accounting) never materializes
-    edges, so Prune runs on implicit 10^7-node topologies; the
-    default finder is {!Low_expansion.default_v}, whose implicit arm
-    is the narrower ball-and-spectral portfolio.  [run g] equals
-    [run_v (Gview.Csr g)] exactly.  The online engine and the
-    [prune_round_torus1e7] kernel drive Prune through here on
-    implicit views; {!run} keeps {!Graph.t} for its callers. *)
+(** [run_v view ~alive ~alpha ~epsilon] executes Prune(ε) with
+    threshold α·ε on either {!Gview.t} arm.  Requires [alpha > 0] and
+    [0 < epsilon < 1].  [domains] is forwarded to the default
+    {!Low_expansion.default} finder (default 1: sequential,
+    byte-reproducible); it is ignored when [finder] is given.  The
+    round loop (finder call, scratch boundary count, cull accounting)
+    never materializes edges, so Prune runs on implicit 10^7-node
+    topologies; the default finder's estimator does materialize the
+    view once a fragment is down to
+    {!Fn_expansion.Estimate.spectral_node_cap} alive nodes.  Per-round boundary counts reuse a
+    {!Boundary.Scratch} rather than allocating per round, with
+    results equal to a fresh {!Boundary.node_boundary_size}.
+
+    With an enabled [obs] sink the run is wrapped in a ["prune.run"]
+    span and every cull emits a ["prune.round"] instant (culled size,
+    measured boundary ratio, survivor count); with the default null
+    sink no clock is read and nothing is allocated. *)
 
 val total_culled : result -> int
 

@@ -71,7 +71,7 @@ let run ?(obs = Fn_obs.Sink.null) ?finder ?rng ?domains g ~alive ~alpha_e ~epsil
   while !continue do
     if Bitset.cardinal current < 2 then continue := false
     else
-      match finder ~alive:current g ~threshold with
+      match finder ~alive:current view ~threshold with
       | None -> continue := false
       | Some witness -> (
         match best_connected_piece ~scratch ~alive:current view witness threshold with

@@ -39,9 +39,10 @@ val run :
 (** Requires [alpha_e > 0] and [0 < epsilon < 1].  The finder's
     witness is split into connected components if necessary (one of
     them always satisfies the threshold, by the mediant inequality)
-    before compactification.  [domains] is forwarded to the default
-    {!Low_expansion.default} finder (default 1: sequential,
-    byte-reproducible); ignored when [finder] is given.  Per-round
+    before compactification.  The finder is called on [Gview.Csr g].
+    [domains] is forwarded to the default {!Low_expansion.default}
+    finder (default 1: sequential, byte-reproducible); ignored when
+    [finder] is given.  Per-round
     edge-boundary counts (including the per-component ratios of the
     witness split) reuse a {!Boundary.Scratch} rather than
     allocating per round.

@@ -4,11 +4,14 @@
     [alive] means the whole graph is alive.  Distances use [-1] for
     unreachable (or dead) nodes.
 
-    Every result here except {!tree} is independent of neighbor order,
-    so it takes a {!Gview.t} and agrees exactly across its arms; each
-    traversal is one loop over {!Gview.iter_neighbors}.  {!tree}
-    follows CSR row order and keeps {!Graph.t} (the order rule in
-    {!Gview}). *)
+    Each traversal is one loop over {!Gview.iter_neighbors}.
+    Distances, reachability and radius balls are independent of
+    neighbor order and agree exactly across the arms of a {!Gview.t}.
+    A size-capped ball ({!ball_of_size}, the ball grower) stops inside
+    a BFS shell collected in neighbor order, so it is deterministic per
+    view but not promised equal on an implicit view and its
+    materialized twin.  {!tree} follows CSR row order and keeps
+    {!Graph.t} (the order rule in {!Gview}). *)
 
 val distances : ?alive:Bitset.t -> Gview.t -> int -> int array
 (** [distances view src] is the array of hop distances from [src];

@@ -53,9 +53,15 @@ let remove t i =
 
 let set t i b = if b then add t i else remove t i
 
-let popcount =
-  let rec count x acc = if x = 0 then acc else count (x land (x - 1)) (acc + 1) in
-  fun x -> count x 0
+(* SWAR bit count of a 63-bit word: 2-, 4- and 8-bit partial sums, then
+   one multiply adds the eight byte counts into the top byte.  Bit 62
+   (the sign bit) pairs with nothing; [lsr] moves it down like any
+   other, and a count of at most 63 fits the top byte's 7 bits. *)
+let popcount x =
+  let x = x - ((x lsr 1) land 0x1555_5555_5555_5555) in
+  let x = (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333) in
+  let x = (x + (x lsr 4)) land 0x0F0F_0F0F_0F0F_0F0F in
+  (x * 0x0101_0101_0101_0101) lsr 56
 
 let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
 
@@ -89,6 +95,25 @@ let lowest_bit_index w =
     k := !k + 2
   end;
   if !w land 0x1 = 0 then !k + 1 else !k
+
+let select t r =
+  if r < 0 then invalid_arg "Bitset.select: negative rank";
+  (* skip whole words by their counts, then clear the word's lowest
+     bits until the wanted one is lowest *)
+  let rec skip w r =
+    if w >= Array.length t.words then invalid_arg "Bitset.select: rank beyond cardinal"
+    else
+      let c = popcount t.words.(w) in
+      if r < c then begin
+        let word = ref t.words.(w) in
+        for _ = 1 to r do
+          word := !word land (!word - 1)
+        done;
+        (w * bits_per_word) + lowest_bit_index !word
+      end
+      else skip (w + 1) (r - c)
+  in
+  skip 0 r
 
 let iter f t =
   for w = 0 to Array.length t.words - 1 do

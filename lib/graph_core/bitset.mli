@@ -23,7 +23,14 @@ val remove : t -> int -> unit
 val set : t -> int -> bool -> unit
 
 val cardinal : t -> int
-(** Number of members; O(words). *)
+(** Number of members; O(words), one constant-time popcount per
+    word. *)
+
+val select : t -> int -> int
+(** [select t r] is the member of rank [r] (0-based, increasing
+    order): [(to_array t).(r)] without building the array.  O(words):
+    whole words are skipped by their popcount.  Raises
+    [Invalid_argument] unless [0 <= r < cardinal t]. *)
 
 val is_empty : t -> bool
 

@@ -63,6 +63,16 @@ let largest_members ?alive view =
   let c = compute ?alive view in
   if c.count = 0 then Bitset.create (Gview.num_nodes view) else members c (largest c)
 
+let smallest_members ?alive view =
+  let c = compute ?alive view in
+  if c.count <= 1 then None
+  else
+    let smallest = ref 0 in
+    for id = 1 to c.count - 1 do
+      if c.sizes.(id) < c.sizes.(!smallest) then smallest := id
+    done;
+    Some (members c !smallest)
+
 let size_histogram t =
   let tbl = Hashtbl.create 16 in
   Array.iter

@@ -34,6 +34,12 @@ val largest_members : ?alive:Bitset.t -> Gview.t -> Bitset.t
 (** Convenience: node set of a largest alive component (empty set if
     none). *)
 
+val smallest_members : ?alive:Bitset.t -> Gview.t -> Bitset.t option
+(** Node set of the first smallest alive component (lowest id among
+    the smallest) when there are at least two components, so it holds
+    at most half the alive nodes and has an empty boundary; [None]
+    when the alive set is connected or empty. *)
+
 val size_histogram : t -> (int * int) list
 (** Sorted [(size, how many components of that size)] pairs. *)
 

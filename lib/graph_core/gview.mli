@@ -22,9 +22,19 @@
     the generator's choice, so:
 
     - a result that does not depend on neighbor order (distances,
-      balls, reachability, boundary sizes, component membership,
-      percolation curves, expansion values) takes [Gview.t] and is
-      identical on an implicit view and on its materialized twin;
+      radius balls, reachability, boundary sizes, component
+      membership, percolation curves, the expansion value of a given
+      set) takes [Gview.t] and is identical on an implicit view and on
+      its materialized twin;
+    - an estimate kernel takes [Gview.t] and is deterministic per
+      view, but is not promised bit-equal to the materialized twin's:
+      spectral sums add a row in neighbor order, a size-capped BFS
+      ball ({!Bfs.ball_of_size}, the ball grower) stops inside a shell
+      collected in neighbor order, and local search tries its
+      candidates in neighbor order.  The expansion estimator (behind
+      the Prune finder and faultnetd's α) materializes an implicit
+      view up to its node cap, so there it gives the twin's answer;
+      above the cap its ball slice is per-view;
     - a result that follows CSR row order ({!Bfs.tree},
       {!Dfs.preorder}, {!Dfs.forest}, {!Boundary.edge_boundary}) keeps
       {!Graph.t}.

@@ -653,13 +653,6 @@ let allowlist =
           "the matvec's CSR arm gathers over Graph.xadj/Graph.adj in place (a \
            neighbor closure would box the float accumulator on every edge); the \
            implicit arm drives the generator closure";
-        prefix "lib/faultnet/low_expansion.ml"
-          "the finder portfolio differs per arm: CSR fragments run the full \
-           Estimate.run portfolio with local search, implicit fragments the ball \
-           and spectral slices under a memory cap";
-        prefix "lib/online/alpha_cache.ml"
-          "alpha is computed differently per arm: the full Estimate.run portfolio \
-           on CSR, the ball portfolio on implicit views";
         prefix "lib/percolation/newman_ziff.ml"
           "bond_run's CSR arm reuses the already sorted Graph.edges array; the \
            implicit arm collects the generator's edges and sorts them";

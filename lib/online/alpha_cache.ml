@@ -18,24 +18,13 @@ let computes t = t.computes
    call, so the value depends only on (view, kept, seed) — what both
    the engine's cached path and the from-scratch differential
    reference compute, making the two byte-identical.  Fewer than 2
-   survivors have expansion 0 by convention; an implicit view whose
-   portfolio exhibits no witness reports infinity ("no upper bound
-   found"). *)
+   survivors have expansion 0 by convention. *)
 let reference ~seed ?domains view ~kept =
   if Bitset.cardinal kept < 2 then 0.0
-  else begin
+  else
     let rng = Fn_prng.Rng.create (seed lxor 0x0A11CE) in
-    match view with
-    | Gview.Csr g ->
-      (Fn_expansion.Estimate.run ~alive:kept ~rng ?domains g Fn_expansion.Cut.Node)
-        .Fn_expansion.Estimate.value
-    | Gview.Implicit _ -> (
-      match
-        Fn_expansion.Estimate.ball_witness ~alive:kept ~rng view Fn_expansion.Cut.Node
-      with
-      | Some c -> c.Fn_expansion.Cut.value
-      | None -> infinity)
-  end
+    (Fn_expansion.Estimate.run_v ~alive:kept ~rng ?domains view Fn_expansion.Cut.Node)
+      .Fn_expansion.Estimate.value
 
 let rec take k = function
   | [] -> []

@@ -10,8 +10,13 @@ open Fn_graph
     byte for byte; a small mask-keyed memo makes churn that revisits a
     recent survivor set free.
 
-    CSR views run the full {!Fn_expansion.Estimate.run} portfolio;
-    implicit views the deterministic ball-witness portfolio. *)
+    The estimate is {!Fn_expansion.Estimate.run_v}, one portfolio on
+    either {!Gview.t} arm: the full portfolio up to
+    {!Fn_expansion.Estimate.spectral_node_cap} survivors, the ball
+    witness alone above it.  Up to the cap it depends on the topology,
+    not the storage: an implicit view gives its materialized twin's
+    bits.  Above it the ball witness follows the view's neighbor order
+    (the order rule in {!Gview}). *)
 
 type t
 
@@ -29,9 +34,8 @@ val reference :
   kept:Bitset.t ->
   float
 (** The history-free alpha of a mask — node expansion estimate with a
-    fresh rng derived from [seed].  Fewer than 2 survivors yield 0;
-    an implicit view with no ball witness yields [infinity].  The
-    audit and the differential tests call this directly. *)
+    fresh rng derived from [seed].  Fewer than 2 survivors yield 0.
+    The audit and the differential tests call this directly. *)
 
 val query : t -> Gview.t -> kept:Bitset.t -> float
 (** {!reference} for [kept], answered from the most recent mask or

@@ -155,6 +155,72 @@ let test_iter_matches_naive () =
       done)
     [ 1; 63; 64; 126; 127; 200 ]
 
+(* cardinal against a loop over the bits.  One-word sets use all 63
+   bits of the word, so the per-word count sees the sign bit (bit 62)
+   alone and with others, all ones, alternating patterns and random
+   words drawn over the whole native-int range; multi-word universes
+   end on a partial or a full word. *)
+let test_cardinal_matches_bit_loop () =
+  let bits_of w = List.filter (fun i -> (w lsr i) land 1 = 1) (List.init 63 Fun.id) in
+  let rng = Fn_prng.Rng.create 0xB175 in
+  let random_word () = Int64.to_int (Fn_prng.Rng.bits64 rng) in
+  let words =
+    [ 0; 1; -1; min_int; max_int; min_int lor 1; 0x1555_5555_5555_5555; 0x2AAA_AAAA_AAAA_AAAA;
+      0x0F0F_0F0F_0F0F_0F0F; 1 lsl 61 ]
+    @ List.init 62 (fun i -> 1 lsl i)
+    @ List.init 500 (fun _ -> random_word ())
+  in
+  List.iter
+    (fun w ->
+      let bits = bits_of w in
+      check_int (Printf.sprintf "cardinal %x" w) (List.length bits)
+        (Bitset.cardinal (Bitset.of_list 63 bits)))
+    words;
+  List.iter
+    (fun n ->
+      let members =
+        List.init ((n + 62) / 63) (fun k ->
+            List.filter_map
+              (fun i -> if (63 * k) + i < n then Some ((63 * k) + i) else None)
+              (bits_of (random_word ())))
+        |> List.concat
+      in
+      check_int (Printf.sprintf "cardinal n=%d" n) (List.length members)
+        (Bitset.cardinal (Bitset.of_list n members)))
+    [ 64; 126; 127; 200; 252; 300 ]
+
+(* select against to_array on every universe size from 1 to 300 bits
+   (so 1 to 5 words, full last words at 63, 126, 189 and 252 bits):
+   full, marked (bit 62 and the word edges) and random sets of three
+   densities; ranks outside [0, cardinal) raise. *)
+let test_select_matches_to_array () =
+  let rng = Fn_prng.Rng.create 0x5E1E in
+  let agree label s =
+    let arr = Bitset.to_array s in
+    Array.iteri
+      (fun r v -> check_int (Printf.sprintf "%s: select %d" label r) v (Bitset.select s r))
+      arr;
+    Alcotest.check_raises (label ^ ": rank = cardinal")
+      (Invalid_argument "Bitset.select: rank beyond cardinal") (fun () ->
+        ignore (Bitset.select s (Array.length arr)));
+    Alcotest.check_raises (label ^ ": negative rank")
+      (Invalid_argument "Bitset.select: negative rank") (fun () -> ignore (Bitset.select s (-1)))
+  in
+  for n = 1 to 300 do
+    agree (Printf.sprintf "full n=%d" n) (Bitset.create_full n);
+    agree (Printf.sprintf "empty n=%d" n) (Bitset.create n);
+    let marks = List.filter (fun v -> v < n) [ 0; 61; 62; 63; 125; 126; n - 1 ] in
+    agree (Printf.sprintf "marks n=%d" n) (Bitset.of_list n marks);
+    List.iter
+      (fun p ->
+        let s = Bitset.create n in
+        for v = 0 to n - 1 do
+          if Fn_prng.Rng.bernoulli rng p then Bitset.add s v
+        done;
+        agree (Printf.sprintf "random p=%g n=%d" p n) s)
+      [ 0.1; 0.5; 0.9 ]
+  done
+
 let prop_iter_matches_naive =
   prop "iter and to_array equal the bit-by-bit reference" gen_int_set (fun (n, xs) ->
       let s = Bitset.of_list n xs in
@@ -174,6 +240,8 @@ let () =
           case "bounds checked" test_bounds_checked;
           case "iter order" test_iter_order;
           case "iter/fold/to_array = bit-by-bit reference" test_iter_matches_naive;
+          case "cardinal = bit loop" test_cardinal_matches_bit_loop;
+          case "select = to_array" test_select_matches_to_array;
           case "set operations" test_set_operations;
           case "choose" test_choose;
           case "next_member" test_next_member;

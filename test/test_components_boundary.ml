@@ -37,6 +37,16 @@ let test_members_and_largest_members () =
   let lm = Components.largest_members ~alive:empty_alive (Gview.Csr path5) in
   check_int "no alive -> empty" 0 (Bitset.cardinal lm)
 
+(* the first smallest component, by id; None when connected or empty *)
+let test_smallest_members () =
+  let smallest ?alive g =
+    Option.map Bitset.to_list (Components.smallest_members ?alive (Gview.Csr g))
+  in
+  check_bool "tie: first by id" true (smallest two_triangles = Some [ 0; 1; 2 ]);
+  check_bool "masked" true (smallest ~alive:(Bitset.of_list 5 [ 0; 1; 3 ]) path5 = Some [ 3 ]);
+  check_bool "connected" true (smallest path5 = None);
+  check_bool "no alive" true (smallest ~alive:(Bitset.create 5) path5 = None)
+
 let test_is_connected () =
   check_bool "path" true (Components.is_connected (Gview.Csr path5));
   check_bool "two triangles" false (Components.is_connected (Gview.Csr two_triangles));
@@ -171,6 +181,7 @@ let () =
           case "masked" test_components_masked;
           case "gamma" test_gamma;
           case "members" test_members_and_largest_members;
+          case "smallest members" test_smallest_members;
           case "is_connected" test_is_connected;
         ] );
       ( "boundary",

@@ -77,7 +77,7 @@ let test_local_search_never_worse () =
   let g, _ = Fn_topology.Mesh.cube ~d:2 ~side:4 in
   (* start from a bad cut: scattered nodes *)
   let bad = Cut.make (Gview.Csr g) Cut.Node (Bitset.of_list 16 [ 0; 7; 10 ]) in
-  let improved = Local_search.improve g bad in
+  let improved = Local_search.improve (Gview.Csr g) bad in
   check_bool "improved or equal" true (improved.Cut.value <= bad.Cut.value +. 1e-12)
 
 (* The from-scratch move rule Local_search.improve must reproduce bit
@@ -182,7 +182,7 @@ let test_local_search_matches_reference () =
                     check_bool (label ^ ": improve")
                       true
                       (same_cut (reference_improve ?alive ~max_passes g c)
-                         (Local_search.improve ?alive ~max_passes g c)))
+                         (Local_search.improve ?alive ~max_passes (Gview.Csr g) c)))
                   cuts;
                 let starts = Array.of_list cuts in
                 let refs = Array.map (reference_improve ?alive ~max_passes g) starts in
@@ -193,7 +193,7 @@ let test_local_search_matches_reference () =
                       (Printf.sprintf "%s: improve_many domains=%d" label domains)
                       true
                       (same_cut expected
-                         (Local_search.improve_many ?alive ~max_passes ~domains g starts)))
+                         (Local_search.improve_many ?alive ~max_passes ~domains (Gview.Csr g) starts)))
                   [ 1; 3 ]
               done)
             [ Cut.Node; Cut.Edge ])
@@ -390,7 +390,7 @@ let reference_heuristic ?alive ~rng ~domains g objective =
       balls
   in
   if domains <= 1 then
-    Local_search.improve ?alive ~max_passes:4 g (List.fold_left Cut.better sweep candidates)
+    Local_search.improve ?alive ~max_passes:4 view (List.fold_left Cut.better sweep candidates)
   else begin
     let pool = Array.of_list (Array.to_list sweeps @ candidates) in
     let idx = Array.init (Array.length pool) Fun.id in
@@ -399,7 +399,7 @@ let reference_heuristic ?alive ~rng ~domains g objective =
         let c = Float.compare pool.(a).Cut.value pool.(b).Cut.value in
         if c <> 0 then c else Int.compare a b)
       idx;
-    Local_search.improve_many ?alive ~max_passes:4 ~domains g
+    Local_search.improve_many ?alive ~max_passes:4 ~domains view
       (Array.init (min 4 (Array.length pool)) (fun i -> pool.(idx.(i))))
   end
 

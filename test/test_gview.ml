@@ -258,18 +258,7 @@ let test_prune_arms () =
      identically on csr and implicit inputs *)
   let finder ~alive view ~threshold =
     ignore threshold;
-    let comps = Components.compute ~alive view in
-    if comps.Components.count <= 1 then None
-    else begin
-      let smallest = ref 0 in
-      for id = 1 to comps.Components.count - 1 do
-        if comps.Components.sizes.(id) < comps.Components.sizes.(!smallest) then
-          smallest := id
-      done;
-      if 2 * comps.Components.sizes.(!smallest) <= Bitset.cardinal alive then
-        Some (Components.members comps !smallest)
-      else None
-    end
+    Components.smallest_members ~alive view
   in
   let alive2 = Bitset.create_full n in
   List.iter (Bitset.remove alive2) [ 1; 5; 6; 30 ];
@@ -279,6 +268,112 @@ let test_prune_arms () =
     (not (Bitset.mem r.Prune.kept 0) && r.Prune.iterations >= 1);
   check_bool "arms agree under shared finder" true (Bitset.equal r.Prune.kept r'.Prune.kept);
   check_int "arms agree on rounds" r'.Prune.iterations r.Prune.iterations
+
+(* ---- one answer per topology: estimates and Prune on both arms ---- *)
+
+(* Two m×m tori joined by one edge, as an implicit view whose
+   neighbor order is not ascending (x+1, x−1, y+1, y−1, then the
+   bridge).  Node (x, y) of torus t is t·m² + y·m + x; the bridge joins
+   (0, 0) of the first torus to (m/2, m/2) of the second. *)
+let bridged_tori m =
+  let sq = m * m in
+  let a = 0 and b = sq + ((m / 2) * m) + (m / 2) in
+  let iter v f =
+    let base = v / sq * sq and x = v mod m and y = v mod sq / m in
+    let at x y = base + (((y + m) mod m) * m) + ((x + m) mod m) in
+    f (at (x + 1) y);
+    f (at (x - 1) y);
+    f (at x (y + 1));
+    f (at x (y - 1));
+    if v = a then f b else if v = b then f a
+  in
+  let degree v = if v = a || v = b then 5 else 4 in
+  (Gview.implicit ~n:(2 * sq) ~max_degree:5 ~degree iter, a, b)
+
+(* iid node faults of probability [p] with both bridge ends repaired,
+   under two mask schemes: the fault injector (seed 1), and one
+   Bernoulli draw per node (seed m·1000 + 100p).  The second is kept
+   because the estimate kernels disagree across the arms on it: at
+   m = 8, p = 0.05, domains 2, the portfolio run on the view itself
+   instead of its CSR form read edge 0.1333 against the twin's 0.1273
+   (local search from size-capped balls ended elsewhere); run_v's
+   materialization below its cap is what makes the arms agree. *)
+let bridged_masks twin ~m p (a, b) =
+  let repair kept =
+    Bitset.add kept a;
+    Bitset.add kept b;
+    kept
+  in
+  let injector =
+    (Fn_faults.Random_faults.nodes_iid (Rng.create 1) twin p).Fn_faults.Fault_set.alive
+  in
+  let rng = Rng.create ((m * 1000) + int_of_float (100.0 *. p)) in
+  let bernoulli = Bitset.create_full (Graph.num_nodes twin) in
+  for v = 0 to Graph.num_nodes twin - 1 do
+    if Rng.bernoulli rng p then Bitset.remove bernoulli v
+  done;
+  [ ("injector", repair injector); ("bernoulli", repair bernoulli) ]
+
+let bridged_cases sides f =
+  List.iter
+    (fun m ->
+      let view, a, b = bridged_tori m in
+      let twin = Gview.materialize view in
+      List.iter
+        (fun p ->
+          List.iter
+            (fun (scheme, kept) ->
+              List.iter
+                (fun domains ->
+                  f
+                    (Printf.sprintf "m=%d p=%g %s domains=%d" m p scheme domains)
+                    ~m ~p ~domains view twin kept)
+                [ 1; 2 ])
+            (bridged_masks twin ~m p (a, b)))
+        [ 0.0; 0.05; 0.1 ])
+    sides
+
+(* alpha? and the edge estimate: the same bits and witness on the
+   implicit view and its materialized twin (the estimator runs on the
+   CSR form below its cap, so this holds for every mask), and 1/m²
+   (one torus behind one bridge end) without faults *)
+let test_one_answer_per_topology () =
+  let module Est = Fn_expansion.Estimate in
+  bridged_cases [ 8; 16; 32 ] (fun label ~m ~p ~domains view twin kept ->
+      let alpha v = Fn_online.Alpha_cache.reference ~seed:1 ~domains v ~kept in
+      let implicit = alpha view and csr = alpha (Gview.Csr twin) in
+      check_bool (label ^ ": alpha bits") true
+        (Int64.equal (Int64.bits_of_float implicit) (Int64.bits_of_float csr));
+      if p = 0.0 then
+        check_bool (label ^ ": alpha = 1/m^2") true (implicit = 1.0 /. float_of_int (m * m));
+      let edge v = Est.run_v ~alive:kept ~domains v Fn_expansion.Cut.Edge in
+      let e = edge view and e' = edge (Gview.Csr twin) in
+      check_bool (label ^ ": edge value bits") true
+        (Int64.equal (Int64.bits_of_float e.Est.value) (Int64.bits_of_float e'.Est.value));
+      check_bool (label ^ ": edge witness") true (Bitset.equal e.Est.witness e'.Est.witness))
+
+(* Prune with the default finder on the implicit view culls exactly
+   what Prune.run culls on the twin, at a threshold of 2/m², above the
+   bridge cut (one node over at least 0.85·m² survivors).  Every case
+   culls the bridge side but one, on both arms alike: at m = 8,
+   p = 0.05 under the Bernoulli mask, domains 1, the smaller torus
+   holds the high end of the Fiedler vector, the spectral slice sweeps
+   ascending prefixes only, and the portfolio reads 0.05 against the
+   bridge's 1/58. *)
+let test_prune_one_answer_per_topology () =
+  let open Faultnet in
+  let known_miss = "m=8 p=0.05 bernoulli domains=1" in
+  bridged_cases [ 8; 16 ] (fun label ~m ~p:_ ~domains view twin alive ->
+      let alpha = 4.0 /. float_of_int (m * m) and epsilon = 0.5 in
+      let r = Prune.run_v ~domains view ~alive ~alpha ~epsilon in
+      let r' = Prune.run ~domains twin ~alive ~alpha ~epsilon in
+      check_bool (label ^ ": kept") true (Bitset.equal r.Prune.kept r'.Prune.kept);
+      check_int (label ^ ": iterations") r'.Prune.iterations r.Prune.iterations;
+      check_bool (label ^ ": culled sets") true
+        (List.equal (fun c c' -> Bitset.equal c.Prune.set c'.Prune.set) r.Prune.culled
+           r'.Prune.culled);
+      check_bool (label ^ ": culls the bridge side") (label <> known_miss)
+        (r.Prune.iterations >= 1))
 
 let test_ball_witness () =
   (* two K4s joined by one bridge: a radius-1 ball from inside either
@@ -517,6 +612,8 @@ let () =
           case "percolation curves" test_percolation_arms;
           case "prune" test_prune_arms;
           case "ball witness" test_ball_witness;
+          case "one answer per topology" test_one_answer_per_topology;
+          case "prune: one answer per topology" test_prune_one_answer_per_topology;
         ] );
       ( "counted growth",
         [

@@ -70,7 +70,7 @@ let test_alive_mask_restriction () =
 
 let test_conductance_conversion () =
   let g = Fn_topology.Basic.cycle 8 in
-  check_float "phi to alpha_e lower" 0.1 (Spectral.conductance_to_edge_expansion_lb g 0.1)
+  check_float "phi to alpha_e lower" 0.1 (Spectral.conductance_to_edge_expansion_lb (Gview.Csr g) 0.1)
 
 let test_isolated_alive_nodes_tolerated () =
   let g = Graph.of_edges 3 [ (0, 1) ] in
