@@ -55,41 +55,12 @@ let with_obs ~trace ~metrics f =
 
 (* ---- topology construction shared by gen/prune/span/... ---- *)
 
-let parse_dims s =
-  try Some (Array.of_list (List.map int_of_string (String.split_on_char 'x' s)))
-  with Failure _ -> None
-
+(* The one spec parser (also faultnetd's); its implicit families are
+   materialized here, since the subcommands work on CSR graphs. *)
 let build_topology rng spec =
-  match String.split_on_char ':' spec with
-  | [ "mesh"; dims ] -> (
-    match parse_dims dims with
-    | Some d -> Ok (fst (Fn_topology.Mesh.graph d))
-    | None -> Error (`Msg "mesh dims must look like 8x8 or 4x4x4"))
-  | [ "torus"; dims ] -> (
-    match parse_dims dims with
-    | Some d -> Ok (fst (Fn_topology.Torus.graph d))
-    | None -> Error (`Msg "torus dims must look like 8x8"))
-  | [ "hypercube"; d ] -> Ok (Fn_topology.Hypercube.graph (int_of_string d))
-  | [ "butterfly"; k ] -> Ok (Fn_topology.Butterfly.unwrapped (int_of_string k))
-  | [ "debruijn"; k ] -> Ok (Fn_topology.Debruijn.graph (int_of_string k))
-  | [ "shuffle"; k ] -> Ok (Fn_topology.Shuffle_exchange.graph (int_of_string k))
-  | [ "complete"; n ] -> Ok (Fn_topology.Basic.complete (int_of_string n))
-  | [ "cycle"; n ] -> Ok (Fn_topology.Basic.cycle (int_of_string n))
-  | [ "expander"; n; d ] ->
-    Ok (Fn_topology.Expander.random_regular rng ~n:(int_of_string n) ~d:(int_of_string d))
-  | [ "margulis"; m ] -> Ok (Fn_topology.Expander.margulis (int_of_string m))
-  | [ "chain"; n; d; k ] ->
-    let base =
-      Fn_topology.Expander.random_regular rng ~n:(int_of_string n) ~d:(int_of_string d)
-    in
-    Ok (Fn_topology.Chain_graph.build base ~k:(int_of_string k)).Fn_topology.Chain_graph.graph
-  | [ "can"; d; n ] ->
-    Ok (Fn_topology.Can.graph (Fn_topology.Can.build rng ~d:(int_of_string d) ~n:(int_of_string n)))
-  | _ ->
-    Error
-      (`Msg
-        "unknown topology; try mesh:8x8 torus:4x4x4 hypercube:10 butterfly:4 debruijn:8 \
-         shuffle:8 complete:64 cycle:100 expander:256:6 margulis:16 chain:64:4:8 can:2:256")
+  match Fn_topology.Spec.view rng spec with
+  | Ok view -> Ok (Fn_graph.Gview.materialize view)
+  | Error m -> Error (`Msg m)
 
 let topology_arg =
   let doc =
@@ -158,8 +129,13 @@ let expansion_cmd =
         (if est.Fn_expansion.Estimate.exact then "(exact)" else "(heuristic upper bound)")
         est.Fn_expansion.Estimate.value
         (Fn_graph.Bitset.cardinal est.Fn_expansion.Estimate.witness);
+      (* off the exact branch [lower] is a Cheeger estimate, which
+         bounds only a converged lambda2 *)
       (match est.Fn_expansion.Estimate.lower with
-      | Some lb -> Printf.printf "certified lower bound: %.6f\n" lb
+      | Some lb ->
+        Printf.printf "%s: %.6f\n"
+          (if est.Fn_expansion.Estimate.exact then "lower bound" else "Cheeger estimate")
+          lb
       | None -> ());
       `Ok ()
   in

@@ -9,13 +9,12 @@
 
 let usage () =
   prerr_endline
-    "usage: faultnetd --topology SPEC [--seed N] [--alpha F] [--epsilon F] [--radius N]\n\
-    \       [--audit-every N] [--domains N]\n\
-    \       [--journal PATH] [--resume] [--compact-every N]\n\
-    \       [--max-dirty-frac F] [--postmortem DIR] [--deadline SECS]\n\
-    \       [--trace FILE] [--metrics]\n\
-     topologies: itorus:1000x1000 imesh:100x100 ihypercube:20 mesh:8x8 torus:16x16\n\
-    \       hypercube:10 debruijn:8 complete:64 cycle:100 expander:256:6";
+    ("usage: faultnetd --topology SPEC [--seed N] [--alpha F] [--epsilon F] [--radius N]\n\
+     \       [--audit-every N] [--domains N]\n\
+     \       [--journal PATH] [--resume] [--compact-every N]\n\
+     \       [--max-dirty-frac F] [--postmortem DIR] [--deadline SECS]\n\
+     \       [--trace FILE] [--metrics]\n\
+      topologies: " ^ Fn_topology.Spec.families);
   exit 2
 
 let () =
@@ -123,11 +122,12 @@ let () =
             obs = sink;
           }
         in
-        (* A flag value the generators or the engine refuse (an odd
-           n*d expander, radius 0, epsilon outside (0, 1)) raises
-           Invalid_argument: report it as the usage error it is. *)
+        (* A spec the parser or its generator refuses (an odd n*d
+           expander) is an Error, and a flag value the engine refuses
+           (radius 0, epsilon outside (0, 1)) raises Invalid_argument:
+           report either as the usage error it is. *)
         match
-          Result.map (Fn_online.Engine.create ~cfg) (Fn_online.Server.view_of_spec rng spec)
+          Result.map (Fn_online.Engine.create ~cfg) (Fn_topology.Spec.view rng spec)
         with
         | exception Invalid_argument m ->
           complain m;

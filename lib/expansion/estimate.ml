@@ -9,12 +9,6 @@ type t = {
   lower : float option;
 }
 
-(* Cap on parallel local-search starts.  A constant (rather than the
-   domain count) keeps heuristic results identical for every
-   [domains > 1], so the contract is two-valued: the sequential
-   algorithm at [domains = 1], one fixed parallel algorithm above. *)
-let max_refine_starts = 4
-
 (* BFS sources sampled per estimate, and the pass budget of the local
    search that refines the best candidate. *)
 let ball_samples = 8
@@ -72,18 +66,6 @@ let ball_candidates ?alive view objective rng samples =
     let grower = Bfs.ball_grower ?alive view srcs.(0) in
     Array.map (sample_balls grower ~total objective) srcs
   end
-
-(* Parallel sampling: every sample gets its own pre-split generator
-   (sequential split, Par.trials) and grows its balls on a worker
-   domain with its own grower, so the result is deterministic and
-   independent of the domain count. *)
-let ball_candidates_par ?obs ?alive view objective rng samples ~domains =
-  let total = alive_count ?alive view in
-  if total < 2 then [||]
-  else
-    Fn_parallel.Par.trials ?obs ~domains ~rng samples (fun r ->
-        let src = pick_source ?alive r total in
-        sample_balls (Bfs.ball_grower ?alive view src) ~total objective src)
 
 (* Cut.better folded over candidates in list order: the first
    smallest value wins. *)
@@ -185,47 +167,18 @@ let run_v ?(obs = Fn_obs.Sink.null) ?alive ?rng ?(domains = 1) ?(force_heuristic
     else begin
       let spectral, sweeps = spectral_sweeps ~obs ?alive ~domains view objective in
       let sweep = Array.fold_left Cut.better sweeps.(0) sweeps in
-      let per_sample =
-        if domains <= 1 then ball_candidates ?alive view objective rng ball_samples
-        else ball_candidates_par ~obs ?alive view objective rng ball_samples ~domains
-      in
+      let per_sample = ball_candidates ?alive view objective rng ball_samples in
       (* the historical candidate order: the last sample's balls
          first, each sample's largest first *)
       let balls = Array.fold_left (fun acc bs -> bs @ acc) [] per_sample in
-      let refined =
-        if domains <= 1 then begin
-          (* the sweep comes first, so a ball must be strictly smaller
-             to win; only the winner is materialized *)
-          let best =
-            match best_ball balls with
-            | Some b when b.value < sweep.Cut.value -> ball_cut ?alive view objective b
-            | Some _ | None -> sweep
-          in
-          Local_search.improve ?alive ~max_passes:local_search_passes view best
-        end
-        else begin
-          (* multi-start refinement: hill-climb the few best distinct
-             starts in parallel; includes the overall best, so the
-             refined value is never worse than the sequential start *)
-          let balls = Array.of_list balls in
-          let nsweeps = Array.length sweeps in
-          let value i = if i < nsweeps then sweeps.(i).Cut.value else balls.(i - nsweeps).value in
-          let idx = Array.init (nsweeps + Array.length balls) Fun.id in
-          Array.sort
-            (fun a b ->
-              let c = Float.compare (value a) (value b) in
-              if c <> 0 then c else Int.compare a b)
-            idx;
-          let starts =
-            Array.init (min max_refine_starts (Array.length idx)) (fun i ->
-                let k = idx.(i) in
-                if k < nsweeps then sweeps.(k)
-                else ball_cut ?alive view objective balls.(k - nsweeps))
-          in
-          Local_search.improve_many ~obs ?alive ~max_passes:local_search_passes ~domains view
-            starts
-        end
+      (* the sweep comes first, so a ball must be strictly smaller to
+         win; only the winner is materialized *)
+      let best =
+        match best_ball balls with
+        | Some b when b.value < sweep.Cut.value -> ball_cut ?alive view objective b
+        | Some _ | None -> sweep
       in
+      let refined = Local_search.improve ?alive ~max_passes:local_search_passes view best in
       let lower =
         match objective with
         | Cut.Edge ->

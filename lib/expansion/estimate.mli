@@ -24,12 +24,12 @@ open Fn_prng
     so the spectral sums, the last shell of a size-capped ball and the
     local-search candidate order follow one neighbor order on both
     arms and the result equals the materialized twin's bit for bit.
-    Above the cap the portfolio
-    is the {!ball_witness} cut alone for every [domains] ([exact]
-    false, [lower] None), run on the view itself: no components pass
-    runs, so a disconnected alive set gets its best ball's value, and
-    the size-capped balls follow the view's neighbor order, so the
-    twin's bits are not promised (the order rule in {!Gview}). *)
+    Above the cap the portfolio is the {!ball_witness} cut alone
+    ([exact] false, [lower] None), run on the view itself: no
+    components pass runs, so a disconnected alive set gets its best
+    ball's value, and the size-capped balls follow the view's neighbor
+    order, so the twin's bits are not promised (the order rule in
+    {!Gview}). *)
 
 type t = {
   value : float;  (** best (smallest) expansion witnessed *)
@@ -66,7 +66,7 @@ val run_v :
 (** Defaults: [rng] seeded with 0xFA17, [domains] 1, [force_heuristic]
     false (use {!Exact} when feasible).  Requires >= 2 alive nodes.
     The result depends only on the topology (on the view itself above
-    the cap), the mask, [rng]'s state and whether [domains > 1].  The
+    the cap), the mask and [rng]'s state, never on [domains].  The
     spectral backend is chosen by {!Spectral.Method.select}: [Power]
     below {!Spectral.Method.power_max_nodes} alive nodes, keeping this
     path byte-identical to the pre-registry code.  An enabled [obs]
@@ -74,13 +74,11 @@ val run_v :
     (with nested spectral spans from {!Spectral}); the default null
     sink costs nothing.
 
-    Determinism contract: [domains = 1] (the default) runs the
-    sequential portfolio and is byte-identical run to run.  With
-    [domains > 1] the spectral matvec, the four sweeps and the
-    candidate evaluation parallelize without changing results, while
-    ball sampling switches to per-sample {!Rng.split} streams and
-    refinement hill-climbs several starts — a deterministic variant
-    whose output depends only on [domains > 1], not on the count. *)
+    [domains] is a speed knob only: it sizes the spectral matvec's
+    worker pool and the fan-out of the four sweeps, both bit-identical
+    at every domain count, while the balls are drawn from [rng] in
+    order and one {!Local_search.improve} refines the best candidate
+    whatever the count. *)
 
 val run :
   ?obs:Fn_obs.Sink.t ->

@@ -118,10 +118,3 @@ let improve ?alive ?(max_passes = 20) view cut =
       !candidates
   done;
   { Cut.set = u; value = !current; objective = cut.Cut.objective }
-
-let improve_many ?obs ?alive ?max_passes ?domains view cuts =
-  if Array.length cuts = 0 then invalid_arg "Local_search.improve_many: no cuts";
-  let improved = Fn_parallel.Par.map ?obs ?domains (improve ?alive ?max_passes view) cuts in
-  (* deterministic lowest-index merge: Cut.better keeps the earlier
-     cut on ties, so the result is independent of the domain count *)
-  Array.fold_left Cut.better improved.(0) improved

@@ -30,17 +30,3 @@ open Fn_graph
 val improve :
   ?alive:Bitset.t -> ?max_passes:int -> Gview.t -> Cut.t -> Cut.t
 (** Defaults: [max_passes] 20. *)
-
-val improve_many :
-  ?obs:Fn_obs.Sink.t ->
-  ?alive:Bitset.t ->
-  ?max_passes:int ->
-  ?domains:int ->
-  Gview.t ->
-  Cut.t array ->
-  Cut.t
-(** Hill-climb every start in parallel over [domains] (via
-    {!Fn_parallel.Par.map}) and return the best refined cut.  The
-    merge is a deterministic lowest-index fold, so the result depends
-    only on the starts, never on the domain count.  Raises
-    [Invalid_argument] on an empty array. *)

@@ -59,7 +59,3 @@ let best_prefix ?alive view ~score objective =
     Bitset.add set order.(k)
   done;
   { Cut.set; value = !best_val; objective }
-
-let spectral_cut ?alive ?domains view objective =
-  let r = Spectral.lambda2 ?alive ?domains view in
-  best_prefix ?alive view ~score:r.Spectral.fiedler objective

@@ -12,14 +12,3 @@ val best_prefix : ?alive:Bitset.t -> Gview.t -> score:float array -> Cut.objecti
     ascending-score order (ties by node id), restricted to alive
     nodes; one loop over {!Gview.iter_neighbors}.  Raises
     [Invalid_argument] if fewer than 2 alive nodes. *)
-
-val spectral_cut :
-  ?alive:Bitset.t ->
-  ?domains:int ->
-  Gview.t ->
-  Cut.objective ->
-  Cut.t
-(** Convenience: Fiedler vector + {!best_prefix}.  [domains] is
-    forwarded to {!Spectral.lambda2} — the matvec dominates this
-    path, and before [domains] was threaded through here the spectral
-    solve silently serialized inside otherwise-parallel callers. *)

@@ -7,7 +7,9 @@ open Fn_prng
 type config = {
   quick : bool;  (** shrink sizes / trial counts for CI *)
   seed : int;  (** root seed; every experiment derives its RNG from it *)
-  domains : int option;  (** parallelism cap for {!Fn_parallel.Par} call sites *)
+  domains : int option;
+      (** parallelism cap for {!Fn_parallel.Par} call sites; no table
+          depends on it *)
   obs : Fn_obs.Sink.t;  (** observability sink; {!Fn_obs.Sink.null} = off *)
   resilience : Fn_resilience.Policy.t;
       (** supervision policy for {!supervised} / {!trials} call sites;
@@ -75,8 +77,8 @@ val gamma_of_alive : Graph.t -> Bitset.t -> float
 val node_expansion_estimate :
   ?obs:Fn_obs.Sink.t -> ?domains:int -> Rng.t -> ?alive:Bitset.t -> Graph.t -> float
 (** Portfolio upper-bound estimate (see {!Fn_expansion.Estimate}).
-    [domains] follows the {!Fn_expansion.Estimate.run} contract:
-    default/1 is sequential and byte-reproducible. *)
+    [domains] only sizes the estimator's worker pools: the value is
+    the same at every domain count. *)
 
 val edge_expansion_estimate :
   ?obs:Fn_obs.Sink.t -> ?domains:int -> Rng.t -> ?alive:Bitset.t -> Graph.t -> float

@@ -30,8 +30,8 @@ val default :
     {!Fn_expansion.Estimate.spectral_node_cap} alive nodes (a [None]
     there is weaker evidence).  Each call makes one components pass:
     the estimator's own between the two limits, the finder's outside
-    them.  [domains] is forwarded to the estimator (default:
-    sequential, byte-reproducible).  Deterministic per view; up to the
+    them.  [domains] is forwarded to the estimator as a speed knob:
+    no witness depends on it.  Deterministic per view; up to the
     cap the witness equals the materialized twin's, above it the ball
     slice follows the view's neighbor order (the order rule in
     {!Gview}). *)

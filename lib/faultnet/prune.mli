@@ -56,9 +56,9 @@ val run_v :
   result
 (** [run_v view ~alive ~alpha ~epsilon] executes Prune(ε) with
     threshold α·ε on either {!Gview.t} arm.  Requires [alpha > 0] and
-    [0 < epsilon < 1].  [domains] is forwarded to the default
-    {!Low_expansion.default} finder (default 1: sequential,
-    byte-reproducible); it is ignored when [finder] is given.  The
+    [0 < epsilon < 1].  [domains] (default 1) is forwarded to the
+    default {!Low_expansion.default} finder as a speed knob, so no cull
+    depends on it; it is ignored when [finder] is given.  The
     round loop (finder call, scratch boundary count, cull accounting)
     never materializes edges, so Prune runs on implicit 10^7-node
     topologies; the default finder's estimator does materialize the

@@ -40,9 +40,9 @@ val run :
     witness is split into connected components if necessary (one of
     them always satisfies the threshold, by the mediant inequality)
     before compactification.  The finder is called on [Gview.Csr g].
-    [domains] is forwarded to the default {!Low_expansion.default}
-    finder (default 1: sequential, byte-reproducible); ignored when
-    [finder] is given.  Per-round
+    [domains] (default 1) is forwarded to the default
+    {!Low_expansion.default} finder as a speed knob, so no cull
+    depends on it; ignored when [finder] is given.  Per-round
     edge-boundary counts (including the per-component ratios of the
     witness split) reuse a {!Boundary.Scratch} rather than
     allocating per round.

@@ -22,7 +22,7 @@ type t
 
 val create : ?domains:int -> int -> t
 (** [create seed]: an empty cache whose estimates derive their rng
-    from [seed]. *)
+    from [seed].  [domains] only sizes the estimator's worker pools. *)
 
 val computes : t -> int
 (** Full estimates performed (cache hits excluded). *)

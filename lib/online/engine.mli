@@ -26,6 +26,8 @@ type config = {
       (** directory for quarantine post-mortem snapshots; [None]
           disables the write (the quarantine itself still happens) *)
   domains : int option;
+      (** worker pools of the α estimate; no answer, {!state_digest} or
+          snapshot depends on it, so a journal resumes at any count *)
   obs : Fn_obs.Sink.t;
 }
 

@@ -1,5 +1,3 @@
-open Fn_graph
-
 type outcome = { reply : string option; quit : bool }
 
 let scope = "online.batch"
@@ -216,54 +214,4 @@ let serve ?journal ?(resume = false) ?(meta = []) ?limits ?policy ?(compact_ever
               in
               run_loop ?limits ?policy ~on_batch engine ic oc))
 
-let parse_dims s =
-  let parts = String.split_on_char 'x' s in
-  let dims = List.filter_map int_of_string_opt parts in
-  if List.length dims = List.length parts && dims <> [] && List.for_all (fun d -> d > 0) dims
-  then Some (Array.of_list dims)
-  else None
-
-(* Topology specs for the serving layer: the CSR family the CLI
-   generates, plus i-prefixed implicit variants that scale the daemon
-   to 10^6+ nodes without materializing an edge set. *)
-let view_of_spec rng spec =
-  let int_arg name v k =
-    match int_of_string_opt v with
-    | Some v when v > 0 -> k v
-    | _ -> Error (Printf.sprintf "%s wants a positive int, got %S" name v)
-  in
-  match String.split_on_char ':' spec with
-  | [ "itorus"; dims ] -> (
-    match parse_dims dims with
-    | Some d -> Ok (Fn_topology.Implicit.torus d)
-    | None -> Error "itorus dims must look like 1000x1000")
-  | [ "imesh"; dims ] -> (
-    match parse_dims dims with
-    | Some d -> Ok (Fn_topology.Implicit.mesh d)
-    | None -> Error "imesh dims must look like 1000x1000")
-  | [ "ihypercube"; d ] ->
-    int_arg "ihypercube" d (fun d -> Ok (Fn_topology.Implicit.hypercube d))
-  | [ "mesh"; dims ] -> (
-    match parse_dims dims with
-    | Some d -> Ok (Gview.Csr (fst (Fn_topology.Mesh.graph d)))
-    | None -> Error "mesh dims must look like 8x8")
-  | [ "torus"; dims ] -> (
-    match parse_dims dims with
-    | Some d -> Ok (Gview.Csr (fst (Fn_topology.Torus.graph d)))
-    | None -> Error "torus dims must look like 8x8")
-  | [ "hypercube"; d ] ->
-    int_arg "hypercube" d (fun d -> Ok (Gview.Csr (Fn_topology.Hypercube.graph d)))
-  | [ "debruijn"; k ] ->
-    int_arg "debruijn" k (fun k -> Ok (Gview.Csr (Fn_topology.Debruijn.graph k)))
-  | [ "complete"; n ] ->
-    int_arg "complete" n (fun n -> Ok (Gview.Csr (Fn_topology.Basic.complete n)))
-  | [ "cycle"; n ] ->
-    int_arg "cycle" n (fun n -> Ok (Gview.Csr (Fn_topology.Basic.cycle n)))
-  | [ "expander"; n; d ] ->
-    int_arg "expander" n (fun n ->
-        int_arg "expander" d (fun d ->
-            Ok (Gview.Csr (Fn_topology.Expander.random_regular rng ~n ~d))))
-  | _ ->
-    Error
-      "unknown topology; try itorus:1000x1000 imesh:100x100 ihypercube:20 mesh:8x8 \
-       torus:16x16 hypercube:10 debruijn:8 complete:64 cycle:100 expander:256:6"
+let view_of_spec = Fn_topology.Spec.view

@@ -90,7 +90,5 @@ val serve :
     ["online.compact_failures"]; the service keeps running. *)
 
 val view_of_spec : Rng.t -> string -> (Gview.t, string) result
-(** Topology specs accepted by the daemon: the CLI's generated CSR
-    family plus implicit [itorus:AxB] / [imesh:AxB] / [ihypercube:d]
-    for 10^6+-node instances.  [rng] only feeds randomized
-    constructions (expander). *)
+(** {!Fn_topology.Spec.view}, the one topology-spec parser of
+    [faultnet_cli] and [faultnetd], under the serving layer's name. *)

@@ -8,9 +8,9 @@
 
     {2 The [?domains] contract, and how to stay inside it}
 
-    Every entry point here promises: [~domains:1] is byte-identical to
-    the sequential path, and any [domains > 1] yields one fixed result
-    regardless of domain count or scheduling.  That holds only if the
+    Every entry point here promises one rule: no result depends on
+    [domains].  Every domain count, 1 included, and every schedule
+    returns the sequential path's bytes.  That holds only if the
     forked closure is a pure function of its input — the scope-aware
     lint tier checks this mechanically.  The blessed patterns:
 

@@ -43,16 +43,62 @@ let contains hay needle =
 let test_gen_mesh () =
   let code, out = run_cli "gen -t mesh:3x3" in
   check_int "exit" 0 code;
-  let lines = String.split_on_char '\n' out in
-  check_bool "header" true (List.hd lines = "# nodes 9 edges 12");
-  check_int "12 edges + header" 13 (List.length lines)
+  Alcotest.(check string) "edge list"
+    (String.concat "\n"
+       [
+         "# nodes 9 edges 12"; "0 1"; "0 3"; "1 2"; "1 4"; "2 5"; "3 4"; "3 6"; "4 5"; "4 7";
+         "5 8"; "6 7"; "7 8";
+       ])
+    out
+
+(* A spec the parser or a generator refuses is a usage error: exit
+   124 with one line on stderr, never an uncaught exception (125). *)
+let test_gen_rejects_bad_specs () =
+  List.iter
+    (fun spec ->
+      let code, out = run_cli ("gen -t " ^ spec) in
+      check_int (spec ^ ": exit") 124 code;
+      check_bool (spec ^ ": one line") false (String.contains out '\n');
+      check_bool (spec ^ ": no uncaught exception") false (contains out "exception"))
+    [ "hypercube:abc"; "expander:255:3"; "cycle:2"; "mesh:0x4" ]
 
 let test_expansion_exact () =
   let code, out = run_cli "expansion -t mesh:4x4 --objective edge" in
   check_int "exit" 0 code;
+  let lines = String.split_on_char '\n' out in
   check_bool "reports exact value" true
-    (String.split_on_char '\n' out
-    |> List.exists (fun l -> l = "edge expansion (exact): 0.500000 (witness side 8)"))
+    (List.mem "edge expansion (exact): 0.500000 (witness side 8)" lines);
+  check_bool "and its lower bound" true (List.mem "lower bound: 0.500000" lines)
+
+(* [lower] is a bound only on the exact branch; off it, the CLI must
+   call it what it is.  Two 64x64 tori joined by one edge (loaded with
+   -i) take the heuristic branch, where the estimate (0.0012) exceeds
+   the witnessed bridge cut (1/4096). *)
+let test_expansion_lower_labels () =
+  let m = 64 in
+  let sq = m * m in
+  let torus t =
+    List.concat
+      (List.init sq (fun v ->
+           let x = v mod m and y = v / m in
+           [ (t + v, t + (y * m) + ((x + 1) mod m)); (t + v, t + (((y + 1) mod m) * m) + x) ]))
+  in
+  let g =
+    Fn_graph.Graph.of_edges (2 * sq)
+      (((0, sq + ((m / 2) * m) + (m / 2)) :: torus 0) @ torus sq)
+  in
+  let path = Filename.temp_file "faultnet_bridged" ".edges" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      Fn_graph.Gio.save path g;
+      let code, out = run_cli (Printf.sprintf "expansion -i %s --objective edge" path) in
+      check_int "exit" 0 code;
+      let lines = String.split_on_char '\n' out in
+      let starts prefix = List.exists (String.starts_with ~prefix) lines in
+      check_bool "heuristic branch" true (starts "edge expansion (heuristic upper bound):");
+      check_bool "Cheeger estimate line" true (starts "Cheeger estimate: ");
+      check_bool "no bound claimed" false (starts "lower bound" || starts "certified"))
 
 let test_connectivity () =
   let code, out = run_cli "connectivity -t hypercube:3" in
@@ -218,6 +264,52 @@ let test_faultnetd_error_exit_finishes () =
       check_bool "refusal on stderr" true (contains text "faultnetd: journal replay rejected batch 1");
       check_bool "metrics report on stderr" true (contains text "online.batches"))
 
+(* No journaled result depends on the domain count: a journal that
+   --domains 2 wrote and compacted (so its snapshot carries the
+   digest, alpha bits included) resumes without --domains and with
+   --domains 3, and state? prints the writer's last digest.  On the
+   session's masks multi-start refinement changes alpha, so an
+   estimator that forked on the domain count would fail here. *)
+let test_faultnetd_resume_across_domains () =
+  let tmp suffix = Filename.temp_file "faultnetd_domains" suffix in
+  let journal = tmp ".jsonl" and session = tmp ".session" and out = tmp ".out" in
+  Sys.remove journal;
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> if Sys.file_exists f then Sys.remove f) [ journal; session; out ])
+    (fun () ->
+      let run flags lines =
+        Out_channel.with_open_bin session (fun oc ->
+            List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+        let code =
+          Sys.command
+            (Printf.sprintf
+               "%s --topology expander:256:6 --seed 3 --journal %s --compact-every 2 %s < %s > %s"
+               daemon journal flags session out)
+        in
+        let digests =
+          In_channel.with_open_bin out In_channel.input_all
+          |> String.split_on_char '\n'
+          |> List.filter (String.starts_with ~prefix:"ok digest=")
+        in
+        (code, digests)
+      in
+      let code, digests =
+        run "--domains 2"
+          [
+            "apply f32 f130"; "alpha?"; "apply f253"; "alpha?";
+            "apply f241 f194 f107 f48 f249 f14 f199 f221"; "alpha?"; "state?"; "quit";
+          ]
+      in
+      check_int "writer exits 0" 0 code;
+      let written = match digests with [ d ] -> d | _ -> Alcotest.fail "writer printed no digest" in
+      List.iter
+        (fun flags ->
+          let code, digests = run flags [ "state?"; "quit" ] in
+          check_int (flags ^ ": exit") 0 code;
+          check_bool (flags ^ ": writer's digest") true (digests = [ written ]))
+        [ "--resume"; "--resume --domains 3" ])
+
 let () =
   if not (Sys.file_exists binary) then begin
     print_endline "faultnet_cli.exe not found next to the test; skipping CLI suite";
@@ -235,6 +327,9 @@ let () =
           case "determinism" test_determinism_across_runs;
           case "faultnetd rejects bad flag values" test_faultnetd_rejects_bad_values;
           case "faultnetd error exit closes trace and metrics" test_faultnetd_error_exit_finishes;
+          case "faultnetd resumes across domain counts" test_faultnetd_resume_across_domains;
+          case "gen rejects bad specs" test_gen_rejects_bad_specs;
+          case "lower bound only when exact" test_expansion_lower_labels;
         ] );
       ( "lint",
         [

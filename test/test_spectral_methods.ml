@@ -337,21 +337,6 @@ let test_solve_histogram_observes_total () =
   | Some total -> check_float_eps 1e-9 "histogram total = span total" (float_of_int total) observed
   | None -> Alcotest.fail "no spectral.solve exit span recorded"
 
-let test_spectral_cut_domains_matches_default () =
-  (* regression: Sweep.spectral_cut threads ?domains — domains:1 must
-     equal the default byte for byte, and domains:2 must too (matvec
-     and sweeps are bit-stable across domains) *)
-  let g = fst (Fn_topology.Mesh.graph [| 16; 16 |]) in
-  let base = Sweep.spectral_cut (Gview.Csr g) Cut.Edge in
-  List.iter
-    (fun (name, c) ->
-      check_bool (name ^ " same set") true (Bitset.equal c.Cut.set base.Cut.set);
-      check_bool (name ^ " same value bits") true (bits_equal c.Cut.value base.Cut.value))
-    [
-      ("domains 1", Sweep.spectral_cut ~domains:1 (Gview.Csr g) Cut.Edge);
-      ("domains 2", Sweep.spectral_cut ~domains:2 (Gview.Csr g) Cut.Edge);
-    ]
-
 let () =
   Alcotest.run "spectral_methods"
     [
@@ -370,7 +355,6 @@ let () =
         [
           case "bitwise reruns" test_deterministic_reruns;
           case "domains bit-stability" test_domains_bitwise_identical_per_method;
-          case "spectral_cut domains matches default" test_spectral_cut_domains_matches_default;
         ] );
       ( "registry",
         [
