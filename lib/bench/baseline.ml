@@ -44,7 +44,7 @@ let host () = try Unix.gethostname () with Unix.Unix_error _ -> "unknown"
 let of_run ~suite ~quick kernels =
   {
     meta =
-      { suite; git_rev = git_rev (); host = host (); quick; created_ns = Fn_obs.Clock.now_ns () };
+      { suite; git_rev = git_rev (); host = host (); quick; created_ns = Fn_obs.Clock.wall_stamp_ns () };
     kernels;
   }
 

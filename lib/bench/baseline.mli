@@ -29,13 +29,16 @@ type meta = {
   host : string;
   quick : bool;
   created_ns : int;
+      (** wall-clock creation stamp, ns since the Unix epoch
+          ({!Fn_obs.Clock.wall_stamp_ns}) *)
 }
 
 type t = { meta : meta; kernels : Suite.result list }
 
 val of_run : suite:string -> quick:bool -> Suite.result list -> t
 (** Stamp a run with the current git revision (best-effort read of
-    [.git/HEAD], "unknown" outside a checkout), hostname and clock. *)
+    [.git/HEAD], "unknown" outside a checkout), hostname and
+    wall-clock time. *)
 
 val filename : suite:string -> string
 (** ["BENCH_" ^ suite ^ ".json"]. *)

@@ -1,6 +1,6 @@
 open Fn_graph
 
-type result = { lambda2 : float; fiedler : float array; iterations : int }
+type result = { lambda2 : float; fiedler : float array; iterations : int; converged : bool }
 
 module Method = struct
   type t = Power | Lanczos
@@ -19,7 +19,15 @@ end
 
 (* ---- Power: the historical fused iteration, kept bit-exact ---- *)
 
-let power_iteration op ~apply ?(max_iter = 1000) ?(tol = 1e-9) ~deflate_against () =
+(* One step is three passes over n floats (four for the deflated
+   second vector): the matvec, which also returns z·v1; the deflation
+   and squared norm; and [Spectral_op.advance], which normalizes z into
+   y, measures the L1 change and stages y as the next matvec's
+   pre-scaled source.  Only the first step's matvec and the closing
+   one that measures mu scale their source themselves.  [converged]
+   says whether the stop was the L1 test rather than the [max_iter]
+   budget. *)
+let power_iteration op m ?(max_iter = 1000) ?(tol = 1e-9) ~deflate_against () =
   let n = op.Spectral_op.n in
   let basis = deflate_against in
   (* deterministic pseudo-random start; offset by the deflation depth
@@ -28,12 +36,12 @@ let power_iteration op ~apply ?(max_iter = 1000) ?(tol = 1e-9) ~deflate_against 
   Spectral_op.deflate op basis y;
   ignore (Spectral_op.normalize op y);
   let z = Array.make n 0.0 in
-  (* The per-iteration [deflate], [normalize], L1 diff and copy of y,
-     fused: [subtract c w rest] removes c w from z and, in the same
-     pass, accumulates the next projection coefficient (against the
-     head of [rest]) or, after the last basis vector, the squared
-     norm.  Every reduction still runs in index order over the same
-     operands, so the bits are those of the separate passes. *)
+  (* The per-iteration [deflate] and squared norm, fused: [subtract c
+     w rest] removes c w from z and, in the same pass, accumulates the
+     next projection coefficient (against the head of [rest]) or,
+     after the last basis vector, the squared norm.  Every reduction
+     still runs in index order over the same operands, so the bits are
+     those of the separate passes. *)
   let rec subtract c w rest =
     match rest with
     | next :: rest ->
@@ -55,26 +63,18 @@ let power_iteration op ~apply ?(max_iter = 1000) ?(tol = 1e-9) ~deflate_against 
   in
   let v1 = op.Spectral_op.v1 in
   let iterations = ref 0 in
-  (try
-     for it = 1 to max_iter do
-       iterations := it;
-       apply y z;
-       let nrm = sqrt (subtract (Spectral_op.dot op z v1) v1 basis) in
-       let diff = ref 0.0 in
-       (* z is dead after this pass: the next [apply] overwrites it *)
-       for i = 0 to n - 1 do
-         let zi = if nrm > 0.0 then z.(i) /. nrm else z.(i) in
-         diff := !diff +. abs_float (zi -. y.(i));
-         y.(i) <- zi
-       done;
-       if !diff < tol then raise Exit
-     done
-   with Exit -> ());
-  apply y z;
+  let converged = ref false in
+  while (not !converged) && !iterations < max_iter do
+    incr iterations;
+    let c = Spectral_op.apply m ~staged:(!iterations > 1) y z in
+    (* z is dead after this: the next [apply] overwrites it *)
+    converged := Spectral_op.advance m z ~sq_norm:(subtract c v1 basis) y ~tol
+  done;
+  ignore (Spectral_op.apply m ~staged:false y z);
   let mu_final = Spectral_op.dot op y z in
   let lambda = 2.0 -. mu_final in
   let embedding = Spectral_op.embed op y in
-  (max 0.0 lambda, y, embedding, !iterations)
+  (max 0.0 lambda, y, embedding, !iterations, !converged)
 
 (* ---- dense symmetric Jacobi eigensolver for the projected matrix ---- *)
 
@@ -160,6 +160,9 @@ type pair_solution = {
   py1 : float array;  (** y-space Ritz vectors, normalized *)
   py2 : float array;
   applies : int;  (** operator applications (matvecs) consumed *)
+  pair1_converged : bool;
+      (** the last Ritz check had pair 1 within [tol], or the Krylov
+          space was exhausted *)
 }
 
 let lanczos_max_basis = 16
@@ -213,7 +216,7 @@ let lanczos_top2 op ~apply ~max_applies ~tol =
   if Spectral_op.normalize op y0 <= breakdown_tol then
     (* no alive mass at all: mirror the power iteration's degenerate
        output (lambda2 = 2, zero embeddings) *)
-    { theta1 = 0.0; py1 = zeros (); py2 = zeros (); applies = 0 }
+    { theta1 = 0.0; py1 = zeros (); py2 = zeros (); applies = 0; pair1_converged = true }
   else begin
     q.(0) <- y0;
     let m = ref 1 in
@@ -295,6 +298,7 @@ let lanczos_top2 op ~apply ~max_applies ~tol =
     in
     let converged = ref false in
     let exhausted = ref false in
+    let pair1_met = ref false in
     (* pair-2 plateau state: armed once pair 1 converges *)
     let pair1_done = ref false in
     let stall_mark = ref infinity in
@@ -303,7 +307,7 @@ let lanczos_top2 op ~apply ~max_applies ~tol =
     while (not !converged) && (not !exhausted) && !applies < max_applies do
       let j = !m - 1 in
       let w = zeros () in
-      apply q.(j) w;
+      let c1 = apply q.(j) w in
       incr applies;
       (* Selective reorthogonalization.  In exact arithmetic w = M q_j
          is already orthogonal to all basis vectors except the two
@@ -316,11 +320,12 @@ let lanczos_top2 op ~apply ~max_applies ~tol =
          vectors are skipped — their coupling is O(eps) drift that a
          32-step cycle keeps below semi-orthogonality.  The DGKS
          cancellation test gates a second pass over the same set.
-         Skipped couplings enter T as their exact-arithmetic zeros. *)
+         Skipped couplings enter T as their exact-arithmetic zeros.
+         The first pass takes its v1 coefficient from the matvec; the
+         second recomputes it from the updated w. *)
       let h = Array.make !m 0.0 in
-      let pass () =
-        let c1 = Spectral_op.dot op w op.Spectral_op.v1 in
-        let v1 = op.Spectral_op.v1 in
+      let v1 = op.Spectral_op.v1 in
+      let pass c1 =
         for k = 0 to n - 1 do
           w.(k) <- w.(k) -. (c1 *. v1.(k))
         done;
@@ -336,9 +341,9 @@ let lanczos_top2 op ~apply ~max_applies ~tol =
         done
       in
       let before = sqrt (Spectral_op.dot op w w) in
-      pass ();
+      pass c1;
       let after = sqrt (Spectral_op.dot op w w) in
-      if after < 0.707 *. before then pass ();
+      if after < 0.707 *. before then pass (Spectral_op.dot op w v1);
       for i = 0 to j do
         tm.(i).(j) <- h.(i);
         if i <> j then tm.(j).(i) <- h.(i)
@@ -352,7 +357,8 @@ let lanczos_top2 op ~apply ~max_applies ~tol =
       let res2 =
         match i2 with Some i -> beta *. abs_float vecs.(mm - 1).(i) | None -> infinity
       in
-      if mm >= 2 && res1 <= tol *. scale then begin
+      pair1_met := mm >= 2 && res1 <= tol *. scale;
+      if !pair1_met then begin
         if res2 <= tol *. scale then converged := true
         else if not !pair1_done then begin
           pair1_done := true;
@@ -408,7 +414,13 @@ let lanczos_top2 op ~apply ~max_applies ~tol =
     in
     let py1 = form i1 in
     let py2 = match i2 with Some i -> form i | None -> zeros () in
-    { theta1 = vals.(i1); py1; py2; applies = !applies }
+    {
+      theta1 = vals.(i1);
+      py1;
+      py2;
+      applies = !applies;
+      pair1_converged = !pair1_met || !exhausted;
+    }
   end
 
 (* ---- the backend registry ---- *)
@@ -424,15 +436,16 @@ type solved = {
   s_f2 : float array;
   s_it_first : int;  (** iterations attributed to the first vector *)
   s_it_total : int;  (** total operator applications *)
+  s_converged : bool;  (** the first vector (Power) or pair 1 (Lanczos) met [tol] *)
 }
 
 let solve_power op ~max_iter ~tol =
-  Spectral_op.with_apply op (fun apply ->
-      let lambda2, y1, f1, it1 =
-        power_iteration op ~apply ~max_iter ~tol ~deflate_against:[] ()
+  Spectral_op.with_matvec op (fun m ->
+      let lambda2, y1, f1, it1, converged =
+        power_iteration op m ~max_iter ~tol ~deflate_against:[] ()
       in
-      let _, _, f2, it2 =
-        power_iteration op ~apply ~max_iter ~tol ~deflate_against:[ y1 ] ()
+      let _, _, f2, it2, _ =
+        power_iteration op m ~max_iter ~tol ~deflate_against:[ y1 ] ()
       in
       {
         s_lambda2 = lambda2;
@@ -440,6 +453,7 @@ let solve_power op ~max_iter ~tol =
         s_f2 = f2;
         s_it_first = it1;
         s_it_total = it1 + it2;
+        s_converged = converged;
       })
 
 let solve_lanczos op ~max_iter ~tol =
@@ -451,6 +465,7 @@ let solve_lanczos op ~max_iter ~tol =
         s_f2 = Spectral_op.embed op p.py2;
         s_it_first = p.applies;
         s_it_total = p.applies;
+        s_converged = p.pair1_converged;
       })
 
 let run_method method_ op ~max_iter ~tol =
@@ -476,17 +491,17 @@ let lambda2 ?(obs = Fn_obs.Sink.null) ?alive ?(domains = 1) ?(max_iter = 1000)
   let sp = if on then Fn_obs.Span.enter obs "spectral.lambda2" else Fn_obs.Span.null in
   let op = Spectral_op.create ?alive ~domains view in
   let m = resolve op method_ in
-  let lambda2, fiedler, iterations =
+  let lambda2, fiedler, iterations, converged =
     match m with
     | Method.Power ->
-      Spectral_op.with_apply op (fun apply ->
-          let lambda2, _, fiedler, iterations =
-            power_iteration op ~apply ~max_iter ~tol ~deflate_against:[] ()
+      Spectral_op.with_matvec op (fun mv ->
+          let lambda2, _, fiedler, iterations, converged =
+            power_iteration op mv ~max_iter ~tol ~deflate_against:[] ()
           in
-          (lambda2, fiedler, iterations))
+          (lambda2, fiedler, iterations, converged))
     | Method.Lanczos ->
       let s = solve_lanczos op ~max_iter ~tol in
-      (s.s_lambda2, s.s_f1, s.s_it_total)
+      (s.s_lambda2, s.s_f1, s.s_it_total, s.s_converged)
   in
   if on then begin
     Fn_obs.Span.exit sp
@@ -495,10 +510,11 @@ let lambda2 ?(obs = Fn_obs.Sink.null) ?alive ?(domains = 1) ?(max_iter = 1000)
           ("lambda2", Fn_obs.Sink.Float lambda2);
           ("iterations", Fn_obs.Sink.Int iterations);
           ("method", Fn_obs.Sink.Str (Method.to_string m));
+          ("converged", Fn_obs.Sink.Bool converged);
         ];
     Fn_obs.Metrics.observe (iterations_histogram ()) (float_of_int iterations)
   end;
-  { lambda2; fiedler; iterations }
+  { lambda2; fiedler; iterations; converged }
 
 let solve ?(obs = Fn_obs.Sink.null) ?alive ?(domains = 1) ?(max_iter = 1000)
     ?(tol = 1e-9) ?method_ view =
@@ -514,10 +530,17 @@ let solve ?(obs = Fn_obs.Sink.null) ?alive ?(domains = 1) ?(max_iter = 1000)
           ("lambda2", Fn_obs.Sink.Float s.s_lambda2);
           ("iterations", Fn_obs.Sink.Int s.s_it_total);
           ("method", Fn_obs.Sink.Str (Method.to_string m));
+          ("converged", Fn_obs.Sink.Bool s.s_converged);
         ];
     Fn_obs.Metrics.observe (iterations_histogram ()) (float_of_int s.s_it_total)
   end;
-  ({ lambda2 = s.s_lambda2; fiedler = s.s_f1; iterations = s.s_it_first }, s.s_f2)
+  ( {
+      lambda2 = s.s_lambda2;
+      fiedler = s.s_f1;
+      iterations = s.s_it_first;
+      converged = s.s_converged;
+    },
+    s.s_f2 )
 
 let cheeger_lower r = r.lambda2 /. 2.0
 

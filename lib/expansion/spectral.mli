@@ -53,6 +53,13 @@ type result = {
   iterations : int;
       (** operator applications consumed: power-iteration steps for
           [Power], total matvecs for [Lanczos] *)
+  converged : bool;
+      (** whether the stopping test, not the budget, ended the solve:
+          for [Power], the first vector's L1 step fell below [tol]; for
+          [Lanczos], pair 1's residual was within [tol] times its Ritz
+          value's scale at the last check, or the Krylov space was
+          exhausted.  When [false], [lambda2] is the last iterate's
+          estimate, not a converged eigenvalue. *)
 }
 
 val lambda2 :
@@ -79,7 +86,12 @@ val lambda2 :
     for the barrier to pay for itself).  Each matrix row touches only
     row-local state, so the result is bit-identical for every domain
     count — parallelism here is an implementation detail, not an
-    algorithm change.  This holds for every method. *)
+    algorithm change.  This holds for every method.
+
+    With an enabled [obs] sink the [spectral.lambda2] exit span
+    carries [lambda2], [iterations], [method] and [converged]; the
+    [spectral.solve] span of {!solve} carries the same fields, with
+    [iterations] counting both vectors' applications. *)
 
 val solve :
   ?obs:Fn_obs.Sink.t ->
@@ -107,9 +119,9 @@ val cheeger_lower : result -> float
 (** λ₂ / 2 — the Cheeger estimate of a conductance lower bound.  It
     bounds conductance only when [result.lambda2] is the converged λ₂:
     [Power] returns after [max_iter] steps whether or not [tol] was
-    met, and an unconverged λ₂ can overstate the true one several
-    times over (meshes and tori of a few thousand nodes), in which
-    case this is no bound at all. *)
+    met ([result.converged] tells which), and an unconverged λ₂ can
+    overstate the true one several times over (meshes and tori of a
+    few thousand nodes), in which case this is no bound at all. *)
 
 val cheeger_upper : result -> float
 (** sqrt(2 λ₂) — the Cheeger upper bound on conductance. *)

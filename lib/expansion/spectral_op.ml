@@ -56,49 +56,97 @@ let is_alive t v = Bytes.get t.row v <> dead
 
 let alive_count t = match t.alive with None -> t.n | Some m -> Bitset.cardinal m
 
-(* Gather-reduced row loops over the pre-scaled masked source
-   [u = src / sqrt_deg] (zero on dead and isolated nodes): per row one
-   class byte, per edge a single [u] gather, no mask probe.  A dead
-   neighbor adds its 0 where a branch would have skipped it; the
-   accumulator starts at +0.0 and round-to-nearest addition can never
-   turn it into -0.0, so that [+. 0.] leaves it unchanged bit for bit.
-   Each row touches only row-local state, so disjoint ranges may run
-   concurrently with bit-identical results.  The CSR arm reads the
-   flat arrays in place: a float accumulator captured by a neighbor
-   closure would be boxed on every edge visit. *)
+let dot t a b =
+  let acc = ref 0.0 in
+  for i = 0 to t.n - 1 do
+    acc := !acc +. (a.(i) *. b.(i))
+  done;
+  !acc
+
+(* The one definition of the pre-scaled source: u_i = x_i / sqrt d_i
+   on interior rows, 0 on dead and isolated ones.  [create] fixed the
+   lengths of [row] and [sqrt_deg] to [n]. *)
+let[@inline] scaled t i x =
+  if Bytes.unsafe_get t.row i = interior then x /. Array.unsafe_get t.sqrt_deg i else 0.0
+
+(* Gather-reduced row loops over the pre-scaled masked source [u]: per
+   row one class byte, per edge a single [u] gather, no mask probe.
+   They index without bounds checks: [create] fixed the lengths of
+   [row], [sqrt_deg] and [v1], [with_matvec] that of [u], [apply]
+   checks [src] and [dst], and the CSR invariant keeps [xadj] at n + 1
+   entries and every [adj] entry below n.  A dead neighbor adds its 0
+   where a branch would have skipped it; the accumulator starts at
+   +0.0 and round-to-nearest addition can never turn it into -0.0, so
+   that [+. 0.] leaves it unchanged bit for bit.
+   Each row writes only its own [dst] entry, so disjoint ranges may
+   run concurrently with bit-identical rows.  As it writes the rows,
+   the loop sums dst_v * v1_v over its range in index order, which is
+   [dot dst v1] when the range is the whole vector.  The CSR arm reads
+   the flat arrays in place: a float accumulator captured by a
+   neighbor closure would be boxed on every edge visit. *)
 let csr_rows t xadj adj u src dst lo hi =
-  let row = t.row and sqrt_deg = t.sqrt_deg in
+  let row = t.row and sqrt_deg = t.sqrt_deg and v1 = t.v1 in
+  let dot = ref 0.0 in
   for v = lo to hi - 1 do
-    let c = Bytes.get row v in
-    if c = interior then begin
-      let acc = ref 0.0 in
-      for k = xadj.(v) to xadj.(v + 1) - 1 do
-        acc := !acc +. u.(Array.unsafe_get adj k)
-      done;
-      dst.(v) <- src.(v) +. (!acc /. sqrt_deg.(v))
-    end
-    else dst.(v) <- (if c = isolated then src.(v) else 0.0)
-  done
+    let c = Bytes.unsafe_get row v in
+    let y =
+      if c = interior then begin
+        (* two gathers per trip: (acc + a) + b is the one-at-a-time
+           sum, in the same order, at half the loop overhead *)
+        let acc = ref 0.0 in
+        let k = ref (Array.unsafe_get xadj v) and stop = Array.unsafe_get xadj (v + 1) in
+        while !k + 1 < stop do
+          let a = Array.unsafe_get u (Array.unsafe_get adj !k) in
+          let b = Array.unsafe_get u (Array.unsafe_get adj (!k + 1)) in
+          acc := !acc +. a +. b;
+          k := !k + 2
+        done;
+        if !k < stop then acc := !acc +. Array.unsafe_get u (Array.unsafe_get adj !k);
+        Array.unsafe_get src v +. (!acc /. Array.unsafe_get sqrt_deg v)
+      end
+      else if c = isolated then Array.unsafe_get src v
+      else 0.0
+    in
+    Array.unsafe_set dst v y;
+    dot := !dot +. (y *. Array.unsafe_get v1 v)
+  done;
+  !dot
 
 let implicit_rows t iter u src dst lo hi =
-  let row = t.row and sqrt_deg = t.sqrt_deg in
+  let row = t.row and sqrt_deg = t.sqrt_deg and v1 = t.v1 in
+  let dot = ref 0.0 in
   for v = lo to hi - 1 do
-    let c = Bytes.get row v in
-    if c = interior then begin
-      let acc = ref 0.0 in
-      iter v (fun w -> acc := !acc +. u.(w));
-      dst.(v) <- src.(v) +. (!acc /. sqrt_deg.(v))
-    end
-    else dst.(v) <- (if c = isolated then src.(v) else 0.0)
-  done
+    let c = Bytes.unsafe_get row v in
+    let y =
+      if c = interior then begin
+        let acc = ref 0.0 in
+        iter v (fun w -> acc := !acc +. u.(w));
+        Array.unsafe_get src v +. (!acc /. Array.unsafe_get sqrt_deg v)
+      end
+      else if c = isolated then Array.unsafe_get src v
+      else 0.0
+    in
+    Array.unsafe_set dst v y;
+    dot := !dot +. (y *. Array.unsafe_get v1 v)
+  done;
+  !dot
 
 let scale_source t u src lo hi =
-  let row = t.row and sqrt_deg = t.sqrt_deg in
   for i = lo to hi - 1 do
-    u.(i) <- (if Bytes.get row i = interior then src.(i) /. sqrt_deg.(i) else 0.0)
+    Array.unsafe_set u i (scaled t i (Array.unsafe_get src i))
   done
 
-let with_apply t f =
+let check_length t name a =
+  if Array.length a <> t.n then invalid_arg ("Spectral_op." ^ name ^ ": vector length <> n")
+
+type matvec = {
+  op : t;
+  u : float array;  (** the pre-scaled source of the next apply *)
+  rows : float array -> float array -> float array -> int -> int -> float;
+  pool : Fn_parallel.Par.Pool.t option;
+}
+
+let with_matvec t f =
   let u = Array.make t.n 0.0 in
   let rows =
     match t.view with
@@ -107,28 +155,48 @@ let with_apply t f =
   in
   if t.domains > 1 && t.n >= par_node_threshold then
     Fn_parallel.Par.Pool.with_pool ~domains:t.domains (fun pool ->
-        let workers = Fn_parallel.Par.Pool.size pool in
-        let chunk = (t.n + workers - 1) / workers in
-        f (fun src dst ->
-            Fn_parallel.Par.Pool.run pool (fun w ->
-                let lo = w * chunk in
-                let hi = min t.n (lo + chunk) in
-                if lo < hi then scale_source t u src lo hi);
-            Fn_parallel.Par.Pool.run pool (fun w ->
-                let lo = w * chunk in
-                let hi = min t.n (lo + chunk) in
-                if lo < hi then rows u src dst lo hi)))
-  else
-    f (fun src dst ->
-        scale_source t u src 0 t.n;
-        rows u src dst 0 t.n)
+        f { op = t; u; rows; pool = Some pool })
+  else f { op = t; u; rows; pool = None }
 
-let dot t a b =
-  let acc = ref 0.0 in
+let apply m ~staged src dst =
+  let t = m.op in
+  check_length t "apply" src;
+  check_length t "apply" dst;
+  match m.pool with
+  | None ->
+    if not staged then scale_source t m.u src 0 t.n;
+    m.rows m.u src dst 0 t.n
+  | Some pool ->
+    let chunk = (t.n + Fn_parallel.Par.Pool.size pool - 1) / Fn_parallel.Par.Pool.size pool in
+    if not staged then
+      Fn_parallel.Par.Pool.run pool (fun w ->
+          let lo = w * chunk in
+          let hi = min t.n (lo + chunk) in
+          if lo < hi then scale_source t m.u src lo hi);
+    Fn_parallel.Par.Pool.run pool (fun w ->
+        let lo = w * chunk in
+        let hi = min t.n (lo + chunk) in
+        if lo < hi then ignore (m.rows m.u src dst lo hi));
+    (* summing the chunks' partial sums would make the coefficient
+       depend on the chunking: one index-order pass keeps the
+       sequential bits *)
+    dot t dst t.v1
+
+let with_apply t f = with_matvec t (fun m -> f (fun src dst -> apply m ~staged:false src dst))
+
+let advance m z ~sq_norm y ~tol =
+  let t = m.op and u = m.u in
+  check_length t "advance" z;
+  check_length t "advance" y;
+  let nrm = sqrt sq_norm in
+  let diff = ref 0.0 in
   for i = 0 to t.n - 1 do
-    acc := !acc +. (a.(i) *. b.(i))
+    let zi = if nrm > 0.0 then Array.unsafe_get z i /. nrm else Array.unsafe_get z i in
+    diff := !diff +. abs_float (zi -. Array.unsafe_get y i);
+    Array.unsafe_set y i zi;
+    Array.unsafe_set u i (scaled t i zi)
   done;
-  !acc
+  !diff < tol
 
 let deflate t extra y =
   List.iter

@@ -9,9 +9,9 @@ open Fn_graph
     eigenpair is the trivial (2, D^{1/2} 1), and lambda2 = 2 - mu2.
     This module owns the degree/mask setup, the trivial-vector
     deflation, the (optionally pool-chunked) matvec and the small
-    vector kit (deflate, normalize, deterministic cold start, x-space
-    embed), so that Power and Lanczos agree on the operator bit for
-    bit.
+    vector kit (deflate, normalize, power iteration's step pass,
+    deterministic cold start, x-space embed), so that Power and
+    Lanczos agree on the operator bit for bit.
 
     The mask is read once: {!create} gives every node a row class
     (dead, isolated alive, or interior with alive-degree > 0), and the
@@ -28,7 +28,9 @@ open Fn_graph
     fixed cosine sequence), and each matrix row touches only row-local
     state, so the chunked parallel matvec is bit-identical for every
     [domains] count — parallelism changes which domain evaluates a
-    row, never the order of floating-point operations within it. *)
+    row, never the order of floating-point operations within it.  The
+    one cross-row sum, the v1 coefficient {!apply} returns, is always
+    taken in index order. *)
 
 type t = private {
   view : Gview.t;
@@ -47,24 +49,51 @@ type t = private {
 
 val create : ?alive:Bitset.t -> ?domains:int -> Gview.t -> t
 (** Degree and trivial-vector setup for the alive-restricted operator.
-    [domains] (default 1) is recorded for {!with_apply}. *)
+    [domains] (default 1) is recorded for {!with_matvec}. *)
 
 val alive_count : t -> int
 (** Number of alive nodes (= [n] without a mask); O(mask words). *)
 
-val with_apply : t -> ((float array -> float array -> unit) -> 'a) -> 'a
-(** Hand the body a full matvec [apply src dst], which writes [M src]
-    into [dst]: isolated alive nodes are identity rows, dead rows are
-    zeroed.  Each matvec first materializes the masked pre-scaled
-    source [u = src / sqrt_deg] (zero on dead and isolated nodes) in
-    one pass, so the per-row work is one row-class byte and the
-    per-edge work a single [u] gather; a dead neighbor's [+. 0.]
-    cannot change a row sum that starts at [+0.0].  With
-    [domains > 1] on a graph big enough for the barrier to pay
-    (>= 1024 nodes) the rows are chunked over a
-    {!Fn_parallel.Par.Pool} created once for the body's whole
-    lifetime; either way the bits are identical for every [domains]
-    count. *)
+type matvec
+(** The matvec's workspace over one {!t}: the pre-scaled source
+    buffer u and, on the pooled path, the worker pool.  Valid only
+    inside the {!with_matvec} body it was handed to. *)
+
+val with_matvec : t -> (matvec -> 'a) -> 'a
+(** Run the body with a matvec workspace.  With [domains > 1] on a
+    graph big enough for the barrier to pay (>= 1024 nodes) the rows
+    are chunked over a {!Fn_parallel.Par.Pool} created once for the
+    body's whole lifetime; either way the bits of every output are
+    identical for every [domains] count. *)
+
+val apply : matvec -> staged:bool -> float array -> float array -> float
+(** [apply m ~staged src dst] writes [M src] into [dst] and returns
+    [dot t dst t.v1], bit for bit: isolated alive nodes are identity
+    rows, dead rows are zeroed.  With [~staged:false] the first pass
+    materializes the pre-scaled source u = src / sqrt_deg (zero on
+    dead and isolated nodes); with [~staged:true] the caller vouches
+    that {!advance} wrote u from [src] and nothing has changed [src]
+    since, and that pass is skipped.  The row pass then does per row
+    one row-class byte, one [dst] write and one multiply-add into the
+    returned coefficient, and per edge a single [u] gather; a dead
+    neighbor's [+. 0.] cannot change a row sum that starts at [+0.0].
+    On the pooled path the coefficient is one index-order pass after
+    the barrier, so its bits do not depend on the chunking.  Raises
+    [Invalid_argument] unless [src] and [dst] have [n] entries. *)
+
+val with_apply : t -> ((float array -> float array -> float) -> 'a) -> 'a
+(** {!with_matvec} handing the body [apply ~staged:false]: the whole
+    matvec, scaling pass included, for callers that never stage a
+    source. *)
+
+val advance : matvec -> float array -> sq_norm:float -> float array -> tol:float -> bool
+(** [advance m z ~sq_norm y ~tol] is power iteration's step pass:
+    with [nrm = sqrt sq_norm], it overwrites [y] with [z / nrm] ([z]
+    itself when [nrm] is not positive), stages the new [y] as the
+    pre-scaled source of the next [apply ~staged:true m y], and
+    returns whether the L1 distance between the old and the new [y]
+    is below [tol].  One pass, in index order.  Raises
+    [Invalid_argument] unless [z] and [y] have [n] entries. *)
 
 val dot : t -> float array -> float array -> float
 

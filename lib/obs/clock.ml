@@ -1,18 +1,10 @@
-(* Monotone wall clock.  OCaml's stdlib has no monotonic clock, so we
-   take the wall clock and clamp it to be non-decreasing process-wide
-   with an atomic high-water mark: a backwards step of the system
-   clock repeats the last reading instead of going negative. *)
-
-let last = Atomic.make 0
-
-let rec clamp now =
-  let prev = Atomic.get last in
-  if now <= prev then prev
-  else if Atomic.compare_and_set last prev now then now
-  else clamp now
-
-let now_ns () = clamp (int_of_float (Unix.gettimeofday () *. 1e9))
+(* CLOCK_MONOTONIC through bechamel's unboxed, noalloc stub: nanosecond
+   resolution, never stepped by NTP or the administrator, and no state
+   shared between domains. *)
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
 let ns_to_s ns = float_of_int ns /. 1e9
 
 let elapsed_s ~since_ns = ns_to_s (now_ns () - since_ns)
+
+let wall_stamp_ns () = int_of_float (Unix.gettimeofday () *. 1e9)

@@ -59,13 +59,25 @@ let test_jsonx_member () =
 
 let test_clock_monotone () =
   let prev = ref (Clock.now_ns ()) in
-  for _ = 1 to 1000 do
+  for _ = 1 to 100_000 do
     let t = Clock.now_ns () in
     if t < !prev then Alcotest.fail "clock went backwards";
     prev := t
   done;
   check_bool "elapsed non-negative" true (Clock.elapsed_s ~since_ns:!prev >= 0.0);
   check_float "ns_to_s" 1.5 (Clock.ns_to_s 1_500_000_000)
+
+(* CLOCK_MONOTONIC counts a sleep in full, whatever the wall clock
+   does meanwhile *)
+let test_clock_counts_sleep () =
+  let t0 = Clock.now_ns () in
+  Unix.sleepf 0.002;
+  let t1 = Clock.now_ns () in
+  check_bool "a 2 ms sleep reads >= 2 ms" true (t1 - t0 >= 2_000_000)
+
+let test_wall_stamp () =
+  (* nanoseconds since the Unix epoch: after 2020-01-01 *)
+  check_bool "wall stamp is an epoch time" true (Clock.wall_stamp_ns () > 1_577_836_800_000_000_000)
 
 (* ---- Metrics ---- *)
 
@@ -231,7 +243,12 @@ let () =
           case "reject junk" test_jsonx_parse_junk;
           case "member" test_jsonx_member;
         ] );
-      ("clock", [ case "monotone" test_clock_monotone ]);
+      ( "clock",
+        [
+          case "monotone" test_clock_monotone;
+          case "counts a sleep" test_clock_counts_sleep;
+          case "wall stamp" test_wall_stamp;
+        ] );
       ( "metrics",
         [
           case "counter" test_counter_math;

@@ -170,19 +170,38 @@ let test_matvec_matches_naive_rows () =
             (fun domains ->
               let op = Spectral_op.create ?alive ~domains view in
               let got = Array.make n nan and got2 = Array.make n nan in
-              Spectral_op.with_apply op (fun apply ->
-                  apply src got;
-                  apply got got2);
+              let c, c2 =
+                Spectral_op.with_apply op (fun apply ->
+                    let c = apply src got in
+                    (c, apply got got2))
+              in
               let label = Printf.sprintf "%s %s domains=%d" name mask_name domains in
               check_bool (label ^ ": M src bits") true (Array.for_all2 bits_equal expected got);
               check_bool (label ^ ": M (M src) bits") true
-                (Array.for_all2 bits_equal expected2 got2))
+                (Array.for_all2 bits_equal expected2 got2);
+              (* the coefficient the matvec returns is the separate
+                 index-order dot against v1, on the sequential and the
+                 pooled path alike *)
+              check_bool (label ^ ": returned M src . v1 bits") true
+                (bits_equal c (Spectral_op.dot op got op.Spectral_op.v1));
+              check_bool (label ^ ": returned M (M src) . v1 bits") true
+                (bits_equal c2 (Spectral_op.dot op got2 op.Spectral_op.v1)))
             [ 1; 3 ])
         [ ("masked", Some mask, mask); ("unmasked", None, Bitset.create_full n) ])
     [
       ("csr mesh32x33", Gview.Csr (fst (Fn_topology.Mesh.graph [| 32; 33 |])));
       ("implicit torus32x32", Fn_topology.Implicit.torus [| 32; 32 |]);
     ]
+
+(* the row loops index without bounds checks; [apply] guards them *)
+let test_matvec_rejects_wrong_length () =
+  let op = Spectral_op.create (Gview.Csr (Fn_topology.Basic.cycle 8)) in
+  let expected = Invalid_argument "Spectral_op.apply: vector length <> n" in
+  Spectral_op.with_apply op (fun apply ->
+      Alcotest.check_raises "short source" expected (fun () ->
+          ignore (apply (Array.make 7 1.0) (Array.make 8 0.0)));
+      Alcotest.check_raises "long destination" expected (fun () ->
+          ignore (apply (Array.make 8 1.0) (Array.make 9 0.0))))
 
 (* FNV-1a over the IEEE bits of every entry, in order *)
 let fnv_bits arrays =
@@ -205,8 +224,25 @@ let fnv_bits arrays =
    pinned too.  The second vector is deflated against v1 and then y1,
    so a Power pass that reordered or dropped either projection would
    move the hash. *)
+let pinned_mesh () =
+  let mesh = fst (Fn_topology.Mesh.graph [| 32; 32 |]) in
+  let faults = Fn_faults.Random_faults.nodes_iid (Fn_prng.Rng.create 3) mesh 0.15 in
+  (faults.Fn_faults.Fault_set.alive, Gview.Csr mesh)
+
+let pinned_torus () =
+  let torus = Fn_topology.Implicit.torus [| 32; 32 |] in
+  let n = Gview.num_nodes torus in
+  let alive = Bitset.create_full n in
+  let rng = Fn_prng.Rng.create 5 in
+  for v = 0 to n - 1 do
+    if Fn_prng.Rng.float rng 1.0 < 0.1 then Bitset.remove alive v
+  done;
+  (alive, torus)
+
+(* [converged] is pinned with the bits: the torus stops on the L1 test
+   at 991 steps; the faulty mesh is still short of [tol] at 5,000 *)
 let test_power_bits_pinned () =
-  let check ?alive ?domains name (lambda2, iterations, hash) view =
+  let check ?alive ?domains name (lambda2, iterations, hash, converged) view =
     let one = Spectral.lambda2 ?alive ?domains ~method_:Spectral.Method.Power view in
     let r, f2 = Spectral.solve ?alive ?domains ~method_:Spectral.Method.Power view in
     Alcotest.(check int64) (name ^ ": lambda2 bits") lambda2
@@ -215,26 +251,48 @@ let test_power_bits_pinned () =
       (Int64.bits_of_float r.Spectral.lambda2);
     check_int (name ^ ": solve iterations") iterations r.Spectral.iterations;
     Alcotest.(check int64) (name ^ ": solve embeddings hash") hash
-      (fnv_bits [ r.Spectral.fiedler; f2 ])
+      (fnv_bits [ r.Spectral.fiedler; f2 ]);
+    check_bool (name ^ ": lambda2 converged") converged one.Spectral.converged;
+    check_bool (name ^ ": solve converged") converged r.Spectral.converged
   in
   check "torus16x16"
-    (4585645878780073376L, 991, -9098451656385512106L)
+    (4585645878780073376L, 991, -9098451656385512106L, true)
     (Gview.Csr (fst (Fn_topology.Torus.graph [| 16; 16 |])));
-  let mesh = fst (Fn_topology.Mesh.graph [| 32; 32 |]) in
-  let faults = Fn_faults.Random_faults.nodes_iid (Fn_prng.Rng.create 3) mesh 0.15 in
-  check ~alive:faults.Fn_faults.Fault_set.alive "mesh32x32, 15% faults"
-    (4567408391909454336L, 1000, -4584612307086898449L)
-    (Gview.Csr mesh);
-  let torus = Fn_topology.Implicit.torus [| 32; 32 |] in
-  let n = Gview.num_nodes torus in
-  let alive = Bitset.create_full n in
-  let rng = Fn_prng.Rng.create 5 in
-  for v = 0 to n - 1 do
-    if Fn_prng.Rng.float rng 1.0 < 0.1 then Bitset.remove alive v
-  done;
+  let alive, mesh = pinned_mesh () in
+  check ~alive "mesh32x32, 15% faults"
+    (4567408391909454336L, 1000, -4584612307086898449L, false)
+    mesh;
+  let r = Spectral.lambda2 ~alive ~method_:Spectral.Method.Power ~max_iter:5000 mesh in
+  check_bool "mesh32x32, 15% faults: not converged at 5000 steps" false r.Spectral.converged;
+  let alive, torus = pinned_torus () in
   check ~alive ~domains:3 "implicit torus32x32, 10% faults, domains 3"
-    (4576195513252368640L, 1000, 337727919610733217L)
+    (4576195513252368640L, 1000, 337727919610733217L, false)
     torus
+
+(* Lanczos's bits, pinned across builds like Power's: lambda2, the
+   operator applications and a hash of both embeddings, at one and
+   three domains (both views have >= 1024 nodes, so three domains run
+   the pooled matvec).  A reassociated v1 projection in its
+   Gram-Schmidt pass, or a moved matvec bit, would move them. *)
+let test_lanczos_bits_pinned () =
+  List.iter
+    (fun (name, (alive, view), (lambda2, applies, hash)) ->
+      List.iter
+        (fun domains ->
+          let label = Printf.sprintf "%s, domains %d" name domains in
+          let r, f2 = Spectral.solve ~alive ~domains ~method_:Spectral.Method.Lanczos view in
+          Alcotest.(check int64) (label ^ ": lambda2 bits") lambda2
+            (Int64.bits_of_float r.Spectral.lambda2);
+          check_int (label ^ ": applies") applies r.Spectral.iterations;
+          Alcotest.(check int64) (label ^ ": embeddings hash") hash
+            (fnv_bits [ r.Spectral.fiedler; f2 ]))
+        [ 1; 3 ])
+    [
+      ("mesh32x32, 15% faults", pinned_mesh (), (4566750508827007488L, 323, 5442962529299687156L));
+      ( "implicit torus32x32, 10% faults",
+        pinned_torus (),
+        (4575720024580304128L, 355, 1906687270373930853L) );
+    ]
 
 (* the backend a solve ran, as its exit span names it *)
 let method_of_span events =
@@ -343,7 +401,9 @@ let () =
       ( "matvec",
         [
           case "matches naive rows" test_matvec_matches_naive_rows;
+          case "rejects wrong lengths" test_matvec_rejects_wrong_length;
           case "power bits pinned" test_power_bits_pinned;
+          case "lanczos bits pinned" test_lanczos_bits_pinned;
         ] );
       ( "differential",
         [
