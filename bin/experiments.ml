@@ -2,26 +2,28 @@
 
    Usage: experiments [--quick] [--seed N] [--domains N] [--json]
                       [--online] [--trace FILE] [--metrics]
-                      [--deadline S] [--retries N] [--chaos P]
-                      [--chaos-seed N] [--resume FILE] [ids...]
+                      [--resume FILE] [ids...]
    With no ids, runs everything in order.  --trace streams JSONL spans
    (per-experiment, per-Prune-round, per-sweep...) to FILE; --metrics
    prints the metrics registry to stderr at exit; --json replaces the
    rendered tables with one JSON object per experiment on stdout.
 
-   The resilience flags feed Fn_resilience: --deadline/--retries bound
-   each supervised unit of work, --chaos injects deterministic faults
-   (exceptions and delays) into those units, and --resume journals
-   completed experiments to FILE so an interrupted sweep restarts
-   where it stopped — with identical output, since outcomes replay
-   from the journal byte-for-byte. *)
+   --resume journals completed experiments to FILE (an
+   Fn_resilience.Journal) so an interrupted sweep restarts where it
+   stopped — with identical output, since outcomes replay from the
+   journal byte-for-byte.  An experiment that raises is reported on
+   stderr and counted as failed, and the sweep goes on. *)
 
 let usage () =
   prerr_endline
     "usage: experiments [--quick] [--seed N] [--domains N] [--json] [--online] \
-     [--trace FILE] [--metrics] [--deadline S] [--retries N] [--chaos P] \
-     [--chaos-seed N] [--resume FILE] [E1 E2 ...]";
+     [--trace FILE] [--metrics] [--resume FILE] [E1 E2 ...]";
   exit 2
+
+(* A sweep cannot go on after these: the process is out of memory or
+   stack, so they propagate instead of counting as one failed
+   experiment. *)
+let fatal = function Out_of_memory | Stack_overflow -> true | _ -> false
 
 let () =
   let quick = ref false in
@@ -31,10 +33,6 @@ let () =
   let online = ref false in
   let trace = ref None in
   let metrics = ref false in
-  let deadline = ref None in
-  let retries = ref Fn_resilience.Policy.default.Fn_resilience.Policy.retries in
-  let chaos = ref 0.0 in
-  let chaos_seed = ref 0 in
   let resume = ref None in
   let ids = ref [] in
   let rec parse = function
@@ -66,30 +64,6 @@ let () =
     | "--metrics" :: rest ->
       metrics := true;
       parse rest
-    | "--deadline" :: v :: rest -> (
-      match float_of_string_opt v with
-      | Some d when d > 0.0 ->
-        deadline := Some d;
-        parse rest
-      | _ -> usage ())
-    | "--retries" :: v :: rest -> (
-      match int_of_string_opt v with
-      | Some r when r >= 0 ->
-        retries := r;
-        parse rest
-      | _ -> usage ())
-    | "--chaos" :: v :: rest -> (
-      match float_of_string_opt v with
-      | Some p when p >= 0.0 && p <= 1.0 ->
-        chaos := p;
-        parse rest
-      | _ -> usage ())
-    | "--chaos-seed" :: v :: rest -> (
-      match int_of_string_opt v with
-      | Some s ->
-        chaos_seed := s;
-        parse rest
-      | None -> usage ())
     | "--resume" :: path :: rest ->
       resume := Some path;
       parse rest
@@ -104,18 +78,12 @@ let () =
     | Some path -> Fn_obs.Sink.jsonl_file path
     | None -> if !metrics then Fn_obs.Sink.discard () else Fn_obs.Sink.null
   in
-  let policy =
-    Fn_resilience.Policy.make ?deadline_s:!deadline ~retries:!retries ~chaos:!chaos
-      ~chaos_seed:!chaos_seed ()
-  in
   let journal =
     match !resume with
     | None -> None
     | Some path -> (
-      (* seed and quick bind the journal to a run; the policy does not
-         (retries/chaos do not change what a successful experiment
-         computes), so a sweep may be resumed with different
-         resilience flags *)
+      (* seed, quick and online bind the journal to a run: they
+         decide what each experiment computes *)
       let meta =
         [
           ("seed", Fn_obs.Jsonx.Int !seed);
@@ -138,7 +106,7 @@ let () =
   in
   let cfg =
     Fn_experiments.Workload.config ~quick:!quick ~seed:!seed ?domains:!domains ~obs:sink
-      ~resilience:policy ?journal ~online:!online ()
+      ?journal ~online:!online ()
   in
   let entries =
     match List.rev !ids with
@@ -180,21 +148,14 @@ let () =
           Printf.printf "  (%.1fs)\n\n" elapsed
         end;
         if not passed then incr failures
-      | exception Fn_resilience.Failure.Supervision_failed { scope; failure; causes } ->
-        (* the retry budget is spent: report the whole attempt history
-           and move on, so one doomed experiment cannot take down the
-           rest of the sweep (its journal entries survive for a later
-           --resume with a longer deadline or more retries) *)
+      | exception exn when not (fatal exn) ->
+        (* report and move on, so one broken experiment cannot take
+           down the rest of the sweep (the journal keeps the outcomes
+           that finished, for a later --resume) *)
         if Fn_obs.Sink.enabled sink then
           Fn_obs.Span.exit sp ~fields:[ ("passed", Fn_obs.Sink.Bool false) ];
-        Printf.eprintf "%s: %s in %S%s\n" e.Fn_experiments.Registry.id
-          (Fn_resilience.Failure.to_string failure)
-          scope
-          (match causes with
-          | [] -> ""
-          | causes ->
-            "\n  attempts: "
-            ^ String.concat "; " (List.map Fn_resilience.Failure.to_string causes));
+        Printf.eprintf "%s: crashed: %s\n%!" e.Fn_experiments.Registry.id
+          (Printexc.to_string exn);
         incr failures)
     entries;
   Option.iter Fn_resilience.Journal.close journal;

@@ -85,6 +85,12 @@ let topology_opt_arg =
   let doc = "Topology spec (see gen --help)." in
   Arg.(value & opt (some string) None & info [ "topology"; "t" ] ~docv:"SPEC" ~doc)
 
+(* A bad --fault-p is a usage error, found before the graph is built so
+   nothing reaches stdout; NaN fails both comparisons. *)
+let check_fault_p p =
+  if p >= 0.0 && p <= 1.0 then Ok ()
+  else Error (`Msg (Printf.sprintf "--fault-p must be in [0, 1], got %g" p))
+
 (* ---- gen ---- *)
 
 let gen_cmd =
@@ -164,7 +170,12 @@ let prune_cmd =
   in
   let run seed topology input fault_p epsilon edge_mode trace metrics =
     let rng = rng_of_seed seed in
-    match load_graph rng ~topology ~input with
+    let graph =
+      if not (epsilon > 0.0 && epsilon < 1.0) then
+        Error (`Msg (Printf.sprintf "--epsilon must be in (0, 1), got %g" epsilon))
+      else Result.bind (check_fault_p fault_p) (fun () -> load_graph rng ~topology ~input)
+    in
+    match graph with
     | Error (`Msg m) -> `Error (false, m)
     | Ok g ->
       with_obs ~trace ~metrics @@ fun obs ->
@@ -273,6 +284,10 @@ let attack_cmd =
     let rng = rng_of_seed seed in
     match load_graph rng ~topology ~input with
     | Error (`Msg m) -> `Error (false, m)
+    | Ok g when budget < 0 || budget > Fn_graph.Graph.num_nodes g ->
+      `Error
+        (false,
+         Printf.sprintf "--budget must be in [0, %d], got %d" (Fn_graph.Graph.num_nodes g) budget)
     | Ok g -> (
       let report faults =
         let alive = faults.Fn_faults.Fault_set.alive in
@@ -309,7 +324,7 @@ let route_cmd =
   in
   let run seed topology input fault_p =
     let rng = rng_of_seed seed in
-    match load_graph rng ~topology ~input with
+    match Result.bind (check_fault_p fault_p) (fun () -> load_graph rng ~topology ~input) with
     | Error (`Msg m) -> `Error (false, m)
     | Ok g ->
       let faults = Fn_faults.Random_faults.nodes_iid rng g fault_p in
@@ -390,13 +405,18 @@ let report_cmd =
   in
   let run seed topology input fault_p =
     let rng = rng_of_seed seed in
-    match load_graph rng ~topology ~input with
+    match Result.bind (check_fault_p fault_p) (fun () -> load_graph rng ~topology ~input) with
     | Error (`Msg m) -> `Error (false, m)
     | Ok g ->
       let faults = Fn_faults.Random_faults.nodes_iid rng g fault_p in
-      let report = Faultnet.Scenario.analyze ~rng g ~faults in
-      print_endline (Faultnet.Scenario.to_string report);
-      `Ok ()
+      let survivors = Fn_faults.Fault_set.alive_count faults in
+      if survivors < 2 then
+        `Error (false, Printf.sprintf "report needs at least 2 surviving nodes, got %d" survivors)
+      else begin
+        let report = Faultnet.Scenario.analyze ~rng g ~faults in
+        print_endline (Faultnet.Scenario.to_string report);
+        `Ok ()
+      end
   in
   let term = Term.(ret (const run $ seed_arg $ topology_opt_arg $ input_arg $ fault_p)) in
   Cmd.v

@@ -80,7 +80,9 @@ let () =
       postmortem := Some v;
       parse rest
     | "--deadline" :: v :: rest ->
-      deadline := Some (float_of v);
+      let d = float_of v in
+      if not (d > 0.0) then reject "--deadline must be a positive number of seconds";
+      deadline := Some d;
       parse rest
     | "--trace" :: v :: rest ->
       trace := Some v;
@@ -137,14 +139,9 @@ let () =
           2
         | Ok engine ->
           let meta = [ ("topology", Fn_obs.Jsonx.Str spec) ] in
-          let policy =
-            match !deadline with
-            | Some d -> Some (Fn_resilience.Policy.make ~deadline_s:d ())
-            | None -> None
-          in
           (match
-             Fn_online.Server.serve ?journal:!journal ~resume:!resume ~meta ?policy
-               ~compact_every:!compact_every engine stdin stdout
+             Fn_online.Server.serve ?journal:!journal ~resume:!resume ~meta
+               ?deadline_s:!deadline ~compact_every:!compact_every engine stdin stdout
            with
           | Ok () -> 0
           | Error m ->

@@ -14,11 +14,3 @@ let path_node_exact n =
 let hypercube_edge_exact d =
   if d < 1 then invalid_arg "Analytic.hypercube_edge_exact: need d >= 1";
   1.0
-
-let mesh_node_order ~side ~d =
-  if side < 1 || d < 1 then invalid_arg "Analytic.mesh_node_order: bad parameters";
-  1.0 /. float_of_int side
-
-let chain_graph_node_order ~k =
-  if k < 2 then invalid_arg "Analytic.chain_graph_node_order: need k >= 2";
-  2.0 /. float_of_int k

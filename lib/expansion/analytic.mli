@@ -17,9 +17,3 @@ val path_node_exact : int -> float
 val hypercube_edge_exact : int -> float
 (** Q_d: the edge isoperimetric inequality (Harper) gives αe = 1,
     witnessed by a subcube of half the nodes. *)
-
-val mesh_node_order : side:int -> d:int -> float
-(** d-dimensional mesh with equal sides: Θ(1/side). *)
-
-val chain_graph_node_order : k:int -> float
-(** Claim 2.4: Θ(1/k), reported as 2/k. *)

@@ -14,7 +14,6 @@ let run (cfg : Workload.config) =
   let obs = cfg.Workload.obs in
   let domains = cfg.Workload.domains in
   let rng = Rng.create seed in
-  let sup scope f = Workload.supervised cfg ~scope ~rng f in
   let sizes = if quick then [ 256 ] else [ 256; 512; 1024 ] in
   let ks = if quick then [ 2.0 ] else [ 2.0; 4.0 ] in
   let table =
@@ -25,40 +24,33 @@ let run (cfg : Workload.config) =
   let certs_ok = ref true in
   List.iter
     (fun n ->
-      let g, alpha =
-        sup (Printf.sprintf "E1.n%d.setup" n) (fun () ->
-            let g = Workload.expander rng ~n ~d:6 in
-            (g, Workload.node_expansion_estimate ~obs ?domains rng g))
-      in
+      let g = Workload.expander rng ~n ~d:6 in
+      let alpha = Workload.node_expansion_estimate ~obs ?domains rng g in
       List.iter
         (fun k ->
           let f = Faultnet.Theorem.thm21_max_faults ~alpha ~n ~k in
           List.iter
             (fun (name, attack) ->
-              (* the supervised unit returns row data; table and check
-                 mutations stay outside so a retried attempt cannot
-                 double-count *)
               let cert_ok, kept, size_bound, exp_measured, exp_bound, ok =
-                sup (Printf.sprintf "E1.n%d.k%.0f.%s" n k name) (fun () ->
-                    let faults = attack g ~budget:f in
-                    let alive = faults.Fault_set.alive in
-                    let epsilon = Faultnet.Theorem.thm21_epsilon ~k in
-                    let res = Faultnet.Prune.run ~obs ~rng ?domains g ~alive ~alpha ~epsilon in
-                    let cert_ok = Faultnet.Prune.verify_certificates g ~alive res in
-                    let kept = Bitset.cardinal res.Faultnet.Prune.kept in
-                    let size_bound = Faultnet.Theorem.thm21_min_kept ~alpha ~n ~k ~f in
-                    let exp_bound = Faultnet.Theorem.thm21_expansion ~alpha ~k in
-                    let exp_measured =
-                      if kept >= 2 then
-                        Workload.node_expansion_estimate ~obs ?domains rng
-                          ~alive:res.Faultnet.Prune.kept g
-                      else 0.0
-                    in
-                    let ok =
-                      float_of_int kept >= size_bound -. 1e-9
-                      && exp_measured >= exp_bound -. 1e-9
-                    in
-                    (cert_ok, kept, size_bound, exp_measured, exp_bound, ok))
+                let faults = attack g ~budget:f in
+                let alive = faults.Fault_set.alive in
+                let epsilon = Faultnet.Theorem.thm21_epsilon ~k in
+                let res = Faultnet.Prune.run ~obs ~rng ?domains g ~alive ~alpha ~epsilon in
+                let cert_ok = Faultnet.Prune.verify_certificates g ~alive res in
+                let kept = Bitset.cardinal res.Faultnet.Prune.kept in
+                let size_bound = Faultnet.Theorem.thm21_min_kept ~alpha ~n ~k ~f in
+                let exp_bound = Faultnet.Theorem.thm21_expansion ~alpha ~k in
+                let exp_measured =
+                  if kept >= 2 then
+                    Workload.node_expansion_estimate ~obs ?domains rng
+                      ~alive:res.Faultnet.Prune.kept g
+                  else 0.0
+                in
+                let ok =
+                  float_of_int kept >= size_bound -. 1e-9
+                  && exp_measured >= exp_bound -. 1e-9
+                in
+                (cert_ok, kept, size_bound, exp_measured, exp_bound, ok)
               in
               if not cert_ok then certs_ok := false;
               if not ok then all_ok := false;

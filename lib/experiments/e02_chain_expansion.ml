@@ -6,22 +6,18 @@ let run (cfg : Workload.config) =
   let obs = cfg.Workload.obs in
   let domains = cfg.Workload.domains in
   let rng = Rng.create seed in
-  let sup scope f = Workload.supervised cfg ~scope ~rng f in
   let base_n = if quick then 32 else 64 in
   let ks = [ 2; 4; 8; 16 ] in
-  let base = sup "E2.base" (fun () -> Workload.expander rng ~n:base_n ~d:4) in
+  let base = Workload.expander rng ~n:base_n ~d:4 in
   let table =
     Fn_stats.Table.create [ "k"; "nodes(H)"; "alpha(H)"; "alpha*k"; "prediction 2/k" ]
   in
   let points = ref [] in
   List.iter
     (fun k ->
-      let cg, h, alpha =
-        sup (Printf.sprintf "E2.k%d" k) (fun () ->
-            let cg = Fn_topology.Chain_graph.build base ~k in
-            let h = cg.Fn_topology.Chain_graph.graph in
-            (cg, h, Workload.node_expansion_estimate ~obs ?domains rng h))
-      in
+      let cg = Fn_topology.Chain_graph.build base ~k in
+      let h = cg.Fn_topology.Chain_graph.graph in
+      let alpha = Workload.node_expansion_estimate ~obs ?domains rng h in
       points := (float_of_int k, alpha) :: !points;
       Fn_stats.Table.add_row table
         [

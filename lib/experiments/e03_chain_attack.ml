@@ -5,11 +5,10 @@ open Fn_faults
 let run (cfg : Workload.config) =
   let quick = cfg.Workload.quick and seed = cfg.Workload.seed in
   let rng = Rng.create seed in
-  let sup scope f = Workload.supervised cfg ~scope ~rng f in
   let base_n = if quick then 32 else 64 in
   let d = 4 in
   let k = 8 in
-  let base = sup "E3.base" (fun () -> Workload.expander rng ~n:base_n ~d) in
+  let base = Workload.expander rng ~n:base_n ~d in
   let cg = Fn_topology.Chain_graph.build base ~k in
   let h = cg.Fn_topology.Chain_graph.graph in
   let n = Graph.num_nodes h in
@@ -25,13 +24,12 @@ let run (cfg : Workload.config) =
     (fun frac ->
       let budget = int_of_float (Float.round (frac *. float_of_int m)) in
       let gamma_attack, gamma_random, largest =
-        sup (Printf.sprintf "E3.f%.2f" frac) (fun () ->
-            let attack = Adversary.targets h ~targets:centers ~budget in
-            let gamma_attack = Workload.gamma_of_alive h attack.Fault_set.alive in
-            let random = Adversary.random rng h ~budget in
-            let gamma_random = Workload.gamma_of_alive h random.Fault_set.alive in
-            let comps = Components.compute ~alive:attack.Fault_set.alive (Gview.Csr h) in
-            (gamma_attack, gamma_random, Components.largest_size comps))
+        let attack = Adversary.targets h ~targets:centers ~budget in
+        let gamma_attack = Workload.gamma_of_alive h attack.Fault_set.alive in
+        let random = Adversary.random rng h ~budget in
+        let gamma_random = Workload.gamma_of_alive h random.Fault_set.alive in
+        let comps = Components.compute ~alive:attack.Fault_set.alive (Gview.Csr h) in
+        (gamma_attack, gamma_random, Components.largest_size comps)
       in
       if frac = 1.0 then final_gamma := gamma_attack;
       Fn_stats.Table.add_row table
@@ -45,15 +43,14 @@ let run (cfg : Workload.config) =
     fractions;
   let bound = Faultnet.Theorem.thm23_component_bound ~delta:d ~k in
   let largest, shattered, random_resilient =
-    sup "E3.verdict" (fun () ->
-        let full_attack = Adversary.targets h ~targets:centers ~budget:m in
-        let comps = Components.compute ~alive:full_attack.Fault_set.alive (Gview.Csr h) in
-        let largest = Components.largest_size comps in
-        let random = Adversary.random rng h ~budget:m in
-        let random_resilient =
-          Workload.gamma_of_alive h random.Fault_set.alive > 2.0 *. !final_gamma
-        in
-        (largest, largest <= bound, random_resilient))
+    let full_attack = Adversary.targets h ~targets:centers ~budget:m in
+    let comps = Components.compute ~alive:full_attack.Fault_set.alive (Gview.Csr h) in
+    let largest = Components.largest_size comps in
+    let random = Adversary.random rng h ~budget:m in
+    let random_resilient =
+      Workload.gamma_of_alive h random.Fault_set.alive > 2.0 *. !final_gamma
+    in
+    (largest, largest <= bound, random_resilient)
   in
   {
     Outcome.id = "E3";

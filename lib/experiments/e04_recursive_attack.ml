@@ -4,7 +4,6 @@ open Fn_faults
 let run (cfg : Workload.config) =
   let quick = cfg.Workload.quick and seed = cfg.Workload.seed in
   let rng = Rng.create seed in
-  let sup scope f = Workload.supervised cfg ~scope ~rng f in
   let sides = if quick then [ 16 ] else [ 16; 24; 32 ] in
   let epsilon = 0.125 in
   let constant_cap = 4.0 in
@@ -18,13 +17,12 @@ let run (cfg : Workload.config) =
     (fun side ->
       let n = side * side in
       let faults, max_frag =
-        sup (Printf.sprintf "E4.side%d" side) (fun () ->
-            let g, _geo = Fn_topology.Mesh.cube ~d:2 ~side in
-            let res = Adversary.recursive_cut ~rng g ~epsilon in
-            let max_frag =
-              match res.Adversary.final_fragments with [] -> 0 | x :: _ -> x
-            in
-            (Fault_set.count res.Adversary.faults, max_frag))
+        let g, _geo = Fn_topology.Mesh.cube ~d:2 ~side in
+        let res = Adversary.recursive_cut ~rng g ~epsilon in
+        let max_frag =
+          match res.Adversary.final_fragments with [] -> 0 | x :: _ -> x
+        in
+        (Fault_set.count res.Adversary.faults, max_frag)
       in
       let alpha_n = float_of_int n /. float_of_int side in
       let shape = log (1.0 /. epsilon) /. epsilon *. alpha_n in

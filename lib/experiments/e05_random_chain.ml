@@ -4,17 +4,12 @@ open Fn_faults
 let run (cfg : Workload.config) =
   let quick = cfg.Workload.quick and seed = cfg.Workload.seed in
   let rng = Rng.create seed in
-  let sup scope f = Workload.supervised cfg ~scope ~rng f in
   let base_n = if quick then 32 else 64 in
   let d = 4 in
   let k = 32 in
   let trials = if quick then 5 else 10 in
-  let base, h =
-    sup "E5.build" (fun () ->
-        let base = Workload.expander rng ~n:base_n ~d in
-        let cg = Fn_topology.Chain_graph.build base ~k in
-        (base, cg.Fn_topology.Chain_graph.graph))
-  in
+  let base = Workload.expander rng ~n:base_n ~d in
+  let h = (Fn_topology.Chain_graph.build base ~k).Fn_topology.Chain_graph.graph in
   let p_star = Faultnet.Theorem.thm31_fault_probability ~delta:d ~k in
   let multiples = [ 0.05; 0.1; 0.25; 0.5; 1.0 ] in
   let table =
@@ -27,18 +22,17 @@ let run (cfg : Workload.config) =
     (fun mult ->
       let p = min 1.0 (mult *. p_star) in
       let mc, mb =
-        sup (Printf.sprintf "E5.p%.2f" mult) (fun () ->
-            let gammas_chain =
-              List.init trials (fun _ ->
-                  let f = Random_faults.nodes_iid rng h p in
-                  Workload.gamma_of_alive h f.Fault_set.alive)
-            in
-            let gammas_base =
-              List.init trials (fun _ ->
-                  let f = Random_faults.nodes_iid rng base p in
-                  Workload.gamma_of_alive base f.Fault_set.alive)
-            in
-            (Workload.mean_of gammas_chain, Workload.mean_of gammas_base))
+        let gammas_chain =
+          List.init trials (fun _ ->
+              let f = Random_faults.nodes_iid rng h p in
+              Workload.gamma_of_alive h f.Fault_set.alive)
+        in
+        let gammas_base =
+          List.init trials (fun _ ->
+              let f = Random_faults.nodes_iid rng base p in
+              Workload.gamma_of_alive base f.Fault_set.alive)
+        in
+        (Workload.mean_of gammas_chain, Workload.mean_of gammas_base)
       in
       if mult = 0.05 then low_p_gamma := mc;
       if mult = 0.5 then collapse := mc;

@@ -7,7 +7,6 @@ let run (cfg : Workload.config) =
   let obs = cfg.Workload.obs in
   let domains = cfg.Workload.domains in
   let rng = Rng.create seed in
-  let sup scope f = Workload.supervised cfg ~scope ~rng f in
   let configs = if quick then [ (2, 16) ] else [ (2, 16); (3, 7) ] in
   let table =
     Fn_stats.Table.create
@@ -23,36 +22,32 @@ let run (cfg : Workload.config) =
       let sigma = Faultnet.Theorem.thm36_mesh_span in
       let p_thy = Faultnet.Theorem.thm34_max_fault_probability ~delta ~sigma in
       let epsilon = Faultnet.Theorem.thm34_max_epsilon ~delta in
-      let alpha_e =
-        sup (Printf.sprintf "E6.d%d.alpha" d) (fun () ->
-            Workload.edge_expansion_estimate ~obs ?domains rng g)
-      in
+      let alpha_e = Workload.edge_expansion_estimate ~obs ?domains rng g in
       let ps = [ p_thy; 0.01; 0.05; 0.10; 0.20 ] in
       List.iter
         (fun p ->
           let cert_ok, kept, target, exp_measured, exp_target, holds =
-            sup (Printf.sprintf "E6.d%d.p%.2e" d p) (fun () ->
-                let faults = Random_faults.nodes_iid rng g p in
-                let res =
-                  Faultnet.Prune2.run ~obs ~rng ?domains g ~alive:faults.Fault_set.alive ~alpha_e
-                    ~epsilon
-                in
-                let cert_ok =
-                  Faultnet.Prune2.verify_certificates g ~alive:faults.Fault_set.alive res
-                in
-                let kept = Bitset.cardinal res.Faultnet.Prune2.kept in
-                let target = Faultnet.Theorem.thm34_guaranteed_size ~n in
-                let exp_target = epsilon *. alpha_e in
-                let exp_measured =
-                  if kept >= 2 then
-                    Workload.edge_expansion_estimate ~obs ?domains rng
-                      ~alive:res.Faultnet.Prune2.kept g
-                  else 0.0
-                in
-                let holds =
-                  float_of_int kept >= target && exp_measured >= exp_target -. 1e-9
-                in
-                (cert_ok, kept, target, exp_measured, exp_target, holds))
+            let faults = Random_faults.nodes_iid rng g p in
+            let res =
+              Faultnet.Prune2.run ~obs ~rng ?domains g ~alive:faults.Fault_set.alive ~alpha_e
+                ~epsilon
+            in
+            let cert_ok =
+              Faultnet.Prune2.verify_certificates g ~alive:faults.Fault_set.alive res
+            in
+            let kept = Bitset.cardinal res.Faultnet.Prune2.kept in
+            let target = Faultnet.Theorem.thm34_guaranteed_size ~n in
+            let exp_target = epsilon *. alpha_e in
+            let exp_measured =
+              if kept >= 2 then
+                Workload.edge_expansion_estimate ~obs ?domains rng
+                  ~alive:res.Faultnet.Prune2.kept g
+              else 0.0
+            in
+            let holds =
+              float_of_int kept >= target && exp_measured >= exp_target -. 1e-9
+            in
+            (cert_ok, kept, target, exp_measured, exp_target, holds)
           in
           if not cert_ok then certs_ok := false;
           if p <= p_thy +. 1e-12 && not holds then theory_ok := false;

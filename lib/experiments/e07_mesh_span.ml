@@ -5,7 +5,6 @@ let dims_label dims = String.concat "x" (Array.to_list (Array.map string_of_int 
 let run (cfg : Workload.config) =
   let quick = cfg.Workload.quick and seed = cfg.Workload.seed in
   let rng = Rng.create seed in
-  let sup scope f = Workload.supervised cfg ~scope ~rng f in
   let exact_meshes =
     if quick then [ [| 3; 3 |]; [| 2; 2; 2 |] ]
     else [ [| 3; 3 |]; [| 4; 4 |]; [| 3; 4 |]; [| 2; 2; 2 |]; [| 2; 3; 3 |] ]
@@ -20,11 +19,8 @@ let run (cfg : Workload.config) =
   let construction_ok = ref true in
   List.iter
     (fun dims ->
-      let est =
-        sup (Printf.sprintf "E7.exact.%s" (dims_label dims)) (fun () ->
-            let g, _geo = Fn_topology.Mesh.graph dims in
-            Faultnet.Span.exact g)
-      in
+      let g, _geo = Fn_topology.Mesh.graph dims in
+      let est = Faultnet.Span.exact g in
       let ok = est.Faultnet.Span.span <= 2.0 +. 1e-9 in
       if not ok then exact_ok := false;
       Fn_stats.Table.add_row table
@@ -39,34 +35,31 @@ let run (cfg : Workload.config) =
     exact_meshes;
   List.iter
     (fun (dims, samples) ->
-      (* local accumulators live inside the supervised closure: a
-         retried attempt starts them fresh *)
       let worst, checked, certs_ok =
-        sup (Printf.sprintf "E7.sampled.%s" (dims_label dims)) (fun () ->
-            let g, geo = Fn_topology.Mesh.graph dims in
-            let worst = ref 0.0 in
-            let checked = ref 0 in
-            let certs_ok = ref true in
-            let n = Fn_graph.Graph.num_nodes g in
-            for _ = 1 to samples do
-              let target_size = 1 + Rng.int rng (n / 2) in
-              match Faultnet.Compact.random_compact rng g ~target_size with
-              | None -> ()
-              | Some u -> (
-                match Faultnet.Mesh_span.certify g geo u with
-                | None -> ()
-                | Some c ->
-                  incr checked;
-                  if not c.Faultnet.Mesh_span.virtual_connected then certs_ok := false;
-                  if
-                    c.Faultnet.Mesh_span.tree_edges
-                    > Faultnet.Mesh_span.spanning_tree_bound
-                        (Fn_graph.Bitset.cardinal c.Faultnet.Mesh_span.boundary)
-                  then certs_ok := false;
-                  if c.Faultnet.Mesh_span.ratio > !worst then
-                    worst := c.Faultnet.Mesh_span.ratio)
-            done;
-            (!worst, !checked, !certs_ok))
+        let g, geo = Fn_topology.Mesh.graph dims in
+        let worst = ref 0.0 in
+        let checked = ref 0 in
+        let certs_ok = ref true in
+        let n = Fn_graph.Graph.num_nodes g in
+        for _ = 1 to samples do
+          let target_size = 1 + Rng.int rng (n / 2) in
+          match Faultnet.Compact.random_compact rng g ~target_size with
+          | None -> ()
+          | Some u -> (
+            match Faultnet.Mesh_span.certify g geo u with
+            | None -> ()
+            | Some c ->
+              incr checked;
+              if not c.Faultnet.Mesh_span.virtual_connected then certs_ok := false;
+              if
+                c.Faultnet.Mesh_span.tree_edges
+                > Faultnet.Mesh_span.spanning_tree_bound
+                    (Fn_graph.Bitset.cardinal c.Faultnet.Mesh_span.boundary)
+              then certs_ok := false;
+              if c.Faultnet.Mesh_span.ratio > !worst then
+                worst := c.Faultnet.Mesh_span.ratio)
+        done;
+        (!worst, !checked, !certs_ok)
       in
       if not certs_ok then construction_ok := false;
       let ok = worst <= 2.0 +. 1e-9 in
@@ -87,11 +80,8 @@ let run (cfg : Workload.config) =
   let torus_ok = ref true in
   List.iter
     (fun dims ->
-      let est =
-        sup (Printf.sprintf "E7.torus.%s" (dims_label dims)) (fun () ->
-            let g, _ = Fn_topology.Torus.graph dims in
-            Faultnet.Span.sample rng ~samples:(if quick then 40 else 120) g)
-      in
+      let g, _ = Fn_topology.Torus.graph dims in
+      let est = Faultnet.Span.sample rng ~samples:(if quick then 40 else 120) g in
       if est.Faultnet.Span.span > 2.5 then torus_ok := false;
       Fn_stats.Table.add_row table
         [

@@ -5,7 +5,6 @@ let run (cfg : Workload.config) =
   let quick = cfg.Workload.quick and seed = cfg.Workload.seed in
   let obs = cfg.Workload.obs in
   let rng = Rng.create seed in
-  let sup scope f = Workload.supervised cfg ~scope ~rng f in
   let runs = if quick then 8 else 32 in
   let n_complete = if quick then 128 else 256 in
   let side = if quick then 32 else 64 in
@@ -37,9 +36,8 @@ let run (cfg : Workload.config) =
   List.iter
     (fun (name, g, p_theory, formula) ->
       let r =
-        sup (Printf.sprintf "E8.%s" name) (fun () ->
-            Threshold.estimate ~obs ?domains:cfg.Workload.domains ~runs ~rng
-              Threshold.Bond (Fn_graph.Gview.Csr g))
+        Threshold.estimate ~obs ?domains:cfg.Workload.domains ~runs ~rng Threshold.Bond
+          (Fn_graph.Gview.Csr g)
       in
       let ratio = r.Threshold.p_star /. p_theory in
       (* the gamma-level constant and finite size shift the crossing;

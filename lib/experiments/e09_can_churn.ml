@@ -8,7 +8,6 @@ let run (cfg : Workload.config) =
   let domains = cfg.Workload.domains in
   let online = cfg.Workload.online in
   let rng = Rng.create seed in
-  let sup scope f = Workload.supervised cfg ~scope ~rng f in
   let n = if quick then 128 else 256 in
   let dims = if quick then [ 2 ] else [ 2; 3; 4 ] in
   let p = 0.05 in
@@ -25,58 +24,57 @@ let run (cfg : Workload.config) =
     let nn = Graph.num_nodes g in
     let delta = Graph.max_degree g in
     let alpha_e, kept, exp_h, ratio =
-      sup (Printf.sprintf "E9.d%d.%s" d name) (fun () ->
-          let alpha_e = Workload.edge_expansion_estimate ~obs ?domains rng g in
-          let epsilon = min (Faultnet.Theorem.thm34_max_epsilon ~delta) 0.45 in
-          let faults = Random_faults.nodes_iid rng g p in
-          let kept_mask =
-            if online then begin
-              (* the whole fault set arrives as one online batch; the
-                 survivor is the engine's incremental cascade, checked
-                 against the from-scratch audit *)
-              let eng =
-                Fn_online.Engine.create
-                  ~cfg:
-                    {
-                      Fn_online.Engine.seed;
-                      radius = 2;
-                      alpha = alpha_e;
-                      epsilon;
-                      audit_every = 0;
-                      max_dirty_frac = 1.0;
-                      postmortem = None;
-                      domains;
-                      obs;
-                    }
-                  (Gview.Csr g)
-              in
-              let batch =
-                List.rev
-                  (Bitset.fold
-                     (fun v acc -> Fn_online.Event.Fault v :: acc)
-                     faults.Fault_set.faulty [])
-              in
-              (match Fn_online.Engine.apply eng batch with
-              | Ok _ -> ()
-              | Error e ->
-                failwith ("E9 online: batch rejected: " ^ Churn.error_to_string e));
-              let kept_mask = (Fn_online.Engine.result eng).Faultnet.Prune.kept in
-              let rep = Fn_online.Engine.audit eng in
-              if rep.Fn_online.Engine.faults <> 0 then audits_ok := false;
-              kept_mask
-            end
-            else
-              (Faultnet.Prune2.run ~obs ~rng ?domains g ~alive:faults.Fault_set.alive
-                 ~alpha_e ~epsilon)
-                .Faultnet.Prune2.kept
+      let alpha_e = Workload.edge_expansion_estimate ~obs ?domains rng g in
+      let epsilon = min (Faultnet.Theorem.thm34_max_epsilon ~delta) 0.45 in
+      let faults = Random_faults.nodes_iid rng g p in
+      let kept_mask =
+        if online then begin
+          (* the whole fault set arrives as one online batch; the
+             survivor is the engine's incremental cascade, checked
+             against the from-scratch audit *)
+          let eng =
+            Fn_online.Engine.create
+              ~cfg:
+                {
+                  Fn_online.Engine.seed;
+                  radius = 2;
+                  alpha = alpha_e;
+                  epsilon;
+                  audit_every = 0;
+                  max_dirty_frac = 1.0;
+                  postmortem = None;
+                  domains;
+                  obs;
+                }
+              (Gview.Csr g)
           in
-          let kept = Bitset.cardinal kept_mask in
-          let exp_h =
-            if kept >= 2 then
-              Workload.edge_expansion_estimate ~obs ?domains rng ~alive:kept_mask g
-            else 0.0
+          let batch =
+            List.rev
+              (Bitset.fold
+                 (fun v acc -> Fn_online.Event.Fault v :: acc)
+                 faults.Fault_set.faulty [])
           in
-          (alpha_e, kept, exp_h, exp_h /. alpha_e))
+          (match Fn_online.Engine.apply eng batch with
+          | Ok _ -> ()
+          | Error e ->
+            failwith ("E9 online: batch rejected: " ^ Churn.error_to_string e));
+          let kept_mask = (Fn_online.Engine.result eng).Faultnet.Prune.kept in
+          let rep = Fn_online.Engine.audit eng in
+          if rep.Fn_online.Engine.faults <> 0 then audits_ok := false;
+          kept_mask
+        end
+        else
+          (Faultnet.Prune2.run ~obs ~rng ?domains g ~alive:faults.Fault_set.alive
+             ~alpha_e ~epsilon)
+            .Faultnet.Prune2.kept
+      in
+      let kept = Bitset.cardinal kept_mask in
+      let exp_h =
+        if kept >= 2 then
+          Workload.edge_expansion_estimate ~obs ?domains rng ~alive:kept_mask g
+        else 0.0
+      in
+      (alpha_e, kept, exp_h, exp_h /. alpha_e)
     in
     if 2 * kept < nn then all_kept := false;
     if ratio < 0.3 then ratio_ok := false;

@@ -10,12 +10,10 @@ let run (cfg : Workload.config) =
   let base_n = if quick then 32 else 64 in
   let side = if quick then 12 else 16 in
   let fault_frac = 0.10 in
-  let sup scope f = Workload.supervised cfg ~scope ~rng f in
-  let expander = sup "E11.expander" (fun () -> Workload.expander rng ~n:n_exp ~d:6) in
+  let expander = Workload.expander rng ~n:n_exp ~d:6 in
   let chain =
-    sup "E11.chain" (fun () ->
-        (Fn_topology.Chain_graph.build (Workload.expander rng ~n:base_n ~d:4) ~k:8)
-          .Fn_topology.Chain_graph.graph)
+    (Fn_topology.Chain_graph.build (Workload.expander rng ~n:base_n ~d:4) ~k:8)
+      .Fn_topology.Chain_graph.graph
   in
   let mesh, _ = Fn_topology.Mesh.cube ~d:2 ~side in
   let table =
@@ -27,24 +25,23 @@ let run (cfg : Workload.config) =
     let n = Graph.num_nodes g in
     let budget = int_of_float (fault_frac *. float_of_int n) in
     let routable, stretch, faulty_congestion, makespan, ideal_makespan =
-      sup (Printf.sprintf "E11.%s" name) (fun () ->
-          let faults = Random_faults.nodes_iid rng g fault_frac in
-          let alive = faults.Fault_set.alive in
-          (* the demand lives on the surviving nodes, so routability
-             measures fragmentation rather than the obvious loss of
-             dead endpoints *)
-          let demand = Demand.permutation rng ~alive g in
-          let reference = Route.shortest g demand in
-          let ideal = Sim.run g reference in
-          (* route on the largest surviving component *)
-          let survivor = Components.largest_members ~alive (Gview.Csr g) in
-          let faulty = Route.shortest ~alive:survivor g demand in
-          let sim = Sim.run g faulty in
-          ( Route.routable_fraction faulty,
-            Route.stretch ~reference faulty,
-            Route.edge_congestion faulty,
-            sim.Sim.makespan,
-            ideal.Sim.makespan ))
+      let faults = Random_faults.nodes_iid rng g fault_frac in
+      let alive = faults.Fault_set.alive in
+      (* the demand lives on the surviving nodes, so routability
+         measures fragmentation rather than the obvious loss of
+         dead endpoints *)
+      let demand = Demand.permutation rng ~alive g in
+      let reference = Route.shortest g demand in
+      let ideal = Sim.run g reference in
+      (* route on the largest surviving component *)
+      let survivor = Components.largest_members ~alive (Gview.Csr g) in
+      let faulty = Route.shortest ~alive:survivor g demand in
+      let sim = Sim.run g faulty in
+      ( Route.routable_fraction faulty,
+        Route.stretch ~reference faulty,
+        Route.edge_congestion faulty,
+        sim.Sim.makespan,
+        ideal.Sim.makespan )
     in
     Hashtbl.replace results name routable;
     Fn_stats.Table.add_row table

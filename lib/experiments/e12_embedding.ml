@@ -10,8 +10,7 @@ let run (cfg : Workload.config) =
   let side = if quick then 16 else 24 in
   let g, _ = Fn_topology.Mesh.cube ~d:2 ~side in
   let n = Graph.num_nodes g in
-  let sup scope f = Workload.supervised cfg ~scope ~rng f in
-  let alpha_e = sup "E12.alpha" (fun () -> Workload.edge_expansion_estimate ~obs ?domains rng g) in
+  let alpha_e = Workload.edge_expansion_estimate ~obs ?domains rng g in
   let epsilon = 0.125 in
   let ps = [ 0.01; 0.05; 0.10; 0.15 ] in
   let table =
@@ -22,15 +21,14 @@ let run (cfg : Workload.config) =
   List.iter
     (fun p ->
       let kept, emb, bound =
-        sup (Printf.sprintf "E12.p%.2f" p) (fun () ->
-            let faults = Random_faults.nodes_iid rng g p in
-            let res =
-              Faultnet.Prune2.run ~obs ~rng ?domains g ~alive:faults.Fault_set.alive ~alpha_e
-                ~epsilon
-            in
-            let kept = res.Faultnet.Prune2.kept in
-            let emb = Faultnet.Embedding.self_embed g ~kept in
-            (kept, emb, Faultnet.Embedding.slowdown_bound emb))
+        let faults = Random_faults.nodes_iid rng g p in
+        let res =
+          Faultnet.Prune2.run ~obs ~rng ?domains g ~alive:faults.Fault_set.alive ~alpha_e
+            ~epsilon
+        in
+        let kept = res.Faultnet.Prune2.kept in
+        let emb = Faultnet.Embedding.self_embed g ~kept in
+        (kept, emb, Faultnet.Embedding.slowdown_bound emb)
       in
       (* "constant slowdown" shape: the LMR bound stays below a fixed
          cap across the whole sweep (cap chosen with slack over the

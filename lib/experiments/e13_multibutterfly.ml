@@ -53,11 +53,10 @@ let serving_fraction g alive ~rows inputs outputs =
 let run (cfg : Workload.config) =
   let quick = cfg.Workload.quick and seed = cfg.Workload.seed in
   let rng = Rng.create seed in
-  let sup scope f = Workload.supervised cfg ~scope ~rng f in
   let k = if quick then 5 else 6 in
   let trials = if quick then 3 else 5 in
   let bf = Fn_topology.Butterfly.unwrapped k in
-  let mbf = sup "E13.build" (fun () -> Fn_topology.Multibutterfly.build rng ~k ~multiplicity:2) in
+  let mbf = Fn_topology.Multibutterfly.build rng ~k ~multiplicity:2 in
   let n = Graph.num_nodes bf in
   let rows = 1 lsl k in
   let inputs = Array.init rows (fun r -> Fn_topology.Butterfly.node ~k ~level:0 ~row:r) in
@@ -78,11 +77,8 @@ let run (cfg : Workload.config) =
         in
         Workload.mean_of vals
       in
-      let b, m =
-        sup (Printf.sprintf "E13.f%.2f" frac) (fun () ->
-            let b = measure bf in
-            (b, measure mbf.Fn_topology.Multibutterfly.graph))
-      in
+      let b = measure bf in
+      let m = measure mbf.Fn_topology.Multibutterfly.graph in
       if frac >= 0.10 && m < b +. 0.02 then separation_ok := false;
       Fn_stats.Table.add_row table
         [

@@ -28,17 +28,13 @@ let run (cfg : Workload.config) =
   let n = Graph.num_nodes g in
   let rate_fail = 0.1 and rate_repair = 0.9 in
   let stationary = Churn.stationary_dead_fraction ~rate_fail ~rate_repair in
-  let sup scope f = Workload.supervised cfg ~scope ~rng f in
-  let alpha_e = sup "E14.alpha" (fun () -> Workload.edge_expansion_estimate ~obs ?domains rng g) in
+  let alpha_e = Workload.edge_expansion_estimate ~obs ?domains rng g in
   let epsilon = Faultnet.Theorem.thm34_max_epsilon ~delta:(Graph.max_degree g) in
   let table =
     Fn_stats.Table.create [ "time"; "dead"; "gamma"; "kept"; "survivor exp"; "exp ratio" ]
   in
   let min_kept = ref n and min_ratio = ref infinity in
-  let snaps =
-    sup "E14.simulate" (fun () ->
-        Churn.simulate rng g ~rate_fail ~rate_repair ~horizon:20.0 ~snapshots)
-  in
+  let snaps = Churn.simulate rng g ~rate_fail ~rate_repair ~horizon:20.0 ~snapshots in
   (* Online mode: one engine carries the survivor certificate across
      the whole trajectory, fed the snapshot deltas as batches; the
      per-snapshot Prune re-run disappears.  A final audit checks the
@@ -79,22 +75,21 @@ let run (cfg : Workload.config) =
       | None -> ());
       if Bitset.cardinal alive >= 2 then begin
         let gamma, kept, exp_h, ratio =
-          sup (Printf.sprintf "E14.t%.1f" snap.Churn.time) (fun () ->
-              let gamma = Workload.gamma_of_alive g alive in
-              let kept_mask =
-                match engine with
-                | Some eng -> (Fn_online.Engine.result eng).Faultnet.Prune.kept
-                | None ->
-                  (Faultnet.Prune2.run ~obs ~rng ?domains g ~alive ~alpha_e ~epsilon)
-                    .Faultnet.Prune2.kept
-              in
-              let kept = Bitset.cardinal kept_mask in
-              let exp_h =
-                if kept >= 2 then
-                  Workload.edge_expansion_estimate ~obs ?domains rng ~alive:kept_mask g
-                else 0.0
-              in
-              (gamma, kept, exp_h, exp_h /. alpha_e))
+          let gamma = Workload.gamma_of_alive g alive in
+          let kept_mask =
+            match engine with
+            | Some eng -> (Fn_online.Engine.result eng).Faultnet.Prune.kept
+            | None ->
+              (Faultnet.Prune2.run ~obs ~rng ?domains g ~alive ~alpha_e ~epsilon)
+                .Faultnet.Prune2.kept
+          in
+          let kept = Bitset.cardinal kept_mask in
+          let exp_h =
+            if kept >= 2 then
+              Workload.edge_expansion_estimate ~obs ?domains rng ~alive:kept_mask g
+            else 0.0
+          in
+          (gamma, kept, exp_h, exp_h /. alpha_e)
         in
         if kept < !min_kept then min_kept := kept;
         if ratio < !min_ratio then min_ratio := ratio;

@@ -5,7 +5,6 @@ type config = {
   seed : int;
   domains : int option;
   obs : Fn_obs.Sink.t;
-  resilience : Fn_resilience.Policy.t;
   journal : Fn_resilience.Journal.t option;
   online : bool;
 }
@@ -16,26 +15,13 @@ let default =
     seed = 0;
     domains = None;
     obs = Fn_obs.Sink.null;
-    resilience = Fn_resilience.Policy.default;
     journal = None;
     online = false;
   }
 
-let config ?(quick = false) ?(seed = 0) ?domains ?(obs = Fn_obs.Sink.null)
-    ?(resilience = Fn_resilience.Policy.default) ?journal ?(online = false) () =
-  { quick; seed; domains; obs; resilience; journal; online }
-
-let supervised cfg ~scope ~rng f =
-  Fn_resilience.Supervisor.protect ~obs:cfg.obs ~rng ~policy:cfg.resilience ~scope f
-
-let trials ?codec cfg ~scope ~rng n job =
-  let checkpoint =
-    match (cfg.journal, codec) with
-    | Some journal, Some codec -> Some (journal, codec)
-    | _ -> None
-  in
-  Fn_resilience.Supervisor.trials ~obs:cfg.obs ?domains:cfg.domains ?checkpoint
-    ~policy:cfg.resilience ~scope ~rng n job
+let config ?(quick = false) ?(seed = 0) ?domains ?(obs = Fn_obs.Sink.null) ?journal
+    ?(online = false) () =
+  { quick; seed; domains; obs; journal; online }
 
 let expander rng ~n ~d = Fn_topology.Expander.random_regular rng ~n ~d
 

@@ -11,12 +11,10 @@ type config = {
       (** parallelism cap for {!Fn_parallel.Par} call sites; no table
           depends on it *)
   obs : Fn_obs.Sink.t;  (** observability sink; {!Fn_obs.Sink.null} = off *)
-  resilience : Fn_resilience.Policy.t;
-      (** supervision policy for {!supervised} / {!trials} call sites;
-          the default is inert (no deadline, no chaos) *)
   journal : Fn_resilience.Journal.t option;
-      (** checkpoint journal; [Some _] makes {!trials} (with a codec)
-          and [Registry.run_entry] record and replay completed work *)
+      (** checkpoint journal; [Some _] makes [Registry.run_entry]
+          record each finished experiment's outcome and replay it on
+          resume *)
   online : bool;
       (** churn experiments (E9, E14) maintain their survivor
           certificates incrementally via {!Fn_online.Engine} instead
@@ -28,44 +26,18 @@ type config = {
 
 val default : config
 (** [{quick = false; seed = 0; domains = None; obs = Sink.null;
-    resilience = Fn_resilience.Policy.default; journal = None;
-    online = false}] *)
+    journal = None; online = false}] *)
 
 val config :
   ?quick:bool ->
   ?seed:int ->
   ?domains:int ->
   ?obs:Fn_obs.Sink.t ->
-  ?resilience:Fn_resilience.Policy.t ->
   ?journal:Fn_resilience.Journal.t ->
   ?online:bool ->
   unit ->
   config
 (** Keyword constructor over {!default}. *)
-
-val supervised : config -> scope:string -> rng:Rng.t -> (unit -> 'a) -> 'a
-(** Run one unit of experiment work under the config's resilience
-    policy: chaos injection, per-attempt deadline, bounded
-    deterministic retry.  [rng] is the stream the closure reads; it is
-    snapshotted and rolled back around failed attempts, so a retried
-    unit reproduces exactly what an undisturbed run computes.
-
-    @raise Fn_resilience.Failure.Supervision_failed when the policy is
-    exhausted. *)
-
-val trials :
-  ?codec:'a Fn_resilience.Journal.codec ->
-  config ->
-  scope:string ->
-  rng:Rng.t ->
-  int ->
-  (Rng.t -> 'a) ->
-  'a array
-(** Supervised, crash-isolated parallel trials over pre-split
-    generators (see {!Fn_resilience.Supervisor.trials}); results are
-    independent of [cfg.domains].  When both [cfg.journal] and [codec]
-    are present, completed trials are checkpointed and replayed on
-    resume. *)
 
 val expander : Rng.t -> n:int -> d:int -> Graph.t
 (** Connected random d-regular graph — the stand-in for the paper's

@@ -10,8 +10,8 @@ type result = {
 }
 
 let run_v ?(obs = Fn_obs.Sink.null) ?finder ?rng ?domains view ~alive ~alpha ~epsilon =
-  if alpha <= 0.0 then invalid_arg "Prune.run: alpha must be positive";
-  if epsilon <= 0.0 || epsilon >= 1.0 then invalid_arg "Prune.run: need 0 < epsilon < 1";
+  if not (alpha > 0.0) then invalid_arg "Prune.run: alpha must be positive";
+  if not (epsilon > 0.0 && epsilon < 1.0) then invalid_arg "Prune.run: need 0 < epsilon < 1";
   let finder =
     match finder with
     | Some f -> f

@@ -39,8 +39,8 @@ let best_connected_piece ~scratch ~alive view s threshold =
   end
 
 let run ?(obs = Fn_obs.Sink.null) ?finder ?rng ?domains g ~alive ~alpha_e ~epsilon =
-  if alpha_e <= 0.0 then invalid_arg "Prune2.run: alpha_e must be positive";
-  if epsilon <= 0.0 || epsilon >= 1.0 then invalid_arg "Prune2.run: need 0 < epsilon < 1";
+  if not (alpha_e > 0.0) then invalid_arg "Prune2.run: alpha_e must be positive";
+  if not (epsilon > 0.0 && epsilon < 1.0) then invalid_arg "Prune2.run: need 0 < epsilon < 1";
   let finder =
     match finder with
     | Some f -> f

@@ -1,5 +1,5 @@
 let thm21_max_faults ~alpha ~n ~k =
-  if alpha <= 0.0 || k < 2.0 then invalid_arg "thm21_max_faults: need alpha > 0, k >= 2";
+  if not (alpha > 0.0 && k >= 2.0) then invalid_arg "thm21_max_faults: need alpha > 0, k >= 2";
   int_of_float (floor (alpha *. float_of_int n /. (4.0 *. k)))
 
 let thm21_min_kept ~alpha ~n ~k ~f =
@@ -8,7 +8,7 @@ let thm21_min_kept ~alpha ~n ~k ~f =
 let thm21_expansion ~alpha ~k = (1.0 -. (1.0 /. k)) *. alpha
 
 let thm21_epsilon ~k =
-  if k < 2.0 then invalid_arg "thm21_epsilon: need k >= 2";
+  if not (k >= 2.0) then invalid_arg "thm21_epsilon: need k >= 2";
   1.0 -. (1.0 /. k)
 
 let thm23_budget ~base_edges = base_edges
@@ -20,7 +20,7 @@ let thm31_fault_probability ~delta ~k =
   4.0 *. log (float_of_int delta) /. float_of_int k
 
 let thm34_max_fault_probability ~delta ~sigma =
-  if delta < 1 || sigma < 1.0 then invalid_arg "thm34_max_fault_probability: bad parameters";
+  if delta < 1 || not (sigma >= 1.0) then invalid_arg "thm34_max_fault_probability: bad parameters";
   1.0 /. (2.0 *. Float.exp 1.0 *. Float.pow (float_of_int delta) (4.0 *. sigma))
 
 let thm34_max_epsilon ~delta =

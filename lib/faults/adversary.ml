@@ -64,7 +64,7 @@ type recursive_result = {
 }
 
 let recursive_cut ?rng ?(max_budget = max_int) g ~epsilon =
-  if epsilon <= 0.0 || epsilon > 1.0 then invalid_arg "Adversary.recursive_cut: bad epsilon";
+  if not (epsilon > 0.0 && epsilon <= 1.0) then invalid_arg "Adversary.recursive_cut: bad epsilon";
   let rng = match rng with Some r -> r | None -> Rng.create 0x25D1 in
   let n = Graph.num_nodes g in
   let view = Gview.Csr g in

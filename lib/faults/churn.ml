@@ -61,7 +61,7 @@ let apply_batch ~faulty events =
     events
 
 let stationary_dead_fraction ~rate_fail ~rate_repair =
-  if rate_fail < 0.0 || rate_repair <= 0.0 then
+  if not (rate_fail >= 0.0 && rate_repair > 0.0) then
     invalid_arg "Churn.stationary_dead_fraction: need rate_fail >= 0, rate_repair > 0";
   rate_fail /. (rate_fail +. rate_repair)
 
@@ -71,9 +71,9 @@ let stationary_dead_fraction ~rate_fail ~rate_repair =
    instant.  This is exact and O(expected flips per node + snapshots)
    per node. *)
 let simulate rng g ~rate_fail ~rate_repair ~horizon ~snapshots =
-  if rate_fail <= 0.0 || rate_repair <= 0.0 then
+  if not (rate_fail > 0.0 && rate_repair > 0.0) then
     invalid_arg "Churn.simulate: rates must be positive";
-  if horizon <= 0.0 then invalid_arg "Churn.simulate: horizon must be positive";
+  if not (horizon > 0.0) then invalid_arg "Churn.simulate: horizon must be positive";
   if snapshots < 1 then invalid_arg "Churn.simulate: need at least one snapshot";
   let n = Graph.num_nodes g in
   let times =

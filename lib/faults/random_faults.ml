@@ -2,7 +2,7 @@ open Fn_graph
 open Fn_prng
 
 let nodes_iid rng g p =
-  if p < 0.0 || p > 1.0 then invalid_arg "Random_faults.nodes_iid: p out of [0,1]";
+  if not (p >= 0.0 && p <= 1.0) then invalid_arg "Random_faults.nodes_iid: p out of [0,1]";
   let n = Graph.num_nodes g in
   let faulty = Bitset.create n in
   for v = 0 to n - 1 do
@@ -16,7 +16,7 @@ let nodes_exact rng g f =
   Fault_set.of_faulty_array n (Rng.sample rng n f)
 
 let edges_keep rng g p =
-  if p < 0.0 || p > 1.0 then invalid_arg "Random_faults.edges_keep: p out of [0,1]";
+  if not (p >= 0.0 && p <= 1.0) then invalid_arg "Random_faults.edges_keep: p out of [0,1]";
   let b = Builder.create (Graph.num_nodes g) in
   Graph.iter_edges g (fun u v -> if Rng.bernoulli rng p then Builder.add_edge b u v);
   Builder.to_graph b

@@ -30,8 +30,6 @@ let entry_table =
     ("Par", "trials", false);
     ("Pool", "run", true);
     ("Domain", "spawn", false);
-    ("Supervisor", "trials", false);
-    ("Workload", "trials", false);
   ]
 
 let entries (c : Token.t array) =

@@ -2,10 +2,10 @@
 
     Pairs with {!Scope}: this module finds the parallel entry points the
     repo blesses ([Par.map]/[init]/[trials], [Par.Pool.run],
-    [Domain.spawn], [Supervisor.trials], [Workload.trials]), resolves
-    the closure literals passed to them, and classifies the mutations a
-    token region performs — the raw material for the scope-aware rules
-    in {!Rules_par} and {!Rules_order}. *)
+    [Domain.spawn]), resolves the closure literals passed to them, and
+    classifies the mutations a token region performs — the raw
+    material for the scope-aware rules in {!Rules_par} and
+    {!Rules_order}. *)
 
 type entry = {
   at : int;  (** token index of the function ident, e.g. [map] in [Par.map] *)

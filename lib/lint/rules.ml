@@ -410,12 +410,13 @@ let no_todo_naked =
 (* 8. no-exit-in-lib                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Library code must not terminate the process: under Fn_resilience's
-   supervision a crash is captured, retried and reported, but [exit]
-   bypasses every handler (and kills sibling domains mid fork-join).
-   Only bin/ decides exit codes.  Unqualified [exit] is flagged unless
-   it is being *defined* ([let exit ...] — lib/obs/span.ml exports its
-   own [exit] for spans); [Stdlib.exit] is always flagged. *)
+(* Library code must not terminate the process: a raised exception
+   reaches the binary, which reports it and closes its trace sink and
+   journal, but [exit] bypasses every handler (and kills sibling
+   domains mid fork-join).  Only bin/ decides exit codes.  Unqualified
+   [exit] is flagged unless it is being *defined* ([let exit ...] —
+   lib/obs/span.ml exports its own [exit] for spans); [Stdlib.exit] is
+   always flagged. *)
 let no_exit_in_lib =
   let rec check rule ctx i acc =
     let c = ctx.code in
@@ -424,8 +425,8 @@ let no_exit_in_lib =
       let flag tok' =
         finding rule ctx
           ~message:
-            "exit inside a library kills the whole process and bypasses \
-             supervision (Fn_resilience) and cleanup; return a result or raise, \
+            "exit inside a library kills the whole process and bypasses the \
+             caller's error handling and cleanup; return a result or raise, \
              and let bin/ choose the exit code"
           tok'
       in

@@ -30,8 +30,8 @@ val no_todo_naked : Rule.t
 
 val no_exit_in_lib : Rule.t
 (** Forbid [exit]/[Stdlib.exit] in [lib/]: terminating the process from
-    a library bypasses supervision ({!Fn_resilience}) and kills sibling
-    domains; only [bin/] chooses exit codes. *)
+    a library skips the caller's cleanup (trace sinks, journals) and
+    kills sibling domains; only [bin/] chooses exit codes. *)
 
 val no_gview_arm_match : Rule.t
 (** Forbid matching on the [Gview.t] arms ([Gview.Implicit]

@@ -2,9 +2,9 @@
 
     These rules mechanically enforce the repo's [?domains] determinism
     contract (DESIGN.md): a closure passed to a parallel entry point
-    ([Par.map]/[init]/[trials], [Par.Pool.run], [Domain.spawn],
-    [Supervisor.trials], [Workload.trials]) must not smuggle shared
-    mutable state or an unsplit RNG across the fork. *)
+    ([Par.map]/[init]/[trials], [Par.Pool.run], [Domain.spawn]) must
+    not smuggle shared mutable state or an unsplit RNG across the
+    fork. *)
 
 val par_capture_mutation : Rule.t
 (** A parallel closure mutates a binding defined outside it without

@@ -61,9 +61,6 @@ let jsonl_writer oc =
         output_string oc (Jsonx.to_string (json_of_event ev));
         output_char oc '\n')
 
-let jsonl_channel oc =
-  Active { write = jsonl_writer oc; close_fn = (fun () -> flush oc); next = Atomic.make 0 }
-
 let jsonl_file path =
   let oc = open_out path in
   Active

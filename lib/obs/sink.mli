@@ -43,10 +43,6 @@ val close : t -> unit
 (** Flush and release sink resources (closes the channel of
     {!jsonl_file}).  No-op on {!null}, {!discard} and {!memory}. *)
 
-val jsonl_channel : out_channel -> t
-(** One JSON object per line on the given channel; {!close} flushes
-    but does not close the caller's channel. *)
-
 val jsonl_file : string -> t
 (** Opens (truncates) [path] and writes JSONL; {!close} closes it.
     Line schema:
@@ -64,5 +60,3 @@ val memory : unit -> t * (unit -> event list)
 
 val json_of_event : event -> Jsonx.t
 (** The JSONL line representation (used by the file sink and tests). *)
-
-val kind_to_string : kind -> string

@@ -34,10 +34,10 @@ let recompute_candidate t v =
   else Bitset.remove t.qual v
 
 let create ?(radius = 2) ?(max_dirty_frac = 1.0) view ~alive ~alpha ~epsilon =
-  if alpha <= 0.0 then invalid_arg "Cert.create: alpha must be positive";
-  if epsilon <= 0.0 || epsilon >= 1.0 then invalid_arg "Cert.create: need 0 < epsilon < 1";
+  if not (alpha > 0.0) then invalid_arg "Cert.create: alpha must be positive";
+  if not (epsilon > 0.0 && epsilon < 1.0) then invalid_arg "Cert.create: need 0 < epsilon < 1";
   if radius < 1 then invalid_arg "Cert.create: radius must be >= 1";
-  if max_dirty_frac <= 0.0 || max_dirty_frac > 1.0 then
+  if not (max_dirty_frac > 0.0 && max_dirty_frac <= 1.0) then
     invalid_arg "Cert.create: need 0 < max_dirty_frac <= 1";
   let n = Gview.num_nodes view in
   if Bitset.universe alive <> n then invalid_arg "Cert.create: universe mismatch";

@@ -20,14 +20,13 @@ open Fn_graph
     by the differential tests: after {e any} event sequence, {!result}
     equals {!scratch} on the same mask, field for field.
 
-    The finder both paths share ({!scratch_finder}, a
-    {!Faultnet.Low_expansion.t} like the estimator portfolio, but not
-    that portfolio) scans alive nodes in ascending id order and culls
-    the first qualifying ball, so the reference is deterministic and
-    rng-free.  Ball sizes and boundaries do not depend on neighbor
-    order, so the cascade is the same on an implicit view and on its
-    materialized twin; [alpha?] is the estimate of its survivors
-    ({!Alpha_cache}). *)
+    The finder both paths share (a {!Faultnet.Low_expansion.t} like
+    the estimator portfolio, but not that portfolio) scans alive nodes
+    in ascending id order and culls the first qualifying ball, so the
+    reference is deterministic and rng-free.  Ball sizes and
+    boundaries do not depend on neighbor order, so the cascade is the
+    same on an implicit view and on its materialized twin; [alpha?] is
+    the estimate of its survivors ({!Alpha_cache}). *)
 
 type t
 
@@ -100,9 +99,6 @@ val refresh : t -> unit
     shedding and the quarantine rebuild.  O(n · ball), like
     {!create}. *)
 
-val scratch_finder : ?radius:int -> Gview.t -> Faultnet.Low_expansion.t
-(** The ascending-scan radius-bounded ball finder, as a Prune oracle. *)
-
 val scratch :
   ?radius:int ->
   ?obs:Fn_obs.Sink.t ->
@@ -111,5 +107,6 @@ val scratch :
   alpha:float ->
   epsilon:float ->
   Faultnet.Prune.result
-(** From-scratch reference: [Prune.run_v] with {!scratch_finder}.
+(** From-scratch reference: [Prune.run_v] with the ascending-scan
+    radius-bounded ball finder.
     {!result} must equal this on the same mask. *)

@@ -113,14 +113,14 @@ let fingerprint engine =
   mix s.Engine.batches;
   !h
 
-let run ?(limits = Protocol.default_limits) ?policy engine ~seed ~count =
+let run ?(limits = Protocol.default_limits) engine ~seed ~count =
   let rng = Rng.create seed in
   let ok = ref 0 and err = ref 0 and ignored = ref 0 in
   let exceptions = ref [] and violations = ref [] in
   for _ = 1 to count do
     let l = line rng ~limits ~n:(Engine.universe engine) in
     let before = fingerprint engine in
-    match Server.handle ~limits ?policy engine l with
+    match Server.handle ~limits engine l with
     | exception e -> exceptions := (l, Printexc.to_string e) :: !exceptions
     | out -> (
       let after = fingerprint engine in
@@ -147,11 +147,11 @@ let run ?(limits = Protocol.default_limits) ?policy engine ~seed ~count =
 
 let clean r = r.exceptions = [] && r.violations = []
 
-let replay ?(limits = Protocol.default_limits) ?policy engine lines =
+let replay ?(limits = Protocol.default_limits) engine lines =
   let exceptions = ref [] in
   List.iter
     (fun l ->
-      match Server.handle ~limits ?policy engine l with
+      match Server.handle ~limits engine l with
       | exception e -> exceptions := (l, Printexc.to_string e) :: !exceptions
       | (_ : Server.outcome) -> ())
     lines;

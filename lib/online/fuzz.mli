@@ -28,7 +28,6 @@ val line : Fn_prng.Rng.t -> limits:Protocol.limits -> n:int -> string
 
 val run :
   ?limits:Protocol.limits ->
-  ?policy:Fn_resilience.Policy.t ->
   Engine.t ->
   seed:int ->
   count:int ->
@@ -42,7 +41,6 @@ val clean : report -> bool
 
 val replay :
   ?limits:Protocol.limits ->
-  ?policy:Fn_resilience.Policy.t ->
   Engine.t ->
   string list ->
   (string * string) list

@@ -59,10 +59,9 @@ val default_limits : limits
 val error_code : error -> string
 (** The stable machine-readable token after [err]. *)
 
-val error_detail : error -> string
-
 val error_to_string : error -> string
-(** [error_code ^ " " ^ error_detail] — the reply tail after [err ]. *)
+(** {!error_code}, a space and the human-readable detail — the reply
+    tail after [err ]. *)
 
 val parse : ?limits:limits -> n:int -> string -> (command option, error) result
 (** [Ok None] for blank/comment lines.  Total: never raises, for any

@@ -40,10 +40,10 @@ let dispatch ?on_batch engine cmd =
       (match on_batch with Some f -> f evs | None -> ());
       reply (Printf.sprintf "ok applied=%d alive=%d" k (Engine.alive_count engine)))
 
-(* Queries get a post-hoc deadline (cooperative, like
-   [Fn_resilience.Policy] everywhere else): the answer is computed,
-   but if computing it blew the budget the client gets [err deadline]
-   instead — a slow read must look like a refusal, not a stall.
+(* Queries get a post-hoc deadline (cooperative: OCaml cannot preempt
+   a running computation): the answer is computed, but if computing
+   it blew the budget the client gets [err deadline] instead — a slow
+   read must look like a refusal, not a stall.
    State-changing commands are exempt: an applied batch must answer
    [ok], or the "state changes only on ok" invariant breaks. *)
 let deadline_applies = function
@@ -52,7 +52,7 @@ let deadline_applies = function
     true
   | Protocol.Apply _ | Protocol.Audit | Protocol.Quit -> false
 
-let handle ?limits ?policy ?on_batch engine line =
+let handle ?limits ?deadline_s ?on_batch engine line =
   match Protocol.parse ?limits ~n:(Engine.universe engine) line with
   | Ok None -> { reply = None; quit = false }
   | Error e -> reply ("err " ^ Protocol.error_to_string e)
@@ -64,28 +64,18 @@ let handle ?limits ?policy ?on_batch engine line =
     let elapsed_s = Fn_obs.Clock.elapsed_s ~since_ns in
     if on then
       Fn_obs.Metrics.observe (Fn_obs.Metrics.histogram "online.command_seconds") elapsed_s;
-    let blew_deadline =
-      match policy with
-      | Some { Fn_resilience.Policy.deadline_s = Some d; _ } ->
-        deadline_applies cmd && elapsed_s > d
-      | Some { Fn_resilience.Policy.deadline_s = None; _ } | None -> false
-    in
-    if blew_deadline then begin
+    match deadline_s with
+    | Some d when deadline_applies cmd && elapsed_s > d ->
       if on then Fn_obs.Metrics.incr (Fn_obs.Metrics.counter "online.deadline_misses");
-      reply
-        (Printf.sprintf "err deadline query exceeded %s s budget"
-           (match policy with
-           | Some { Fn_resilience.Policy.deadline_s = Some d; _ } -> Protocol.float_hex d
-           | _ -> "?"))
-    end
-    else out
+      reply (Printf.sprintf "err deadline query exceeded %s s budget" (Protocol.float_hex d))
+    | Some _ | None -> out
 
-let run_loop ?limits ?policy ?on_batch engine ic oc =
+let run_loop ?limits ?deadline_s ?on_batch engine ic oc =
   let quit = ref false in
   (try
      while not !quit do
        let line = input_line ic in
-       let out = handle ?limits ?policy ?on_batch engine line in
+       let out = handle ?limits ?deadline_s ?on_batch engine line in
        (match out.reply with
        | Some s ->
          output_string oc s;
@@ -141,11 +131,11 @@ let recover j engine =
     | Some m -> Error m
     | None -> Ok !next)
 
-let serve ?journal ?(resume = false) ?(meta = []) ?limits ?policy ?(compact_every = 0)
-    engine ic oc =
+let serve ?journal ?(resume = false) ?(meta = []) ?limits ?deadline_s
+    ?(compact_every = 0) engine ic oc =
   if compact_every < 0 then invalid_arg "Server.serve: compact_every must be >= 0";
   match journal with
-  | None -> run_loop ?limits ?policy engine ic oc
+  | None -> run_loop ?limits ?deadline_s engine ic oc
   | Some path ->
     let cfg = Engine.config engine in
     (* Bind the journal to everything that determines replay results:
@@ -212,6 +202,6 @@ let serve ?journal ?(resume = false) ?(meta = []) ?limits ?policy ?(compact_ever
                 incr accepted;
                 maybe_compact ()
               in
-              run_loop ?limits ?policy ~on_batch engine ic oc))
+              run_loop ?limits ?deadline_s ~on_batch engine ic oc))
 
 let view_of_spec = Fn_topology.Spec.view

@@ -18,9 +18,9 @@ open Fn_prng
     Hardening: parsing is total ({!Protocol.parse} — every byte string
     gets a typed reply, nothing raises), request size limits apply per
     line and per batch, and read queries carry an optional post-hoc
-    deadline from {!Fn_resilience.Policy} ([err deadline ...] instead
-    of a stalled answer; state-changing commands are exempt so engine
-    state changes exactly on [ok] replies). *)
+    deadline ([err deadline ...] instead of a stalled answer;
+    state-changing commands are exempt so engine state changes exactly
+    on [ok] replies). *)
 
 type outcome = { reply : string option; quit : bool }
 (** [reply = None] for ignored lines (blank, comment). *)
@@ -32,30 +32,22 @@ val scope : string
 
 val handle :
   ?limits:Protocol.limits ->
-  ?policy:Fn_resilience.Policy.t ->
+  ?deadline_s:float ->
   ?on_batch:(Event.t list -> unit) ->
   Engine.t ->
   string ->
   outcome
 (** Process one line.  [on_batch] fires on each accepted [apply] with
     the raw batch (journal hook).  [limits] defaults to
-    {!Protocol.default_limits}; [policy] supplies the query deadline
-    (its other knobs are unused here).  With an enabled obs sink each
+    {!Protocol.default_limits}.  [deadline_s] is the query budget in
+    seconds, checked after the answer is computed: a read query
+    ([alive?], [certificate?], [alpha?], [stats?], [state?]) that took
+    longer is answered [err deadline ...]; [apply] and [audit!] are
+    exempt.  No budget by default.  With an enabled obs sink each
     command's latency lands in the ["online.command_seconds"]
     histogram and deadline refusals count in
     ["online.deadline_misses"].  Exposed so tests, fuzzers and
     benchmarks can drive a session without pipes or processes. *)
-
-val run_loop :
-  ?limits:Protocol.limits ->
-  ?policy:Fn_resilience.Policy.t ->
-  ?on_batch:(Event.t list -> unit) ->
-  Engine.t ->
-  in_channel ->
-  out_channel ->
-  (unit, string) result
-(** Read lines until [quit] or EOF, replying on [oc] (flushed per
-    line). *)
 
 val recover : Fn_resilience.Journal.t -> Engine.t -> (int, string) result
 (** Bring a {e fresh} engine up to date from an open journal: restore
@@ -69,19 +61,23 @@ val serve :
   ?resume:bool ->
   ?meta:(string * Fn_obs.Jsonx.t) list ->
   ?limits:Protocol.limits ->
-  ?policy:Fn_resilience.Policy.t ->
+  ?deadline_s:float ->
   ?compact_every:int ->
   Engine.t ->
   in_channel ->
   out_channel ->
   (unit, string) result
-(** {!run_loop} with journaling.  [journal] names the JSONL file; its
-    meta header binds seed, universe, radius, alpha, epsilon and audit
-    period (plus caller [meta], e.g. the topology spec) — a mismatched
-    reopen is refused, as is an existing journal without [resume].
-    Stored keys the run does not bind are ignored, so journals whose
-    header still carries a [mode] key resume.  With [resume] the journal is {!recover}ed into [engine]
-    (which must be freshly created) before serving begins.
+(** Read lines from [ic] until [quit] or EOF, answering each through
+    {!handle} on [oc] (flushed per line).
+
+    [journal] names the JSONL file; its meta header binds seed,
+    universe, radius, alpha, epsilon and audit period (plus caller
+    [meta], e.g. the topology spec) — a mismatched reopen is refused,
+    as is an existing journal without [resume].  Stored keys the run
+    does not bind are ignored, so journals whose header still carries
+    a [mode] key resume.  With [resume] the journal is {!recover}ed
+    into [engine] (which must be freshly created) before serving
+    begins.
 
     [compact_every > 0] compacts the journal after every that many
     accepted batches (skipped while the engine is {!Engine.degraded} —

@@ -53,8 +53,7 @@ val map : ?obs:Fn_obs.Sink.t -> ?domains:int -> ('a -> 'b) -> 'a array -> 'b arr
 
     A job exception does not kill the fork-join silently: every
     spawned domain is still joined, then {!Job_failed} is raised with
-    the failing job's index.  For retry-instead-of-raise semantics see
-    [Fn_resilience.Supervisor.trials]. *)
+    the failing job's index. *)
 
 val init : ?obs:Fn_obs.Sink.t -> ?domains:int -> int -> (int -> 'b) -> 'b array
 (** [init n f] is [map f [|0; ...; n-1|]] without building the input

@@ -77,7 +77,7 @@ let bond_run ?obs rng view =
     bond_run_edges ?obs rng ~n edges
 
 let gamma_at c p =
-  if p < 0.0 || p > 1.0 then invalid_arg "Newman_ziff.gamma_at: p out of [0,1]";
+  if not (p >= 0.0 && p <= 1.0) then invalid_arg "Newman_ziff.gamma_at: p out of [0,1]";
   if c.n = 0 then 0.0
   else begin
     let k = int_of_float (Float.round (p *. float_of_int c.total)) in

@@ -1,5 +1,5 @@
 let geometric rng p =
-  if p <= 0.0 || p > 1.0 then invalid_arg "Dist.geometric: need 0 < p <= 1";
+  if not (p > 0.0 && p <= 1.0) then invalid_arg "Dist.geometric: need 0 < p <= 1";
   if p = 1.0 then 0
   else
     let u = Rng.unit_float rng in
@@ -7,7 +7,7 @@ let geometric rng p =
     int_of_float (Float.log1p (-.u) /. Float.log1p (-.p))
 
 let exponential rng lambda =
-  if lambda <= 0.0 then invalid_arg "Dist.exponential: need lambda > 0";
+  if not (lambda > 0.0) then invalid_arg "Dist.exponential: need lambda > 0";
   -.Float.log1p (-.Rng.unit_float rng) /. lambda
 
 let normal rng mu sigma =

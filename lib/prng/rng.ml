@@ -6,8 +6,6 @@ let create seed = of_int64 (Splitmix64.mix (Int64.of_int seed))
 
 let copy = Xoshiro256.copy
 
-let restore = Xoshiro256.restore
-
 let bits64 = Xoshiro256.next
 
 let split t =

@@ -18,13 +18,6 @@ val of_int64 : int64 -> t
 val copy : t -> t
 (** Independent duplicate with identical future output. *)
 
-val restore : t -> from:t -> unit
-(** [restore t ~from] rolls the state of [t] back (or forward) to the
-    state of [from], in place.  The supervision layer uses
-    [copy]-then-[restore] to retry a failed task without perturbing
-    the random stream its siblings will observe: snapshot before the
-    attempt, restore before re-running. *)
-
 val split : t -> t
 (** [split t] returns a new generator whose stream is independent of
     the future output of [t].  Deterministic: the child depends only

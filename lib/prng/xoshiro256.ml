@@ -18,12 +18,6 @@ let of_seed seed = of_splitmix (Splitmix64.create seed)
 
 let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
 
-let restore t ~from =
-  t.s0 <- from.s0;
-  t.s1 <- from.s1;
-  t.s2 <- from.s2;
-  t.s3 <- from.s3
-
 let next t =
   let result = Int64.mul (rotl (Int64.mul t.s1 5L) 7) 9L in
   let tmp = Int64.shift_left t.s1 17 in

@@ -18,12 +18,6 @@ val of_splitmix : Splitmix64.t -> t
 val copy : t -> t
 (** Independent duplicate of the state. *)
 
-val restore : t -> from:t -> unit
-(** [restore t ~from] overwrites the state of [t] with the state of
-    [from] in place, so [t]'s future output continues from wherever
-    [from] stands.  Together with {!copy} this gives snapshot/rollback
-    over a shared generator. *)
-
 val next : t -> int64
 (** [next t] returns the next 64-bit value and advances the state. *)
 

@@ -12,47 +12,6 @@ type t = {
   torn : int;
 }
 
-type 'a codec = {
-  encode : 'a -> J.t;
-  decode : J.t -> 'a option;
-}
-
-let int_codec =
-  { encode = (fun n -> J.Int n); decode = (function J.Int n -> Some n | _ -> None) }
-
-(* Hex float literals ("%h") round-trip exactly; Jsonx's decimal
-   rendering does not, and resume must be bit-exact. *)
-let float_codec =
-  {
-    encode = (fun x -> J.Str (Printf.sprintf "%h" x));
-    decode =
-      (function
-      | J.Str s -> (
-        try Some (Scanf.sscanf s "%h%!" Fun.id)
-        with Scanf.Scan_failure _ | End_of_file | Stdlib.Failure _ -> None)
-      | J.Float x -> Some x
-      | J.Int n -> Some (float_of_int n)
-      | _ -> None);
-  }
-
-let string_codec =
-  { encode = (fun s -> J.Str s); decode = (function J.Str s -> Some s | _ -> None) }
-
-let json_codec = { encode = Fun.id; decode = (fun v -> Some v) }
-
-let array_codec c =
-  {
-    encode = (fun a -> J.List (Array.to_list (Array.map c.encode a)));
-    decode =
-      (function
-      | J.List items ->
-        let decoded = List.map c.decode items in
-        if List.for_all Option.is_some decoded then
-          Some (Array.of_list (List.map Option.get decoded))
-        else None
-      | _ -> None);
-  }
-
 let with_lock lock f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f

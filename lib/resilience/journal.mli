@@ -1,10 +1,11 @@
-(** Append-only JSONL checkpoint journal for resumable sweeps.
+(** Append-only JSONL checkpoint journal for resumable runs.
 
     One line per completed unit of work: trial rows
     ([{"kind":"trial","scope":...,"index":...,"value":...}]) written
-    by [Supervisor.trials], and outcome rows
-    ([{"kind":"outcome","id":"E5","value":{...}}]) written by
-    [Fn_experiments.Registry.run_entry] when an experiment finishes.
+    by [Fn_online.Server] (one per accepted faultnetd batch), and
+    outcome rows ([{"kind":"outcome","id":"E5","value":{...}}])
+    written by [Fn_experiments.Registry.run_entry] when an experiment
+    finishes.
     Every record is flushed before the call returns, so a killed
     process loses at most the line it was writing — and {!open_}
     skips a torn final line instead of refusing the file.
@@ -15,28 +16,6 @@
     seed-2 journal would silently splice two different experiments. *)
 
 type t
-
-type 'a codec = {
-  encode : 'a -> Fn_obs.Jsonx.t;
-  decode : Fn_obs.Jsonx.t -> 'a option;  (** [None] = unreadable, treat as not journaled *)
-}
-(** How [Supervisor.trials] serializes one trial result.  Decoding
-    must be exact — a resumed sweep has to reproduce the uninterrupted
-    run byte for byte — hence the hex-float codecs below. *)
-
-val int_codec : int codec
-
-val float_codec : float codec
-(** Floats round-trip through ["%h"] hex literals: exact to the last
-    bit, unlike the human-oriented decimal rendering of
-    {!Fn_obs.Jsonx.to_string}. *)
-
-val string_codec : string codec
-
-val json_codec : Fn_obs.Jsonx.t codec
-(** Identity — for callers that already speak JSON. *)
-
-val array_codec : 'a codec -> 'a array codec
 
 val open_ : path:string -> meta:(string * Fn_obs.Jsonx.t) list -> (t, string) result
 (** Open (creating or resuming) the journal at [path].  On an

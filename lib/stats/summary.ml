@@ -31,7 +31,7 @@ let of_list xs = of_array (Array.of_list xs)
 
 let quantile xs q =
   if Array.length xs = 0 then invalid_arg "Summary.quantile: empty sample";
-  if q < 0.0 || q > 1.0 then invalid_arg "Summary.quantile: q out of [0,1]";
+  if not (q >= 0.0 && q <= 1.0) then invalid_arg "Summary.quantile: q out of [0,1]";
   let sorted = Array.copy xs in
   Array.sort Float.compare sorted;
   let n = Array.length sorted in

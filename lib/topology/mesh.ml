@@ -104,7 +104,3 @@ let central_hyperplane ?dim geo =
     if v / geo.strides.(dim) mod geo.dims.(dim) = mid then out := v :: !out
   done;
   Array.of_list !out
-
-let expansion_estimate geo =
-  let max_side = Array.fold_left max 1 geo.dims in
-  1.0 /. float_of_int max_side

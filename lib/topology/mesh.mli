@@ -42,7 +42,3 @@ val central_hyperplane : ?dim:int -> geometry -> int array
     equals the middle value — removing them bisects the mesh, the
     hyperplane attack of the Theorem 2.5 discussion.  Size
     n / dims.(dim). *)
-
-val expansion_estimate : geometry -> float
-(** The analytic order-of-magnitude node expansion of the mesh,
-    1 / max side.  Used for cross-checks, not as ground truth. *)

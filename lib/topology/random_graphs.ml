@@ -3,7 +3,7 @@ open Fn_prng
 
 let gnp rng n p =
   if n < 0 then invalid_arg "Random_graphs.gnp: negative n";
-  if p < 0.0 || p > 1.0 then invalid_arg "Random_graphs.gnp: p out of [0,1]";
+  if not (p >= 0.0 && p <= 1.0) then invalid_arg "Random_graphs.gnp: p out of [0,1]";
   let b = Builder.create n in
   if p > 0.0 then begin
     if p >= 1.0 then

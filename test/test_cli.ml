@@ -62,6 +62,69 @@ let test_gen_rejects_bad_specs () =
       check_bool (spec ^ ": no uncaught exception") false (contains out "exception"))
     [ "hypercube:abc"; "expander:255:3"; "cycle:2"; "mesh:0x4" ]
 
+(* --epsilon and --fault-p are checked before the graph is built: a
+   value outside its range, NaN included, is exit 124 with one line and
+   no [graph:] line, never an uncaught Invalid_argument (125). *)
+let test_bad_numbers_are_usage_errors () =
+  List.iter
+    (fun args ->
+      let code, out = run_cli (args ^ " -t torus:10x10 --seed 3") in
+      check_int (args ^ ": exit") 124 code;
+      check_bool (args ^ ": one line") false (String.contains out '\n');
+      check_bool (args ^ ": no graph line") false (contains out "graph:");
+      check_bool (args ^ ": no uncaught exception") false (contains out "exception"))
+    [
+      "prune --epsilon 1.5";
+      "prune --epsilon 0";
+      "prune --epsilon nan";
+      "prune --fault-p 1.5";
+      "prune --fault-p=-0.1";
+      "prune --fault-p nan";
+      "route --fault-p 1.5";
+      "report --fault-p nan";
+    ]
+
+(* The checks are closed where the range is: --fault-p 0 and 1 are
+   valid (no faults, every node faulty), and so is an epsilon just
+   inside (0, 1). *)
+let test_range_ends_accepted () =
+  List.iter
+    (fun (args, want) ->
+      let code, out = run_cli (args ^ " -t torus:10x10 --seed 3") in
+      check_int (args ^ ": exit") 0 code;
+      check_bool (args ^ ": " ^ want) true (contains out want))
+    [
+      ("prune --fault-p 0", "faults: 0\n");
+      ("prune --fault-p 1", "faults: 100\n");
+      ("prune --epsilon 0.999", "graph: 100 nodes");
+      ("route --fault-p 1", "packets 0");
+    ]
+
+(* A budget the adversary cannot spend is a usage error (exit 124, one
+   line), never an uncaught Invalid_argument; the whole graph is a
+   valid budget. *)
+let test_attack_budget_range () =
+  List.iter
+    (fun args ->
+      let code, out = run_cli ("attack -t torus:10x10 --seed 3 " ^ args) in
+      check_int (args ^ ": exit") 124 code;
+      check_bool (args ^ ": one line") false (String.contains out '\n');
+      check_bool (args ^ ": names the range") true (contains out "[0, 100]");
+      check_bool (args ^ ": no uncaught exception") false (contains out "exception"))
+    [ "--budget 101"; "--budget=-1"; "--budget 101 --strategy random" ];
+  let code, out = run_cli "attack -t torus:10x10 --seed 3 --budget 100" in
+  check_int "whole graph: exit" 0 code;
+  check_bool "whole graph: every node faulty" true (contains out "faults: 100;")
+
+(* With fewer than two survivors there is nothing to report on: one
+   line and exit 124, not an internal error. *)
+let test_report_needs_two_survivors () =
+  let code, out = run_cli "report -t torus:10x10 --seed 3 --fault-p 1" in
+  check_int "exit" 124 code;
+  check_bool "one line" false (String.contains out '\n');
+  check_bool "says why" true (contains out "at least 2 surviving nodes, got 0");
+  check_bool "no uncaught exception" false (contains out "exception")
+
 let test_expansion_exact () =
   let code, out = run_cli "expansion -t mesh:4x4 --objective edge" in
   check_int "exit" 0 code;
@@ -198,9 +261,52 @@ let test_determinism_across_runs () =
 
 let daemon = bin_path "faultnetd.exe"
 
+(* --deadline reaches every query: under an impossible budget queries
+   answer [err deadline ...] while apply and audit! stay exempt; a
+   generous budget answers exactly as no budget does. *)
+let test_faultnetd_deadline () =
+  let inp = Filename.temp_file "faultnetd_deadline" ".in" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists inp then Sys.remove inp)
+    (fun () ->
+      Out_channel.with_open_bin inp (fun oc ->
+          output_string oc "alpha?\napply f3\nalive? 3\nstats?\naudit!\nquit\n");
+      let run flags =
+        let code, out =
+          run_bin daemon (Printf.sprintf "--topology torus:8x8 --seed 3 %s < %s" flags inp)
+        in
+        check_int (flags ^ ": exit") 0 code;
+        String.split_on_char '\n' out
+      in
+      (match run "--deadline 1e-12" with
+      | [ alpha; apply; alive; stats; audit; bye ] ->
+        List.iter
+          (fun (name, line) ->
+            check_bool (name ^ " refused") true
+              (String.starts_with ~prefix:"err deadline query exceeded" line))
+          [ ("alpha?", alpha); ("alive?", alive); ("stats?", stats) ];
+        check_bool "apply exempt" true (apply = "ok applied=1 alive=63");
+        check_bool "audit! exempt" true (String.starts_with ~prefix:"ok kept=" audit);
+        check_bool "quit" true (bye = "ok bye")
+      | lines -> Alcotest.failf "expected six replies, got %d" (List.length lines));
+      check_bool "a generous budget changes no reply" true
+        (run "--deadline 3600" = run ""))
+
+(* The supervision flags left with the layer they configured: each is
+   refused before anything runs, never accepted and ignored. *)
+let test_experiments_refuses_removed_flags () =
+  List.iter
+    (fun flag ->
+      let code, out = run_bin (bin_path "experiments.exe") (flag ^ " E2") in
+      check_int (flag ^ ": exit") 2 code;
+      check_bool (flag ^ ": named") true (contains out (List.hd (String.split_on_char ' ' flag)));
+      check_bool (flag ^ ": nothing ran") false (contains out "==="))
+    [ "--deadline 5"; "--retries 2"; "--chaos 0.1"; "--chaos-seed 3" ]
+
 (* Flag values the generators or the engine refuse are usage errors:
    exit 2 with a one-line "faultnetd:" message on stderr, never an
-   uncaught exception, and no journal opened. *)
+   uncaught exception, and no journal opened.  NaN fails every
+   comparison, so each range check must refuse it too. *)
 let test_faultnetd_rejects_bad_values () =
   let journal = Filename.temp_file "faultnetd_bad" ".jsonl" in
   Sys.remove journal;
@@ -218,6 +324,8 @@ let test_faultnetd_rejects_bad_values () =
           check_int (args ^ ": exit") 2 code;
           check_bool (args ^ ": faultnetd: message") true
             (String.starts_with ~prefix:"faultnetd:" text);
+          check_int (args ^ ": one stderr line") 1
+            (List.length (String.split_on_char '\n' (String.trim text)));
           check_bool (args ^ ": no uncaught exception") false (contains text "Fatal error"))
         [
           "--topology expander:5:3";
@@ -225,6 +333,12 @@ let test_faultnetd_rejects_bad_values () =
           "--topology torus:4x4 --epsilon -1";
           "--topology torus:4x4 --max-dirty-frac -1";
           "--topology torus:4x4 --journal " ^ journal ^ " --compact-every -1";
+          "--topology torus:4x4 --journal " ^ journal ^ " --deadline 0";
+          "--topology torus:4x4 --journal " ^ journal ^ " --deadline -1";
+          "--topology torus:4x4 --journal " ^ journal ^ " --deadline nan";
+          "--topology torus:4x4 --journal " ^ journal ^ " --alpha nan";
+          "--topology torus:4x4 --journal " ^ journal ^ " --epsilon nan";
+          "--topology torus:4x4 --journal " ^ journal ^ " --max-dirty-frac nan";
         ];
       check_bool "no journal opened" false (Sys.file_exists journal))
 
@@ -330,6 +444,12 @@ let () =
           case "faultnetd resumes across domain counts" test_faultnetd_resume_across_domains;
           case "gen rejects bad specs" test_gen_rejects_bad_specs;
           case "lower bound only when exact" test_expansion_lower_labels;
+          case "bad --epsilon and --fault-p are usage errors" test_bad_numbers_are_usage_errors;
+          case "range ends accepted" test_range_ends_accepted;
+          case "attack budget range" test_attack_budget_range;
+          case "report needs two survivors" test_report_needs_two_survivors;
+          case "faultnetd --deadline" test_faultnetd_deadline;
+          case "experiments refuses removed flags" test_experiments_refuses_removed_flags;
         ] );
       ( "lint",
         [

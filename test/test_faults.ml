@@ -33,7 +33,9 @@ let test_nodes_iid_extremes () =
   let none = Random_faults.nodes_iid r mesh8 0.0 in
   check_int "p=0 none" 0 (Fault_set.count none);
   Alcotest.check_raises "bad p" (Invalid_argument "Random_faults.nodes_iid: p out of [0,1]")
-    (fun () -> ignore (Random_faults.nodes_iid r mesh8 1.5))
+    (fun () -> ignore (Random_faults.nodes_iid r mesh8 1.5));
+  Alcotest.check_raises "nan p" (Invalid_argument "Random_faults.nodes_iid: p out of [0,1]")
+    (fun () -> ignore (Random_faults.nodes_iid r mesh8 Float.nan))
 
 let test_nodes_iid_rate () =
   let r = rng () in
@@ -48,6 +50,15 @@ let test_nodes_exact () =
   let r = rng () in
   let fs = Random_faults.nodes_exact r mesh8 10 in
   check_int "exact count" 10 (Fault_set.count fs)
+
+(* a nan keep probability would keep no edge (every Bernoulli draw
+   compares false), so it is refused like any p outside [0,1] *)
+let test_edges_keep_refuses_nan () =
+  let r = rng () in
+  Alcotest.check_raises "keep" (Invalid_argument "Random_faults.edges_keep: p out of [0,1]")
+    (fun () -> ignore (Random_faults.edges_keep r mesh8 Float.nan));
+  Alcotest.check_raises "fault" (Invalid_argument "Random_faults.edges_keep: p out of [0,1]")
+    (fun () -> ignore (Random_faults.edges_iid r mesh8 Float.nan))
 
 let test_edges_keep () =
   let r = rng () in
@@ -106,6 +117,10 @@ let test_recursive_cut_fragments () =
   (* accounting: faults = sum of removed in steps *)
   let removed = List.fold_left (fun acc s -> acc + s.Adversary.removed) 0 res.Adversary.steps in
   check_int "fault accounting" removed (Fault_set.count res.Adversary.faults)
+
+let test_recursive_cut_refuses_nan () =
+  Alcotest.check_raises "nan epsilon" (Invalid_argument "Adversary.recursive_cut: bad epsilon")
+    (fun () -> ignore (Adversary.recursive_cut ~rng:(rng ()) mesh8 ~epsilon:Float.nan))
 
 let test_recursive_cut_budget_respected () =
   let res = Adversary.recursive_cut ~rng:(rng ()) ~max_budget:5 mesh8 ~epsilon:0.125 in
@@ -180,6 +195,26 @@ let test_churn_parallel_trajectories () =
   in
   check_bool "domains=1 = domains=4" true (run 1 = run 4)
 
+(* nan fails every comparison: a nan rate or horizon must be refused,
+   not simulated as a process that never flips *)
+let test_churn_refuses_nan () =
+  let g = Fn_topology.Basic.path 4 in
+  let nan = Float.nan in
+  let simulate ~rate_fail ~rate_repair ~horizon () =
+    ignore (Churn.simulate (rng ()) g ~rate_fail ~rate_repair ~horizon ~snapshots:1)
+  in
+  Alcotest.check_raises "fail rate" (Invalid_argument "Churn.simulate: rates must be positive")
+    (simulate ~rate_fail:nan ~rate_repair:1.0 ~horizon:1.0);
+  Alcotest.check_raises "repair rate" (Invalid_argument "Churn.simulate: rates must be positive")
+    (simulate ~rate_fail:1.0 ~rate_repair:nan ~horizon:1.0);
+  Alcotest.check_raises "horizon" (Invalid_argument "Churn.simulate: horizon must be positive")
+    (simulate ~rate_fail:1.0 ~rate_repair:1.0 ~horizon:nan);
+  let stationary = "Churn.stationary_dead_fraction: need rate_fail >= 0, rate_repair > 0" in
+  Alcotest.check_raises "stationary fail rate" (Invalid_argument stationary) (fun () ->
+      ignore (Churn.stationary_dead_fraction ~rate_fail:nan ~rate_repair:1.0));
+  Alcotest.check_raises "stationary repair rate" (Invalid_argument stationary) (fun () ->
+      ignore (Churn.stationary_dead_fraction ~rate_fail:1.0 ~rate_repair:nan))
+
 let test_churn_validation () =
   let g = Fn_topology.Basic.path 4 in
   Alcotest.check_raises "rates" (Invalid_argument "Churn.simulate: rates must be positive")
@@ -243,6 +278,7 @@ let () =
           case "iid rate" test_nodes_iid_rate;
           case "exact count" test_nodes_exact;
           case "edge faults" test_edges_keep;
+          case "edge faults refuse nan" test_edges_keep_refuses_nan;
         ] );
       ( "adversary",
         [
@@ -253,6 +289,7 @@ let () =
           case "ball zero budget" test_ball_isolation_zero_budget;
           case "recursive cut" test_recursive_cut_fragments;
           case "recursive budget" test_recursive_cut_budget_respected;
+          case "recursive cut refuses nan" test_recursive_cut_refuses_nan;
         ] );
       ( "churn",
         [
@@ -266,5 +303,6 @@ let () =
           case "normalize accepts and orders" test_normalize_accepts_and_orders;
           case "normalize rejects" test_normalize_rejects;
           case "normalize then apply" test_normalize_then_apply;
+          case "nan refused" test_churn_refuses_nan;
         ] );
     ]

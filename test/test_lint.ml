@@ -406,7 +406,7 @@ let test_rng_unsplit_in_par () =
        \  let rngs = Fn_prng.Rng.split_n rng n in\n\
        \  Par.init n (fun i -> Fn_prng.Rng.int rngs.(i) 10)");
   check_bool "label-only passthrough not in closure ok" false
-    (hit "let f ~rng n job = Supervisor.trials ~rng n job")
+    (hit "let f ~rng n job = Par.trials ~rng n job")
 
 let test_par_float_reduce () =
   let hit src = List.mem "par-float-reduce" (rules_hit (lint src)) in

@@ -467,13 +467,29 @@ let test_server_session () =
   let out = say "quit" in
   check_bool "quit stops" true out.Server.quit
 
+(* nan fails every comparison, so each check is the negation of its
+   valid range: a nan threshold would qualify no ball and certify every
+   node *)
+let test_cert_rejects_nan () =
+  let view = Gview.Csr (fst (Fn_topology.Torus.cube ~d:2 ~side:8)) in
+  let alive = Bitset.create_full 64 in
+  let create ?(max_dirty_frac = 1.0) ~alpha ~epsilon () =
+    ignore (Cert.create ~max_dirty_frac view ~alive ~alpha ~epsilon)
+  in
+  Alcotest.check_raises "alpha" (Invalid_argument "Cert.create: alpha must be positive")
+    (create ~alpha:Float.nan ~epsilon:0.5);
+  Alcotest.check_raises "epsilon" (Invalid_argument "Cert.create: need 0 < epsilon < 1")
+    (create ~alpha:1.0 ~epsilon:Float.nan);
+  Alcotest.check_raises "max_dirty_frac"
+    (Invalid_argument "Cert.create: need 0 < max_dirty_frac <= 1")
+    (create ~max_dirty_frac:Float.nan ~alpha:1.0 ~epsilon:0.5)
+
 let test_query_deadline () =
   let view = Gview.Csr (fst (Fn_topology.Torus.cube ~d:2 ~side:8)) in
   let engine = Engine.create view in
   (* an impossible budget: every query blows it, post hoc *)
-  let policy = Fn_resilience.Policy.make ~deadline_s:1e-12 () in
   let reply line =
-    match (Server.handle ~policy engine line).Server.reply with
+    match (Server.handle ~deadline_s:1e-12 engine line).Server.reply with
     | Some s -> s
     | None -> Alcotest.fail ("no reply to " ^ line)
   in
@@ -485,8 +501,7 @@ let test_query_deadline () =
   check_bool "audit exempt" true (starts_with ~prefix:"ok kept=" (reply "audit!"));
   check_int "batch really applied" 1 (Engine.stats engine).Engine.batches;
   (* a generous budget lets everything through *)
-  let policy = Fn_resilience.Policy.make ~deadline_s:3600.0 () in
-  match (Server.handle ~policy engine "alpha?").Server.reply with
+  match (Server.handle ~deadline_s:3600.0 engine "alpha?").Server.reply with
   | Some s -> check_bool "generous deadline passes" true (starts_with ~prefix:"ok 0x" s)
   | None -> Alcotest.fail "no alpha reply"
 
@@ -893,6 +908,55 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* [serve] hands its budget to every line it handles, with a journal
+   or without: under an impossible budget queries are refused while
+   apply is still answered [ok] and, when journaled, recorded. *)
+let test_serve_applies_deadline () =
+  let tmp suffix = Filename.temp_file "fn_online_deadline" suffix in
+  let inp = tmp ".in" and out = tmp ".out" and journal = tmp ".jsonl" in
+  Sys.remove journal;
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> if Sys.file_exists f then Sys.remove f) [ inp; out; journal ])
+    (fun () ->
+      write_file inp "alpha?\napply f3\nalive? 3\nquit\n";
+      let serve ?journal () =
+        let engine = Engine.create (Gview.Csr (fst (Fn_topology.Torus.cube ~d:2 ~side:8))) in
+        let result =
+          In_channel.with_open_bin inp (fun ic ->
+              Out_channel.with_open_bin out (fun oc ->
+                  Server.serve ?journal ~deadline_s:1e-12 engine ic oc))
+        in
+        (match result with Ok () -> () | Error m -> Alcotest.fail ("serve: " ^ m));
+        String.split_on_char '\n' (String.trim (read_file out))
+      in
+      List.iter
+        (fun (label, lines) ->
+          match lines with
+          | [ alpha; apply; alive; bye ] ->
+            check_bool (label ^ ": alpha? refused") true (starts_with ~prefix:"err deadline" alpha);
+            check_bool (label ^ ": apply answered") true (apply = "ok applied=1 alive=63");
+            check_bool (label ^ ": alive? refused") true (starts_with ~prefix:"err deadline" alive);
+            check_bool (label ^ ": quit answered") true (bye = "ok bye")
+          | _ -> Alcotest.failf "%s: expected four replies, got %d" label (List.length lines))
+        [ ("no journal", serve ()); ("journal", serve ~journal ()) ];
+      check_bool "the applied batch is journaled" true
+        (contains (read_file journal) {|"value":["f3"]|}))
+
+(* Each refusal counts in "online.deadline_misses" when the engine's
+   sink is on; exempt commands and met budgets count nothing. *)
+let test_deadline_misses_counted () =
+  let cfg = { Engine.default_config with Engine.obs = Fn_obs.Sink.discard () } in
+  let engine = Engine.create ~cfg (Gview.Csr (fst (Fn_topology.Torus.cube ~d:2 ~side:8))) in
+  let misses = Fn_obs.Metrics.counter "online.deadline_misses" in
+  let before = Fn_obs.Metrics.counter_value misses in
+  List.iter
+    (fun line -> ignore (Server.handle ~deadline_s:1e-12 engine line))
+    [ "alive? 0"; "stats?"; "apply f3"; "audit!" ];
+  ignore (Server.handle ~deadline_s:3600.0 engine "alive? 0");
+  ignore (Server.handle engine "alive? 0");
+  check_int "two refused queries" 2 (Fn_obs.Metrics.counter_value misses - before)
+
 let test_daemon_kill_and_resume () =
   if not (Sys.file_exists daemon) then Alcotest.skip ()
   else begin
@@ -1062,6 +1126,7 @@ let () =
           case "invalid batches are atomic" test_invalid_batch_is_atomic;
           case "coalescing last-write-wins" test_coalescing_last_write_wins;
           case "alpha? queries move no answer" test_alpha_queries_move_no_answer;
+          case "cert refuses nan parameters" test_cert_rejects_nan;
         ] );
       ("alpha_cache", [ case "memo answers equal reference" test_alpha_cache_memo ]);
       ( "protocol",
@@ -1071,6 +1136,8 @@ let () =
           case "event json roundtrip" test_event_json_roundtrip;
           case "in-process session" test_server_session;
           case "query deadline" test_query_deadline;
+          case "serve applies the deadline" test_serve_applies_deadline;
+          case "deadline misses counted" test_deadline_misses_counted;
         ] );
       ( "fuzz",
         [

@@ -30,6 +30,12 @@ let test_gamma_at_bounds () =
   Alcotest.check_raises "bad p" (Invalid_argument "Newman_ziff.gamma_at: p out of [0,1]")
     (fun () -> ignore (Newman_ziff.gamma_at c 2.0))
 
+(* nan would round to no occupied bond and read as the p=0 value *)
+let test_gamma_at_refuses_nan () =
+  let c = Newman_ziff.bond_run (rng ()) (Gview.Csr (Fn_topology.Basic.cycle 10)) in
+  Alcotest.check_raises "nan p" (Invalid_argument "Newman_ziff.gamma_at: p out of [0,1]")
+    (fun () -> ignore (Newman_ziff.gamma_at c Float.nan))
+
 let test_gamma_monotone_in_p () =
   let g, _ = Fn_topology.Mesh.cube ~d:2 ~side:12 in
   let c = Newman_ziff.bond_run (rng ()) (Gview.Csr g) in
@@ -99,6 +105,7 @@ let () =
           case "gamma bounds" test_gamma_at_bounds;
           case "gamma monotone" test_gamma_monotone_in_p;
           case "parallel determinism" test_average_gamma_deterministic;
+          case "gamma refuses nan" test_gamma_at_refuses_nan;
         ] );
       ( "thresholds",
         [

@@ -162,6 +162,16 @@ let test_categorical () =
     (Invalid_argument "Dist.categorical: weights must have positive sum") (fun () ->
       ignore (Dist.categorical r [| 0.0 |]))
 
+(* nan fails every comparison, so the parameter checks are negated
+   ranges: a nan rate would make every exponential draw nan, and a
+   clock advanced by nan never reaches its horizon *)
+let test_dist_refuses_nan () =
+  let r = Rng.create 3 in
+  Alcotest.check_raises "geometric" (Invalid_argument "Dist.geometric: need 0 < p <= 1")
+    (fun () -> ignore (Dist.geometric r Float.nan));
+  Alcotest.check_raises "exponential" (Invalid_argument "Dist.exponential: need lambda > 0")
+    (fun () -> ignore (Dist.exponential r Float.nan))
+
 let () =
   Alcotest.run "prng"
     [
@@ -185,5 +195,6 @@ let () =
           case "binomial" test_binomial;
           case "exponential/normal" test_exponential_normal;
           case "categorical" test_categorical;
+          case "nan parameters refused" test_dist_refuses_nan;
         ] );
     ]

@@ -46,7 +46,12 @@ let test_prune_parameter_validation () =
   Alcotest.check_raises "alpha" (Invalid_argument "Prune.run: alpha must be positive")
     (fun () -> ignore (Prune.run g ~alive ~alpha:0.0 ~epsilon:0.5));
   Alcotest.check_raises "epsilon" (Invalid_argument "Prune.run: need 0 < epsilon < 1")
-    (fun () -> ignore (Prune.run g ~alive ~alpha:1.0 ~epsilon:1.0))
+    (fun () -> ignore (Prune.run g ~alive ~alpha:1.0 ~epsilon:1.0));
+  (* nan fails every comparison: the checks must refuse it too *)
+  Alcotest.check_raises "nan alpha" (Invalid_argument "Prune.run: alpha must be positive")
+    (fun () -> ignore (Prune.run g ~alive ~alpha:Float.nan ~epsilon:0.5));
+  Alcotest.check_raises "nan epsilon" (Invalid_argument "Prune.run: need 0 < epsilon < 1")
+    (fun () -> ignore (Prune.run g ~alive ~alpha:1.0 ~epsilon:Float.nan))
 
 let test_prune_kept_culled_partition () =
   let g, _ = Fn_topology.Mesh.cube ~d:2 ~side:6 in

@@ -51,7 +51,11 @@ let test_parameter_validation () =
   Alcotest.check_raises "alpha_e" (Invalid_argument "Prune2.run: alpha_e must be positive")
     (fun () -> ignore (Prune2.run g ~alive ~alpha_e:(-1.0) ~epsilon:0.5));
   Alcotest.check_raises "epsilon" (Invalid_argument "Prune2.run: need 0 < epsilon < 1")
-    (fun () -> ignore (Prune2.run g ~alive ~alpha_e:1.0 ~epsilon:0.0))
+    (fun () -> ignore (Prune2.run g ~alive ~alpha_e:1.0 ~epsilon:0.0));
+  Alcotest.check_raises "nan alpha_e" (Invalid_argument "Prune2.run: alpha_e must be positive")
+    (fun () -> ignore (Prune2.run g ~alive ~alpha_e:Float.nan ~epsilon:0.5));
+  Alcotest.check_raises "nan epsilon" (Invalid_argument "Prune2.run: need 0 < epsilon < 1")
+    (fun () -> ignore (Prune2.run g ~alive ~alpha_e:1.0 ~epsilon:Float.nan))
 
 let test_partition_accounting () =
   let g, _ = Fn_topology.Torus.cube ~d:2 ~side:6 in

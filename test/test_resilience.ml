@@ -1,12 +1,11 @@
-(* Tests for Fn_resilience: policy validation and backoff schedules,
-   supervised runs (retry, deadline, cancellation, rng rollback,
-   non-retryable propagation), deterministic chaos injection,
-   crash-isolated parallel trials, the JSONL checkpoint journal, and a
-   kill-and-resume end-to-end run of the experiments binary. *)
+(* Tests for Fn_resilience: the JSONL checkpoint journal (records,
+   meta binding, torn tails, compaction and a kill mid-compaction),
+   atomic snapshot files, outcome replay through
+   [Fn_experiments.Registry.run_entry], and kill-and-resume end-to-end
+   runs of the experiments binary. *)
 
 open Fn_resilience
 open Testutil
-module Rng = Fn_prng.Rng
 module J = Fn_obs.Jsonx
 
 let check_string = Alcotest.(check string)
@@ -15,320 +14,6 @@ let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
-
-(* Fast policies for tests: no real sleeping between retries. *)
-let fast ?deadline_s ?(retries = 2) ?chaos ?chaos_seed () =
-  Policy.make ?deadline_s ~retries ~backoff_base_s:0.0 ?chaos ?chaos_seed ()
-
-(* ------------------------------------------------------------------ *)
-(* Policy                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_policy_validation () =
-  Alcotest.check_raises "negative retries"
-    (Invalid_argument "Policy.make: retries must be >= 0") (fun () ->
-      ignore (Policy.make ~retries:(-1) ()));
-  Alcotest.check_raises "non-positive deadline"
-    (Invalid_argument "Policy.make: deadline_s must be positive") (fun () ->
-      ignore (Policy.make ~deadline_s:0.0 ()));
-  Alcotest.check_raises "chaos out of range"
-    (Invalid_argument "Policy.make: chaos must be in [0,1]") (fun () ->
-      ignore (Policy.make ~chaos:1.5 ()));
-  Alcotest.check_raises "backoff factor below one"
-    (Invalid_argument "Policy.make: backoff must be non-negative with factor >= 1")
-    (fun () -> ignore (Policy.make ~backoff_factor:0.5 ()));
-  (* the default policy is inert: nothing that could change fault-free
-     behavior is switched on *)
-  check_bool "no default deadline" true (Policy.default.Policy.deadline_s = None);
-  check_float "no default chaos" 0.0 Policy.default.Policy.chaos
-
-let test_backoff_schedule () =
-  let p = Policy.make ~backoff_base_s:0.01 ~backoff_factor:2.0 ~backoff_cap_s:1.0 () in
-  check_float "first retry" 0.01 (Policy.backoff_s p ~attempt:1);
-  check_float "second retry" 0.02 (Policy.backoff_s p ~attempt:2);
-  check_float "third retry" 0.04 (Policy.backoff_s p ~attempt:3);
-  let capped = Policy.make ~backoff_base_s:0.01 ~backoff_factor:2.0 ~backoff_cap_s:0.03 () in
-  check_float "cap binds" 0.03 (Policy.backoff_s capped ~attempt:3);
-  Alcotest.check_raises "attempt is 1-based"
-    (Invalid_argument "Policy.backoff_s: attempt is 1-based") (fun () ->
-      ignore (Policy.backoff_s p ~attempt:0))
-
-(* ------------------------------------------------------------------ *)
-(* Supervisor.run                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let test_run_success_passthrough () =
-  let attempts = ref 0 in
-  match
-    Supervisor.run ~policy:Policy.default ~scope:"ok" (fun () ->
-        incr attempts;
-        42)
-  with
-  | Ok v ->
-    check_int "value through" 42 v;
-    check_int "one attempt" 1 !attempts
-  | Error (f, _) -> Alcotest.fail ("unexpected failure: " ^ Failure.to_string f)
-
-let test_run_retry_then_success () =
-  let attempts = ref 0 in
-  match
-    Supervisor.run ~policy:(fast ~retries:3 ()) ~scope:"flaky" (fun () ->
-        incr attempts;
-        if !attempts < 3 then raise Exit;
-        "done")
-  with
-  | Ok v ->
-    check_string "value" "done" v;
-    check_int "two retries" 3 !attempts
-  | Error (f, _) -> Alcotest.fail ("unexpected failure: " ^ Failure.to_string f)
-
-let test_run_gave_up_causes () =
-  let attempts = ref 0 in
-  match
-    Supervisor.run ~policy:(fast ~retries:2 ()) ~scope:"doomed" (fun () ->
-        incr attempts;
-        failwith (Printf.sprintf "attempt %d" !attempts))
-  with
-  | Ok _ -> Alcotest.fail "expected Gave_up"
-  | Error (Failure.Gave_up n, causes) ->
-    check_int "final verdict counts attempts" 3 n;
-    check_int "all attempts ran" 3 !attempts;
-    let msgs =
-      List.map
-        (function
-          | Failure.Crashed (Stdlib.Failure m, _) -> m
-          | f -> Failure.to_string f)
-        causes
-    in
-    check_bool "causes oldest first" true
-      (msgs = [ "attempt 1"; "attempt 2"; "attempt 3" ])
-  | Error (f, _) -> Alcotest.fail ("wrong verdict: " ^ Failure.to_string f)
-
-let test_run_deadline_timeout () =
-  (* deadlines are post-hoc: the slow attempt completes, then counts as
-     a Timeout carrying its measured duration *)
-  match
-    Supervisor.run
-      ~policy:(fast ~deadline_s:0.001 ~retries:1 ())
-      ~scope:"slow"
-      (fun () -> Unix.sleepf 0.01)
-  with
-  | Ok () -> Alcotest.fail "expected Timeout"
-  | Error (Failure.Gave_up 2, causes) ->
-    check_bool "every cause is a timeout over budget" true
-      (List.for_all (function Failure.Timeout t -> t >= 0.001 | _ -> false) causes);
-    check_int "one timeout per attempt" 2 (List.length causes)
-  | Error (f, _) -> Alcotest.fail ("wrong verdict: " ^ Failure.to_string f)
-
-let test_run_deadline_generous () =
-  match
-    Supervisor.run ~policy:(fast ~deadline_s:30.0 ()) ~scope:"fast" (fun () -> 7)
-  with
-  | Ok v -> check_int "under budget" 7 v
-  | Error (f, _) -> Alcotest.fail ("unexpected failure: " ^ Failure.to_string f)
-
-let test_run_cancelled () =
-  let attempts = ref 0 in
-  match
-    Supervisor.run ~policy:Policy.default
-      ~cancelled:(fun () -> true)
-      ~scope:"stop"
-      (fun () -> incr attempts)
-  with
-  | Ok _ -> Alcotest.fail "expected Cancelled"
-  | Error (Failure.Cancelled, causes) ->
-    check_int "no attempt ran" 0 !attempts;
-    check_int "no causes" 0 (List.length causes)
-  | Error (f, _) -> Alcotest.fail ("wrong verdict: " ^ Failure.to_string f)
-
-let test_run_rng_rollback () =
-  (* a retried task must re-read the same random stream, and afterwards
-     leave the stream exactly where a single clean attempt would have *)
-  let reference = Rng.create 42 in
-  let expected = Array.init 3 (fun _ -> Rng.bits64 reference) in
-  let rng = Rng.create 42 in
-  let attempts = ref 0 in
-  (match
-     Supervisor.run ~rng ~policy:(fast ()) ~scope:"rollback" (fun () ->
-         let draws = Array.init 3 (fun _ -> Rng.bits64 rng) in
-         incr attempts;
-         if !attempts = 1 then raise Exit;
-         draws)
-   with
-  | Ok draws -> check_bool "retry re-read the same stream" true (draws = expected)
-  | Error (f, _) -> Alcotest.fail ("unexpected failure: " ^ Failure.to_string f));
-  check_int "two attempts" 2 !attempts;
-  check_bool "stream position as after one clean attempt" true
-    (Rng.bits64 rng = Rng.bits64 reference)
-
-let test_run_nonretryable_propagates () =
-  (* a nested scope that exhausted its own budget must escape the outer
-     supervisor immediately instead of being retried *)
-  let outer_attempts = ref 0 in
-  let escaped =
-    try
-      ignore
-        (Supervisor.run ~policy:(fast ~retries:5 ()) ~scope:"outer" (fun () ->
-             incr outer_attempts;
-             Supervisor.protect ~policy:(fast ~retries:0 ()) ~scope:"inner" (fun () ->
-                 raise Exit)));
-      None
-    with Failure.Supervision_failed { scope; _ } -> Some scope
-  in
-  check_bool "inner verdict escapes" true (escaped = Some "inner");
-  check_int "outer did not retry it" 1 !outer_attempts
-
-let test_protect_raises () =
-  match
-    Supervisor.protect ~policy:(fast ~retries:1 ()) ~scope:"S" (fun () -> raise Exit)
-  with
-  | () -> Alcotest.fail "expected Supervision_failed"
-  | exception Failure.Supervision_failed { scope; failure; causes } ->
-    check_string "scope" "S" scope;
-    check_bool "gave up after both attempts" true (failure = Failure.Gave_up 2);
-    check_int "one cause per attempt" 2 (List.length causes)
-
-(* ------------------------------------------------------------------ *)
-(* Chaos                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let test_chaos_plan_deterministic () =
-  let plan ~chaos ~seed scope attempt =
-    Chaos.plan ~policy:(Policy.make ~chaos ~chaos_seed:seed ()) ~scope ~attempt
-  in
-  check_bool "chaos off is Pass" true (plan ~chaos:0.0 ~seed:3 "x" 0 = Chaos.Pass);
-  check_bool "pure function of (seed, scope, attempt)" true
-    (plan ~chaos:0.7 ~seed:3 "x" 1 = plan ~chaos:0.7 ~seed:3 "x" 1);
-  check_bool "seed changes the pattern" true
-    (List.init 32 (fun i -> plan ~chaos:0.5 ~seed:3 (string_of_int i) 0)
-    <> List.init 32 (fun i -> plan ~chaos:0.5 ~seed:4 (string_of_int i) 0));
-  let events = List.init 64 (fun i -> plan ~chaos:1.0 ~seed:3 (Printf.sprintf "s%d" i) 0) in
-  check_bool "chaos=1 always injects" true
-    (List.for_all (fun e -> e <> Chaos.Pass) events);
-  check_bool "both raises and delays occur" true
-    (List.exists (fun e -> e = Chaos.Raise_fault) events
-    && List.exists (function Chaos.Delay _ -> true | _ -> false) events);
-  check_bool "delays within [1ms, 5ms]" true
-    (List.for_all
-       (function Chaos.Delay d -> d >= 0.001 && d <= 0.005 | _ -> true)
-       events)
-
-let test_chaos_rate () =
-  let injected =
-    List.init 500 (fun i ->
-        Chaos.plan
-          ~policy:(Policy.make ~chaos:0.3 ~chaos_seed:9 ())
-          ~scope:(Printf.sprintf "rate%d" i) ~attempt:0)
-    |> List.filter (fun e -> e <> Chaos.Pass)
-    |> List.length
-  in
-  let frac = float_of_int injected /. 500.0 in
-  check_bool "injection rate tracks the dial" true (frac > 0.2 && frac < 0.4)
-
-let test_chaos_survivor_identity () =
-  (* a supervised task that outlives its injected faults returns exactly
-     what the chaos-free run returns — the @chaos-smoke property *)
-  let eval policy =
-    let rng = Rng.create 9 in
-    List.map
-      (fun scope ->
-        match Supervisor.run ~rng ~policy ~scope (fun () -> Rng.bits64 rng) with
-        | Ok v -> v
-        | Error (f, _) ->
-          Alcotest.fail
-            (Printf.sprintf "chaos not survived at %s: %s" scope (Failure.to_string f)))
-      [ "C.a"; "C.b"; "C.c"; "C.d"; "C.e"; "C.f" ]
-  in
-  let plain = eval (fast ()) in
-  let chaotic = eval (fast ~retries:16 ~chaos:0.6 ~chaos_seed:11 ()) in
-  check_bool "chaos-surviving results identical" true (plain = chaotic)
-
-(* ------------------------------------------------------------------ *)
-(* Supervisor.trials                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let test_trials_matches_par () =
-  let job r = Rng.bits64 r in
-  let plain = Fn_parallel.Par.trials ~domains:1 ~rng:(Rng.create 5) 12 job in
-  let sup1 =
-    Supervisor.trials ~domains:1 ~policy:Policy.default ~scope:"T" ~rng:(Rng.create 5)
-      12 job
-  in
-  let sup4 =
-    Supervisor.trials ~domains:4 ~policy:Policy.default ~scope:"T" ~rng:(Rng.create 5)
-      12 job
-  in
-  check_bool "matches unsupervised Par.trials" true (plain = sup1);
-  check_bool "independent of domain count" true (sup1 = sup4)
-
-(* Marks first-attempt crashes by the (deterministic) first draw of each
-   trial's split stream: the retry sees the restored stream, finds its
-   draw already marked, and succeeds. *)
-let crash_once_marker () =
-  let lock = Mutex.create () in
-  let seen : (int64, unit) Hashtbl.t = Hashtbl.create 8 in
-  let first_time x =
-    Mutex.lock lock;
-    let fresh = not (Hashtbl.mem seen x) in
-    if fresh then Hashtbl.add seen x ();
-    Mutex.unlock lock;
-    fresh
-  in
-  (first_time, fun () -> Hashtbl.length seen)
-
-let test_trials_crash_isolation () =
-  let policy = fast () in
-  let job r = Int64.to_int (Int64.logand (Rng.bits64 r) 0xFFL) in
-  let first_time, crashes = crash_once_marker () in
-  let crash_once r =
-    let x = Rng.bits64 r in
-    if Int64.rem x 3L = 0L && first_time x then raise Exit;
-    Int64.to_int (Int64.logand x 0xFFL)
-  in
-  let clean = Supervisor.trials ~domains:4 ~policy ~scope:"iso" ~rng:(Rng.create 8) 16 job in
-  let faulty =
-    Supervisor.trials ~domains:4 ~policy ~scope:"iso" ~rng:(Rng.create 8) 16 crash_once
-  in
-  check_bool "some first attempts crashed" true (crashes () > 0);
-  check_bool "crashes retried in isolation, results unchanged" true (clean = faulty)
-
-let test_trials_gave_up_lowest_index () =
-  let n = 10 in
-  let doomed x = Int64.rem x 4L = 0L in
-  (* the split streams are deterministic, so precompute the lowest index
-     whose job will always crash *)
-  let rngs = Rng.split_n (Rng.create 21) n in
-  let first =
-    let rec go i =
-      if i >= n then Alcotest.fail "seed 21 marks no trial; pick another"
-      else if doomed (Rng.bits64 (Rng.copy rngs.(i))) then i
-      else go (i + 1)
-    in
-    go 0
-  in
-  let job r =
-    let x = Rng.bits64 r in
-    if doomed x then raise Exit;
-    x
-  in
-  (match
-     Supervisor.trials ~domains:4 ~policy:(fast ~retries:1 ()) ~scope:"D"
-       ~rng:(Rng.create 21) n job
-   with
-  | _ -> Alcotest.fail "expected Supervision_failed"
-  | exception Failure.Supervision_failed { scope; failure; causes } ->
-    check_string "lowest failing trial wins" (Printf.sprintf "D[%d]" first) scope;
-    check_bool "gave up after retrying" true (failure = Failure.Gave_up 2);
-    check_int "both attempts recorded" 2 (List.length causes));
-  (* retries = 0 fails fast out of the parallel phase *)
-  match
-    Supervisor.trials ~domains:4 ~policy:(fast ~retries:0 ()) ~scope:"D"
-      ~rng:(Rng.create 21) n job
-  with
-  | _ -> Alcotest.fail "expected Supervision_failed"
-  | exception Failure.Supervision_failed { failure; causes; _ } ->
-    check_bool "fail-fast verdict" true (failure = Failure.Gave_up 1);
-    check_int "single cause" 1 (List.length causes)
 
 (* ------------------------------------------------------------------ *)
 (* Journal                                                             *)
@@ -347,12 +32,17 @@ let journal_exn = function
 let meta7 = [ ("seed", J.Int 7); ("quick", J.Bool true) ]
 
 let test_journal_roundtrip () =
+  (* a trial value is any Jsonx tree; this one is shaped like a
+     faultnetd batch with a hex-float field *)
+  let batch =
+    J.List [ J.Str "f3"; J.Str "r17"; J.Obj [ ("alpha", J.Str "0x1.999999999999ap-4") ] ]
+  in
   with_temp_journal (fun path ->
       let j = journal_exn (Journal.open_ ~path ~meta:meta7) in
       check_int "fresh journal recovers nothing" 0 (Journal.recovered j);
       check_int "fresh journal has no torn lines" 0 (Journal.torn j);
       Journal.record_trial j ~scope:"T" ~index:0 (J.Int 11);
-      Journal.record_trial j ~scope:"T" ~index:3 Journal.(float_codec.encode 0.1);
+      Journal.record_trial j ~scope:"T" ~index:3 batch;
       Journal.record_outcome j ~id:"E5" (J.Obj [ ("ok", J.Bool true) ]);
       check_bool "find recorded trial" true
         (Journal.find_trial j ~scope:"T" ~index:0 = Some (J.Int 11));
@@ -364,10 +54,8 @@ let test_journal_roundtrip () =
       check_int "no torn lines" 0 (Journal.torn j2);
       check_bool "trial survives reopen" true
         (Journal.find_trial j2 ~scope:"T" ~index:0 = Some (J.Int 11));
-      check_bool "float trial exact after reopen" true
-        (match Journal.find_trial j2 ~scope:"T" ~index:3 with
-        | Some stored -> Journal.(float_codec.decode stored) = Some 0.1
-        | None -> false);
+      check_bool "structured trial survives reopen" true
+        (Journal.find_trial j2 ~scope:"T" ~index:3 = Some batch);
       check_bool "outcome survives reopen" true
         (Journal.find_outcome j2 ~id:"E5" = Some (J.Obj [ ("ok", J.Bool true) ]));
       Journal.close j2)
@@ -406,35 +94,22 @@ let test_journal_torn_tail () =
         (Journal.find_trial j3 ~scope:"T" ~index:2 = Some (J.Int 3));
       Journal.close j3)
 
-let test_journal_codecs () =
-  let open Journal in
-  let bits = Int64.bits_of_float in
-  let float_rt v =
-    match float_codec.decode (float_codec.encode v) with
-    | Some w -> Int64.equal (bits w) (bits v)
-    | None -> false
-  in
-  check_bool "int round-trip" true (int_codec.decode (int_codec.encode 42) = Some 42);
-  check_bool "string round-trip" true
-    (string_codec.decode (string_codec.encode "a\"b") = Some "a\"b");
-  check_bool "json identity" true
-    (json_codec.decode (J.Obj [ ("x", J.Int 1) ]) = Some (J.Obj [ ("x", J.Int 1) ]));
-  List.iter
-    (fun v -> check_bool (Printf.sprintf "float %h bit-exact" v) true (float_rt v))
-    [ 0.1; -1.5e-300; 1e308; 0.0; -0.0; 3.0; Float.pi ];
-  check_bool "float decode accepts plain Float" true
-    (float_codec.decode (J.Float 2.5) = Some 2.5);
-  check_bool "float decode accepts Int" true (float_codec.decode (J.Int 3) = Some 3.0);
-  check_bool "float decode rejects garbage" true
-    (float_codec.decode (J.Str "nonsense") = None);
-  check_bool "int decode rejects strings" true (int_codec.decode (J.Str "7") = None);
-  let ac = array_codec int_codec in
-  check_bool "array round-trip" true
-    (match ac.decode (ac.encode [| 1; 2; 3 |]) with
-    | Some a -> a = [| 1; 2; 3 |]
-    | None -> false);
-  check_bool "array rejects a bad element" true
-    (ac.decode (J.List [ J.Int 1; J.Str "x" ]) = None)
+(* A re-run appends a second outcome row for the same id (an
+   undecodable row is replaced this way); the later row governs, in
+   memory and after reopen. *)
+let test_journal_later_outcome_governs () =
+  with_temp_journal (fun path ->
+      let j = journal_exn (Journal.open_ ~path ~meta:meta7) in
+      Journal.record_outcome j ~id:"E5" (J.Str "first");
+      Journal.record_outcome j ~id:"E5" (J.Str "second");
+      check_bool "later row in memory" true
+        (Journal.find_outcome j ~id:"E5" = Some (J.Str "second"));
+      Journal.close j;
+      let j2 = journal_exn (Journal.open_ ~path ~meta:meta7) in
+      check_int "both rows load" 2 (Journal.recovered j2);
+      check_bool "later row after reopen" true
+        (Journal.find_outcome j2 ~id:"E5" = Some (J.Str "second"));
+      Journal.close j2)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -566,38 +241,126 @@ let test_snapshot_rejects_garbage () =
       | Ok _ -> Alcotest.fail "garbage accepted"
       | Error _ -> ())
 
-let test_trials_checkpoint_resume () =
+(* ------------------------------------------------------------------ *)
+(* Outcome replay: Registry.run_entry under a journal                  *)
+(* ------------------------------------------------------------------ *)
+
+module R = Fn_experiments.Registry
+module W = Fn_experiments.Workload
+module O = Fn_experiments.Outcome
+
+let probe_outcome =
+  let table = Fn_stats.Table.create [ "n"; "kept" ] in
+  Fn_stats.Table.add_row table [ "64"; "60" ];
+  {
+    O.id = "EX";
+    title = "replay probe";
+    table;
+    checks = [ ("kept most", true) ];
+    notes = [ "a note" ];
+  }
+
+(* An entry that counts how often its experiment really runs. *)
+let counting_entry ?(run = fun _ -> probe_outcome) () =
+  let calls = ref 0 in
+  let entry =
+    {
+      R.id = "EX";
+      title = "replay probe";
+      run =
+        (fun cfg ->
+          incr calls;
+          run cfg);
+    }
+  in
+  (entry, calls)
+
+let same_outcome name a b = check_string name (O.to_json a) (O.to_json b)
+
+let test_run_entry_without_journal () =
+  let entry, calls = counting_entry () in
+  let cfg = W.config ~quick:true ~seed:7 () in
+  same_outcome "the entry's outcome" probe_outcome (R.run_entry entry cfg);
+  ignore (R.run_entry entry cfg);
+  check_int "runs every time: nothing is remembered" 2 !calls
+
+let test_run_entry_journals_finished () =
   with_temp_journal (fun path ->
-      let meta = [ ("seed", J.Int 1) ] in
-      let calls = Atomic.make 0 in
-      let job r =
-        Atomic.incr calls;
-        Int64.to_int (Int64.logand (Rng.bits64 r) 0xFFFL)
-      in
-      let j1 = journal_exn (Journal.open_ ~path ~meta) in
-      let first =
-        Supervisor.trials ~domains:2
-          ~checkpoint:(j1, Journal.int_codec)
-          ~policy:Policy.default ~scope:"CK" ~rng:(Rng.create 3) 8 job
-      in
-      Journal.close j1;
-      check_int "every trial ran once" 8 (Atomic.get calls);
-      let j2 = journal_exn (Journal.open_ ~path ~meta) in
-      check_int "journal holds all trials" 8 (Journal.recovered j2);
-      (* a poisoned job proves replay: it must never be invoked *)
-      let poisoned = Atomic.make 0 in
-      let job2 _ =
-        Atomic.incr poisoned;
-        -1
-      in
-      let second =
-        Supervisor.trials ~domains:2
-          ~checkpoint:(j2, Journal.int_codec)
-          ~policy:Policy.default ~scope:"CK" ~rng:(Rng.create 3) 8 job2
-      in
-      Journal.close j2;
-      check_int "no journaled trial re-ran" 0 (Atomic.get poisoned);
-      check_bool "resumed results identical" true (first = second))
+      let j = journal_exn (Journal.open_ ~path ~meta:meta7) in
+      let entry, calls = counting_entry () in
+      let cfg = W.config ~quick:true ~seed:7 ~journal:j () in
+      ignore (R.run_entry entry cfg);
+      check_bool "outcome journaled on completion" true
+        (Journal.find_outcome j ~id:"EX" = Some (O.to_jsonx probe_outcome));
+      same_outcome "second call replays" probe_outcome (R.run_entry entry cfg);
+      check_int "ran once" 1 !calls;
+      Journal.close j)
+
+let test_run_entry_replays_after_reopen () =
+  with_temp_journal (fun path ->
+      let j = journal_exn (Journal.open_ ~path ~meta:meta7) in
+      let entry, _ = counting_entry () in
+      ignore (R.run_entry entry (W.config ~journal:j ()));
+      Journal.close j;
+      let j2 = journal_exn (Journal.open_ ~path ~meta:meta7) in
+      let entry, calls = counting_entry ~run:(fun _ -> Alcotest.fail "replay ran the entry") () in
+      same_outcome "replayed outcome" probe_outcome (R.run_entry entry (W.config ~journal:j2 ()));
+      check_int "not run" 0 !calls;
+      Journal.close j2)
+
+let replay_instants events =
+  List.filter_map
+    (fun (e : Fn_obs.Sink.event) ->
+      if e.Fn_obs.Sink.name = "resilience.outcome_replayed" then Some e.Fn_obs.Sink.fields
+      else None)
+    events
+
+let test_replay_announced_on_sink () =
+  with_temp_journal (fun path ->
+      let j = journal_exn (Journal.open_ ~path ~meta:meta7) in
+      let sink, events = Fn_obs.Sink.memory () in
+      let entry, _ = counting_entry () in
+      let cfg = W.config ~obs:sink ~journal:j () in
+      ignore (R.run_entry entry cfg);
+      check_int "a real run announces no replay" 0 (List.length (replay_instants (events ())));
+      ignore (R.run_entry entry cfg);
+      check_bool "the replay names its experiment" true
+        (replay_instants (events ()) = [ [ ("id", Fn_obs.Sink.Str "EX") ] ]);
+      Journal.close j)
+
+exception Experiment_broke
+
+(* The sweep in bin/experiments.ml catches what an experiment raises;
+   run_entry itself lets it through and journals nothing, so a later
+   --resume runs that experiment again. *)
+let test_raising_entry_journals_nothing () =
+  with_temp_journal (fun path ->
+      let j = journal_exn (Journal.open_ ~path ~meta:meta7) in
+      let entry, calls = counting_entry ~run:(fun _ -> raise Experiment_broke) () in
+      let cfg = W.config ~journal:j () in
+      Alcotest.check_raises "the exception propagates" Experiment_broke (fun () ->
+          ignore (R.run_entry entry cfg));
+      check_int "raised once, no retry" 1 !calls;
+      check_bool "nothing journaled" true (Journal.find_outcome j ~id:"EX" = None);
+      Journal.close j;
+      let j2 = journal_exn (Journal.open_ ~path ~meta:meta7) in
+      let entry, calls = counting_entry () in
+      same_outcome "resume runs it" probe_outcome (R.run_entry entry (W.config ~journal:j2 ()));
+      check_int "ran on resume" 1 !calls;
+      Journal.close j2)
+
+let test_undecodable_outcome_runs_again () =
+  with_temp_journal (fun path ->
+      let j = journal_exn (Journal.open_ ~path ~meta:meta7) in
+      Journal.record_outcome j ~id:"EX" (J.Obj [ ("bogus", J.Int 1) ]);
+      let entry, calls = counting_entry () in
+      same_outcome "fresh outcome" probe_outcome (R.run_entry entry (W.config ~journal:j ()));
+      check_int "ran" 1 !calls;
+      Journal.close j;
+      let j2 = journal_exn (Journal.open_ ~path ~meta:meta7) in
+      check_bool "the later row governs" true
+        (Journal.find_outcome j2 ~id:"EX" = Some (O.to_jsonx probe_outcome));
+      Journal.close j2)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: kill-and-resume through the experiments binary          *)
@@ -653,46 +416,52 @@ let test_cli_resume_byte_identical () =
           (contains ~needle:"mismatch" (read_file errf)))
   end
 
+(* fixtures/resume/quick_seed7_e1.jsonl is the journal an earlier
+   build wrote for [--quick --json --seed 7 --resume FILE E1].
+   Resuming a copy into [E1 E3] must replay E1 from it, run E3, and
+   print what an uninterrupted [E1 E3] run prints: the journal format
+   stays readable across builds. *)
+let test_cli_resumes_recorded_journal () =
+  if not (Sys.file_exists binary) then Alcotest.skip ()
+  else begin
+    let tmp suffix = Filename.temp_file "fn_resume" suffix in
+    let base = tmp ".json" and resumed = tmp ".json" and errf = tmp ".err" in
+    let journal = tmp ".jsonl" in
+    Fun.protect
+      ~finally:(fun () ->
+        List.iter
+          (fun f -> if Sys.file_exists f then Sys.remove f)
+          [ base; resumed; errf; journal ])
+      (fun () ->
+        let recorded =
+          read_file (List.fold_left Filename.concat "fixtures" [ "resume"; "quick_seed7_e1.jsonl" ])
+        in
+        Out_channel.with_open_bin journal (fun oc -> output_string oc recorded);
+        let run args out =
+          let cmd = Printf.sprintf "%s %s > %s 2> %s" binary args out errf in
+          check_int ("exit 0: " ^ args) 0 (Sys.command cmd)
+        in
+        run (Printf.sprintf "--quick --json --seed 7 --resume %s E1 E3" journal) resumed;
+        check_bool "one journaled record replayed" true
+          (contains ~needle:"1 journaled record(s)" (read_file errf));
+        run "--quick --json --seed 7 E1 E3" base;
+        check_bool "resumed sweep byte-identical to uninterrupted run" true
+          (read_file base = read_file resumed);
+        check_bool "E3 appended after the recorded lines" true
+          (String.starts_with ~prefix:recorded (read_file journal)
+          && String.length (read_file journal) > String.length recorded))
+  end
+
 let () =
   Alcotest.run "resilience"
     [
-      ( "policy",
-        [
-          case "validation" test_policy_validation;
-          case "backoff schedule" test_backoff_schedule;
-        ] );
-      ( "run",
-        [
-          case "success passthrough" test_run_success_passthrough;
-          case "retry then success" test_run_retry_then_success;
-          case "gave up with causes" test_run_gave_up_causes;
-          case "deadline timeout" test_run_deadline_timeout;
-          case "deadline generous" test_run_deadline_generous;
-          case "cancelled" test_run_cancelled;
-          case "rng rollback" test_run_rng_rollback;
-          case "non-retryable propagates" test_run_nonretryable_propagates;
-          case "protect raises" test_protect_raises;
-        ] );
-      ( "chaos",
-        [
-          case "plan deterministic" test_chaos_plan_deterministic;
-          case "injection rate" test_chaos_rate;
-          case "survivor identity" test_chaos_survivor_identity;
-        ] );
-      ( "trials",
-        [
-          case "matches Par.trials" test_trials_matches_par;
-          case "crash isolation" test_trials_crash_isolation;
-          case "gave up lowest index" test_trials_gave_up_lowest_index;
-          case "checkpoint resume" test_trials_checkpoint_resume;
-        ] );
       ( "journal",
         [
           case "roundtrip" test_journal_roundtrip;
           case "meta mismatch" test_journal_meta_mismatch;
           case "meta mismatch lists every key" test_meta_mismatch_lists_every_key;
           case "torn tail" test_journal_torn_tail;
-          case "codecs" test_journal_codecs;
+          case "later outcome row governs" test_journal_later_outcome_governs;
           case "compaction" test_journal_compact;
           case "kill during compaction" test_compact_killed_before_rename;
         ] );
@@ -701,6 +470,18 @@ let () =
           case "atomic roundtrip" test_snapshot_roundtrip;
           case "rejects garbage" test_snapshot_rejects_garbage;
         ] );
+      ( "replay",
+        [
+          case "no journal runs the entry" test_run_entry_without_journal;
+          case "finished outcome is journaled" test_run_entry_journals_finished;
+          case "journaled outcome replays" test_run_entry_replays_after_reopen;
+          case "replay announced on the sink" test_replay_announced_on_sink;
+          case "raising entry journals nothing" test_raising_entry_journals_nothing;
+          case "undecodable outcome runs again" test_undecodable_outcome_runs_again;
+        ] );
       ( "end-to-end",
-        [ case "kill and resume" test_cli_resume_byte_identical ] );
+        [
+          case "kill and resume" test_cli_resume_byte_identical;
+          case "journal from an earlier build resumes" test_cli_resumes_recorded_journal;
+        ] );
     ]

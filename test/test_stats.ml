@@ -29,6 +29,12 @@ let test_quantile () =
   ignore (Summary.quantile xs2 0.5);
   check_bool "input untouched" true (xs2 = [| 3.0; 1.0; 2.0 |])
 
+(* a nan level fails both range comparisons; it is refused with the
+   range message instead of reaching the array as a garbage index *)
+let test_quantile_refuses_nan () =
+  Alcotest.check_raises "nan q" (Invalid_argument "Summary.quantile: q out of [0,1]") (fun () ->
+      ignore (Summary.quantile [| 1.0; 2.0 |] Float.nan))
+
 let test_ci95 () =
   let s = Summary.of_array (Array.make 100 5.0) in
   let lo, hi = Summary.ci95 s in
@@ -124,6 +130,7 @@ let () =
           case "empty rejected" test_summary_empty_rejected;
           case "quantiles" test_quantile;
           case "ci95" test_ci95;
+          case "quantile refuses nan" test_quantile_refuses_nan;
         ] );
       ( "fit",
         [

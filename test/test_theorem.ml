@@ -45,6 +45,20 @@ let test_thm36_and_budget () =
   (* "inversely polynomial in d": budget * (2d)^8 is constant *)
   check_float_eps 1e-12 "poly structure" (b2 *. (4.0 ** 8.0)) (b3 *. (6.0 ** 8.0))
 
+(* nan fails every comparison, so each bound check is the negation of
+   its valid range: a nan k or sigma must not slip through as a budget *)
+let test_nan_parameters_refused () =
+  let nan = Float.nan in
+  Alcotest.check_raises "thm21 alpha" (Invalid_argument "thm21_max_faults: need alpha > 0, k >= 2")
+    (fun () -> ignore (Theorem.thm21_max_faults ~alpha:nan ~n:256 ~k:2.0));
+  Alcotest.check_raises "thm21 k" (Invalid_argument "thm21_max_faults: need alpha > 0, k >= 2")
+    (fun () -> ignore (Theorem.thm21_max_faults ~alpha:1.0 ~n:256 ~k:nan));
+  Alcotest.check_raises "thm21 epsilon k" (Invalid_argument "thm21_epsilon: need k >= 2")
+    (fun () -> ignore (Theorem.thm21_epsilon ~k:nan));
+  Alcotest.check_raises "thm34 sigma"
+    (Invalid_argument "thm34_max_fault_probability: bad parameters") (fun () ->
+      ignore (Theorem.thm34_max_fault_probability ~delta:4 ~sigma:nan))
+
 let () =
   Alcotest.run "theorem"
     [
@@ -55,5 +69,6 @@ let () =
           case "thm 3.1" test_thm31;
           case "thm 3.4" test_thm34;
           case "thm 3.6 / budget" test_thm36_and_budget;
+          case "nan parameters refused" test_nan_parameters_refused;
         ] );
     ]

@@ -151,6 +151,12 @@ let test_gnp_extremes () =
   check_int "p=0" 0 (Graph.num_edges (Fn_topology.Random_graphs.gnp r 20 0.0));
   check_int "p=1" 190 (Graph.num_edges (Fn_topology.Random_graphs.gnp r 20 1.0))
 
+(* a nan p would compare false on every Bernoulli draw and build an
+   empty graph instead of being refused *)
+let test_gnp_refuses_nan () =
+  Alcotest.check_raises "nan p" (Invalid_argument "Random_graphs.gnp: p out of [0,1]") (fun () ->
+      ignore (Fn_topology.Random_graphs.gnp (rng ()) 20 Float.nan))
+
 let test_gnp_density () =
   let r = rng () in
   let g = Fn_topology.Random_graphs.gnp r 200 0.1 in
@@ -291,6 +297,7 @@ let () =
           case "gnm" test_gnm;
           case "random regular" test_random_regular;
           case "connected regular" test_connected_random_regular;
+          case "gnp refuses nan" test_gnp_refuses_nan;
         ] );
       ("expander", [ case "margulis" test_margulis ]);
       ( "chain graph",
