@@ -1,12 +1,15 @@
 (* Run the E1-E14 validation experiments and print their tables.
 
    Usage: experiments [--quick] [--seed N] [--domains N] [--json]
-                      [--online] [--trace FILE] [--metrics]
-                      [--resume FILE] [ids...]
-   With no ids, runs everything in order.  --trace streams JSONL spans
-   (per-experiment, per-Prune-round, per-sweep...) to FILE; --metrics
-   prints the metrics registry to stderr at exit; --json replaces the
-   rendered tables with one JSON object per experiment on stdout.
+                      [--trace FILE] [--metrics] [--resume FILE] [ids...]
+   With no ids, runs everything in order.  --domains N (1..127) sizes
+   the worker pools and changes no table.  --trace streams JSONL spans
+   (per-experiment, per-Prune-round, per-sweep...) to FILE; a FILE
+   that cannot be opened is refused before any work, and one that
+   fails later (a full disk) is named after the summary line with
+   exit 1.  --metrics prints the metrics registry to stderr at exit;
+   --json replaces the rendered tables with one JSON object per
+   experiment on stdout.
 
    --resume journals completed experiments to FILE (an
    Fn_resilience.Journal) so an interrupted sweep restarts where it
@@ -16,8 +19,8 @@
 
 let usage () =
   prerr_endline
-    "usage: experiments [--quick] [--seed N] [--domains N] [--json] [--online] \
-     [--trace FILE] [--metrics] [--resume FILE] [E1 E2 ...]";
+    "usage: experiments [--quick] [--seed N] [--domains N] [--json] [--trace FILE] \
+     [--metrics] [--resume FILE] [E1 E2 ...]";
   exit 2
 
 (* A sweep cannot go on after these: the process is out of memory or
@@ -30,7 +33,6 @@ let () =
   let seed = ref 1234 in
   let domains = ref None in
   let json = ref false in
-  let online = ref false in
   let trace = ref None in
   let metrics = ref false in
   let resume = ref None in
@@ -48,15 +50,16 @@ let () =
       | None -> usage ())
     | "--domains" :: v :: rest -> (
       match int_of_string_opt v with
-      | Some d ->
+      | Some d when d >= 1 && d <= Fn_parallel.Par.max_domains ->
         domains := Some d;
         parse rest
+      | Some _ ->
+        Printf.eprintf "experiments: --domains must be in 1..%d, got %s\n"
+          Fn_parallel.Par.max_domains v;
+        exit 2
       | None -> usage ())
     | "--json" :: rest ->
       json := true;
-      parse rest
-    | "--online" :: rest ->
-      online := true;
       parse rest
     | "--trace" :: path :: rest ->
       trace := Some path;
@@ -74,21 +77,25 @@ let () =
   in
   parse (List.tl (Array.to_list Sys.argv));
   let sink =
-    match !trace with
-    | Some path -> Fn_obs.Sink.jsonl_file path
-    | None -> if !metrics then Fn_obs.Sink.discard () else Fn_obs.Sink.null
+    match Fn_obs.Sink.of_flags ~trace:!trace ~metrics:!metrics with
+    | Ok sink -> sink
+    | Error m ->
+      prerr_endline ("experiments: " ^ m);
+      exit 2
   in
   let journal =
     match !resume with
     | None -> None
     | Some path -> (
-      (* seed, quick and online bind the journal to a run: they
-         decide what each experiment computes *)
+      (* seed and quick bind the journal to a run: they decide what
+         each experiment computes.  "online" is always false now; it
+         stays in the binding so that a journal an older build wrote
+         with --online is refused instead of replayed. *)
       let meta =
         [
           ("seed", Fn_obs.Jsonx.Int !seed);
           ("quick", Fn_obs.Jsonx.Bool !quick);
-          ("online", Fn_obs.Jsonx.Bool !online);
+          ("online", Fn_obs.Jsonx.Bool false);
         ]
       in
       match Fn_resilience.Journal.open_ ~path ~meta with
@@ -106,7 +113,7 @@ let () =
   in
   let cfg =
     Fn_experiments.Workload.config ~quick:!quick ~seed:!seed ?domains:!domains ~obs:sink
-      ?journal ~online:!online ()
+      ?journal ()
   in
   let entries =
     match List.rev !ids with
@@ -159,10 +166,14 @@ let () =
         incr failures)
     entries;
   Option.iter Fn_resilience.Journal.close journal;
-  Fn_obs.Sink.close sink;
-  if !metrics then prerr_string (Fn_obs.Metrics.report_text ());
+  let closed = Fn_obs.Sink.close sink in
   if !failures > 0 then begin
-    if not !json then Printf.printf "%d experiment(s) had failing checks\n" !failures;
-    exit 1
+    if not !json then Printf.printf "%d experiment(s) had failing checks\n" !failures
   end
-  else if not !json then print_endline "All experiment checks passed."
+  else if not !json then print_endline "All experiment checks passed.";
+  if !metrics then prerr_string (Fn_obs.Metrics.report_text ());
+  match closed with
+  | Error m ->
+    prerr_endline ("experiments: " ^ m);
+    exit 1
+  | Ok () -> if !failures > 0 then exit 1

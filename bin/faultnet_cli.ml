@@ -40,18 +40,25 @@ let metrics_arg =
 
 (* Build the sink from the flags, run the command body with it, and
    always flush/report at the end.  No flags -> null sink: the
-   instrumented kernels skip every clock read and allocation. *)
+   instrumented kernels skip every clock read and allocation.  A trace
+   file that cannot be opened is a usage error (exit 124) before any
+   work; one whose writes fail (a full disk) is named after the
+   command's output and the metrics report, with exit 1. *)
 let with_obs ~trace ~metrics f =
-  let sink =
-    match trace with
-    | Some path -> Fn_obs.Sink.jsonl_file path
-    | None -> if metrics then Fn_obs.Sink.discard () else Fn_obs.Sink.null
-  in
-  let finish () =
-    Fn_obs.Sink.close sink;
-    if metrics then prerr_string (Fn_obs.Metrics.report_text ())
-  in
-  Fun.protect ~finally:finish (fun () -> f sink)
+  match Fn_obs.Sink.of_flags ~trace ~metrics with
+  | Error m -> `Error (false, m)
+  | Ok sink -> (
+    let closed = ref (Ok ()) in
+    let finish () =
+      closed := Fn_obs.Sink.close sink;
+      if metrics then prerr_string (Fn_obs.Metrics.report_text ())
+    in
+    let result = Fun.protect ~finally:finish (fun () -> f sink) in
+    match !closed with
+    | Ok () -> result
+    | Error m ->
+      prerr_endline ("faultnet: " ^ m);
+      exit 1)
 
 (* ---- topology construction shared by gen/prune/span/... ---- *)
 

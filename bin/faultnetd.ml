@@ -61,7 +61,10 @@ let () =
       audit_every := int_of v;
       parse rest
     | "--domains" :: v :: rest ->
-      domains := Some (int_of v);
+      let d = int_of v in
+      if d < 1 || d > Fn_parallel.Par.max_domains then
+        reject (Printf.sprintf "--domains must be in 1..%d, got %s" Fn_parallel.Par.max_domains v);
+      domains := Some d;
       parse rest
     | "--journal" :: v :: rest ->
       journal := Some v;
@@ -97,19 +100,21 @@ let () =
   | None -> usage ()
   | Some spec ->
     let sink =
-      match !trace with
-      | Some path -> Fn_obs.Sink.jsonl_file path
-      | None -> if !metrics then Fn_obs.Sink.discard () else Fn_obs.Sink.null
-    in
-    let finish () =
-      Fn_obs.Sink.close sink;
-      if !metrics then prerr_string (Fn_obs.Metrics.report_text ())
+      match Fn_obs.Sink.of_flags ~trace:!trace ~metrics:!metrics with
+      | Ok sink -> sink
+      | Error m -> reject m
     in
     (* [Stdlib.exit] does not unwind, so the protected body returns
        its exit code and the process exits only after [finish] has
-       closed the trace and printed the metrics. *)
-    exit
-    @@ Fun.protect ~finally:finish (fun () ->
+       closed the trace and printed the metrics.  A trace that failed
+       (a full disk) is named last and turns a clean exit into 1. *)
+    let closed = ref (Ok ()) in
+    let finish () =
+      closed := Fn_obs.Sink.close sink;
+      if !metrics then prerr_string (Fn_obs.Metrics.report_text ())
+    in
+    let code =
+      Fun.protect ~finally:finish (fun () ->
         let rng = Fn_prng.Rng.create !seed in
         let cfg =
           {
@@ -147,3 +152,9 @@ let () =
           | Error m ->
             complain m;
             1))
+    in
+    match !closed with
+    | Ok () -> exit code
+    | Error m ->
+      complain m;
+      exit (max code 1)

@@ -244,6 +244,10 @@ let f8_embedding_sweep rng ~quick dir =
     (List.init 8 (fun i -> 0.02 *. float_of_int (i + 1)));
   write_csv dir "f8_embedding_sweep.csv" table
 
+let usage () =
+  prerr_endline "usage: figures [--quick] [--seed N] [--outdir DIR]";
+  exit 2
+
 let () =
   let quick = ref false in
   let seed = ref 1234 in
@@ -253,9 +257,12 @@ let () =
     | "--quick" :: rest ->
       quick := true;
       parse rest
-    | "--seed" :: v :: rest ->
-      seed := int_of_string v;
-      parse rest
+    | "--seed" :: v :: rest -> (
+      match int_of_string_opt v with
+      | Some s ->
+        seed := s;
+        parse rest
+      | None -> usage ())
     | "--outdir" :: v :: rest ->
       outdir := v;
       parse rest

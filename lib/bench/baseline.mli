@@ -40,9 +40,6 @@ val of_run : suite:string -> quick:bool -> Suite.result list -> t
     [.git/HEAD], "unknown" outside a checkout), hostname and
     wall-clock time. *)
 
-val filename : suite:string -> string
-(** ["BENCH_" ^ suite ^ ".json"]. *)
-
 val to_json : t -> Fn_obs.Jsonx.t
 
 val of_json : Fn_obs.Jsonx.t -> (t, string) result
@@ -55,6 +52,3 @@ val save : dir:string -> t -> string
 
 val load : string -> (t, string) result
 (** Read and decode one baseline file. *)
-
-val git_rev : unit -> string
-val host : unit -> string

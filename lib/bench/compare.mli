@@ -32,9 +32,6 @@ type t = {
   added : string list;  (** in the current run but not in the baseline *)
 }
 
-val classify : threshold:float -> base:Suite.result -> cur:Suite.result -> entry
-(** [threshold] is relative (0.25 = 25%). *)
-
 val run : threshold:float -> baseline:Baseline.t -> current:Baseline.t -> t
 
 val regressions : t -> entry list

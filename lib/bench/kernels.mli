@@ -8,12 +8,6 @@
 val experiments : string
 (** Suite name for the per-experiment kernels ("experiments"). *)
 
-val substrate : string
-(** Suite name for the substrate kernels ("kernels"). *)
-
-val ablations : string
-(** Suite name for the ablation pairs ("ablations"). *)
-
 val all : Suite.kernel list
 (** Every kernel, in suite order: experiments, substrate, ablations.
     Names are unique; the per-experiment kernels are named

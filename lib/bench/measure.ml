@@ -24,8 +24,6 @@ let quick =
     budget_ns = 200_000_000;
   }
 
-let smoke = { warmup_ns = 0; target_batch_ns = 0; min_runs = 1; max_runs = 1; budget_ns = 0 }
-
 type samples = {
   runs : int;
   batch : int;

@@ -22,10 +22,6 @@ val default : options
 val quick : options
 (** ~0.2 s of sampling per kernel — for CI and iteration. *)
 
-val smoke : options
-(** One single un-warmed run: a correctness pass, not a measurement.
-    This is what the [@bench-smoke] alias uses. *)
-
 type samples = {
   runs : int;  (** number of timed batches *)
   batch : int;  (** kernel iterations per batch *)

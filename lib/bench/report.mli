@@ -3,11 +3,6 @@
     Pure string builders (on {!Fn_stats.Table}) — printing happens in
     [bench/main.ml] and the CLI, never inside the library. *)
 
-val pretty_ns : float -> string
-(** "892 ns" / "1.24 us" / "17.3 ms" / "2.1 s". *)
-
-val pretty_bytes : float -> string
-
 val suite_table : string * Suite.result list -> string
 (** One aligned table per suite: kernel, median, MAD, trimmed mean,
     95% CI, bytes/run, items/sec, runs x batch. *)

@@ -10,10 +10,6 @@ let kernel ?(items = 1) ?(prepare = fun () -> ()) ~suite name f =
   if items < 1 then invalid_arg "Suite.kernel: items must be >= 1";
   { name; suite; items; prepare; run = (fun () -> ignore (Sys.opaque_identity (f ()))) }
 
-let find name kernels =
-  let target = String.lowercase_ascii name in
-  List.find_opt (fun k -> String.lowercase_ascii k.name = target) kernels
-
 let suites kernels =
   List.fold_left
     (fun acc k -> if List.mem k.suite acc then acc else k.suite :: acc)

@@ -23,9 +23,6 @@ val kernel :
 (** Wrap a thunk as a kernel.  The result goes through
     [Sys.opaque_identity] so the compiler cannot delete the work. *)
 
-val find : string -> kernel list -> kernel option
-(** Case-insensitive lookup by kernel name. *)
-
 val suites : kernel list -> string list
 (** Distinct suite names in first-registration order. *)
 
@@ -42,11 +39,6 @@ type stats = {
 }
 
 type result = { name : string; items : int; stats : stats }
-
-val run_kernel : ?seed:int -> Measure.options -> kernel -> result
-(** Measure one kernel.  The bootstrap RNG is seeded from [seed]
-    (default 42) and the kernel name, so CI bounds are deterministic
-    given the collected samples. *)
 
 val run :
   ?progress:(kernel -> unit) ->

@@ -13,7 +13,3 @@ let make ?alive view objective u =
   { set = Bitset.copy u; value = value_of ?alive view objective u; objective }
 
 let better a b = if b.value < a.value then b else a
-
-let pp fmt t =
-  let kind = match t.objective with Node -> "node" | Edge -> "edge" in
-  Format.fprintf fmt "cut(|U|=%d, %s-expansion=%.4f)" (Bitset.cardinal t.set) kind t.value

@@ -23,5 +23,3 @@ val better : t -> t -> t
 (** The cut with the smaller value (ties: first). *)
 
 val value_of : ?alive:Bitset.t -> Gview.t -> objective -> Bitset.t -> float
-
-val pp : Format.formatter -> t -> unit

@@ -54,48 +54,6 @@ let node_expansion g =
     objective = Cut.Node;
   }
 
-let node_isoperimetric_profile g =
-  let n = check g in
-  let nbr = neighbor_masks g in
-  let total = 1 lsl n in
-  let hood = Array.make total 0 in
-  let sizes = n / 2 in
-  let best = Array.make sizes max_int in
-  for mask = 1 to total - 1 do
-    let low = mask land -mask in
-    let low_idx = popcount (low - 1) in
-    let rest = mask lxor low in
-    hood.(mask) <- hood.(rest) lor nbr.(low_idx);
-    let size = popcount mask in
-    if size <= sizes then begin
-      let boundary = popcount (hood.(mask) land lnot mask) in
-      if boundary < best.(size - 1) then best.(size - 1) <- boundary
-    end
-  done;
-  best
-
-let edge_isoperimetric_profile g =
-  let n = check g in
-  let nbr = neighbor_masks g in
-  let total = 1 lsl n in
-  let sizes = n / 2 in
-  let best = Array.make sizes max_int in
-  for mask = 1 to total - 1 do
-    let size = popcount mask in
-    if size <= sizes then begin
-      let crossing = ref 0 in
-      let rem = ref mask in
-      while !rem <> 0 do
-        let low = !rem land - !rem in
-        let v = popcount (low - 1) in
-        crossing := !crossing + popcount (nbr.(v) land lnot mask);
-        rem := !rem lxor low
-      done;
-      if !crossing < best.(size - 1) then best.(size - 1) <- !crossing
-    end
-  done;
-  best
-
 let edge_expansion g =
   let n = check g in
   let nbr = neighbor_masks g in

@@ -17,12 +17,3 @@ val node_expansion : Graph.t -> Cut.t
 val edge_expansion : Graph.t -> Cut.t
 (** Minimum |(U,V\U)|/min(|U|,|V\U|) over proper nonempty U.  Same
     size limits. *)
-
-val edge_isoperimetric_profile : Graph.t -> int array
-(** [profile.(s)] = min |(U, V\U)| over all U with |U| = s+1, for
-    s+1 <= n/2 — the edge-isoperimetric profile. *)
-
-val node_isoperimetric_profile : Graph.t -> int array
-(** [profile.(s)] = min |Γ(U)| over all U with |U| = s+1, for
-    s+1 <= n/2 — the full vertex-isoperimetric profile.  Same size
-    limits as {!node_expansion}. *)

@@ -544,8 +544,6 @@ let solve ?(obs = Fn_obs.Sink.null) ?alive ?(domains = 1) ?(max_iter = 1000)
 
 let cheeger_lower r = r.lambda2 /. 2.0
 
-let cheeger_upper r = sqrt (2.0 *. r.lambda2)
-
 let conductance_to_edge_expansion_lb ?alive view phi =
   let is_alive v = match alive with None -> true | Some m -> Bitset.mem m v in
   let iter = Gview.iter_neighbors view in

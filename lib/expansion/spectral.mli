@@ -123,9 +123,6 @@ val cheeger_lower : result -> float
     overstate the true one several times over (meshes and tori of a
     few thousand nodes), in which case this is no bound at all. *)
 
-val cheeger_upper : result -> float
-(** sqrt(2 λ₂) — the Cheeger upper bound on conductance. *)
-
 val conductance_to_edge_expansion_lb : ?alive:Bitset.t -> Gview.t -> float -> float
 (** [conductance_to_edge_expansion_lb g phi] turns a conductance lower
     bound into an edge-expansion lower bound via the minimum degree:

@@ -6,7 +6,6 @@ let run (cfg : Workload.config) =
   let quick = cfg.Workload.quick and seed = cfg.Workload.seed in
   let obs = cfg.Workload.obs in
   let domains = cfg.Workload.domains in
-  let online = cfg.Workload.online in
   let rng = Rng.create seed in
   let n = if quick then 128 else 256 in
   let dims = if quick then [ 2 ] else [ 2; 3; 4 ] in
@@ -19,7 +18,6 @@ let run (cfg : Workload.config) =
   in
   let all_kept = ref true in
   let ratio_ok = ref true in
-  let audits_ok = ref true in
   let eval name g d =
     let nn = Graph.num_nodes g in
     let delta = Graph.max_degree g in
@@ -28,45 +26,9 @@ let run (cfg : Workload.config) =
       let epsilon = min (Faultnet.Theorem.thm34_max_epsilon ~delta) 0.45 in
       let faults = Random_faults.nodes_iid rng g p in
       let kept_mask =
-        if online then begin
-          (* the whole fault set arrives as one online batch; the
-             survivor is the engine's incremental cascade, checked
-             against the from-scratch audit *)
-          let eng =
-            Fn_online.Engine.create
-              ~cfg:
-                {
-                  Fn_online.Engine.seed;
-                  radius = 2;
-                  alpha = alpha_e;
-                  epsilon;
-                  audit_every = 0;
-                  max_dirty_frac = 1.0;
-                  postmortem = None;
-                  domains;
-                  obs;
-                }
-              (Gview.Csr g)
-          in
-          let batch =
-            List.rev
-              (Bitset.fold
-                 (fun v acc -> Fn_online.Event.Fault v :: acc)
-                 faults.Fault_set.faulty [])
-          in
-          (match Fn_online.Engine.apply eng batch with
-          | Ok _ -> ()
-          | Error e ->
-            failwith ("E9 online: batch rejected: " ^ Churn.error_to_string e));
-          let kept_mask = (Fn_online.Engine.result eng).Faultnet.Prune.kept in
-          let rep = Fn_online.Engine.audit eng in
-          if rep.Fn_online.Engine.faults <> 0 then audits_ok := false;
-          kept_mask
-        end
-        else
-          (Faultnet.Prune2.run ~obs ~rng ?domains g ~alive:faults.Fault_set.alive
-             ~alpha_e ~epsilon)
-            .Faultnet.Prune2.kept
+        (Faultnet.Prune2.run ~obs ~rng ?domains g ~alive:faults.Fault_set.alive ~alpha_e
+           ~epsilon)
+          .Faultnet.Prune2.kept
       in
       let kept = Bitset.cardinal kept_mask in
       let exp_h =
@@ -106,26 +68,11 @@ let run (cfg : Workload.config) =
       ("survivor edge expansion stays >= 0.3 x fault-free expansion", !ratio_ok);
     ]
   in
-  let checks =
-    if online then
-      checks
-      @ [ ("(online) incremental certificates equal from-scratch audits", !audits_ok) ]
-    else checks
-  in
   let notes =
     [
       "p = 0.05 is orders of magnitude above the worst-case Theorem 3.4 budget (p_thy \
        column); the theorem is conservative, the phenomenon is robust";
     ]
-  in
-  let notes =
-    if online then
-      notes
-      @ [
-          "online mode: survivors come from the incremental Fn_online.Engine cascade \
-           (radius-2 ball certificates), the fault set applied as one streamed batch";
-        ]
-    else notes
   in
   {
     Outcome.id = "E9";

@@ -92,7 +92,3 @@ let of_jsonx json =
   match List.iter (Fn_stats.Table.add_row table) rows with
   | () -> Some { id; title; table; checks; notes }
   | exception Invalid_argument _ -> None
-
-let of_json s = Option.bind (Fn_obs.Jsonx.parse s) of_jsonx
-
-let to_csv t = Fn_stats.Table.to_csv t.table

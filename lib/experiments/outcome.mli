@@ -27,10 +27,3 @@ val of_jsonx : Fn_obs.Jsonx.t -> t option
 (** Inverse of {!to_jsonx}.  Outcomes contain only strings and
     booleans, so the round-trip is exact; [None] on any malformed or
     foreign JSON. *)
-
-val of_json : string -> t option
-(** [of_jsonx] after {!Fn_obs.Jsonx.parse}. *)
-
-val to_csv : t -> string
-(** The result table as CSV (headers then data rows); checks and
-    notes are not part of the CSV. *)

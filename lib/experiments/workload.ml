@@ -6,22 +6,10 @@ type config = {
   domains : int option;
   obs : Fn_obs.Sink.t;
   journal : Fn_resilience.Journal.t option;
-  online : bool;
 }
 
-let default =
-  {
-    quick = false;
-    seed = 0;
-    domains = None;
-    obs = Fn_obs.Sink.null;
-    journal = None;
-    online = false;
-  }
-
-let config ?(quick = false) ?(seed = 0) ?domains ?(obs = Fn_obs.Sink.null) ?journal
-    ?(online = false) () =
-  { quick; seed; domains; obs; journal; online }
+let config ?(quick = false) ?(seed = 0) ?domains ?(obs = Fn_obs.Sink.null) ?journal () =
+  { quick; seed; domains; obs; journal }
 
 let expander rng ~n ~d = Fn_topology.Expander.random_regular rng ~n ~d
 

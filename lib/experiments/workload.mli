@@ -15,18 +15,9 @@ type config = {
       (** checkpoint journal; [Some _] makes [Registry.run_entry]
           record each finished experiment's outcome and replay it on
           resume *)
-  online : bool;
-      (** churn experiments (E9, E14) maintain their survivor
-          certificates incrementally via {!Fn_online.Engine} instead
-          of re-running Prune per snapshot; off by default — the
-          default path stays byte-identical *)
 }
 (** The single argument every experiment's [run] takes (the old
     [?quick ?seed] optional pair, made explicit and extensible). *)
-
-val default : config
-(** [{quick = false; seed = 0; domains = None; obs = Sink.null;
-    journal = None; online = false}] *)
 
 val config :
   ?quick:bool ->
@@ -34,10 +25,9 @@ val config :
   ?domains:int ->
   ?obs:Fn_obs.Sink.t ->
   ?journal:Fn_resilience.Journal.t ->
-  ?online:bool ->
   unit ->
   config
-(** Keyword constructor over {!default}. *)
+(** Keyword constructor; every field defaults to off, seed 0. *)
 
 val expander : Rng.t -> n:int -> d:int -> Graph.t
 (** Connected random d-regular graph — the stand-in for the paper's

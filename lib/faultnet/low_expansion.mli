@@ -15,16 +15,13 @@ open Fn_prng
 
 type t = alive:Bitset.t -> Gview.t -> threshold:float -> Bitset.t option
 
-val exact_limit : int
-(** Fragment size up to which the exact finder is used (18). *)
-
 val default :
   ?rng:Rng.t ->
   ?domains:int ->
   Fn_expansion.Cut.objective ->
   t
 (** Portfolio finder: a disconnected fragment yields its smallest
-    component (value 0); a connected one of at most {!exact_limit}
+    component (value 0); a connected one of at most 18
     alive nodes is solved exactly, and a larger one runs
     {!Fn_expansion.Estimate.run_v} — its ball slice alone above
     {!Fn_expansion.Estimate.spectral_node_cap} alive nodes (a [None]
@@ -37,4 +34,4 @@ val default :
     {!Gview}). *)
 
 val exact : Fn_expansion.Cut.objective -> t
-(** Exact only; raises [Invalid_argument] beyond {!exact_limit}. *)
+(** Exact only; raises [Invalid_argument] beyond 18 alive nodes. *)

@@ -11,8 +11,6 @@ let thm21_epsilon ~k =
   if not (k >= 2.0) then invalid_arg "thm21_epsilon: need k >= 2";
   1.0 -. (1.0 /. k)
 
-let thm23_budget ~base_edges = base_edges
-
 let thm23_component_bound ~delta ~k = (delta * k / 2) + 1
 
 let thm31_fault_probability ~delta ~k =
@@ -26,11 +24,6 @@ let thm34_max_fault_probability ~delta ~sigma =
 let thm34_max_epsilon ~delta =
   if delta < 1 then invalid_arg "thm34_max_epsilon: bad delta";
   1.0 /. (2.0 *. float_of_int delta)
-
-let thm34_min_alpha_e ~delta ~n =
-  if delta < 2 || n < 2 then invalid_arg "thm34_min_alpha_e: bad parameters";
-  let log_d_n = log (float_of_int n) /. log (float_of_int delta) in
-  6.0 *. float_of_int (delta * delta) *. Float.pow log_d_n 3.0 /. float_of_int n
 
 let thm34_guaranteed_size ~n = float_of_int n /. 2.0
 

@@ -21,9 +21,6 @@ val thm21_epsilon : k:float -> float
 
 (** {2 Theorem 2.3 — tightness via the chain graph} *)
 
-val thm23_budget : base_edges:int -> int
-(** One fault per base edge: the chain-center attack budget. *)
-
 val thm23_component_bound : delta:int -> k:int -> int
 (** Post-attack component size bound δ·k/2 + 1 (each fragment is a
     node with its half-chains). *)
@@ -40,9 +37,6 @@ val thm34_max_fault_probability : delta:int -> sigma:float -> float
 
 val thm34_max_epsilon : delta:int -> float
 (** ε <= 1/(2δ). *)
-
-val thm34_min_alpha_e : delta:int -> n:int -> float
-(** α_e >= 6δ²·(log_δ n)³ / n. *)
 
 val thm34_guaranteed_size : n:int -> float
 (** n/2. *)

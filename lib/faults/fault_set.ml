@@ -15,16 +15,3 @@ let none n = of_faulty n (Bitset.create n)
 let count t = Bitset.cardinal t.faulty
 
 let alive_count t = Bitset.cardinal t.alive
-
-let union a b =
-  let faulty = Bitset.copy a.faulty in
-  Bitset.union_into faulty b.faulty;
-  of_faulty (Bitset.universe faulty) faulty
-
-let restrict_alive t set =
-  let out = Bitset.copy set in
-  Bitset.inter_into out t.alive;
-  out
-
-let pp fmt t =
-  Format.fprintf fmt "faults(%d/%d)" (count t) (Bitset.universe t.faulty)

@@ -22,11 +22,3 @@ val count : t -> int
 (** Number of faulty nodes. *)
 
 val alive_count : t -> int
-
-val union : t -> t -> t
-(** Faults of either pattern. *)
-
-val restrict_alive : t -> Bitset.t -> Bitset.t
-(** Intersect an arbitrary node set with the alive mask. *)
-
-val pp : Format.formatter -> t -> unit

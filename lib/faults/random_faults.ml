@@ -14,11 +14,3 @@ let nodes_exact rng g f =
   let n = Graph.num_nodes g in
   if f < 0 || f > n then invalid_arg "Random_faults.nodes_exact: f out of range";
   Fault_set.of_faulty_array n (Rng.sample rng n f)
-
-let edges_keep rng g p =
-  if not (p >= 0.0 && p <= 1.0) then invalid_arg "Random_faults.edges_keep: p out of [0,1]";
-  let b = Builder.create (Graph.num_nodes g) in
-  Graph.iter_edges g (fun u v -> if Rng.bernoulli rng p then Builder.add_edge b u v);
-  Builder.to_graph b
-
-let edges_iid rng g p = edges_keep rng g (1.0 -. p)

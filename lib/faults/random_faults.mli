@@ -8,12 +8,3 @@ val nodes_iid : Rng.t -> Graph.t -> float -> Fault_set.t
 
 val nodes_exact : Rng.t -> Graph.t -> int -> Fault_set.t
 (** Exactly [f] faulty nodes, uniform among all f-subsets. *)
-
-val edges_iid : Rng.t -> Graph.t -> float -> Graph.t
-(** Each edge *survives* independently with probability [1 - p];
-    returns the surviving graph (bond percolation uses the
-    complementary convention: pass [p = 1 - survival]). *)
-
-val edges_keep : Rng.t -> Graph.t -> float -> Graph.t
-(** Each edge survives with probability [p] — the G^(p) of the paper's
-    Section 1.1. *)

@@ -44,12 +44,6 @@ let multi_source_distances ?alive view srcs =
 
 let distances ?alive view src = multi_source_distances ?alive view [| src |]
 
-let reachable ?alive view src =
-  let dist = distances ?alive view src in
-  let out = Bitset.create (Gview.num_nodes view) in
-  Array.iteri (fun v d -> if d >= 0 then Bitset.add out v) dist;
-  out
-
 let tree ?alive g src =
   let n = Graph.num_nodes g in
   check_src n alive src;
@@ -168,8 +162,6 @@ let restart_ball t src =
 
 let ball_size t = t.head
 
-let ball_exhausted t = t.head >= t.tail
-
 let ball_node_boundary t = if t.head = 0 then 0 else t.tail - t.head
 
 let ball_edge_boundary t = t.cut
@@ -205,10 +197,6 @@ let grow_ball t k =
   Bitset.copy t.members
 
 let ball_of_size ?alive view src k = grow_ball (ball_grower ?alive view src) k
-
-let eccentricity ?alive view src =
-  let dist = distances ?alive view src in
-  Array.fold_left max 0 dist
 
 let path_to ~parents target =
   if target < 0 || target >= Array.length parents || parents.(target) < 0 then raise Not_found;

@@ -20,9 +20,6 @@ val distances : ?alive:Bitset.t -> Gview.t -> int -> int array
 val multi_source_distances : ?alive:Bitset.t -> Gview.t -> int array -> int array
 (** Distances from the nearest of several sources. *)
 
-val reachable : ?alive:Bitset.t -> Gview.t -> int -> Bitset.t
-(** Set of alive nodes reachable from [src] (including [src]). *)
-
 val tree : ?alive:Bitset.t -> Graph.t -> int -> int array
 (** BFS parent array: [parent.(src) = src], [-1] for unreachable. *)
 
@@ -71,10 +68,6 @@ val ball_size : ball_grower -> int
 (** Number of nodes collected so far (the cardinal of the current
     ball). *)
 
-val ball_exhausted : ball_grower -> bool
-(** True once the component of the source has been fully collected;
-    further growth leaves the ball unchanged. *)
-
 val ball_node_boundary : ball_grower -> int
 (** |Γ(B)| of the current ball B, in O(1): equals
     [Boundary.node_boundary_size ?alive view b] for the set [b] that
@@ -90,9 +83,6 @@ val ball_edge_boundary : ball_grower -> int
     one per alive neighbour outside B and removes one per neighbour
     already in B.  Exact on any view meeting the {!Gview} contract
     (symmetric adjacency, no self-loops, each neighbour once). *)
-
-val eccentricity : ?alive:Bitset.t -> Gview.t -> int -> int
-(** Largest finite distance from the source. *)
 
 val path_to : parents:int array -> int -> int list
 (** Reconstruct the path from the BFS source to a target out of a

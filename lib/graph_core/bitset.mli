@@ -37,9 +37,6 @@ val is_empty : t -> bool
 val clear : t -> unit
 (** Remove all members. *)
 
-val fill : t -> unit
-(** Add all of [0 .. n-1]. *)
-
 val iter : (int -> unit) -> t -> unit
 (** Iterate members in increasing order. *)
 

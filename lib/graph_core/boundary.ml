@@ -26,26 +26,6 @@ let edge_boundary_size ?alive view u =
     u;
   !count
 
-let edge_boundary ?alive g u =
-  let out = ref [] in
-  Bitset.iter
-    (fun v ->
-      if is_alive alive v then
-        Graph.iter_neighbors g v (fun w ->
-            if (not (Bitset.mem u w)) && is_alive alive w then out := (v, w) :: !out))
-    u;
-  List.rev !out
-
-let internal_edge_count ?alive view u =
-  let iter = Gview.iter_neighbors view in
-  let twice = ref 0 in
-  Bitset.iter
-    (fun v ->
-      if is_alive alive v then
-        iter v (fun w -> if Bitset.mem u w && is_alive alive w then incr twice))
-    u;
-  !twice / 2
-
 let alive_cardinal alive u =
   match alive with
   | None -> Bitset.cardinal u

@@ -6,9 +6,7 @@
 
     Boundary sets and sizes do not depend on neighbor order, so every
     function here takes a {!Gview.t} and agrees exactly across its
-    arms; each count is one loop over {!Gview.iter_neighbors}.
-    {!edge_boundary} lists edges in CSR row order and keeps
-    {!Graph.t} (the order rule in {!Gview}). *)
+    arms; each count is one loop over {!Gview.iter_neighbors}. *)
 
 val node_boundary : ?alive:Bitset.t -> Gview.t -> Bitset.t -> Bitset.t
 (** [node_boundary view u] is Γ(U): alive nodes outside [u] adjacent to a
@@ -18,12 +16,6 @@ val node_boundary_size : ?alive:Bitset.t -> Gview.t -> Bitset.t -> int
 
 val edge_boundary_size : ?alive:Bitset.t -> Gview.t -> Bitset.t -> int
 (** |(U, V\U)|: alive-alive edges with exactly one endpoint in [u]. *)
-
-val edge_boundary : ?alive:Bitset.t -> Graph.t -> Bitset.t -> (int * int) list
-(** The boundary edges themselves, as [(inside, outside)] pairs. *)
-
-val internal_edge_count : ?alive:Bitset.t -> Gview.t -> Bitset.t -> int
-(** Alive edges with both endpoints in [u]. *)
 
 module Scratch : sig
   (** Reusable scratch state for repeated boundary counts.

@@ -9,8 +9,6 @@ let create n =
   if n < 0 then invalid_arg "Builder.create: negative node count";
   { n; us = Array.make 16 0; vs = Array.make 16 0; len = 0 }
 
-let num_nodes t = t.n
-
 let grow t =
   let cap = Array.length t.us in
   let us = Array.make (2 * cap) 0 and vs = Array.make (2 * cap) 0 in
@@ -27,10 +25,6 @@ let add_edge t u v =
   t.us.(t.len) <- u;
   t.vs.(t.len) <- v;
   t.len <- t.len + 1
-
-let add_edges t es = List.iter (fun (u, v) -> add_edge t u v) es
-
-let edge_count t = t.len
 
 (* The builder already holds flat endpoint arrays, so it feeds the
    canonical construction path directly — no intermediate tuple

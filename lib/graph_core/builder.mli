@@ -9,16 +9,9 @@ type t
 val create : int -> t
 (** [create n] starts an edge accumulator for a graph on [n] nodes. *)
 
-val num_nodes : t -> int
-
 val add_edge : t -> int -> int -> unit
 (** Record an undirected edge.  Rejects self-loops and out-of-range
     endpoints immediately. *)
-
-val add_edges : t -> (int * int) list -> unit
-
-val edge_count : t -> int
-(** Edges recorded so far, duplicates included. *)
 
 val to_graph : t -> Graph.t
 (** Freeze into a CSR graph (sorts and dedupes). *)

@@ -46,13 +46,6 @@ let largest t =
 
 let largest_size t = if t.count = 0 then 0 else t.sizes.(largest t)
 
-let gamma ?alive view =
-  let n = Gview.num_nodes view in
-  if n = 0 then 0.0
-  else
-    let c = compute ?alive view in
-    float_of_int (largest_size c) /. float_of_int n
-
 let members t id =
   if id < 0 || id >= t.count then invalid_arg "Components.members: bad id";
   let out = Bitset.create (Array.length t.labels) in
@@ -72,16 +65,6 @@ let smallest_members ?alive view =
       if c.sizes.(id) < c.sizes.(!smallest) then smallest := id
     done;
     Some (members c !smallest)
-
-let size_histogram t =
-  let tbl = Hashtbl.create 16 in
-  Array.iter
-    (fun s ->
-      let cur = try Hashtbl.find tbl s with Not_found -> 0 in
-      Hashtbl.replace tbl s (cur + 1))
-    t.sizes;
-  Hashtbl.fold (fun size count acc -> (size, count) :: acc) tbl []
-  |> List.sort Graph.compare_int_pair
 
 let is_connected ?alive view =
   let c = compute ?alive view in

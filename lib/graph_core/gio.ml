@@ -46,17 +46,3 @@ let load path =
       let len = in_channel_length ic in
       let s = really_input_string ic len in
       of_edge_list_string s)
-
-let to_dot ?(name = "g") ?highlight g =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "graph %s {\n" name);
-  (match highlight with
-  | None -> ()
-  | Some h ->
-    Bitset.iter
-      (fun v ->
-        Buffer.add_string buf (Printf.sprintf "  %d [style=filled fillcolor=gray];\n" v))
-      h);
-  Graph.iter_edges g (fun u v -> Buffer.add_string buf (Printf.sprintf "  %d -- %d;\n" u v));
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf

@@ -13,6 +13,3 @@ val save : string -> Graph.t -> unit
 (** Write to a file in edge-list format. *)
 
 val load : string -> Graph.t
-
-val to_dot : ?name:string -> ?highlight:Bitset.t -> Graph.t -> string
-(** Graphviz output; nodes in [highlight] are filled. *)

@@ -32,17 +32,8 @@ let min_degree t =
     !best
   end
 
-let neighbors t v =
-  if v < 0 || v >= t.n then invalid_arg "Graph.neighbors: node out of range";
-  Array.sub t.adj t.xadj.(v) (t.xadj.(v + 1) - t.xadj.(v))
-
 let iter_neighbors t v f =
   for k = t.xadj.(v) to t.xadj.(v + 1) - 1 do
-    f t.adj.(k)
-  done
-
-let rev_iter_neighbors t v f =
-  for k = t.xadj.(v + 1) - 1 downto t.xadj.(v) do
     f t.adj.(k)
   done
 
@@ -72,11 +63,6 @@ let iter_edges t f =
       if u < v then f u v
     done
   done
-
-let fold_edges f t init =
-  let acc = ref init in
-  iter_edges t (fun u v -> acc := f u v !acc);
-  !acc
 
 let edges t =
   let out = Array.make (num_edges t) (0, 0) in
@@ -172,11 +158,6 @@ let adj t = t.adj
 let empty n = { n; xadj = Array.make (n + 1) 0; adj = [||] }
 
 let equal a b = a.n = b.n && a.xadj = b.xadj && a.adj = b.adj
-
-let alive_degree t alive v =
-  let count = ref 0 in
-  iter_neighbors t v (fun w -> if Bitset.mem alive w then incr count);
-  !count
 
 let pp fmt t =
   Format.fprintf fmt "graph(n=%d, m=%d, deg=[%d,%d])" t.n (num_edges t) (min_degree t)

@@ -25,16 +25,8 @@ val max_degree : t -> int
 
 val min_degree : t -> int
 
-val neighbors : t -> int -> int array
-(** Fresh array of the (sorted) neighbours of a node. *)
-
 val iter_neighbors : t -> int -> (int -> unit) -> unit
 (** Allocation-free iteration over the neighbours of a node. *)
-
-val rev_iter_neighbors : t -> int -> (int -> unit) -> unit
-(** Like {!iter_neighbors}, highest neighbour first.  DFS pushes rows
-    in reverse so lower-numbered neighbours pop first; this keeps that
-    order without {!neighbors}'s fresh array per node. *)
 
 val fold_neighbors : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
 
@@ -43,8 +35,6 @@ val has_edge : t -> int -> int -> bool
 
 val iter_edges : t -> (int -> int -> unit) -> unit
 (** Iterate each undirected edge once, with [u < v]. *)
-
-val fold_edges : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
 
 val edges : t -> (int * int) array
 (** All undirected edges, each once, with [u < v], lexicographic. *)
@@ -78,10 +68,6 @@ val empty : int -> t
 (** [empty n] has [n] nodes and no edges. *)
 
 val equal : t -> t -> bool
-
-val alive_degree : t -> Bitset.t -> int -> int
-(** [alive_degree g alive v] counts neighbours of [v] inside [alive].
-    The liveness of [v] itself is not consulted. *)
 
 val pp : Format.formatter -> t -> unit
 (** Short human-readable summary (node/edge counts, degree range). *)

@@ -122,7 +122,3 @@ let materialize = function
       done
     done;
     g
-
-let pp fmt = function
-  | Csr g -> Format.fprintf fmt "csr:%a" Graph.pp g
-  | Implicit i -> Format.fprintf fmt "implicit(n=%d, max_deg=%d)" i.n i.max_degree

@@ -35,8 +35,7 @@
       the Prune finder and faultnetd's α) materializes an implicit
       view up to its node cap, so there it gives the twin's answer;
       above the cap its ball slice is per-view;
-    - a result that follows CSR row order ({!Bfs.tree},
-      {!Dfs.preorder}, {!Dfs.forest}, {!Boundary.edge_boundary}) keeps
+    - a result that follows CSR row order ({!Bfs.tree}) keeps
       {!Graph.t}.
 
     {!materialize} validates the implicit invariants, and the property
@@ -100,5 +99,3 @@ val materialize : t -> Graph.t
     out-of-range node, an asymmetric edge, or a degree inconsistent
     with its [degree]/[max_degree] metadata — this is the validation
     choke point the differential tests drive. *)
-
-val pp : Format.formatter -> t -> unit

@@ -120,28 +120,6 @@ let max_flow ?alive g ~src ~dst =
   let r = edge_residual ?alive g in
   run_flow r src dst
 
-let min_cut_side ?alive g ~src ~dst =
-  check_endpoints ?alive g src dst;
-  let r = edge_residual ?alive g in
-  ignore (run_flow r src dst);
-  (* residual reachability from src *)
-  let side = Bitset.create r.n in
-  let queue = Queue.create () in
-  Bitset.add side src;
-  Queue.add src queue;
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    List.iter
-      (fun a ->
-        let v = r.head.(a) in
-        if r.cap.(a) > 0 && not (Bitset.mem side v) then begin
-          Bitset.add side v;
-          Queue.add v queue
-        end)
-      r.first.(u)
-  done;
-  side
-
 let vertex_disjoint_paths ?alive g ~src ~dst =
   check_endpoints ?alive g src dst;
   let n = Graph.num_nodes g in

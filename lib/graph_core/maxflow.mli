@@ -10,11 +10,6 @@ val max_flow : ?alive:Bitset.t -> Graph.t -> src:int -> dst:int -> int
 (** Edge-disjoint s-t paths (undirected, each edge usable once).
     Requires distinct alive endpoints. *)
 
-val min_cut_side : ?alive:Bitset.t -> Graph.t -> src:int -> dst:int -> Bitset.t
-(** The source side of a minimum s-t edge cut: alive nodes reachable
-    from [src] in the final residual graph.  Its alive edge boundary
-    equals {!max_flow}. *)
-
 val vertex_disjoint_paths : ?alive:Bitset.t -> Graph.t -> src:int -> dst:int -> int
 (** Internally vertex-disjoint s-t paths (Menger), computed by node
     splitting.  For adjacent nodes the direct edge counts as one

@@ -68,18 +68,6 @@ let mean_distance ?alive ?(samples = 32) rng g =
     if !count = 0 then nan else float_of_int !total /. float_of_int !count
   end
 
-let degree_histogram ?alive g =
-  let nodes = alive_nodes ?alive g in
-  let tbl = Hashtbl.create 16 in
-  Array.iter
-    (fun v ->
-      let d =
-        match alive with None -> Graph.degree g v | Some m -> Graph.alive_degree g m v
-      in
-      Hashtbl.replace tbl d (1 + try Hashtbl.find tbl d with Not_found -> 0))
-    nodes;
-  Hashtbl.fold (fun d c acc -> (d, c) :: acc) tbl [] |> List.sort Graph.compare_int_pair
-
 let clustering_coefficient ?alive g =
   let is_alive v = match alive with None -> true | Some m -> Bitset.mem m v in
   let nodes = alive_nodes ?alive g in

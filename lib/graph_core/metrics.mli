@@ -20,10 +20,6 @@ val mean_distance : ?alive:Bitset.t -> ?samples:int -> Rng.t -> Graph.t -> float
 (** Average finite pairwise distance from [samples] BFS sources
     (default 32, capped by alive count).  NaN if no finite pair. *)
 
-val degree_histogram : ?alive:Bitset.t -> Graph.t -> (int * int) list
-(** Sorted [(degree, count)] pairs over alive nodes, with degrees
-    counted inside the alive mask. *)
-
 val clustering_coefficient : ?alive:Bitset.t -> Graph.t -> float
 (** Mean local clustering coefficient over alive nodes of alive-degree
     >= 2 (0 if there are none). *)

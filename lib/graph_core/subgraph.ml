@@ -30,17 +30,3 @@ let induce g keep =
         end)
   done;
   { graph = Graph.unsafe_of_csr ~n:m ~xadj ~adj; to_parent; of_parent }
-
-let lift_set t s =
-  let out = Bitset.create (Array.length t.of_parent) in
-  Bitset.iter (fun v -> Bitset.add out t.to_parent.(v)) s;
-  out
-
-let restrict_set t s =
-  let out = Bitset.create (Graph.num_nodes t.graph) in
-  Bitset.iter
-    (fun v ->
-      let nv = t.of_parent.(v) in
-      if nv >= 0 then Bitset.add out nv)
-    s;
-  out

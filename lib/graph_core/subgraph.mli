@@ -12,10 +12,3 @@ type t = {
 
 val induce : Graph.t -> Bitset.t -> t
 (** Subgraph induced by the given node set. *)
-
-val lift_set : t -> Bitset.t -> Bitset.t
-(** Translate a node set of the subgraph into original ids. *)
-
-val restrict_set : t -> Bitset.t -> Bitset.t
-(** Translate a node set of the parent into subgraph ids, dropping
-    nodes that were not kept. *)

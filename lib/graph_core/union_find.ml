@@ -35,10 +35,4 @@ let union t a b =
     true
   end
 
-let connected t a b = find t a = find t b
-
-let size t x = t.sz.(find t x)
-
 let max_component_size t = t.max_size
-
-let num_components t = t.components

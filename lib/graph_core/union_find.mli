@@ -9,18 +9,8 @@ type t
 val create : int -> t
 (** [create n] makes [n] singleton components. *)
 
-val find : t -> int -> int
-(** Canonical representative; amortised near-O(1). *)
-
 val union : t -> int -> int -> bool
 (** Merge the two components; returns [false] if already merged. *)
 
-val connected : t -> int -> int -> bool
-
-val size : t -> int -> int
-(** Size of the component containing the given node. *)
-
 val max_component_size : t -> int
 (** Size of the largest component, maintained incrementally. *)
-
-val num_components : t -> int

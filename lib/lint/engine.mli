@@ -8,7 +8,6 @@
 type suppression = { rules : string list; first_line : int; last_line : int }
 
 val parse_suppression : Token.t -> suppression option
-val suppressions : Token.t array -> suppression list
 
 val lint_string :
   ?rules:Rule.t list -> path:string -> ?mli_exists:bool -> string -> Rule.finding list

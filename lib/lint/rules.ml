@@ -706,9 +706,3 @@ let allowed ~rule ~path =
   match List.assoc_opt rule allowlist with
   | None -> false
   | Some entries -> List.exists (fun a -> matches path a.pattern) entries
-
-let allow_reason ~rule ~path =
-  match List.assoc_opt rule allowlist with
-  | None -> None
-  | Some entries ->
-      List.find_map (fun a -> if matches path a.pattern then Some a.why else None) entries

@@ -43,10 +43,6 @@ val build : Token.t array -> t
 val contains : t -> int -> bool
 (** [contains s i] is true when token index [i] falls in [s]'s range. *)
 
-val enclosing : t -> int -> t list
-(** [enclosing root i] is the chain of scopes containing token [i],
-    innermost first (the root is always last when [i] is in range). *)
-
 val innermost_non_closure : t -> int -> t
 (** The innermost enclosing scope of token [i] that is not a
     {!Closure} or {!Block} — i.e. the structure-level binding (or

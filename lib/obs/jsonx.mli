@@ -15,9 +15,6 @@ val to_string : t -> string
 (** Compact single-line rendering.  Non-finite floats become [null]
     (JSON has no representation for them). *)
 
-val escape : string -> string
-(** JSON string-body escaping (no surrounding quotes). *)
-
 val parse : string -> t option
 (** Parse one complete JSON value; [None] on any syntax error or
     trailing garbage.  Covers standard JSON; [\uXXXX] escapes outside

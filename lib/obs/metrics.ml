@@ -106,18 +106,6 @@ let histogram_min h = with_lock h.h_lock (fun () -> if h.count = 0 then 0.0 else
 
 let histogram_max h = with_lock h.h_lock (fun () -> if h.count = 0 then 0.0 else h.max_v)
 
-let histogram_buckets h =
-  with_lock h.h_lock (fun () ->
-      Array.to_list
-        (Array.mapi
-           (fun i c ->
-             let bound = if i < Array.length h.bounds then h.bounds.(i) else infinity in
-             (bound, c))
-           h.bucket_counts))
-
-let reset ?(registry = default) () =
-  with_lock registry.lock (fun () -> Hashtbl.reset registry.table)
-
 let sorted_entries reg =
   with_lock reg.lock (fun () ->
       Hashtbl.fold (fun name e acc -> (name, e) :: acc) reg.table [])
@@ -138,32 +126,3 @@ let report_text ?(registry = default) () =
              (histogram_max h)))
     (sorted_entries registry);
   Buffer.contents buf
-
-let report_json ?(registry = default) () =
-  let metric (name, e) =
-    match e with
-    | C c ->
-      Jsonx.Obj
-        [ ("name", Jsonx.Str name); ("kind", Jsonx.Str "counter"); ("value", Jsonx.Int (counter_value c)) ]
-    | G g ->
-      Jsonx.Obj
-        [ ("name", Jsonx.Str name); ("kind", Jsonx.Str "gauge"); ("value", Jsonx.Float (gauge_value g)) ]
-    | H h ->
-      Jsonx.Obj
-        [
-          ("name", Jsonx.Str name);
-          ("kind", Jsonx.Str "histogram");
-          ("count", Jsonx.Int (histogram_count h));
-          ("sum", Jsonx.Float (histogram_sum h));
-          ("min", Jsonx.Float (histogram_min h));
-          ("mean", Jsonx.Float (histogram_mean h));
-          ("max", Jsonx.Float (histogram_max h));
-          ( "buckets",
-            Jsonx.List
-              (List.map
-                 (fun (bound, c) ->
-                   Jsonx.Obj [ ("le", Jsonx.Float bound); ("count", Jsonx.Int c) ])
-                 (histogram_buckets h)) );
-        ]
-  in
-  Jsonx.to_string (Jsonx.List (List.map metric (sorted_entries registry)))

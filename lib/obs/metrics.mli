@@ -10,10 +10,6 @@ type registry
 
 val create : unit -> registry
 
-val default : registry
-(** The process-wide registry used when [?registry] is omitted — the
-    one reported by the binaries' [--metrics] flag. *)
-
 type counter
 
 type gauge
@@ -29,10 +25,7 @@ val gauge : ?registry:registry -> string -> gauge
 val histogram : ?registry:registry -> ?buckets:float array -> string -> histogram
 (** [buckets] are inclusive upper bounds, strictly increasing (an
     overflow bucket is added implicitly); ignored if the histogram
-    already exists.  Defaults to {!default_buckets}. *)
-
-val default_buckets : float array
-(** Log-spaced seconds: [1e-6 .. 100.0]. *)
+    already exists.  Defaults to decades from 1e-6 to 100. *)
 
 val incr : counter -> unit
 
@@ -59,16 +52,5 @@ val histogram_min : histogram -> float
 val histogram_max : histogram -> float
 (** [0.] when empty. *)
 
-val histogram_buckets : histogram -> (float * int) list
-(** [(upper_bound, count)] pairs in bound order; the final pair has
-    bound [infinity] (the overflow bucket). *)
-
-val reset : ?registry:registry -> unit -> unit
-(** Drop every instrument (handles held by callers keep working but
-    are no longer reported). *)
-
 val report_text : ?registry:registry -> unit -> string
 (** One aligned line per instrument, name-sorted. *)
-
-val report_json : ?registry:registry -> unit -> string
-(** A JSON array of metric objects, name-sorted. *)

@@ -13,7 +13,7 @@ type event = {
 
 type active = {
   write : event -> unit;
-  close_fn : unit -> unit;
+  close_fn : unit -> (unit, string) result;
   next : int Atomic.t;
 }
 
@@ -27,7 +27,7 @@ let next_id = function Null -> -1 | Active a -> Atomic.fetch_and_add a.next 1
 
 let emit t ev = match t with Null -> () | Active a -> a.write ev
 
-let close = function Null -> () | Active a -> a.close_fn ()
+let close = function Null -> Ok () | Active a -> a.close_fn ()
 
 let kind_to_string = function Enter -> "enter" | Exit -> "exit" | Instant -> "event"
 
@@ -53,28 +53,44 @@ let with_lock m f =
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
 (* Events may arrive concurrently from Par domains; one mutex
-   serializes lines so the JSONL stays well-formed. *)
-let jsonl_writer oc =
-  let lock = Mutex.create () in
-  fun ev ->
-    with_lock lock (fun () ->
-        output_string oc (Jsonx.to_string (json_of_event ev));
-        output_char oc '\n')
-
+   serializes lines so the JSONL stays well-formed.  A failed write (a
+   full disk) must not raise into the instrumented kernel: it stops the
+   trace, later events are dropped, and [close] reports the first
+   failure. *)
 let jsonl_file path =
   let oc = open_out path in
-  Active
-    {
-      write = jsonl_writer oc;
-      close_fn =
-        (fun () ->
-          flush oc;
-          close_out oc);
-      next = Atomic.make 0;
-    }
+  let lock = Mutex.create () in
+  let failed = ref None in
+  let guard f =
+    if !failed = None then
+      match f () with () -> () | exception Sys_error m -> failed := Some m
+  in
+  let write ev =
+    with_lock lock (fun () ->
+        guard (fun () ->
+            output_string oc (Jsonx.to_string (json_of_event ev));
+            output_char oc '\n'))
+  in
+  let close_fn () =
+    with_lock lock (fun () ->
+        guard (fun () -> close_out oc);
+        close_out_noerr oc;
+        match !failed with
+        | None -> Ok ()
+        | Some m -> Error (Printf.sprintf "trace %s not written: %s" path m))
+  in
+  Active { write; close_fn; next = Atomic.make 0 }
 
 let discard () =
-  Active { write = ignore; close_fn = ignore; next = Atomic.make 0 }
+  Active { write = ignore; close_fn = (fun () -> Ok ()); next = Atomic.make 0 }
+
+let of_flags ~trace ~metrics =
+  match trace with
+  | Some path -> (
+      match jsonl_file path with
+      | sink -> Ok sink
+      | exception Sys_error m -> Error ("cannot open trace: " ^ m))
+  | None -> Ok (if metrics then discard () else null)
 
 let memory () =
   let lock = Mutex.create () in
@@ -83,7 +99,7 @@ let memory () =
     Active
       {
         write = (fun ev -> with_lock lock (fun () -> events := ev :: !events));
-        close_fn = ignore;
+        close_fn = (fun () -> Ok ());
         next = Atomic.make 0;
       }
   in

@@ -39,15 +39,26 @@ val next_id : t -> int
 val emit : t -> event -> unit
 (** Deliver one event.  Thread-safe on every built-in sink. *)
 
-val close : t -> unit
+val close : t -> (unit, string) result
 (** Flush and release sink resources (closes the channel of
-    {!jsonl_file}).  No-op on {!null}, {!discard} and {!memory}. *)
+    {!jsonl_file}).  [Error] names a trace file that a write or the
+    close failed on (a full disk).  Always [Ok] on {!null}, {!discard}
+    and {!memory}. *)
 
 val jsonl_file : string -> t
 (** Opens (truncates) [path] and writes JSONL; {!close} closes it.
-    Line schema:
+    Raises [Sys_error] when [path] cannot be opened.  A write that
+    fails later never raises: it stops the trace, and {!close} returns
+    the failure.  Line schema:
     [{"ts":<ns>,"kind":"enter"|"exit"|"event","name":...,"id":...,
       "parent":<id or null>,"fields":{...}}] *)
+
+val of_flags : trace:string option -> metrics:bool -> (t, string) result
+(** The sink behind every binary's [--trace FILE] and [--metrics]
+    flags: a {!jsonl_file} on FILE, else {!discard} when [metrics]
+    alone is set (metrics without a trace), else {!null}.  [Error]
+    carries a one-line message for a FILE that cannot be opened, so a
+    binary refuses it before doing any work. *)
 
 val discard : unit -> t
 (** An enabled sink that writes nothing: turns instrumentation (and
@@ -57,6 +68,3 @@ val discard : unit -> t
 val memory : unit -> t * (unit -> event list)
 (** Collecting sink for tests: returns the sink and a function
     yielding the events emitted so far, in order. *)
-
-val json_of_event : event -> Jsonx.t
-(** The JSONL line representation (used by the file sink and tests). *)

@@ -50,7 +50,3 @@ let instant ?(fields = []) sink name =
         parent = current_parent ();
         fields;
       }
-
-let wrap ?fields sink name f =
-  let sp = enter ?fields sink name in
-  Fun.protect ~finally:(fun () -> exit sp) f

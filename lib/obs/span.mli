@@ -23,7 +23,3 @@ val exit : ?fields:(string * Sink.value) list -> t -> unit
 
 val instant : ?fields:(string * Sink.value) list -> Sink.t -> string -> unit
 (** Emit a point event parented to the innermost open span. *)
-
-val wrap : ?fields:(string * Sink.value) list -> Sink.t -> string -> (unit -> 'a) -> 'a
-(** [wrap sink name f] runs [f] inside a span, closing it on any exit
-    (including exceptions). *)

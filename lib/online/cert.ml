@@ -62,9 +62,6 @@ let create ?(radius = 2) ?(max_dirty_frac = 1.0) view ~alive ~alpha ~epsilon =
   Bitset.iter (fun v -> recompute_candidate t v) t.alive;
   t
 
-let universe t = t.n
-let radius t = t.radius
-let threshold t = t.threshold
 let alive t = Bitset.copy t.alive
 let alive_count t = t.alive_count
 let recomputed t = t.recomputed

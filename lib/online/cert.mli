@@ -52,10 +52,6 @@ val create :
     pure function of the accepted batch history, so replaying the same
     batches reproduces the same (stale) answers bit for bit. *)
 
-val universe : t -> int
-val radius : t -> int
-val threshold : t -> float
-
 val alive : t -> Bitset.t
 (** Copy of the current mask. *)
 

@@ -20,8 +20,6 @@ let create view =
     gen = 0;
   }
 
-let universe t = t.n
-
 (* Alive-restricted BFS from [src], bounded at depth radius + 1: nodes
    at distance <= radius form the ball (counted in [s], optionally
    collected into [into]); alive nodes first reached at exactly

@@ -16,8 +16,6 @@ type t
 val create : Gview.t -> t
 (** One-time O(n) allocation against a fixed view. *)
 
-val universe : t -> int
-
 val survey : t -> alive:Bitset.t -> ?into:Bitset.t -> radius:int -> int -> int * int
 (** [survey t ~alive ~radius v] is [(s, b)] for the alive-restricted
     ball of radius [radius] around [v]: [s] counts alive nodes at

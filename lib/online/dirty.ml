@@ -11,8 +11,6 @@ let create n =
   (* gen starts above the zeroed stamps so a fresh tracker is clean *)
   { stamp = Array.make (max 1 n) 0; gen = 1; members = []; count = 0; peak = 0 }
 
-let universe t = Array.length t.stamp
-
 let next_generation t =
   t.gen <- t.gen + 1;
   t.members <- [];
@@ -27,7 +25,6 @@ let mark t v =
     if t.count > t.peak then t.peak <- t.count
   end
 
-let mem t v = v >= 0 && v < Array.length t.stamp && t.stamp.(v) = t.gen
 let count t = t.count
 let peak t = t.peak
 let iter t f = List.iter f t.members

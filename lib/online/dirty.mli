@@ -11,13 +11,10 @@ type t
 val create : int -> t
 (** [create n] tracks nodes in universe [0 .. n-1], all clean. *)
 
-val universe : t -> int
-
 val next_generation : t -> unit
 (** Forget every mark, O(1). *)
 
 val mark : t -> int -> unit
-val mem : t -> int -> bool
 
 val count : t -> int
 (** Marks in the current generation. *)

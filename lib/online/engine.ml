@@ -117,11 +117,6 @@ let in_certificate t v =
   note_degraded t;
   Bitset.mem (result t).Faultnet.Prune.kept v
 
-let recompute t =
-  Cert.refresh t.cert;
-  if Fn_obs.Sink.enabled t.cfg.obs then
-    Fn_obs.Metrics.set (Fn_obs.Metrics.gauge "online.degraded") 0.0
-
 let culled_eq a b =
   List.length a = List.length b
   && List.for_all2

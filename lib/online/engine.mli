@@ -96,13 +96,7 @@ val degraded : t -> bool
 (** Overload shedding is in effect: {!alpha}, {!in_certificate} and
     {!result} currently serve the stale pre-overload cascade (each
     such answer is counted in [stats.degraded_answers]).  Cleared by
-    the next under-threshold batch, {!recompute}, or {!audit}. *)
-
-val recompute : t -> unit
-(** Force the full candidate rebuild that overload shedding deferred —
-    the "scheduled recompute" a server runs off the query path.
-    Leaves degraded mode; a no-op engine-semantically when not
-    degraded (it still pays the O(n · ball) rebuild). *)
+    the next under-threshold batch or {!audit}. *)
 
 val quarantines : t -> int
 (** Audits that found divergence and triggered the self-healing

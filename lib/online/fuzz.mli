@@ -23,9 +23,6 @@ type report = {
           — any entry breaks the state-changes-only-on-ok invariant *)
 }
 
-val line : Fn_prng.Rng.t -> limits:Protocol.limits -> n:int -> string
-(** Draw one fuzz line for a universe of [n] nodes. *)
-
 val run :
   ?limits:Protocol.limits ->
   Engine.t ->

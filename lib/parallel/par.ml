@@ -2,6 +2,8 @@ let default_domains () =
   let n = Domain.recommended_domain_count () in
   max 1 (min 8 n)
 
+let max_domains = 127
+
 exception Job_failed of { index : int; exn : exn }
 
 let () =
@@ -79,8 +81,6 @@ let map ?(obs = Fn_obs.Sink.null) ?domains f a =
       (function Some v -> v | None -> assert false)
       out
   end
-
-let init ?obs ?domains n f = map ?obs ?domains f (Array.init n Fun.id)
 
 module Pool = struct
   (* Long-lived worker domains for iterative kernels (the spectral

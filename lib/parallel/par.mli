@@ -32,6 +32,13 @@ val default_domains : unit -> int
 (** Number of domains to use by default: the runtime's recommended
     count, clamped to [1, 8].  Override per call with [?domains]. *)
 
+val max_domains : int
+(** 127: the most domains a [?domains] value may ask for.  The OCaml
+    5.1 runtime holds at most 128 domains, the caller's included, and
+    {!map} and {!Pool.create} spawn up to [domains - 1] more, so a
+    binary refuses a [--domains] outside [1, max_domains] when it
+    parses the flag. *)
+
 exception Job_failed of { index : int; exn : exn }
 (** Raised on the joining domain when a job raised: [index] is the
     input position whose job failed and [exn] the original exception
@@ -48,16 +55,12 @@ val map : ?obs:Fn_obs.Sink.t -> ?domains:int -> ('a -> 'b) -> 'a array -> 'b arr
 
     With an enabled [obs] sink each worker emits a ["par.domain"]
     instant (chunk bounds and wall seconds) and the fork-join sets the
-    [par.domains] / [par.max_seconds] / [par.imbalance] gauges in
-    {!Fn_obs.Metrics.default}; instrumentation never changes results.
+    [par.domains] / [par.max_seconds] / [par.imbalance] gauges in the
+    default metrics registry; instrumentation never changes results.
 
     A job exception does not kill the fork-join silently: every
     spawned domain is still joined, then {!Job_failed} is raised with
     the failing job's index. *)
-
-val init : ?obs:Fn_obs.Sink.t -> ?domains:int -> int -> (int -> 'b) -> 'b array
-(** [init n f] is [map f [|0; ...; n-1|]] without building the input
-    array. *)
 
 module Pool : sig
   (** Long-lived worker domains for iterative parallel-for kernels.

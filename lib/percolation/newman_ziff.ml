@@ -87,17 +87,3 @@ let gamma_at c p =
       float_of_int c.occupied_largest.(k - 1) /. float_of_int c.n
     end
   end
-
-let average_gamma ?obs ?domains ~rng ~runs make_curve p =
-  let values =
-    Fn_parallel.Par.trials ?obs ?domains ~rng runs (fun r -> gamma_at (make_curve r) p)
-  in
-  let n = float_of_int runs in
-  let mean = Array.fold_left ( +. ) 0.0 values /. n in
-  let var =
-    if runs < 2 then 0.0
-    else
-      Array.fold_left (fun acc v -> acc +. ((v -. mean) *. (v -. mean))) 0.0 values
-      /. (n -. 1.0)
-  in
-  (mean, sqrt var)

@@ -38,14 +38,3 @@ val bond_run : ?obs:Fn_obs.Sink.t -> Rng.t -> Gview.t -> curve
 val gamma_at : curve -> float -> float
 (** [gamma_at c p]: largest-component fraction of the {e node} count
     when each site/bond is occupied with probability [p]. *)
-
-val average_gamma :
-  ?obs:Fn_obs.Sink.t ->
-  ?domains:int ->
-  rng:Rng.t ->
-  runs:int ->
-  (Rng.t -> curve) ->
-  float ->
-  float * float
-(** Mean and sample standard deviation of [gamma_at _ p] over
-    independent runs, executed in parallel. *)

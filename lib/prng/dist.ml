@@ -46,16 +46,3 @@ let rec binomial rng n p =
     let v = int_of_float (Float.round (normal rng np sd)) in
     max 0 (min n v)
   end
-
-let categorical rng w =
-  let total = Array.fold_left ( +. ) 0.0 w in
-  if not (total > 0.0) then invalid_arg "Dist.categorical: weights must have positive sum";
-  let x = Rng.float rng total in
-  let n = Array.length w in
-  let rec scan i acc =
-    if i = n - 1 then i
-    else
-      let acc = acc +. w.(i) in
-      if x < acc then i else scan (i + 1) acc
-  in
-  scan 0 0.0

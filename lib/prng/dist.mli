@@ -19,8 +19,3 @@ val exponential : Rng.t -> float -> float
 val normal : Rng.t -> float -> float -> float
 (** [normal rng mu sigma] draws a Gaussian by Marsaglia's polar
     method. *)
-
-val categorical : Rng.t -> float array -> int
-(** [categorical rng w] returns index [i] with probability
-    proportional to [w.(i)].  Weights must be non-negative with a
-    positive sum.  O(n) per draw. *)

@@ -44,8 +44,6 @@ let unit_float t =
   let v = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float v *. 0x1.0p-53
 
-let float t bound = unit_float t *. bound
-
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
 let bernoulli t p =

@@ -48,9 +48,6 @@ val int : t -> int -> int
 val int_in : t -> int -> int -> int
 (** [int_in t lo hi] is uniform on the inclusive range [lo, hi]. *)
 
-val float : t -> float -> float
-(** [float t bound] is uniform on [0, bound). *)
-
 val unit_float : t -> float
 (** Uniform on [0, 1), with 53 bits of precision. *)
 

@@ -13,9 +13,6 @@ val create : int64 -> t
 (** [create seed] returns a fresh generator.  Distinct seeds give
     streams that are, for all practical purposes, independent. *)
 
-val copy : t -> t
-(** [copy t] duplicates the state; the copy evolves independently. *)
-
 val next : t -> int64
 (** [next t] advances the state and returns the next 64-bit value. *)
 

@@ -20,8 +20,3 @@ val copy : t -> t
 
 val next : t -> int64
 (** [next t] returns the next 64-bit value and advances the state. *)
-
-val jump : t -> unit
-(** [jump t] advances [t] by 2^128 steps, yielding a stream that does
-    not overlap the previous one for 2^128 draws.  Used to derive
-    parallel sub-streams deterministically. *)

@@ -289,7 +289,6 @@ let record_outcome t ~id value =
   append t (outcome_record ~id value)
 
 let find_outcome t ~id = with_lock t.lock (fun () -> Hashtbl.find_opt t.outcomes id)
-let path t = t.path
 let recovered t = t.recovered
 let torn t = t.torn
 

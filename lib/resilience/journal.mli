@@ -72,8 +72,6 @@ val record_outcome : t -> id:string -> Fn_obs.Jsonx.t -> unit
 
 val find_outcome : t -> id:string -> Fn_obs.Jsonx.t option
 
-val path : t -> string
-
 val recovered : t -> int
 (** Records successfully loaded from a pre-existing file at open time. *)
 

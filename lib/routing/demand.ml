@@ -27,20 +27,3 @@ let permutation rng ?alive g =
     |> List.filter (fun (s, d) -> s <> d)
     |> Array.of_list
   end
-
-let random_pairs rng ?alive g k =
-  let nodes = alive_nodes ?alive g in
-  let n = Array.length nodes in
-  if n < 2 then invalid_arg "Demand.random_pairs: need >= 2 alive nodes";
-  Array.init k (fun _ ->
-      let s = Rng.int rng n in
-      let rec pick () =
-        let d = Rng.int rng n in
-        if d = s then pick () else d
-      in
-      (nodes.(s), nodes.(pick ())))
-
-let all_to_one ?alive g sink =
-  let nodes = alive_nodes ?alive g in
-  Array.of_list
-    (Array.to_list nodes |> List.filter (fun v -> v <> sink) |> List.map (fun v -> (v, sink)))

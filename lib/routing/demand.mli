@@ -11,11 +11,3 @@ val permutation : Rng.t -> ?alive:Bitset.t -> Graph.t -> (int * int) array
     sends one packet, every alive node receives one, no fixed
     points unless forced (an alive count of 1 yields the empty
     demand). *)
-
-val random_pairs : Rng.t -> ?alive:Bitset.t -> Graph.t -> int -> (int * int) array
-(** [random_pairs rng g k]: [k] independent (src, dst) pairs with
-    src <> dst, uniform over alive nodes.  Requires >= 2 alive. *)
-
-val all_to_one : ?alive:Bitset.t -> Graph.t -> int -> (int * int) array
-(** Every other alive node sends to the given sink — the worst-case
-    single-commodity concentration. *)

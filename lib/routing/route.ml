@@ -41,17 +41,6 @@ let route_length route = max 0 (List.length route - 1)
 
 let dilation t = Array.fold_left (fun acc r -> max acc (route_length r)) 0 t.routes
 
-let mean_length t =
-  let total = ref 0 and count = ref 0 in
-  Array.iter
-    (fun r ->
-      if r <> [] then begin
-        total := !total + route_length r;
-        incr count
-      end)
-    t.routes;
-  if !count = 0 then nan else float_of_int !total /. float_of_int !count
-
 let edge_congestion t =
   let tbl = Hashtbl.create 256 in
   Array.iter
@@ -64,16 +53,6 @@ let edge_congestion t =
         | _ -> ()
       in
       walk route)
-    t.routes;
-  Hashtbl.fold (fun _ c acc -> max acc c) tbl 0
-
-let node_congestion t =
-  let tbl = Hashtbl.create 256 in
-  Array.iter
-    (fun route ->
-      List.iter
-        (fun v -> Hashtbl.replace tbl v (1 + try Hashtbl.find tbl v with Not_found -> 0))
-        route)
     t.routes;
   Hashtbl.fold (fun _ c acc -> max acc c) tbl 0
 

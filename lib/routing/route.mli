@@ -24,15 +24,8 @@ val routable_fraction : t -> float
 val dilation : t -> int
 (** Longest route in edges; 0 if nothing is routable. *)
 
-val mean_length : t -> float
-(** Mean route length over routable pairs; NaN if none. *)
-
 val edge_congestion : t -> int
 (** Maximum number of routes using a single undirected edge. *)
-
-val node_congestion : t -> int
-(** Maximum number of routes visiting a single node (endpoints
-    included). *)
 
 val stretch : reference:t -> t -> float
 (** Mean ratio of route lengths between a faulty routing and a

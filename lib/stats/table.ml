@@ -44,7 +44,3 @@ let csv_escape cell =
 
 let to_csv t =
   String.concat "\n" (List.map (fun row -> String.concat "," (List.map csv_escape row)) (all_rows t))
-
-let print t =
-  print_string (to_string t);
-  print_newline ()

@@ -22,6 +22,3 @@ val to_string : t -> string
 (** Aligned plain text, ready for a terminal or a log. *)
 
 val to_csv : t -> string
-
-val print : t -> unit
-(** [to_string] to stdout, with a trailing newline. *)

@@ -2,10 +2,6 @@ open Fn_graph
 
 let node ~k ~level ~row = (level * (1 lsl k)) + row
 
-let level_and_row ~k v =
-  let rows = 1 lsl k in
-  (v / rows, v mod rows)
-
 let unwrapped k =
   if k < 1 || k > 20 then invalid_arg "Butterfly.unwrapped: need 1 <= k <= 20";
   let rows = 1 lsl k in
@@ -16,21 +12,6 @@ let unwrapped k =
       let v = node ~k ~level ~row in
       Builder.add_edge b v (node ~k ~level:(level + 1) ~row);
       Builder.add_edge b v (node ~k ~level:(level + 1) ~row:(row lxor (1 lsl level)))
-    done
-  done;
-  Builder.to_graph b
-
-let wrapped k =
-  if k < 2 || k > 20 then invalid_arg "Butterfly.wrapped: need 2 <= k <= 20";
-  let rows = 1 lsl k in
-  let n = k * rows in
-  let b = Builder.create n in
-  for level = 0 to k - 1 do
-    let next = (level + 1) mod k in
-    for row = 0 to rows - 1 do
-      let v = node ~k ~level ~row in
-      Builder.add_edge b v (node ~k ~level:next ~row);
-      Builder.add_edge b v (node ~k ~level:next ~row:(row lxor (1 lsl level)))
     done
   done;
   Builder.to_graph b

@@ -10,12 +10,5 @@ open Fn_graph
 val unwrapped : int -> Graph.t
 (** [(k+1) * 2^k] nodes; requires [1 <= k <= 20]. *)
 
-val wrapped : int -> Graph.t
-(** [k * 2^k] nodes; level k is identified with level 0.
-    Requires [2 <= k <= 20]. *)
-
 val node : k:int -> level:int -> row:int -> int
 (** Linearisation used by both variants: [level * 2^k + row]. *)
-
-val level_and_row : k:int -> int -> int * int
-(** Inverse of {!node}. *)

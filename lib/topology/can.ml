@@ -10,10 +10,6 @@ let create d =
   let whole = { lo = Array.make d 0.0; hi = Array.make d 1.0 } in
   { d; zones = Array.make 4 whole; count = 1 }
 
-let dimension t = t.d
-
-let num_nodes t = t.count
-
 let zone t i =
   if i < 0 || i >= t.count then invalid_arg "Can.zone: bad node id";
   t.zones.(i)

@@ -28,8 +28,6 @@ val create : int -> t
 (** [create d] starts a CAN over the d-dimensional torus with a single
     node owning everything; requires [1 <= d <= 10]. *)
 
-val dimension : t -> int
-val num_nodes : t -> int
 val zone : t -> int -> zone
 
 val join : Rng.t -> t -> int

@@ -20,22 +20,9 @@ let build base ~k =
     base_edges;
   { graph = Builder.to_graph b; base; k; base_edges }
 
-let original_nodes t =
-  let out = Bitset.create (Graph.num_nodes t.graph) in
-  for v = 0 to Graph.num_nodes t.base - 1 do
-    Bitset.add out v
-  done;
-  out
-
 let chain_centers t =
   let n_base = Graph.num_nodes t.base in
   Array.mapi (fun j _ -> n_base + (j * t.k) + (t.k / 2)) t.base_edges
-
-let chain_of_edge t j =
-  if j < 0 || j >= Array.length t.base_edges then
-    invalid_arg "Chain_graph.chain_of_edge: bad edge index";
-  let n_base = Graph.num_nodes t.base in
-  Array.init t.k (fun i -> n_base + (j * t.k) + i)
 
 let expansion_prediction t = 2.0 /. float_of_int t.k
 

@@ -24,16 +24,9 @@ type t = {
 val build : Graph.t -> k:int -> t
 (** Requires [k >= 2] and [k] even (as in the paper's proof). *)
 
-val original_nodes : t -> Bitset.t
-(** The embedded copies of the base graph's nodes. *)
-
 val chain_centers : t -> int array
 (** One node per base edge: the (k/2)-th node of its chain — exactly
     the fault set used in the proof of Theorem 2.3. *)
-
-val chain_of_edge : t -> int -> int array
-(** [chain_of_edge t j] lists the chain-node ids of base edge [j],
-    from the [u]-side to the [v]-side. *)
 
 val expansion_prediction : t -> float
 (** Claim 2.4's order-of-magnitude prediction 2/k for the node

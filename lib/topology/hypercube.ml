@@ -11,11 +11,3 @@ let graph d =
     done
   done;
   Builder.to_graph b
-
-let dimension g =
-  let n = Graph.num_nodes g in
-  if n <= 0 then None
-  else begin
-    let rec log2 x acc = if x = 1 then Some acc else if x land 1 = 1 then None else log2 (x / 2) (acc + 1) in
-    log2 n 0
-  end

@@ -7,6 +7,3 @@ open Fn_graph
 val graph : int -> Graph.t
 (** [graph d] is the hypercube of dimension [d]; requires
     [0 <= d <= 25]. *)
-
-val dimension : Graph.t -> int option
-(** Recover [d] if the node count is a power of two. *)

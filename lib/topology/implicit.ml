@@ -7,8 +7,6 @@ open Fn_graph
    allocation — so a 10^7-node torus costs nothing until an algorithm
    actually walks it. *)
 
-let materialize = Gview.materialize
-
 (* ---- mesh / torus --------------------------------------------------- *)
 
 (* [dims] is copied: the geometry must not change under the closures. *)
@@ -104,110 +102,6 @@ let hypercube d =
 
 (* ---- butterflies ---------------------------------------------------- *)
 
-let butterfly_unwrapped k =
-  if k < 1 || k > 20 then invalid_arg "Implicit.butterfly_unwrapped: need 1 <= k <= 20";
-  let rows = 1 lsl k in
-  let n = (k + 1) * rows in
-  let iter v f =
-    let level = v / rows and row = v mod rows in
-    if level < k then begin
-      f (((level + 1) * rows) + row);
-      f (((level + 1) * rows) + (row lxor (1 lsl level)))
-    end;
-    if level > 0 then begin
-      f (((level - 1) * rows) + row);
-      f (((level - 1) * rows) + (row lxor (1 lsl (level - 1))))
-    end
-  in
-  let degree v =
-    let level = v / rows in
-    (if level < k then 2 else 0) + if level > 0 then 2 else 0
-  in
-  let max_degree = if k = 1 then 2 else 4 in
-  Gview.implicit ~n ~max_degree ~degree iter
-
-let butterfly_wrapped k =
-  if k < 2 || k > 20 then invalid_arg "Implicit.butterfly_wrapped: need 2 <= k <= 20";
-  let rows = 1 lsl k in
-  let n = k * rows in
-  let iter v f =
-    let level = v / rows and row = v mod rows in
-    let next = (level + 1) mod k and prev = (level + k - 1) mod k in
-    f ((next * rows) + row);
-    f ((next * rows) + (row lxor (1 lsl level)));
-    (* at k = 2 the straight edge to [next] IS the straight edge to
-       [prev] (the two levels coincide); emitting it twice would be a
-       duplicate the CSR twin dedupes *)
-    if k > 2 then f ((prev * rows) + row);
-    f ((prev * rows) + (row lxor (1 lsl prev)))
-  in
-  let max_degree = if k = 2 then 3 else 4 in
-  Gview.implicit ~n ~max_degree ~degree:(fun _ -> max_degree) iter
-
 (* ---- de Bruijn ------------------------------------------------------ *)
 
-let debruijn k =
-  if k < 1 || k > 22 then invalid_arg "Implicit.debruijn: need 1 <= k <= 22";
-  let n = 1 lsl k in
-  let mask = n - 1 in
-  let high = 1 lsl (k - 1) in
-  (* successors and predecessors of the shift map, self-loops dropped
-     and overlaps emitted once — the undirected dedupe the CSR twin
-     gets from its builder *)
-  let iter v f =
-    let s0 = (v lsl 1) land mask in
-    let s1 = s0 lor 1 in
-    let p0 = v lsr 1 in
-    let p1 = p0 lor high in
-    if s0 <> v then f s0;
-    if s1 <> v then f s1;
-    if p0 <> v && p0 <> s0 && p0 <> s1 then f p0;
-    if p1 <> v && p1 <> s0 && p1 <> s1 && p1 <> p0 then f p1
-  in
-  (* exact max degrees at the degenerate orders: K2 at k = 1; at
-     k = 2 every pred/succ set overlaps or hits a self-loop somewhere,
-     capping the max at 3 *)
-  let max_degree = if k = 1 then 1 else if k = 2 then 3 else 4 in
-  Gview.implicit ~n ~max_degree iter
-
 (* ---- chain-replacement ---------------------------------------------- *)
-
-let chain_graph base ~k =
-  if k < 2 || k mod 2 = 1 then invalid_arg "Implicit.chain_graph: k must be even and >= 2";
-  let n_base = Graph.num_nodes base in
-  let base_edges = Graph.edges base in
-  let m = Array.length base_edges in
-  let n = n_base + (m * k) in
-  (* base_edges is lex-sorted ((u, v), u < v) by Graph.edges, so the
-     chain index of an incident edge is a binary search away *)
-  let edge_index u v =
-    let key = if u < v then (u, v) else (v, u) in
-    let lo = ref 0 and hi = ref (m - 1) and found = ref (-1) in
-    while !lo <= !hi do
-      let mid = (!lo + !hi) / 2 in
-      let c = Graph.compare_int_pair base_edges.(mid) key in
-      if c = 0 then begin
-        found := mid;
-        lo := !hi + 1
-      end
-      else if c < 0 then lo := mid + 1
-      else hi := mid - 1
-    done;
-    !found
-  in
-  let iter v f =
-    if v < n_base then
-      Graph.iter_neighbors base v (fun w ->
-          let j = edge_index v w in
-          if v < w then f (n_base + (j * k)) else f (n_base + (j * k) + k - 1))
-    else begin
-      let off = v - n_base in
-      let j = off / k and i = off mod k in
-      let u, w = base_edges.(j) in
-      if i = 0 then f u else f (v - 1);
-      if i = k - 1 then f w else f (v + 1)
-    end
-  in
-  let degree v = if v < n_base then Graph.degree base v else 2 in
-  let max_degree = max (Graph.max_degree base) 2 in
-  Gview.implicit ~n ~max_degree ~degree iter

@@ -13,10 +13,6 @@ open Fn_graph
     [Graph.equal (materialize (gen ...)) (twin ...)] across a size
     sweep. *)
 
-val materialize : Gview.t -> Graph.t
-(** {!Gview.materialize}: flatten any view into a validated CSR graph
-    (small n only — this is the differential-testing bridge). *)
-
 val mesh : int array -> Gview.t
 (** [mesh dims]: the d-dimensional grid of [Mesh.graph dims] (no
     wraparound), row-major ids.  The [dims] array is copied. *)
@@ -27,21 +23,3 @@ val torus : int array -> Gview.t
 
 val hypercube : int -> Gview.t
 (** [hypercube d]: the d-cube on [2^d] nodes of [Hypercube.graph]. *)
-
-val butterfly_unwrapped : int -> Gview.t
-(** [Butterfly.unwrapped k]: [k+1] levels of [2^k] rows. *)
-
-val butterfly_wrapped : int -> Gview.t
-(** [Butterfly.wrapped k]: [k] levels with level [k-1] wired back to
-    level 0; at [k = 2] the coinciding straight edges are emitted
-    once, matching the CSR twin's dedupe. *)
-
-val debruijn : int -> Gview.t
-(** [Debruijn.graph k]: undirected order-[2^k] de Bruijn graph
-    (shift-map successors and predecessors, self-loops dropped). *)
-
-val chain_graph : Graph.t -> k:int -> Gview.t
-(** [chain_graph base ~k]: [Chain_graph.build base ~k] as a view —
-    every base edge replaced by a [k]-node chain.  Holds onto [base]'s
-    CSR (and its lex-sorted edge array) but never materializes the
-    chain nodes; [k] must be even and >= 2. *)

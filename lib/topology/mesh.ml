@@ -70,37 +70,3 @@ let virtual_neighbors geo v =
     done
   done;
   !out
-
-let is_virtual_edge geo u v =
-  if u = v then false
-  else begin
-    let cu = decode geo u and cv = decode geo v in
-    let diffs = ref 0 and ok = ref true in
-    Array.iteri
-      (fun i c ->
-        let delta = abs (c - cv.(i)) in
-        if delta > 1 then ok := false else if delta = 1 then incr diffs)
-      cu;
-    !ok && !diffs >= 1 && !diffs <= 2
-  end
-
-let central_hyperplane ?dim geo =
-  let d = Array.length geo.dims in
-  let dim =
-    match dim with
-    | Some i ->
-      if i < 0 || i >= d then invalid_arg "Mesh.central_hyperplane: bad dimension";
-      i
-    | None ->
-      let best = ref 0 in
-      for i = 1 to d - 1 do
-        if geo.dims.(i) > geo.dims.(!best) then best := i
-      done;
-      !best
-  in
-  let mid = geo.dims.(dim) / 2 in
-  let out = ref [] in
-  for v = geo.size - 1 downto 0 do
-    if v / geo.strides.(dim) mod geo.dims.(dim) = mid then out := v :: !out
-  done;
-  Array.of_list !out

@@ -34,11 +34,3 @@ val virtual_neighbors : geometry -> int -> int list
     whose coordinates differ by at most 1 in at most two dimensions
     and agree elsewhere (excluding the node itself).  These are the
     "virtual edges" E_v of the paper. *)
-
-val is_virtual_edge : geometry -> int -> int -> bool
-
-val central_hyperplane : ?dim:int -> geometry -> int array
-(** The nodes whose [dim]-th coordinate (default: a widest dimension)
-    equals the middle value — removing them bisects the mesh, the
-    hyperplane attack of the Theorem 2.5 discussion.  Size
-    n / dims.(dim). *)

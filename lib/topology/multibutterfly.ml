@@ -41,7 +41,3 @@ let build rng ~k ~multiplicity =
     done
   done;
   { graph = Builder.to_graph b; k; multiplicity }
-
-let inputs t = Array.init (1 lsl t.k) (fun row -> node ~k:t.k ~level:0 ~row)
-
-let outputs t = Array.init (1 lsl t.k) (fun row -> node ~k:t.k ~level:t.k ~row)

@@ -24,9 +24,3 @@ type t = {
 val build : Rng.t -> k:int -> multiplicity:int -> t
 (** Requires [1 <= k <= 16] and [multiplicity >= 1].  Nodes are
     numbered level-major like {!Butterfly.node}. *)
-
-val inputs : t -> int array
-(** Level-0 nodes. *)
-
-val outputs : t -> int array
-(** Level-k nodes. *)

@@ -15,8 +15,3 @@ let cartesian g h =
         Builder.add_edge b (node ~h_size:nh u1 u2) (node ~h_size:nh v1 u2)
       done);
   Builder.to_graph b
-
-let power g k =
-  if k < 1 then invalid_arg "Product.power: need k >= 1";
-  let rec go acc i = if i = k then acc else go (cartesian acc g) (i + 1) in
-  go g 1

@@ -10,10 +10,3 @@ open Fn_graph
     ((u1, u2) ↦ u1·|H| + u2, matching the row-major mesh layout). *)
 
 val cartesian : Graph.t -> Graph.t -> Graph.t
-
-val power : Graph.t -> int -> Graph.t
-(** [power g k] is the k-fold Cartesian product of [g] with itself;
-    requires [k >= 1]. *)
-
-val node : h_size:int -> int -> int -> int
-(** [(u1, u2)] of G □ H as an integer, [h_size] = |V(H)|. *)

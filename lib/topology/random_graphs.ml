@@ -1,47 +1,6 @@
 open Fn_graph
 open Fn_prng
 
-let gnp rng n p =
-  if n < 0 then invalid_arg "Random_graphs.gnp: negative n";
-  if not (p >= 0.0 && p <= 1.0) then invalid_arg "Random_graphs.gnp: p out of [0,1]";
-  let b = Builder.create n in
-  if p > 0.0 then begin
-    if p >= 1.0 then
-      for u = 0 to n - 1 do
-        for v = u + 1 to n - 1 do
-          Builder.add_edge b u v
-        done
-      done
-    else begin
-      (* iterate over the (u,v), u<v pairs in lexicographic order,
-         skipping geometrically between present edges *)
-      let u = ref 0 and v = ref 0 in
-      let advance skip =
-        let s = ref (skip + 1) in
-        while !s > 0 && !u < n do
-          let room = n - 1 - !v in
-          if room >= !s then begin
-            v := !v + !s;
-            s := 0
-          end
-          else begin
-            s := !s - room;
-            incr u;
-            v := !u
-          end
-        done
-      in
-      v := 0;
-      u := 0;
-      advance (Dist.geometric rng p);
-      while !u < n - 1 do
-        Builder.add_edge b !u !v;
-        advance (Dist.geometric rng p)
-      done
-    end
-  end;
-  Builder.to_graph b
-
 let gnm rng n m =
   let max_m = n * (n - 1) / 2 in
   if m < 0 || m > max_m then invalid_arg "Random_graphs.gnm: m out of range";

@@ -3,10 +3,6 @@ open Fn_prng
 
 (** Random graph models. *)
 
-val gnp : Rng.t -> int -> float -> Graph.t
-(** Erdős–Rényi G(n, p).  Uses geometric skipping, so the cost is
-    O(n + expected edges) rather than O(n^2). *)
-
 val gnm : Rng.t -> int -> int -> Graph.t
 (** Uniform graph with exactly [m] distinct edges (no loops). *)
 

@@ -69,9 +69,13 @@ let test_bootstrap_deterministic () =
 (* Measure (smoke mode: deterministic shape, no timing assumptions)    *)
 (* ------------------------------------------------------------------ *)
 
+(* One batch of one run, no warmup: what a smoke pass needs. *)
+let one_shot =
+  { Measure.warmup_ns = 0; target_batch_ns = 0; min_runs = 1; max_runs = 1; budget_ns = 0 }
+
 let test_measure_smoke () =
   let calls = ref 0 in
-  let s = Measure.run Measure.smoke (fun () -> incr calls) in
+  let s = Measure.run one_shot (fun () -> incr calls) in
   check_int "kernel ran exactly once" 1 !calls;
   check_int "one sample" 1 s.Measure.runs;
   check_int "batch of one" 1 s.Measure.batch;
@@ -247,9 +251,6 @@ let test_suite_lookup () =
       Suite.kernel ~suite:"ablations" "gamma" (fun () -> 3);
     ]
   in
-  check_bool "find hits" true (Suite.find "alpha" ks <> None);
-  check_bool "find is case-insensitive" true (Suite.find "ALPHA" ks <> None);
-  check_bool "find misses" true (Suite.find "delta" ks = None);
   check_bool "suites in order" true (Suite.suites ks = [ "experiments"; "ablations" ])
 
 let test_suite_run_groups () =
@@ -260,7 +261,7 @@ let test_suite_run_groups () =
       Suite.kernel ~suite:"g1" "three" (fun () -> ());
     ]
   in
-  let grouped = Suite.run ~filter:(fun n -> n <> "three") Measure.smoke ks in
+  let grouped = Suite.run ~filter:(fun n -> n <> "three") one_shot ks in
   check_int "two groups" 2 (List.length grouped);
   (match grouped with
   | [ ("g1", [ r ]); ("g2", [ _ ]) ] ->
@@ -328,6 +329,85 @@ let test_kernel_names_unique () =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* Gate and report rendering                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* a regressed, b improved, c unchanged; d only in the baseline, e only
+   in the current run *)
+let mixed_compare () =
+  let base =
+    baseline_of
+      [
+        result "a" 100.0 (98.0, 102.0);
+        result "b" 100.0 (98.0, 102.0);
+        result "c" 100.0 (98.0, 102.0);
+        result "d" 100.0 (98.0, 102.0);
+      ]
+  in
+  let cur =
+    baseline_of
+      [
+        result "a" 200.0 (195.0, 205.0);
+        result "b" 50.0 (48.0, 52.0);
+        result "c" 100.0 (98.0, 102.0);
+        result "e" 10.0 (9.0, 11.0);
+      ]
+  in
+  Compare.run ~threshold:0.25 ~baseline:base ~current:cur
+
+let check_string = Alcotest.(check string)
+
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec at i = i + n <= h && (String.sub hay i n = needle || at (i + 1)) in
+  at 0
+
+let names entries = List.map (fun (e : Compare.entry) -> e.Compare.name) entries
+
+let test_regressions_and_significant () =
+  let c = mixed_compare () in
+  check_bool "regressions" true (names (Compare.regressions c) = [ "a" ]);
+  check_bool "significant, baseline order" true (names (Compare.significant c) = [ "a"; "b" ]);
+  check_bool "verdict names" true
+    (List.map Compare.verdict_name [ Compare.Improved; Compare.Regressed; Compare.Unchanged ]
+    = [ "improved"; "regressed"; "unchanged" ])
+
+let test_compare_table_notes () =
+  let text = Report.compare_table (mixed_compare ()) in
+  let has s = contains text s in
+  check_bool "regressed row" true (has "regressed");
+  check_bool "missing kernel noted" true (has "missing from current run: d");
+  check_bool "new kernel noted" true (has "not in baseline (new): e")
+
+let test_gate_summary () =
+  let failed = Report.gate_summary ~threshold:0.25 (mixed_compare ()) in
+  check_string "failed gate" "bench gate FAILED: 1 regressed, 1 improved (refresh baseline), 1 missing of 3 (threshold 25%)"
+    failed;
+  let same = baseline_of [ result "a" 100.0 (98.0, 102.0) ] in
+  check_string "passing gate" "bench gate OK: 1 kernels within 25% of baseline"
+    (Report.gate_summary ~threshold:0.25 (Compare.run ~threshold:0.25 ~baseline:same ~current:same))
+
+let test_suite_table_rows () =
+  let text = Report.suite_table ("experiments", [ result "alpha" 100.0 (98.0, 102.0); result "beta" 2e6 (1.9e6, 2.1e6) ]) in
+  let has s = contains text s in
+  check_bool "names the suite" true (has "experiments");
+  check_bool "one row per kernel" true (has "alpha" && has "beta");
+  check_bool "medians pretty-printed" true (has "100 ns" && has "2.00 ms")
+
+let test_of_run_stamps () =
+  let b = Baseline.of_run ~suite:"kernels" ~quick:true [ result "a" 1.0 (1.0, 1.0) ] in
+  check_string "suite" "kernels" b.Baseline.meta.Baseline.suite;
+  check_bool "quick" true b.Baseline.meta.Baseline.quick;
+  check_bool "stamped" true (b.Baseline.meta.Baseline.created_ns > 0);
+  check_bool "kernels kept" true (List.length b.Baseline.kernels = 1)
+
+let test_default_options () =
+  let d = Measure.default and q = Measure.quick in
+  check_bool "run bounds ordered" true (1 <= d.Measure.min_runs && d.Measure.min_runs <= d.Measure.max_runs);
+  check_bool "default samples longer than quick" true
+    (d.Measure.budget_ns > q.Measure.budget_ns && d.Measure.warmup_ns > q.Measure.warmup_ns)
+
 let () =
   Alcotest.run "fn_bench"
     [
@@ -340,18 +420,27 @@ let () =
           case "bootstrap deterministic" test_bootstrap_deterministic;
         ] );
       ( "measure",
-        [ case "smoke shape" test_measure_smoke; case "quick bounds" test_measure_quick_bounds ] );
+        [
+          case "smoke shape" test_measure_smoke;
+          case "quick bounds" test_measure_quick_bounds;
+          case "default options" test_default_options;
+        ] );
       ( "baseline",
         [
           case "json roundtrip" test_json_roundtrip;
           case "file roundtrip" test_json_file_roundtrip;
           case "rejects bad input" test_json_rejects;
+          case "of_run stamps the run" test_of_run_stamps;
         ] );
       ( "compare",
         [
           case "verdicts" test_compare_verdicts;
           case "threshold" test_compare_threshold;
           case "missing and added" test_compare_missing_added;
+          case "regressions and significant" test_regressions_and_significant;
+          case "compare table notes" test_compare_table_notes;
+          case "gate summary" test_gate_summary;
+          case "suite table rows" test_suite_table_rows;
         ] );
       ( "suite",
         [

@@ -229,6 +229,14 @@ let prop_iter_matches_naive =
       let expect = naive_members s in
       List.rev !visited = expect && Array.to_list (Bitset.to_array s) = expect)
 
+let test_clear () =
+  let s = Bitset.of_list 130 [ 0; 64; 129 ] in
+  Bitset.clear s;
+  check_int "empty" 0 (Bitset.cardinal s);
+  check_int "universe kept" 130 (Bitset.universe s);
+  Bitset.add s 5;
+  check_bool "usable after clear" true (Bitset.to_list s = [ 5 ])
+
 let () =
   Alcotest.run "bitset"
     [
@@ -246,6 +254,7 @@ let () =
           case "choose" test_choose;
           case "next_member" test_next_member;
           case "universe mismatch" test_universe_mismatch;
+          case "clear" test_clear;
         ] );
       ( "properties",
         [

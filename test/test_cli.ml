@@ -301,7 +301,7 @@ let test_experiments_refuses_removed_flags () =
       check_int (flag ^ ": exit") 2 code;
       check_bool (flag ^ ": named") true (contains out (List.hd (String.split_on_char ' ' flag)));
       check_bool (flag ^ ": nothing ran") false (contains out "==="))
-    [ "--deadline 5"; "--retries 2"; "--chaos 0.1"; "--chaos-seed 3" ]
+    [ "--deadline 5"; "--retries 2"; "--chaos 0.1"; "--chaos-seed 3"; "--online" ]
 
 (* Flag values the generators or the engine refuse are usage errors:
    exit 2 with a one-line "faultnetd:" message on stderr, never an
@@ -424,6 +424,107 @@ let test_faultnetd_resume_across_domains () =
           check_bool (flags ^ ": writer's digest") true (digests = [ written ]))
         [ "--resume"; "--resume --domains 3" ])
 
+(* A --trace that cannot be written has one defined response in all
+   three binaries.  A path under a missing directory is refused before
+   any work: exit 2 (124 from faultnet_cli, a usage error) and one
+   line.  A write that fails later (/dev/full: a full disk) still lets
+   the run print every table, the summary line and the --metrics
+   report, then names the file, with exit 1. *)
+let missing_dir_trace = "/nonexistent-faultnet-dir/t.jsonl"
+
+let run_split bin args =
+  let out = Filename.temp_file "fn_trace" ".out" and err = Filename.temp_file "fn_trace" ".err" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ out; err ])
+    (fun () ->
+      let code = Sys.command (Printf.sprintf "%s %s > %s 2> %s" bin args out err) in
+      let read f = In_channel.with_open_bin f In_channel.input_all in
+      (code, read out, read err))
+
+let one_line text = List.length (String.split_on_char '\n' (String.trim text)) = 1
+
+let last_line text = List.hd (List.rev (String.split_on_char '\n' (String.trim text)))
+
+let test_experiments_trace_failures () =
+  let exp = bin_path "experiments.exe" in
+  let code, out, err = run_split exp ("--quick --trace " ^ missing_dir_trace ^ " E2") in
+  check_int "missing dir: exit" 2 code;
+  check_bool "missing dir: nothing ran" true (out = "");
+  check_bool "missing dir: one line naming the path" true
+    (one_line err && contains err missing_dir_trace);
+  if Sys.file_exists "/dev/full" then begin
+    let code, out, err = run_split exp "--quick --seed 7 --metrics --trace /dev/full E2 E7" in
+    check_int "full disk: exit" 1 code;
+    check_bool "full disk: both tables" true (contains out "E2" && contains out "E7");
+    check_bool "full disk: summary line" true (contains out "All experiment checks passed.");
+    check_bool "full disk: metrics report" true (contains err "histogram spectral.iterations");
+    check_bool "full disk: file named last" true
+      (String.starts_with ~prefix:"experiments: trace /dev/full" (last_line err))
+  end
+
+let test_cli_trace_failures () =
+  let code, out, err = run_split binary ("prune -t torus:10x10 --seed 3 --trace " ^ missing_dir_trace) in
+  check_int "missing dir: usage error" 124 code;
+  check_bool "missing dir: nothing ran" true (out = "");
+  check_bool "missing dir: names the path" true (contains err missing_dir_trace);
+  if Sys.file_exists "/dev/full" then begin
+    let code, out, err = run_split binary "prune -t torus:10x10 --seed 3 --metrics --trace /dev/full" in
+    check_int "full disk: exit" 1 code;
+    check_bool "full disk: result printed" true (contains out "Prune: kept");
+    check_bool "full disk: metrics report" true (contains err "histogram spectral.iterations");
+    check_bool "full disk: file named last" true
+      (String.starts_with ~prefix:"faultnet: trace /dev/full" (last_line err))
+  end
+
+let test_faultnetd_trace_failures () =
+  let code, out, err =
+    run_split daemon ("--topology torus:8x8 --trace " ^ missing_dir_trace ^ " < /dev/null")
+  in
+  check_int "missing dir: exit" 2 code;
+  check_bool "missing dir: no session" true (out = "");
+  check_bool "missing dir: one line naming the path" true
+    (one_line err && contains err missing_dir_trace);
+  if Sys.file_exists "/dev/full" then begin
+    let inp = Filename.temp_file "faultnetd_trace" ".in" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove inp)
+      (fun () ->
+        Out_channel.with_open_bin inp (fun oc -> output_string oc "apply f1 f2\nquit\n");
+        let code, out, err =
+          run_split daemon
+            (Printf.sprintf "--topology torus:8x8 --metrics --trace /dev/full < %s" inp)
+        in
+        check_int "full disk: exit" 1 code;
+        check_bool "full disk: session answered" true (contains out "ok applied=2");
+        check_bool "full disk: metrics report" true (contains err "online.events");
+        check_bool "full disk: file named last" true
+          (String.starts_with ~prefix:"faultnetd: trace /dev/full" (last_line err)))
+  end
+
+(* --domains outside 1..127 is refused when the flag is parsed: the
+   runtime holds at most 128 domains, and 0 or a negative count used
+   to run quietly on one.  Each value is refused before any work, so
+   no domain is ever spawned. *)
+let test_domains_range_refused () =
+  List.iter
+    (fun d ->
+      let code, out, err = run_split (bin_path "experiments.exe") ("--quick --domains " ^ d ^ " E2") in
+      check_int ("experiments " ^ d ^ ": exit") 2 code;
+      check_bool ("experiments " ^ d ^ ": nothing ran") true (out = "");
+      check_bool ("experiments " ^ d ^ ": named") true (one_line err && contains err "--domains");
+      let code, out, err = run_split daemon ("--topology torus:8x8 --domains " ^ d ^ " < /dev/null") in
+      check_int ("faultnetd " ^ d ^ ": exit") 2 code;
+      check_bool ("faultnetd " ^ d ^ ": no session") true (out = "");
+      check_bool ("faultnetd " ^ d ^ ": named") true (one_line err && contains err "--domains"))
+    [ "0"; "-1"; "128" ]
+
+let test_figures_bad_seed () =
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "fn_figures_bad_seed" in
+  let code, out, err = run_split (bin_path "figures.exe") ("--seed x --outdir " ^ dir) in
+  check_int "exit" 2 code;
+  check_bool "nothing written" true (out = "" && not (Sys.file_exists dir));
+  check_bool "usage line" true (one_line err && String.starts_with ~prefix:"usage: figures" err)
+
 let () =
   if not (Sys.file_exists binary) then begin
     print_endline "faultnet_cli.exe not found next to the test; skipping CLI suite";
@@ -450,6 +551,11 @@ let () =
           case "report needs two survivors" test_report_needs_two_survivors;
           case "faultnetd --deadline" test_faultnetd_deadline;
           case "experiments refuses removed flags" test_experiments_refuses_removed_flags;
+          case "experiments --trace failures" test_experiments_trace_failures;
+          case "faultnet --trace failures" test_cli_trace_failures;
+          case "faultnetd --trace failures" test_faultnetd_trace_failures;
+          case "--domains outside 1..127 refused" test_domains_range_refused;
+          case "figures --seed must be an integer" test_figures_bad_seed;
         ] );
       ( "lint",
         [

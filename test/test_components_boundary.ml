@@ -12,20 +12,13 @@ let test_components_connected () =
 let test_components_disconnected () =
   let c = Components.compute (Gview.Csr two_triangles) in
   check_int "two components" 2 c.Components.count;
-  check_int "largest" 3 (Components.largest_size c);
-  check_bool "histogram" true (Components.size_histogram c = [ (3, 2) ])
+  check_int "largest" 3 (Components.largest_size c)
 
 let test_components_masked () =
   let alive = Bitset.of_list 5 [ 0; 1; 3; 4 ] in
   let c = Components.compute ~alive (Gview.Csr path5) in
   check_int "split by dead node" 2 c.Components.count;
   check_int "dead label" (-1) c.Components.labels.(2)
-
-let test_gamma () =
-  check_float "full gamma" 1.0 (Components.gamma (Gview.Csr path5));
-  let alive = Bitset.of_list 5 [ 0; 1; 3; 4 ] in
-  check_float "masked gamma" 0.4 (Components.gamma ~alive (Gview.Csr path5));
-  check_float "empty graph" 0.0 (Components.gamma (Gview.Csr (Graph.empty 0)))
 
 let test_members_and_largest_members () =
   let c = Components.compute (Gview.Csr two_triangles) in
@@ -73,18 +66,7 @@ let test_node_boundary_mesh_corner () =
 let test_edge_boundary () =
   (* left 2x4 half of the 4x4 mesh: 4 crossing edges *)
   let u = Bitset.of_list 16 [ 0; 1; 4; 5; 8; 9; 12; 13 ] in
-  check_int "half mesh cut" 4 (Boundary.edge_boundary_size (Gview.Csr mesh4) u);
-  let pairs = Boundary.edge_boundary mesh4 u in
-  check_int "edge list length" 4 (List.length pairs);
-  List.iter
-    (fun (inside, outside) ->
-      check_bool "inside in u" true (Bitset.mem u inside);
-      check_bool "outside not in u" false (Bitset.mem u outside))
-    pairs
-
-let test_internal_edges () =
-  let u = Bitset.of_list 16 [ 0; 1; 4; 5 ] in
-  check_int "2x2 block internal edges" 4 (Boundary.internal_edge_count (Gview.Csr mesh4) u)
+  check_int "half mesh cut" 4 (Boundary.edge_boundary_size (Gview.Csr mesh4) u)
 
 let test_masked_boundary () =
   let u = Bitset.of_list 5 [ 0; 1 ] in
@@ -118,11 +100,6 @@ let prop_boundary_le_edge_boundary =
   prop "node boundary <= edge boundary"
     (Testutil.gen_graph_and_subset ~max_n:10 ())
     (fun (g, u) -> Boundary.node_boundary_size (Gview.Csr g) u <= Boundary.edge_boundary_size (Gview.Csr g) u)
-
-let prop_gamma_bounds =
-  prop "gamma in [0,1]" (Testutil.gen_any_graph ~max_n:12 ()) (fun g ->
-      let gm = Components.gamma (Gview.Csr g) in
-      gm >= 0.0 && gm <= 1.0)
 
 (* ---- differential: generation-stamped Scratch vs plain counts ----
    A single scratch is reused across every query (the Prune access
@@ -179,7 +156,6 @@ let () =
           case "connected" test_components_connected;
           case "disconnected" test_components_disconnected;
           case "masked" test_components_masked;
-          case "gamma" test_gamma;
           case "members" test_members_and_largest_members;
           case "smallest members" test_smallest_members;
           case "is_connected" test_is_connected;
@@ -189,7 +165,6 @@ let () =
           case "path node boundary" test_node_boundary_path;
           case "mesh node boundary" test_node_boundary_mesh_corner;
           case "edge boundary" test_edge_boundary;
-          case "internal edges" test_internal_edges;
           case "masked" test_masked_boundary;
           case "expansions" test_expansions;
         ] );
@@ -198,7 +173,6 @@ let () =
           prop_boundary_disjoint_from_set;
           prop_edge_boundary_symmetric;
           prop_boundary_le_edge_boundary;
-          prop_gamma_bounds;
         ] );
       ( "scratch",
         [

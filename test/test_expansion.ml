@@ -150,7 +150,7 @@ let test_local_search_matches_reference () =
       let n = Graph.num_nodes g in
       let mask = Bitset.create_full n in
       for v = 0 to n - 1 do
-        if Fn_prng.Rng.float rng 1.0 < 0.25 then Bitset.remove mask v
+        if Fn_prng.Rng.unit_float rng < 0.25 then Bitset.remove mask v
       done;
       List.iter
         (fun alive ->
@@ -159,7 +159,7 @@ let test_local_search_matches_reference () =
                 let p = 0.1 +. (0.08 *. float_of_int i) in
                 let s = Bitset.create n in
                 for v = 0 to n - 1 do
-                  if Fn_prng.Rng.float rng 1.0 < p then Bitset.add s v
+                  if Fn_prng.Rng.unit_float rng < p then Bitset.add s v
                 done;
                 s)
             @ List.map (fun k -> Bfs.ball_of_size (Gview.Csr g) (Fn_prng.Rng.int rng n) k) [ 3; 6; 12 ]
@@ -228,17 +228,6 @@ let test_estimate_alive_mask () =
 let test_estimate_requires_two () =
   Alcotest.check_raises "singleton" (Invalid_argument "Estimate.run: need at least 2 alive nodes")
     (fun () -> ignore (Estimate.run (Graph.empty 1) Cut.Node))
-
-let test_edge_profile_path () =
-  (* prefixes of the path have exactly one crossing edge *)
-  let profile = Exact.edge_isoperimetric_profile (Fn_topology.Basic.path 10) in
-  Array.iter (fun b -> check_int "path prefix cut" 1 b) profile
-
-let test_edge_profile_hypercube () =
-  (* Harper: |U| = 2^s subcubes are optimal; for Q3 the known minima
-     at sizes 1..4 are 3, 4, 5, 4 *)
-  let profile = Exact.edge_isoperimetric_profile (Fn_topology.Hypercube.graph 3) in
-  check_bool "Q3 edge profile" true (profile = [| 3; 4; 5; 4 |])
 
 (* Q4, K12 or the 4x4 torus with each node faulty with probability
    1/2: the survivors' minimum degree is below the host's (K12 with 6
@@ -465,6 +454,14 @@ let prop_analytic_formulas_guard =
             false
           with Invalid_argument _ -> true))
 
+let test_exact_size_limits () =
+  check_int "max nodes" 22 Exact.max_nodes;
+  let path n = Fn_topology.Basic.path n in
+  ignore (Exact.node_expansion (path Exact.max_nodes));
+  Alcotest.check_raises "one past the limit"
+    (Invalid_argument "Exact: graph too large for exhaustive search") (fun () ->
+      ignore (Exact.node_expansion (path (Exact.max_nodes + 1))))
+
 let () =
   Alcotest.run "expansion"
     [
@@ -495,8 +492,7 @@ let () =
           case "estimate domains=1 is default" test_estimate_domains_one_is_default;
           case "estimate = re-scan candidates reference" test_estimate_matches_rescan_candidates;
           case "estimate parallel domain-count invariant" test_estimate_domain_count_invariant;
-          case "edge profile path" test_edge_profile_path;
-          case "edge profile hypercube" test_edge_profile_hypercube;
+          case "exact size limits" test_exact_size_limits;
         ] );
       ( "properties",
         [

@@ -68,6 +68,39 @@ let test_outcome_render () =
     let s = Fn_experiments.Outcome.render o in
     check_bool "mentions id" true (String.length s > 10 && String.sub s 4 2 = "E2")
 
+module W = Fn_experiments.Workload
+module O = Fn_experiments.Outcome
+
+let test_workload_helpers () =
+  check_float "mean" 2.0 (W.mean_of [ 1.0; 2.0; 3.0 ]);
+  Alcotest.check_raises "empty mean" (Invalid_argument "Workload.mean_of: empty") (fun () ->
+      ignore (W.mean_of []));
+  check_bool "cells" true (W.bool_cell true = "yes" && W.bool_cell false = "NO");
+  let g = Fn_graph.Graph.of_edges 6 [ (0, 1); (1, 2); (3, 4) ] in
+  (* the largest alive component over all 6 nodes *)
+  check_float "gamma" 0.5 (W.gamma_of_alive g (Fn_graph.Bitset.create_full 6));
+  check_float "gamma under a mask" (2.0 /. 6.0)
+    (W.gamma_of_alive g (Fn_graph.Bitset.of_list 6 [ 0; 1; 3; 4; 5 ]))
+
+let test_workload_expander () =
+  let g = W.expander (Fn_prng.Rng.create 3) ~n:64 ~d:4 in
+  check_int "nodes" 64 (Fn_graph.Graph.num_nodes g);
+  check_bool "4-regular" true (Fn_graph.Check.regular g 4);
+  check_bool "connected" true (Fn_graph.Components.is_connected (Fn_graph.Gview.Csr g))
+
+let test_outcome_passed_and_json () =
+  let table = Fn_stats.Table.create [ "k"; "v" ] in
+  Fn_stats.Table.add_row table [ "1"; "0.5" ];
+  let o = { O.id = "E0"; title = "t"; table; checks = [ ("a", true); ("b", true) ]; notes = [ "n" ] } in
+  check_bool "all passed" true (O.all_passed o);
+  check_bool "one failing check" false (O.all_passed { o with O.checks = [ ("a", true); ("b", false) ] });
+  match Option.bind (Fn_obs.Jsonx.parse (O.to_json o)) O.of_jsonx with
+  | None -> Alcotest.fail "to_json does not decode"
+  | Some back ->
+    check_bool "json roundtrip" true
+      (back.O.id = "E0" && back.O.checks = o.O.checks && back.O.notes = [ "n" ]
+      && Fn_stats.Table.rows back.O.table = [ [ "1"; "0.5" ] ])
+
 let () =
   Alcotest.run "experiments_quick"
     [
@@ -76,6 +109,9 @@ let () =
           case "complete" test_registry_complete;
           case "covers source files" test_registry_covers_sources;
           case "render" test_outcome_render;
+          case "workload helpers" test_workload_helpers;
+          case "workload expander" test_workload_expander;
+          case "outcome passed and json" test_outcome_passed_and_json;
         ] );
       ( "outcomes",
         [

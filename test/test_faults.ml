@@ -15,16 +15,7 @@ let test_fault_set_basics () =
 
 let test_fault_set_none_union () =
   let none = Fault_set.none 10 in
-  check_int "none" 0 (Fault_set.count none);
-  let a = Fault_set.of_faulty_list 10 [ 1; 2 ] in
-  let b = Fault_set.of_faulty_list 10 [ 2; 3 ] in
-  let u = Fault_set.union a b in
-  check_int "union count" 3 (Fault_set.count u)
-
-let test_restrict_alive () =
-  let fs = Fault_set.of_faulty_list 10 [ 0; 1 ] in
-  let r = Fault_set.restrict_alive fs (Bitset.of_list 10 [ 0; 5 ]) in
-  check_bool "restricted" true (Bitset.to_list r = [ 5 ])
+  check_int "none" 0 (Fault_set.count none)
 
 let test_nodes_iid_extremes () =
   let r = rng () in
@@ -50,25 +41,6 @@ let test_nodes_exact () =
   let r = rng () in
   let fs = Random_faults.nodes_exact r mesh8 10 in
   check_int "exact count" 10 (Fault_set.count fs)
-
-(* a nan keep probability would keep no edge (every Bernoulli draw
-   compares false), so it is refused like any p outside [0,1] *)
-let test_edges_keep_refuses_nan () =
-  let r = rng () in
-  Alcotest.check_raises "keep" (Invalid_argument "Random_faults.edges_keep: p out of [0,1]")
-    (fun () -> ignore (Random_faults.edges_keep r mesh8 Float.nan));
-  Alcotest.check_raises "fault" (Invalid_argument "Random_faults.edges_keep: p out of [0,1]")
-    (fun () -> ignore (Random_faults.edges_iid r mesh8 Float.nan))
-
-let test_edges_keep () =
-  let r = rng () in
-  let same = Random_faults.edges_keep r mesh8 1.0 in
-  check_bool "p=1 identical" true (Graph.equal mesh8 same);
-  let none = Random_faults.edges_keep r mesh8 0.0 in
-  check_int "p=0 empty" 0 (Graph.num_edges none);
-  check_int "nodes preserved" 64 (Graph.num_nodes none);
-  let dual = Random_faults.edges_iid r mesh8 0.0 in
-  check_bool "edges_iid p=0 keeps all" true (Graph.equal mesh8 dual)
 
 (* ---- adversaries ---- *)
 
@@ -263,6 +235,16 @@ let test_normalize_then_apply () =
     check_bool "untouched" true (Bitset.mem faulty 7);
     check_int "mask size" 2 (Bitset.cardinal faulty)
 
+let test_of_faulty_complements () =
+  let fs = Fault_set.of_faulty 6 (Bitset.of_list 6 [ 1; 4 ]) in
+  check_int "count" 2 (Fault_set.count fs);
+  check_bool "alive is the complement" true
+    (Bitset.to_list fs.Fault_set.alive = [ 0; 2; 3; 5 ])
+
+let test_event_node () =
+  check_int "fault" 7 (Churn.event_node (Churn.Fault 7));
+  check_int "repair" 3 (Churn.event_node (Churn.Repair 3))
+
 let () =
   Alcotest.run "faults"
     [
@@ -270,15 +252,12 @@ let () =
         [
           case "basics" test_fault_set_basics;
           case "none/union" test_fault_set_none_union;
-          case "restrict" test_restrict_alive;
         ] );
       ( "random",
         [
           case "iid extremes" test_nodes_iid_extremes;
           case "iid rate" test_nodes_iid_rate;
           case "exact count" test_nodes_exact;
-          case "edge faults" test_edges_keep;
-          case "edge faults refuse nan" test_edges_keep_refuses_nan;
         ] );
       ( "adversary",
         [
@@ -304,5 +283,7 @@ let () =
           case "normalize rejects" test_normalize_rejects;
           case "normalize then apply" test_normalize_then_apply;
           case "nan refused" test_churn_refuses_nan;
+          case "of_faulty complements" test_of_faulty_complements;
+          case "event node" test_event_node;
         ] );
     ]

@@ -38,15 +38,6 @@ let test_file_roundtrip () =
       let g = Gio.load path in
       check_bool "file roundtrip" true (Graph.equal mesh3 g))
 
-let test_dot () =
-  let dot = Gio.to_dot ~name:"m" ~highlight:(Bitset.of_list 9 [ 0 ]) mesh3 in
-  check_bool "has graph header" true (String.length dot > 0 && String.sub dot 0 7 = "graph m");
-  check_bool "mentions an edge" true
-    (String.split_on_char '\n' dot |> List.exists (fun l -> l = "  0 -- 1;"));
-  check_bool "highlights node" true
-    (String.split_on_char '\n' dot
-    |> List.exists (fun l -> l = "  0 [style=filled fillcolor=gray];"))
-
 let prop_roundtrip =
   prop "string roundtrip for arbitrary graphs" (Testutil.gen_any_graph ~max_n:15 ())
     (fun g -> Graph.equal g (Gio.of_edge_list_string (Gio.to_edge_list_string g)))
@@ -62,7 +53,6 @@ let () =
           case "comments/blanks" test_comments_and_blanks;
           case "malformed" test_malformed;
           case "file roundtrip" test_file_roundtrip;
-          case "dot export" test_dot;
         ] );
       ("properties", [ prop_roundtrip ]);
     ]

@@ -25,7 +25,9 @@ let test_rejects () =
 
 let test_neighbors_sorted () =
   let g = Graph.of_edges 5 [ (2, 4); (2, 0); (2, 3); (2, 1) ] in
-  check_bool "sorted row" true (Graph.neighbors g 2 = [| 0; 1; 3; 4 |])
+  let row = ref [] in
+  Graph.iter_neighbors g 2 (fun u -> row := u :: !row);
+  check_bool "sorted row" true (List.rev !row = [ 0; 1; 3; 4 ])
 
 let test_iter_edges_once () =
   let seen = ref [] in
@@ -50,12 +52,6 @@ let test_equal () =
   let g2 = Graph.of_edges 3 [ (1, 2); (0, 1) ] in
   check_bool "order independent" true (Graph.equal g1 g2);
   check_bool "different" false (Graph.equal g1 triangle)
-
-let test_alive_degree () =
-  let alive = Bitset.of_list 3 [ 0; 1 ] in
-  check_int "alive degree" 1 (Graph.alive_degree triangle alive 0);
-  check_int "alive degree of dead node still counts alive nbrs" 2
-    (Graph.alive_degree triangle alive 2)
 
 let test_fold_neighbors () =
   let sum = Graph.fold_neighbors triangle 0 (fun acc w -> acc + w) 0 in
@@ -91,8 +87,7 @@ let prop_roundtrip_through_edges =
 
 let test_builder_path () =
   let b = Builder.create 4 in
-  Builder.add_edges b [ (0, 1); (1, 2); (2, 3) ];
-  check_int "recorded" 3 (Builder.edge_count b);
+  List.iter (fun (u, v) -> Builder.add_edge b u v) [ (0, 1); (1, 2); (2, 3) ];
   let g = Builder.to_graph b in
   check_int "nodes" 4 (Graph.num_nodes g);
   check_int "edges" 3 (Graph.num_edges g)
@@ -116,6 +111,18 @@ let test_builder_rejects () =
   Alcotest.check_raises "range" (Invalid_argument "Builder.add_edge: endpoint out of range")
     (fun () -> Builder.add_edge b 0 3)
 
+let test_endpoint_arrays () =
+  (* entries past [len] are ignored; direction and order do not matter *)
+  let us = [| 2; 0; 3; 9 |] and vs = [| 1; 1; 2; 9 |] in
+  let g = Graph.of_endpoint_arrays 4 ~us ~vs ~len:3 in
+  check_bool "same as of_edges" true (Graph.equal g (Graph.of_edges 4 [ (0, 1); (1, 2); (2, 3) ]))
+
+let test_unsafe_of_csr () =
+  (* the path 0 - 1 - 2 as prebuilt CSR rows *)
+  let g = Graph.unsafe_of_csr ~n:3 ~xadj:[| 0; 1; 3; 4 |] ~adj:[| 1; 0; 2; 1 |] in
+  check_bool "same graph as of_edges" true (Graph.equal g (Graph.of_edges 3 [ (0, 1); (1, 2) ]));
+  check_int "degree from offsets" 2 (Graph.degree g 1)
+
 let () =
   Alcotest.run "graph"
     [
@@ -129,7 +136,6 @@ let () =
           case "edges array" test_edges_array;
           case "empty" test_empty;
           case "equal" test_equal;
-          case "alive degree" test_alive_degree;
           case "fold neighbors" test_fold_neighbors;
         ] );
       ( "builder",
@@ -137,6 +143,8 @@ let () =
           case "path" test_builder_path;
           case "growth + merge" test_builder_growth;
           case "rejects" test_builder_rejects;
+          case "endpoint arrays" test_endpoint_arrays;
+          case "prebuilt CSR rows" test_unsafe_of_csr;
         ] );
       ( "properties",
         [

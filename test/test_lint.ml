@@ -555,6 +555,57 @@ let test_mli_not_linted_for_code_rules () =
   let fs = lint ~path:"lib/x/y.mli" "val sort : unit\n(* TODO document *)" in
   check_bool "only todo rule" true (rules_hit fs = [ "no-todo-naked" ])
 
+let test_rule_registry () =
+  List.iter
+    (fun (r : Rule.t) ->
+      check_bool (r.Rule.name ^ " found by name") true
+        (match Rules.find r.Rule.name with Some f -> f.Rule.name = r.Rule.name | None -> false))
+    Rules.all;
+  let names = List.map (fun (r : Rule.t) -> r.Rule.name) Rules.all in
+  check_int "names unique" (List.length names) (List.length (List.sort_uniq String.compare names));
+  check_bool "unknown name" true (Rules.find "no-such-rule" = None);
+  check_string "error" "error" (Rule.severity_to_string Rule.Error);
+  check_string "warning" "warning" (Rule.severity_to_string Rule.Warning)
+
+(* every allowlisted path names a rule that exists, and is honoured *)
+let test_allowlist_consistent () =
+  let names = List.map (fun (r : Rule.t) -> r.Rule.name) Rules.all in
+  List.iter
+    (fun (rule, entries) ->
+      check_bool (rule ^ " is a rule") true (List.mem rule names);
+      List.iter
+        (fun (a : Rules.allow) ->
+          match a.Rules.pattern with
+          | Rules.Prefix p -> check_bool (rule ^ " honours " ^ p) true (Rules.allowed ~rule ~path:(p ^ "x.ml"))
+          | Rules.Basename _ -> ())
+        entries)
+    Rules.allowlist
+
+let test_path_helpers () =
+  check_bool "prefix" true (Rules.starts_with ~prefix:"lib/" "lib/obs/sink.ml");
+  check_bool "not prefix" false (Rules.starts_with ~prefix:"lib/" "li");
+  check_bool "suffix" true (Rules.ends_with ~suffix:".mli" "lib/obs/sink.mli");
+  check_bool "not suffix" false (Rules.ends_with ~suffix:".mli" "sink.ml")
+
+(* collect walks the roots, skips hidden and _build directories and
+   sorts; lint_file lints what it found *)
+let test_collect_and_lint_file () =
+  let root = Filename.concat (Filename.get_temp_dir_name ()) (Printf.sprintf "fn_lint_collect_%d" (Unix.getpid ())) in
+  let mk d = if not (Sys.file_exists d) then Sys.mkdir d 0o755 in
+  let write f s = Out_channel.with_open_bin f (fun oc -> output_string oc s) in
+  List.iter mk [ root; Filename.concat root "b"; Filename.concat root ".hidden"; Filename.concat root "_build" ];
+  let f_b = Filename.concat (Filename.concat root "b") "m.ml" in
+  write f_b "let x = Random.int 3\n";
+  write (Filename.concat root "a.mli") "val x : int\n";
+  write (Filename.concat (Filename.concat root ".hidden") "h.ml") "let y = 1\n";
+  write (Filename.concat (Filename.concat root "_build") "g.ml") "let z = 1\n";
+  write (Filename.concat root "notes.txt") "not ocaml\n";
+  let files = Engine.collect [ root; Filename.concat root "missing" ] in
+  check_bool "sources only, sorted" true (files = [ Filename.concat root "a.mli"; f_b ]);
+  check_bool "lint_file reads the file" true
+    (List.mem "no-global-random" (rules_hit (Engine.lint_file f_b)));
+  ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote root)))
+
 let () =
   Alcotest.run "lint"
     [
@@ -621,5 +672,9 @@ let () =
           Alcotest.test_case "findings sorted" `Quick test_findings_sorted;
           Alcotest.test_case "errors filter" `Quick test_errors_filter;
           Alcotest.test_case "mli code rules off" `Quick test_mli_not_linted_for_code_rules;
+          Alcotest.test_case "rule registry" `Quick test_rule_registry;
+          Alcotest.test_case "allowlist consistent" `Quick test_allowlist_consistent;
+          Alcotest.test_case "path helpers" `Quick test_path_helpers;
+          Alcotest.test_case "collect and lint_file" `Quick test_collect_and_lint_file;
         ] );
     ]

@@ -39,14 +39,6 @@ let test_endpoint_validation () =
   Alcotest.check_raises "dead" (Invalid_argument "Maxflow: endpoints must be alive")
     (fun () -> ignore (Maxflow.max_flow ~alive path5 ~src:0 ~dst:4))
 
-let test_min_cut_side () =
-  let side = Maxflow.min_cut_side path5 ~src:0 ~dst:4 in
-  check_bool "contains src" true (Bitset.mem side 0);
-  check_bool "excludes dst" false (Bitset.mem side 4);
-  check_int "boundary equals flow" 1 (Boundary.edge_boundary_size (Gview.Csr path5) side);
-  let side = Maxflow.min_cut_side mesh4 ~src:0 ~dst:15 in
-  check_int "mesh cut boundary" 2 (Boundary.edge_boundary_size (Gview.Csr mesh4) side)
-
 let test_vertex_disjoint () =
   check_int "path" 1 (Maxflow.vertex_disjoint_paths path5 ~src:0 ~dst:4);
   check_int "cycle" 2 (Maxflow.vertex_disjoint_paths cycle8 ~src:0 ~dst:4);
@@ -76,15 +68,6 @@ let test_edge_connectivity () =
   check_int "disconnected" 0 (Maxflow.edge_connectivity (Graph.of_edges 4 [ (0, 1); (2, 3) ]));
   check_int "single node" 0 (Maxflow.edge_connectivity (Graph.empty 1))
 
-let prop_flow_equals_cut =
-  prop "max flow = min cut boundary (duality)" ~count:60
-    (Testutil.gen_connected_graph ~max_n:10 ())
-    (fun g ->
-      let n = Graph.num_nodes g in
-      let flow = Maxflow.max_flow g ~src:0 ~dst:(n - 1) in
-      let side = Maxflow.min_cut_side g ~src:0 ~dst:(n - 1) in
-      flow = Boundary.edge_boundary_size (Gview.Csr g) side)
-
 let prop_flow_bounded_by_degrees =
   prop "flow <= min(deg src, deg dst)" ~count:60
     (Testutil.gen_connected_graph ~max_n:10 ())
@@ -113,12 +96,11 @@ let () =
         ] );
       ( "cuts and Menger",
         [
-          case "min cut side" test_min_cut_side;
           case "vertex disjoint" test_vertex_disjoint;
           case "vertex <= edge" test_vertex_le_edge;
           case "edge connectivity" test_edge_connectivity;
         ] );
       ( "properties",
-        [ prop_flow_equals_cut; prop_flow_bounded_by_degrees; prop_connectivity_le_min_degree ]
+        [ prop_flow_bounded_by_degrees; prop_connectivity_le_min_degree ]
       );
     ]

@@ -35,13 +35,6 @@ let test_mean_distance () =
   (* exact mean pairwise distance of P6 is 35/15 *)
   check_float_eps 1e-9 "path exact (all sources sampled)" (35.0 /. 15.0) m
 
-let test_degree_histogram () =
-  check_bool "path histogram" true (Metrics.degree_histogram path6 = [ (1, 2); (2, 4) ]);
-  check_bool "mesh histogram" true
-    (Metrics.degree_histogram mesh4 = [ (2, 4); (3, 8); (4, 4) ]);
-  let alive = Bitset.of_list 6 [ 0; 1; 2 ] in
-  check_bool "masked degrees" true (Metrics.degree_histogram ~alive path6 = [ (1, 2); (2, 1) ])
-
 let test_clustering () =
   check_float "triangle" 1.0 (Metrics.clustering_coefficient (Fn_topology.Basic.complete 3));
   check_float "tree has none" 0.0 (Metrics.clustering_coefficient path6);
@@ -68,7 +61,6 @@ let () =
       ( "others",
         [
           case "mean distance" test_mean_distance;
-          case "degree histogram" test_degree_histogram;
           case "clustering" test_clustering;
         ] );
       ("properties", [ prop_estimate_le_diameter ]);

@@ -23,17 +23,22 @@ let rng () = Fn_prng.Rng.create 0x0417
 
 let test_dirty_basics () =
   let d = Dirty.create 10 in
-  check_bool "clean" false (Dirty.mem d 3);
+  let mem v =
+    let hit = ref false in
+    Dirty.iter d (fun u -> if u = v then hit := true);
+    !hit
+  in
+  check_bool "clean" false (mem 3);
   Dirty.mark d 3;
   Dirty.mark d 7;
   Dirty.mark d 3;
-  check_bool "marked" true (Dirty.mem d 3);
+  check_bool "marked" true (mem 3);
   check_int "deduplicated" 2 (Dirty.count d);
   let seen = ref [] in
   Dirty.iter d (fun v -> seen := v :: !seen);
   check_int "iter covers marks" 2 (List.length !seen);
   Dirty.next_generation d;
-  check_bool "cleared" false (Dirty.mem d 3);
+  check_bool "cleared" false (mem 3);
   check_int "count reset" 0 (Dirty.count d);
   check_int "peak persists" 2 (Dirty.peak d);
   Alcotest.check_raises "out of range" (Invalid_argument "Dirty.mark: node out of range")
@@ -71,7 +76,7 @@ let naive_survey view ~alive ~radius src =
 let random_mask r n keep =
   let m = Bitset.create n in
   for v = 0 to n - 1 do
-    if Fn_prng.Rng.float r 1.0 < keep then Bitset.add m v
+    if Fn_prng.Rng.unit_float r < keep then Bitset.add m v
   done;
   m
 
@@ -162,7 +167,7 @@ let random_batch r engine k =
   let out = ref [] in
   let used = Hashtbl.create 8 in
   for _ = 1 to k do
-    let repair = Fn_prng.Rng.float r 1.0 < 0.4 in
+    let repair = Fn_prng.Rng.unit_float r < 0.4 in
     let cand = if repair then pick faulty else pick alive in
     match cand with
     | Some v when not (Hashtbl.mem used v) ->
@@ -650,17 +655,6 @@ let test_shedding_deterministic () =
   let t2 = trace (shedding_engine ()) in
   check_bool "degraded session deterministic" true (t1 = t2)
 
-let test_recompute_clears_degraded () =
-  let engine = shedding_engine () in
-  apply_exn engine [ Event.Fault 18; Event.Fault 54 ];
-  check_bool "shed" true (Engine.degraded engine);
-  Engine.recompute engine;
-  check_bool "recompute clears degraded" false (Engine.degraded engine);
-  let mask = Engine.alive_mask engine in
-  let scratch = Cert.scratch ~radius:2 (Engine.view engine) ~alive:mask ~alpha:1.0 ~epsilon:0.5 in
-  check_bool "recompute lands on scratch" true
-    (result_equal (Engine.result engine) scratch)
-
 let test_audit_pays_deferred_rebuild () =
   let engine = shedding_engine () in
   apply_exn engine [ Event.Fault 18; Event.Fault 54 ];
@@ -1103,6 +1097,55 @@ let test_daemon_resumes_recorded_journal () =
           (List.hd (String.split_on_char '\n' (read_file out))))
   end
 
+let test_event_tokens () =
+  check_bool "fault token" true (Event.to_token (Event.Fault 12) = "f12");
+  check_bool "repair token" true (Event.to_token (Event.Repair 3) = "r3");
+  List.iter
+    (fun ev -> check_bool "roundtrip" true (Event.of_token (Event.to_token ev) = Some ev))
+    [ Event.Fault 0; Event.Repair 7; Event.Fault 1_000_000 ];
+  List.iter
+    (fun tok -> check_bool (tok ^ " refused") true (Event.of_token tok = None))
+    [ "x1"; "f"; ""; "r1.5" ]
+
+let test_protocol_limits_and_errors () =
+  let l = Protocol.default_limits in
+  check_int "64 KiB lines" 65536 l.Protocol.max_line_bytes;
+  check_int "4096 events" 4096 l.Protocol.max_batch_events;
+  let e = Protocol.Bad_node "x" in
+  check_bool "error text leads with its code" true
+    (String.starts_with ~prefix:(Protocol.error_code e ^ " ") (Protocol.error_to_string e))
+
+let test_engine_accessors () =
+  let cfg = { Engine.default_config with Engine.radius = 3 } in
+  let engine = Engine.create ~cfg (Gview.Csr (fst (Fn_topology.Torus.cube ~d:2 ~side:6))) in
+  check_int "universe" 36 (Engine.universe engine);
+  check_int "config kept" 3 (Engine.config engine).Engine.radius;
+  apply_exn engine [ Event.Fault 4; Event.Fault 9 ];
+  check_int "alive count" 34 (Engine.alive_count engine);
+  check_bool "a faulty node is outside the certificate" false (Engine.in_certificate engine 4);
+  check_bool "membership matches the result" true
+    (List.for_all
+       (fun v -> Engine.in_certificate engine v = Bitset.mem (Engine.result engine).Faultnet.Prune.kept v)
+       (List.init 36 Fun.id))
+
+let test_cert_counters () =
+  let view = Gview.Csr (fst (Fn_topology.Torus.cube ~d:2 ~side:6)) in
+  let alive = Bitset.create_full 36 in
+  let c = Cert.create view ~alive ~alpha:1.0 ~epsilon:0.5 in
+  check_int "alive count" 36 (Cert.alive_count c);
+  check_int "one survey per node at creation" 36 (Cert.recomputed c);
+  Cert.apply c [ Event.Fault 0 ];
+  check_int "mask follows the batch" 35 (Cert.alive_count c);
+  check_bool "copy of the mask" false (Bitset.mem (Cert.alive c) 0);
+  check_bool "dirty region measured" true (Cert.last_dirty c > 0 && Cert.dirty_peak c >= Cert.last_dirty c);
+  check_bool "re-surveys counted" true (Cert.recomputed c > 36)
+
+let test_view_of_spec () =
+  (match Server.view_of_spec (rng ()) "torus:4x4" with
+  | Ok v -> check_int "nodes" 16 (Gview.num_nodes v)
+  | Error m -> Alcotest.fail m);
+  check_bool "bad spec refused" true (Result.is_error (Server.view_of_spec (rng ()) "torus:0x4"))
+
 let () =
   Alcotest.run "online"
     [
@@ -1148,7 +1191,6 @@ let () =
         [
           case "degraded mode serves stale stamped answers" test_shedding_degraded_mode;
           case "degraded sessions deterministic" test_shedding_deterministic;
-          case "recompute clears degraded" test_recompute_clears_degraded;
           case "audit pays deferred rebuild" test_audit_pays_deferred_rebuild;
         ] );
       ("quarantine", [ case "divergent audit self-heals" test_quarantine_self_healing ]);
@@ -1163,5 +1205,10 @@ let () =
           case "kill-and-resume byte-identity" test_daemon_kill_and_resume;
           case "kill-and-resume with compaction" test_daemon_compaction_resume;
           case "resumes a journal an earlier build wrote" test_daemon_resumes_recorded_journal;
+          case "event tokens" test_event_tokens;
+          case "protocol limits and error text" test_protocol_limits_and_errors;
+          case "engine accessors" test_engine_accessors;
+          case "certificate counters" test_cert_counters;
+          case "view_of_spec" test_view_of_spec;
         ] );
     ]

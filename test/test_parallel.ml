@@ -19,9 +19,6 @@ let test_map_empty_and_singleton () =
   check_bool "empty" true (Par.map ~domains:4 succ [||] = [||]);
   check_bool "singleton" true (Par.map ~domains:4 succ [| 41 |] = [| 42 |])
 
-let test_init () =
-  check_bool "init" true (Par.init ~domains:3 10 (fun i -> i * 2) = Array.init 10 (fun i -> i * 2))
-
 let test_trials_deterministic_across_domains () =
   let job rng = Fn_prng.Rng.int rng 1_000_000 in
   let run domains =
@@ -161,6 +158,14 @@ let test_default_domains_reasonable () =
   let d = Par.default_domains () in
   check_bool "within [1,8]" true (d >= 1 && d <= 8)
 
+(* The runtime holds 128 domains, the caller's included: max_domains
+   leaves room for the caller, and the default never exceeds it.  No
+   test spawns that many; the binaries refuse larger --domains values
+   before any work. *)
+let test_max_domains () =
+  check_int "runtime limit less the caller" 127 Par.max_domains;
+  check_bool "default within it" true (Par.default_domains () <= Par.max_domains)
+
 let () =
   Alcotest.run "parallel"
     [
@@ -169,7 +174,6 @@ let () =
           case "map matches sequential" test_map_matches_sequential;
           case "order preserved" test_map_preserves_order;
           case "empty/singleton" test_map_empty_and_singleton;
-          case "init" test_init;
           case "trials deterministic" test_trials_deterministic_across_domains;
           case "trials independent" test_trials_distinct_generators;
           case "job failure sequential" test_job_failed_sequential;
@@ -177,6 +181,7 @@ let () =
           case "job failure lowest index" test_job_failed_lowest_index_wins;
           case "job failure isolation" test_job_failed_siblings_complete;
           case "default domains" test_default_domains_reasonable;
+          case "max domains" test_max_domains;
         ] );
       ( "pool",
         [

@@ -47,18 +47,6 @@ let test_gamma_monotone_in_p () =
       prev := v)
     [ 0.0; 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.9; 1.0 ]
 
-let test_average_gamma_deterministic () =
-  let g, _ = Fn_topology.Mesh.cube ~d:2 ~side:8 in
-  let run seed domains =
-    let r = Fn_prng.Rng.create seed in
-    Newman_ziff.average_gamma ~domains ~rng:r ~runs:8 (fun rr -> Newman_ziff.bond_run rr (Gview.Csr g)) 0.5
-  in
-  let m1, s1 = run 5 1 in
-  let m2, s2 = run 5 4 in
-  check_float "mean independent of domains" m1 m2;
-  check_float "std independent of domains" s1 s2;
-  check_bool "std nonneg" true (s1 >= 0.0)
-
 let test_threshold_mesh_bond () =
   let g, _ = Fn_topology.Mesh.cube ~d:2 ~side:24 in
   let r = Threshold.estimate ~runs:16 ~rng:(rng ()) Threshold.Bond (Gview.Csr g) in
@@ -104,7 +92,6 @@ let () =
           case "bond curve monotone" test_bond_curve_monotone;
           case "gamma bounds" test_gamma_at_bounds;
           case "gamma monotone" test_gamma_monotone_in_p;
-          case "parallel determinism" test_average_gamma_deterministic;
           case "gamma refuses nan" test_gamma_at_refuses_nan;
         ] );
       ( "thresholds",

@@ -148,20 +148,6 @@ let test_exponential_normal () =
   done;
   check_float_eps 0.05 "normal mean" 3.0 (!total /. float_of_int trials)
 
-let test_categorical () =
-  let r = Rng.create 37 in
-  let counts = Array.make 3 0 in
-  for _ = 1 to 30_000 do
-    let i = Dist.categorical r [| 1.0; 0.0; 3.0 |] in
-    counts.(i) <- counts.(i) + 1
-  done;
-  check_int "zero-weight class never drawn" 0 counts.(1);
-  let ratio = float_of_int counts.(2) /. float_of_int counts.(0) in
-  check_float_eps 0.25 "weight ratio" 3.0 ratio;
-  Alcotest.check_raises "bad weights"
-    (Invalid_argument "Dist.categorical: weights must have positive sum") (fun () ->
-      ignore (Dist.categorical r [| 0.0 |]))
-
 (* nan fails every comparison, so the parameter checks are negated
    ranges: a nan rate would make every exponential draw nan, and a
    clock advanced by nan never reaches its horizon *)
@@ -171,6 +157,41 @@ let test_dist_refuses_nan () =
     (fun () -> ignore (Dist.geometric r Float.nan));
   Alcotest.check_raises "exponential" (Invalid_argument "Dist.exponential: need lambda > 0")
     (fun () -> ignore (Dist.exponential r Float.nan))
+
+(* The published SplitMix64 stream from seed 0: Xoshiro256 and Rng are
+   seeded through it, so a drift here moves every seeded result. *)
+let test_splitmix_reference () =
+  let sm = Splitmix64.create 0L in
+  let first = List.init 3 (fun _ -> Splitmix64.next sm) in
+  check_bool "seed 0 stream" true
+    (first = [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL ]);
+  check_bool "mix fixes 0" true (Splitmix64.mix 0L = 0L)
+
+let test_of_int64_deterministic () =
+  let a = Rng.of_int64 42L and b = Rng.of_int64 42L and c = Rng.of_int64 43L in
+  let draw r = List.init 8 (fun _ -> Rng.bits64 r) in
+  let da = draw a in
+  check_bool "same seed, same stream" true (da = draw b);
+  check_bool "next seed, other stream" false (da = draw c)
+
+let test_shuffle_permutes () =
+  let a = Array.init 100 Fun.id and b = Array.init 100 Fun.id in
+  Rng.shuffle (Rng.create 5) a;
+  Rng.shuffle (Rng.create 5) b;
+  check_bool "same seed, same order" true (a = b);
+  check_bool "moved something" true (a <> Array.init 100 Fun.id);
+  let sorted = Array.copy a in
+  Array.sort Int.compare sorted;
+  check_bool "a permutation" true (sorted = Array.init 100 Fun.id)
+
+let test_xoshiro_copy_independent () =
+  let x = Xoshiro256.of_splitmix (Splitmix64.create 9L) in
+  let y = Xoshiro256.copy x in
+  let from_x = Xoshiro256.next x in
+  ignore (Xoshiro256.next x);
+  check_bool "copy replays the original" true (Xoshiro256.next y = from_x);
+  check_bool "of_seed is a pure function" true
+    (Xoshiro256.next (Xoshiro256.of_seed 3L) = Xoshiro256.next (Xoshiro256.of_seed 3L))
 
 let () =
   Alcotest.run "prng"
@@ -194,7 +215,10 @@ let () =
           case "geometric" test_geometric;
           case "binomial" test_binomial;
           case "exponential/normal" test_exponential_normal;
-          case "categorical" test_categorical;
           case "nan parameters refused" test_dist_refuses_nan;
+          case "splitmix64 reference stream" test_splitmix_reference;
+          case "of_int64 deterministic" test_of_int64_deterministic;
+          case "shuffle permutes" test_shuffle_permutes;
+          case "xoshiro copy independent" test_xoshiro_copy_independent;
         ] );
     ]

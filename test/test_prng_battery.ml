@@ -89,18 +89,6 @@ let test_split_streams_uncorrelated () =
   let frac = float_of_int !matches /. float_of_int n in
   check_float_eps 0.02 "agreement rate ~ 1/2" 0.5 frac
 
-let test_jump_disjointness () =
-  (* two generators separated by a jump must not collide over a short
-     window (overlap would show as equal values at equal offsets) *)
-  let base = Fn_prng.Xoshiro256.of_seed 42L in
-  let jumped = Fn_prng.Xoshiro256.copy base in
-  Fn_prng.Xoshiro256.jump jumped;
-  let collisions = ref 0 in
-  for _ = 1 to 10_000 do
-    if Fn_prng.Xoshiro256.next base = Fn_prng.Xoshiro256.next jumped then incr collisions
-  done;
-  check_int "no positional collisions" 0 !collisions
-
 let test_permutation_uniformity () =
   (* all 6 permutations of 3 elements roughly equally likely *)
   let r = Rng.create 606 in
@@ -129,7 +117,6 @@ let () =
           case "serial correlation" test_serial_correlation;
           case "run lengths" test_gap_lengths;
           case "split independence" test_split_streams_uncorrelated;
-          case "jump disjointness" test_jump_disjointness;
           case "permutation uniformity" test_permutation_uniformity;
         ] );
     ]

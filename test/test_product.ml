@@ -19,7 +19,7 @@ let test_torus_is_product_of_cycles () =
 
 let test_hypercube_is_power_of_k2 () =
   let k2 = Basic.complete 2 in
-  let product = Product.power k2 4 in
+  let product = Product.cartesian (Product.cartesian (Product.cartesian k2 k2) k2) k2 in
   let q4 = Hypercube.graph 4 in
   (* numbering: product appends new dimensions as the low-order digit,
      hypercube uses bit i for dimension i — same up to bit order, and
@@ -54,39 +54,9 @@ let test_product_degrees_add () =
     for u2 = 0 to 3 do
       check_int "degree sum"
         (Graph.degree g u1 + Graph.degree h u2)
-        (Graph.degree p (Product.node ~h_size:4 u1 u2))
+        (Graph.degree p ((u1 * 4) + u2))
     done
   done
-
-let test_power_validation () =
-  Alcotest.check_raises "k = 0" (Invalid_argument "Product.power: need k >= 1") (fun () ->
-      ignore (Product.power (Basic.path 2) 0))
-
-let test_isoperimetric_profile_cycle () =
-  let profile = Fn_expansion.Exact.node_isoperimetric_profile (Basic.cycle 10) in
-  (* any arc of s nodes has boundary 2 *)
-  check_int "profile length" 5 (Array.length profile);
-  Array.iter (fun b -> check_int "cycle boundary" 2 b) profile
-
-let test_isoperimetric_profile_mesh () =
-  let g, _ = Mesh.graph [| 4; 4 |] in
-  let profile = Fn_expansion.Exact.node_isoperimetric_profile g in
-  (* known vertex-isoperimetric values for the 4x4 grid: a corner cell
-     has boundary 2; an L-shaped corner triple has boundary 3; a 2x2
-     corner block has boundary 4; a full 2-row half has boundary 4 *)
-  check_int "|U|=1" 2 profile.(0);
-  check_int "|U|=3" 3 profile.(2);
-  check_int "|U|=4" 4 profile.(3);
-  check_int "|U|=8" 4 profile.(7);
-  (* profile minima are consistent with the expansion minimum *)
-  let c = Fn_expansion.Exact.node_expansion g in
-  let best = ref infinity in
-  Array.iteri
-    (fun i b ->
-      let v = float_of_int b /. float_of_int (i + 1) in
-      if v < !best then best := v)
-    profile;
-  check_float "profile recovers expansion" c.Fn_expansion.Cut.value !best
 
 let prop_product_node_count =
   prop "product multiplies nodes and mixes edges" ~count:40
@@ -112,12 +82,6 @@ let () =
           case "hypercube = K2^d" test_hypercube_is_power_of_k2;
           case "3-D mesh" test_3d_mesh_product;
           case "degrees add" test_product_degrees_add;
-          case "power validation" test_power_validation;
-        ] );
-      ( "isoperimetric profile",
-        [
-          case "cycle" test_isoperimetric_profile_cycle;
-          case "4x4 mesh" test_isoperimetric_profile_mesh;
         ] );
       ("properties", [ prop_product_node_count; prop_product_connected ]);
     ]

@@ -165,6 +165,20 @@ let test_domains_one_equals_default () =
          && x.Prune.boundary = y.Prune.boundary)
        a.Prune.culled b.Prune.culled)
 
+let test_report_summaries () =
+  let g, _ = Fn_topology.Mesh.cube ~d:2 ~side:6 in
+  let alive = Bitset.create_full 36 in
+  Bitset.remove alive 7;
+  let res = Prune.run ~rng:(rng ()) g ~alive ~alpha:0.5 ~epsilon:0.5 in
+  let text = Faultnet.Report.prune_summary g res in
+  check_bool "kept count reported" true
+    (String.starts_with ~prefix:(Printf.sprintf "Prune: kept %d nodes" (Bitset.cardinal res.Prune.kept)) text);
+  (match Faultnet.Report.survivor_expansion g res.Prune.kept Fn_expansion.Cut.Node with
+  | Some v -> check_bool "survivor expansion positive" true (v > 0.0)
+  | None -> Alcotest.fail "a 35-node survivor has an expansion");
+  check_bool "fewer than two survivors: none" true
+    (Faultnet.Report.survivor_expansion g (Bitset.of_list 36 [ 0 ]) Fn_expansion.Cut.Node = None)
+
 let () =
   Alcotest.run "prune"
     [
@@ -179,6 +193,7 @@ let () =
           case "verify rejects tampering" test_verify_rejects_tampering;
           case "idempotent" test_prune_idempotent;
           case "domains=1 equals default" test_domains_one_equals_default;
+          case "report summaries" test_report_summaries;
         ] );
       ( "properties",
         [ prop_prune_random_graphs_certify; prop_round_boundaries_match_naive_replay ] );

@@ -452,6 +452,45 @@ let test_cli_resumes_recorded_journal () =
           && String.length (read_file journal) > String.length recorded))
   end
 
+(* Journals an earlier build wrote with [--online] bind
+   ["online": true].  That mode is gone, and its outcomes came from a
+   different survivor cascade, so such a journal must be refused (exit
+   2, naming the key), never replayed as if it were a default run. *)
+let test_cli_refuses_online_journal () =
+  if not (Sys.file_exists binary) then Alcotest.skip ()
+  else begin
+    let tmp suffix = Filename.temp_file "fn_resume" suffix in
+    let out = tmp ".json" and errf = tmp ".err" and journal = tmp ".jsonl" in
+    Fun.protect
+      ~finally:(fun () ->
+        List.iter (fun f -> if Sys.file_exists f then Sys.remove f) [ out; errf; journal ])
+      (fun () ->
+        let recorded =
+          read_file (List.fold_left Filename.concat "fixtures" [ "resume"; "quick_seed7_e1.jsonl" ])
+        in
+        let needle = {|"online":false|} in
+        let i =
+          let n = String.length needle in
+          let rec find i = if String.sub recorded i n = needle then i else find (i + 1) in
+          find 0
+        in
+        let online =
+          String.sub recorded 0 i ^ {|"online":true|}
+          ^ String.sub recorded (i + String.length needle)
+              (String.length recorded - i - String.length needle)
+        in
+        Out_channel.with_open_bin journal (fun oc -> output_string oc online);
+        let code =
+          Sys.command
+            (Printf.sprintf "%s --quick --json --seed 7 --resume %s E1 > %s 2> %s" binary journal
+               out errf)
+        in
+        check_int "refused" 2 code;
+        check_bool "names online" true (contains ~needle:"online" (read_file errf));
+        check_bool "nothing ran" true (read_file out = "");
+        check_bool "journal untouched" true (read_file journal = online))
+  end
+
 let () =
   Alcotest.run "resilience"
     [
@@ -483,5 +522,6 @@ let () =
         [
           case "kill and resume" test_cli_resume_byte_identical;
           case "journal from an earlier build resumes" test_cli_resumes_recorded_journal;
+          case "journal written with --online is refused" test_cli_refuses_online_journal;
         ] );
     ]

@@ -18,24 +18,12 @@ let test_permutation_demand () =
       check_bool "alive endpoints" true (Bitset.mem alive s && Bitset.mem alive t))
     d
 
-let test_random_pairs () =
-  let d = Demand.random_pairs (rng ()) mesh4 20 in
-  check_int "count" 20 (Array.length d);
-  check_bool "no self" true (Array.for_all (fun (s, t) -> s <> t) d)
-
-let test_all_to_one () =
-  let d = Demand.all_to_one mesh4 5 in
-  check_int "everyone sends" 15 (Array.length d);
-  check_bool "sink fixed" true (Array.for_all (fun (_, t) -> t = 5) d)
-
 let test_shortest_routes () =
   let r = Route.shortest path5 [| (0, 4); (1, 3) |] in
   check_int "none unroutable" 0 r.Route.unroutable;
   check_int "dilation" 4 (Route.dilation r);
-  check_float "mean length" 3.0 (Route.mean_length r);
   (* middle edges carry both routes *)
-  check_int "edge congestion" 2 (Route.edge_congestion r);
-  check_int "node congestion" 2 (Route.node_congestion r)
+  check_int "edge congestion" 2 (Route.edge_congestion r)
 
 let test_unroutable_counted () =
   let alive = Bitset.of_list 5 [ 0; 1; 3; 4 ] in
@@ -115,8 +103,6 @@ let () =
       ( "demand",
         [
           case "permutation" test_permutation_demand;
-          case "random pairs" test_random_pairs;
-          case "all to one" test_all_to_one;
         ] );
       ( "route",
         [

@@ -48,9 +48,7 @@ let test_cheeger_sandwich () =
       let r = Spectral.lambda2 (Gview.Csr g) in
       let exact = (Exact.edge_expansion g).Cut.value in
       let phi = exact /. float_of_int d in
-      check_bool (name ^ ": phi >= lambda2/2") true (phi >= Spectral.cheeger_lower r -. 1e-6);
-      check_bool (name ^ ": phi <= sqrt(2 lambda2)") true
-        (phi <= Spectral.cheeger_upper r +. 1e-6))
+      check_bool (name ^ ": phi >= lambda2/2") true (phi >= Spectral.cheeger_lower r -. 1e-6))
     [
       ("C12", Fn_topology.Basic.cycle 12, 2);
       ("Q3", Fn_topology.Hypercube.graph 3, 3);

@@ -136,7 +136,7 @@ let matvec_mask view =
   let alive = Bitset.create_full n in
   let rng = Fn_prng.Rng.create 17 in
   for v = 0 to n - 1 do
-    if Fn_prng.Rng.float rng 1.0 < 0.2 then Bitset.remove alive v
+    if Fn_prng.Rng.unit_float rng < 0.2 then Bitset.remove alive v
   done;
   List.iter
     (fun v ->
@@ -235,7 +235,7 @@ let pinned_torus () =
   let alive = Bitset.create_full n in
   let rng = Fn_prng.Rng.create 5 in
   for v = 0 to n - 1 do
-    if Fn_prng.Rng.float rng 1.0 < 0.1 then Bitset.remove alive v
+    if Fn_prng.Rng.unit_float rng < 0.1 then Bitset.remove alive v
   done;
   (alive, torus)
 
@@ -395,6 +395,12 @@ let test_solve_histogram_observes_total () =
   | Some total -> check_float_eps 1e-9 "histogram total = span total" (float_of_int total) observed
   | None -> Alcotest.fail "no spectral.solve exit span recorded"
 
+let test_operator_alive_count () =
+  let g = Fn_topology.Basic.cycle 10 in
+  check_int "no mask" 10 (Spectral_op.alive_count (Spectral_op.create (Gview.Csr g)));
+  let alive = Bitset.of_list 10 [ 0; 3; 4; 9 ] in
+  check_int "masked" 4 (Spectral_op.alive_count (Spectral_op.create ~alive (Gview.Csr g)))
+
 let () =
   Alcotest.run "spectral_methods"
     [
@@ -420,5 +426,6 @@ let () =
         [
           case "size selection" test_size_selection;
           case "histogram observes total iterations" test_solve_histogram_observes_total;
+          case "operator alive count" test_operator_alive_count;
         ] );
     ]

@@ -46,28 +46,13 @@ let test_virtual_neighbors () =
   (* corner: 2 axis + 1 diagonal *)
   let c = Fn_topology.Mesh.encode geo [| 0; 0 |] in
   check_int "corner king moves" 3 (List.length (Fn_topology.Mesh.virtual_neighbors geo c));
-  (* symmetry of the predicate *)
+  (* symmetry of the relation *)
   List.iter
     (fun w ->
-      check_bool "virtual edge symmetric" true (Fn_topology.Mesh.is_virtual_edge geo w v))
+      check_bool "virtual edge symmetric" true
+        (List.mem v (Fn_topology.Mesh.virtual_neighbors geo w)))
     (Fn_topology.Mesh.virtual_neighbors geo v);
-  check_bool "not self" false (Fn_topology.Mesh.is_virtual_edge geo v v)
-
-let test_central_hyperplane () =
-  let geo = Fn_topology.Mesh.geometry [| 4; 6 |] in
-  let plane = Fn_topology.Mesh.central_hyperplane geo in
-  (* widest dimension is 1 (length 6): plane is a column of 4 nodes *)
-  check_int "size" 4 (Array.length plane);
-  Array.iter
-    (fun v -> check_int "coordinate" 3 (Fn_topology.Mesh.decode geo v).(1))
-    plane;
-  (* removing the plane bisects the mesh *)
-  let g, _ = Fn_topology.Mesh.graph [| 4; 6 |] in
-  let alive = Bitset.complement (Bitset.of_array 24 plane) in
-  let comps = Components.compute ~alive (Gview.Csr g) in
-  check_int "two halves" 2 comps.Components.count;
-  Alcotest.check_raises "bad dim" (Invalid_argument "Mesh.central_hyperplane: bad dimension")
-    (fun () -> ignore (Fn_topology.Mesh.central_hyperplane ~dim:2 geo))
+  check_bool "not self" false (List.mem v (Fn_topology.Mesh.virtual_neighbors geo v))
 
 (* ---- torus ---- *)
 
@@ -91,10 +76,7 @@ let test_hypercube () =
   let g = Fn_topology.Hypercube.graph 4 in
   check_int "nodes" 16 (Graph.num_nodes g);
   check_bool "4-regular" true (Check.regular g 4);
-  check_bool "dimension recovered" true (Fn_topology.Hypercube.dimension g = Some 4);
   check_bool "connected" true (Components.is_connected (Gview.Csr g));
-  check_bool "non power of two" true
-    (Fn_topology.Hypercube.dimension (Fn_topology.Basic.path 6) = None);
   let g0 = Fn_topology.Hypercube.graph 0 in
   check_int "dim 0" 1 (Graph.num_nodes g0)
 
@@ -105,15 +87,7 @@ let test_butterfly () =
   check_int "nodes" 32 (Graph.num_nodes g);
   check_int "edges" (2 * 3 * 8) (Graph.num_edges g);
   check_bool "connected" true (Components.is_connected (Gview.Csr g));
-  check_int "max degree" 4 (Graph.max_degree g);
-  let w = Fn_topology.Butterfly.wrapped 3 in
-  check_int "wrapped nodes" 24 (Graph.num_nodes w);
-  check_bool "wrapped 4-regular" true (Check.regular w 4);
-  let level, row =
-    Fn_topology.Butterfly.level_and_row ~k:3 (Fn_topology.Butterfly.node ~k:3 ~level:2 ~row:5)
-  in
-  check_int "level" 2 level;
-  check_int "row" 5 row
+  check_int "max degree" 4 (Graph.max_degree g)
 
 let test_debruijn () =
   let g = Fn_topology.Debruijn.graph 5 in
@@ -145,26 +119,6 @@ let test_basic_families () =
   check_int "root degree" 2 (Graph.degree bt 0)
 
 (* ---- random graphs ---- *)
-
-let test_gnp_extremes () =
-  let r = rng () in
-  check_int "p=0" 0 (Graph.num_edges (Fn_topology.Random_graphs.gnp r 20 0.0));
-  check_int "p=1" 190 (Graph.num_edges (Fn_topology.Random_graphs.gnp r 20 1.0))
-
-(* a nan p would compare false on every Bernoulli draw and build an
-   empty graph instead of being refused *)
-let test_gnp_refuses_nan () =
-  Alcotest.check_raises "nan p" (Invalid_argument "Random_graphs.gnp: p out of [0,1]") (fun () ->
-      ignore (Fn_topology.Random_graphs.gnp (rng ()) 20 Float.nan))
-
-let test_gnp_density () =
-  let r = rng () in
-  let g = Fn_topology.Random_graphs.gnp r 200 0.1 in
-  let expected = 0.1 *. float_of_int (200 * 199 / 2) in
-  let m = float_of_int (Graph.num_edges g) in
-  check_bool "edge count near expectation" true
-    (abs_float (m -. expected) < 5.0 *. sqrt expected);
-  Check.csr_exn g
 
 let test_gnm () =
   let r = rng () in
@@ -212,16 +166,14 @@ let test_chain_graph_structure () =
   (* each chain contributes k+1 = 5 edges *)
   check_int "edges" 20 (Graph.num_edges h);
   check_bool "connected" true (Components.is_connected (Gview.Csr h));
-  check_int "originals" 4 (Bitset.cardinal (Fn_topology.Chain_graph.original_nodes cg));
   let centers = Fn_topology.Chain_graph.chain_centers cg in
   check_int "one center per edge" 4 (Array.length centers);
   check_int "distinct centers" 4
     (List.length (List.sort_uniq Int.compare (Array.to_list centers)));
   Array.iter (fun c -> check_int "center degree" 2 (Graph.degree h c)) centers;
-  let chain = Fn_topology.Chain_graph.chain_of_edge cg 0 in
-  check_int "chain length" 4 (Array.length chain);
+  (* chain j occupies nodes n_base + j·k .. n_base + j·k + k − 1 *)
   for i = 0 to 2 do
-    check_bool "chain consecutive" true (Graph.has_edge h chain.(i) chain.(i + 1))
+    check_bool "chain consecutive" true (Graph.has_edge h (4 + i) (4 + i + 1))
   done;
   check_float "prediction" 0.5 (Fn_topology.Chain_graph.expansion_prediction cg)
 
@@ -246,11 +198,11 @@ let test_claim24_witness () =
         Alcotest.failf "witness expansion %.4f above 2/k = %.4f" expansion bound;
       (* the boundary is exactly one chain node per leaving base edge *)
       let leaving =
-        Graph.fold_edges
-          (fun u v acc ->
+        Array.fold_left
+          (fun acc (u, v) ->
             let inu = List.mem u base_list and inv = List.mem v base_list in
             if inu <> inv then acc + 1 else acc)
-          base 0
+          0 (Graph.edges base)
       in
       check_int "boundary = leaving base edges" leaving (Boundary.node_boundary_size (Gview.Csr h) w))
     [ [ 0 ]; [ 0; 1; 2 ]; List.init 8 Fun.id ]
@@ -268,6 +220,27 @@ let test_chain_attack_shatters () =
   check_bool "all components small" true
     (Array.for_all (fun s -> s <= 5) comps.Components.sizes)
 
+let test_butterfly_node_numbering () =
+  check_int "level 2, row 5 of k=3" 21 (Fn_topology.Butterfly.node ~k:3 ~level:2 ~row:5);
+  let g = Fn_topology.Butterfly.unwrapped 3 in
+  (* a straight edge joins row r of levels l and l+1 *)
+  check_bool "straight edge" true
+    (Graph.has_edge g (Fn_topology.Butterfly.node ~k:3 ~level:0 ~row:5)
+       (Fn_topology.Butterfly.node ~k:3 ~level:1 ~row:5))
+
+(* the usage texts list one example per family: each must build *)
+let test_spec_families_build () =
+  let examples = String.split_on_char ' ' Fn_topology.Spec.families in
+  check_bool "several families" true (List.length examples >= 5);
+  List.iter
+    (fun spec ->
+      match Fn_topology.Spec.view (rng ()) spec with
+      | Ok v -> check_bool (spec ^ ": nonempty") true (Gview.num_nodes v > 0)
+      | Error m -> Alcotest.failf "%s: %s" spec m)
+    examples;
+  check_bool "unknown family refused" true
+    (Result.is_error (Fn_topology.Spec.view (rng ()) "moebius:3"))
+
 let () =
   Alcotest.run "topology"
     [
@@ -278,7 +251,6 @@ let () =
           case "unit-step adjacency" test_mesh_adjacency_is_unit_step;
           case "degenerate dims" test_mesh_degenerate;
           case "virtual neighbors" test_virtual_neighbors;
-          case "central hyperplane" test_central_hyperplane;
         ] );
       ( "torus",
         [ case "regular" test_torus_regular; case "small sides" test_torus_small_sides ] );
@@ -292,12 +264,9 @@ let () =
       ("basic", [ case "families" test_basic_families ]);
       ( "random",
         [
-          case "gnp extremes" test_gnp_extremes;
-          case "gnp density" test_gnp_density;
           case "gnm" test_gnm;
           case "random regular" test_random_regular;
           case "connected regular" test_connected_random_regular;
-          case "gnp refuses nan" test_gnp_refuses_nan;
         ] );
       ("expander", [ case "margulis" test_margulis ]);
       ( "chain graph",
@@ -306,5 +275,7 @@ let () =
           case "odd k rejected" test_chain_graph_rejects_odd_k;
           case "claim 2.4 witness" test_claim24_witness;
           case "center attack shatters" test_chain_attack_shatters;
+          case "butterfly node numbering" test_butterfly_node_numbering;
+          case "spec families build" test_spec_families_build;
         ] );
     ]

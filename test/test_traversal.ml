@@ -34,7 +34,7 @@ let test_multi_source () =
 
 let test_reachable () =
   let alive = Bitset.of_list 5 [ 0; 1; 3; 4 ] in
-  let r = Bfs.reachable ~alive (Gview.Csr path5) 3 in
+  let r = Dfs.reachable ~alive (Gview.Csr path5) 3 in
   check_bool "reachable half" true (Bitset.to_list r = [ 3; 4 ])
 
 let test_tree_and_path_to () =
@@ -69,32 +69,12 @@ let test_ball_of_size () =
   let b = Bfs.ball_of_size ~alive (Gview.Csr path5) 0 10 in
   check_int "bounded by component" 2 (Bitset.cardinal b)
 
-let test_eccentricity () =
-  check_int "path end" 4 (Bfs.eccentricity (Gview.Csr path5) 0);
-  check_int "path middle" 2 (Bfs.eccentricity (Gview.Csr path5) 2);
-  check_int "cycle" 3 (Bfs.eccentricity (Gview.Csr cycle6) 1)
-
-let test_dfs_preorder () =
-  let order = Dfs.preorder path5 0 in
-  check_bool "path preorder" true (order = [| 0; 1; 2; 3; 4 |]);
-  let order = Dfs.preorder mesh4 0 in
-  check_int "covers component" 16 (Array.length order);
-  check_int "starts at source" 0 order.(0)
-
 let test_dfs_connected_subset () =
   check_bool "empty is connected" true (Dfs.is_connected_subset (Gview.Csr path5) (Bitset.create 5));
   check_bool "segment connected" true
     (Dfs.is_connected_subset (Gview.Csr path5) (Bitset.of_list 5 [ 1; 2; 3 ]));
   check_bool "gap disconnected" false
     (Dfs.is_connected_subset (Gview.Csr path5) (Bitset.of_list 5 [ 0; 2 ]))
-
-let test_dfs_forest () =
-  let alive = Bitset.of_list 5 [ 0; 1; 3; 4 ] in
-  let f = Dfs.forest ~alive path5 in
-  check_int "dead node" (-1) f.(2);
-  check_int "root 0" 0 f.(0);
-  check_int "root 3" 3 f.(3);
-  check_int "child of 3" 3 f.(4)
 
 let prop_bfs_distances_triangle_inequality =
   prop "BFS distance drops by exactly 1 along tree edges" ~count:100
@@ -112,7 +92,10 @@ let prop_bfs_distances_triangle_inequality =
 
 let prop_reachable_equals_dfs =
   prop "BFS and DFS reachability agree" (Testutil.gen_any_graph ~max_n:12 ()) (fun g ->
-      Bitset.equal (Bfs.reachable (Gview.Csr g) 0) (Dfs.reachable (Gview.Csr g) 0))
+      let d = Bfs.distances (Gview.Csr g) 0 in
+      let bfs = Bitset.create (Graph.num_nodes g) in
+      Array.iteri (fun v dv -> if dv >= 0 then Bitset.add bfs v) d;
+      Bitset.equal bfs (Dfs.reachable (Gview.Csr g) 0))
 
 (* ---- differential: ring-buffer BFS vs a Queue-based reference ----
    The production BFS uses a flat int-array ring buffer; this reference
@@ -229,17 +212,14 @@ let prop_grow_ball_resume_equals_restart =
         prev := Bfs.ball_size grower;
         k := !k * 2
       done;
-      (* past the component size the traversal must report exhaustion *)
-      Bfs.ball_exhausted grower && !ok)
+      !ok)
 
 let test_ball_grower_exhaustion () =
   let t = Bfs.ball_grower (Gview.Csr path5) 0 in
   let b = Bfs.grow_ball t 3 in
   check_int "grew to 3" 3 (Bitset.cardinal b);
-  check_bool "not exhausted at 3 of 5" false (Bfs.ball_exhausted t);
   let b = Bfs.grow_ball t 100 in
   check_int "capped at component" 5 (Bitset.cardinal b);
-  check_bool "exhausted" true (Bfs.ball_exhausted t);
   check_int "ball_size tracks" 5 (Bfs.ball_size t);
   (* further growth is a no-op *)
   check_bool "idempotent once exhausted" true (Bitset.equal (Bfs.grow_ball t 100) b)
@@ -259,13 +239,10 @@ let () =
           case "ball" test_ball;
           case "ball_of_size" test_ball_of_size;
           case "ball grower exhaustion" test_ball_grower_exhaustion;
-          case "eccentricity" test_eccentricity;
         ] );
       ( "dfs",
         [
-          case "preorder" test_dfs_preorder;
           case "connected subset" test_dfs_connected_subset;
-          case "forest" test_dfs_forest;
         ] );
       ("properties", [ prop_bfs_distances_triangle_inequality; prop_reachable_equals_dfs ]);
       ( "differential",
