@@ -58,6 +58,32 @@ let survivor16 =
 
 let small_fragment = lazy (Fn_graph.Bitset.create_full 16)
 
+(* ---- twin inputs ----
+
+   The estimator keeps a one-slot memo of its last spectral solve,
+   keyed on the graph's identity and the alive mask (Estimate), so a
+   kernel that repeats one estimate on one graph would time a replayed
+   solve from its second run on.  [twin_of x] is an equal graph built
+   separately, and [alternate a b] hands out [a] and [b] in turn: no
+   run sees the graph of the run before it, so every run solves, as
+   the kernel's name promises. *)
+
+let twin_of x =
+  lazy
+    (let g = Lazy.force x in
+     Fn_graph.Graph.of_edge_array (Fn_graph.Graph.num_nodes g) (Fn_graph.Graph.edges g))
+
+let alternate a b =
+  let use_a = ref true in
+  fun () ->
+    let g = if !use_a then a else b in
+    use_a := not !use_a;
+    Lazy.force g
+
+let expander256_twin = twin_of expander256
+let chain_graph_twin = twin_of chain_graph
+let torus16_twin = twin_of torus16
+
 (* ---- registration ---- *)
 
 let dep x () = ignore (Lazy.force x)
@@ -71,18 +97,21 @@ let reg ?items ~suite name prepare f =
 (* ---- one kernel per experiment ---- *)
 
 let () =
+  let graph = alternate expander256 expander256_twin in
   reg ~suite:experiments ~items:256 "e1_prune_adversarial"
-    (deps [ dep expander256; dep alpha256 ])
+    (deps [ dep expander256; dep expander256_twin; dep alpha256 ])
     (fun () ->
       let rng = fresh () in
-      let g = Lazy.force expander256 in
+      let g = graph () in
       let alpha = (Lazy.force alpha256).Fn_expansion.Estimate.value in
       let faults = Fn_faults.Adversary.ball_isolation rng g ~budget:24 in
       Faultnet.Prune.run ~rng g ~alive:faults.Fn_faults.Fault_set.alive ~alpha ~epsilon:0.5)
 
 let () =
-  reg ~suite:experiments ~items:256 "e2_chain_expansion" (dep chain_graph) (fun () ->
-      Fn_expansion.Estimate.run ~rng:(fresh ()) (Lazy.force chain_graph) Fn_expansion.Cut.Node)
+  let graph = alternate chain_graph chain_graph_twin in
+  reg ~suite:experiments ~items:256 "e2_chain_expansion"
+    (deps [ dep chain_graph; dep chain_graph_twin ])
+    (fun () -> Fn_expansion.Estimate.run ~rng:(fresh ()) (graph ()) Fn_expansion.Cut.Node)
 
 let () =
   reg ~suite:experiments "e3_chain_attack"
@@ -105,11 +134,12 @@ let () =
       Fn_graph.Components.compute ~alive:faults.Fn_faults.Fault_set.alive (Fn_graph.Gview.Csr g))
 
 let () =
+  let graph = alternate torus16 torus16_twin in
   reg ~suite:experiments ~items:256 "e6_prune2_random"
-    (deps [ dep torus16; dep alpha_e_torus16 ])
+    (deps [ dep torus16; dep torus16_twin; dep alpha_e_torus16 ])
     (fun () ->
       let rng = fresh () in
-      let g = Lazy.force torus16 in
+      let g = graph () in
       let alpha_e = (Lazy.force alpha_e_torus16).Fn_expansion.Estimate.value in
       let faults = Fn_faults.Random_faults.nodes_iid rng g 0.05 in
       Faultnet.Prune2.run ~rng g ~alive:faults.Fn_faults.Fault_set.alive ~alpha_e ~epsilon:0.125)
@@ -218,8 +248,11 @@ let () =
 
 (* the heuristic estimator end to end (sampling + sweeps + refinement) *)
 let () =
-  reg ~suite:substrate ~items:256 "estimate_heuristic_torus16" (dep torus16) (fun () ->
-      Fn_expansion.Estimate.run ~force_heuristic:true ~rng:(fresh ()) (Lazy.force torus16)
+  let graph = alternate torus16 torus16_twin in
+  reg ~suite:substrate ~items:256 "estimate_heuristic_torus16"
+    (deps [ dep torus16; dep torus16_twin ])
+    (fun () ->
+      Fn_expansion.Estimate.run ~force_heuristic:true ~rng:(fresh ()) (graph ())
         Fn_expansion.Cut.Edge)
 
 (* one Local_search.improve call on the certify shape: a random
@@ -256,6 +289,35 @@ let () =
       let faults = Lazy.force mesh16_faults in
       Faultnet.Prune.run ~rng:(fresh ()) (Lazy.force mesh16)
         ~alive:faults.Fn_faults.Fault_set.alive ~alpha:0.5 ~epsilon:0.5)
+
+(* certify's op (a) on its own: a random 6-regular expander on 512
+   nodes, ball isolation at Theorem 2.1's fault budget for k = 2, Prune
+   at that theorem's epsilon, then the node-expansion estimate of the
+   survivor.  The survivor has the graph and mask of Prune's last finder
+   call, so its estimate sweeps that call's solve from the memo; twin
+   graphs keep each run off the previous run's solve, so only the reuse
+   within one run counts. *)
+let expander512 = lazy (Fn_topology.Expander.random_regular (fresh ()) ~n:512 ~d:6)
+let expander512_twin = twin_of expander512
+
+let alpha512 =
+  lazy
+    (Fn_expansion.Estimate.run ~rng:(fresh ()) (Lazy.force expander512) Fn_expansion.Cut.Node)
+
+let () =
+  let graph = alternate expander512 expander512_twin in
+  reg ~suite:substrate ~items:512 "prune_survivor_expander512"
+    (deps [ dep expander512; dep expander512_twin; dep alpha512 ])
+    (fun () ->
+      let g = graph () in
+      let k = 2.0 in
+      let alpha = (Lazy.force alpha512).Fn_expansion.Estimate.value in
+      let budget = Faultnet.Theorem.thm21_max_faults ~alpha ~n:512 ~k in
+      let alive = (Fn_faults.Adversary.ball_isolation (fresh ()) g ~budget).Fn_faults.Fault_set.alive in
+      let pruned =
+        Faultnet.Prune.run g ~alive ~alpha ~epsilon:(Faultnet.Theorem.thm21_epsilon ~k)
+      in
+      Fn_expansion.Estimate.run ~alive:pruned.Faultnet.Prune.kept g Fn_expansion.Cut.Node)
 
 (* the full static-analysis pass over the repo's own sources: tokenise,
    build scope trees and run all rules on every .ml/.mli; tracks the

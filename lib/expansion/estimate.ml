@@ -91,6 +91,46 @@ let ball_witness ?alive ?rng view objective =
   |> Array.to_list |> List.concat |> best_ball
   |> Option.map (ball_cut ?alive view objective)
 
+(* The spectral slice's one-slot memo of its last solve.  The solve
+   reads neither the rng nor the objective, so an estimate on the graph
+   and mask of the previous solve (Prune's last finder call, then the
+   survivor check) sweeps the stored vectors instead of solving again.
+   The key is the materialized graph's identity, held weakly by the
+   ephemeron so a dropped graph is never kept alive, plus the
+   estimator's own copy of the mask, so a caller that later edits its
+   mask in place (Prune's [Bitset.diff_into]) cannot make a stale entry
+   match.  An entry is immutable and the slot is swapped atomically: a
+   race between domains can lose an entry (a miss), never return a
+   wrong one.  The vectors are only read by the sweeps and never leave
+   this module. *)
+type solve = { mask : Bitset.t option; solved : Spectral.result * float array }
+
+let last_solve : (Graph.t, solve) Ephemeron.K1.t option Atomic.t = Atomic.make None
+
+let same_mask a b =
+  match (a, b) with
+  | None, None -> true
+  | Some x, Some y -> Bitset.universe x = Bitset.universe y && Bitset.equal x y
+  | Some _, None | None, Some _ -> false
+
+(* The solve of [g] under [alive] and whether it was the memo's. *)
+let memo_solve ~obs ?alive ~domains g =
+  let hit =
+    match Atomic.get last_solve with
+    | None -> None
+    | Some e -> (
+      match Ephemeron.K1.query e g with
+      | Some s when same_mask s.mask alive -> Some s.solved
+      | Some _ | None -> None)
+  in
+  match hit with
+  | Some solved -> (solved, true)
+  | None ->
+    let solved = Spectral.solve ~obs ?alive ~domains (Gview.Csr g) in
+    let entry = { mask = Option.map Bitset.copy alive; solved } in
+    Atomic.set last_solve (Some (Ephemeron.K1.make g entry));
+    (solved, false)
+
 (* The spectral slice of the portfolio: one fused solve (the lambda2
    Fiedler vector IS the first vector of the pair, so Spectral.solve
    shares the power iteration instead of running it twice), then sweeps
@@ -100,8 +140,9 @@ let ball_witness ?alive ?rng view objective =
    and one of these four recovers a near-axis cut.  The sweeps are
    pure and merged lowest-index-first, so the parallel fan-out returns
    exactly the sequential map. *)
-let spectral_sweeps ~obs ?alive ~domains view objective =
-  let spectral, f2 = Spectral.solve ~obs ?alive ~domains view in
+let spectral_sweeps ~obs ?alive ~domains g objective =
+  let (spectral, f2), reused = memo_solve ~obs ?alive ~domains g in
+  let view = Gview.Csr g in
   let f1 = spectral.Spectral.fiedler in
   let rotate a b op = Array.init (Array.length a) (fun i -> op a.(i) b.(i)) in
   let scores = [| f1; f2; rotate f1 f2 ( +. ); rotate f1 f2 ( -. ) |] in
@@ -110,7 +151,7 @@ let spectral_sweeps ~obs ?alive ~domains view objective =
       (fun score -> Sweep.best_prefix ?alive view ~score objective)
       scores
   in
-  (spectral, sweeps)
+  (spectral, sweeps, reused)
 
 (* Alive nodes above which the portfolio is the ball slice alone: the
    Krylov basis holds up to 16 vectors of n floats, and the components
@@ -134,11 +175,13 @@ let run_v ?(obs = Fn_obs.Sink.null) ?alive ?rng ?(domains = 1) ?(force_heuristic
           ]
     else Fn_obs.Span.null
   in
-  let result =
+  (* the result, and whether its spectral slice swept a memoized solve *)
+  let result, reused =
     if total > spectral_node_cap then begin
       (* total > spectral_node_cap >= 4: a ball always fits in half *)
       let cut = Option.get (ball_witness ?alive ~rng view objective) in
-      { value = cut.Cut.value; witness = cut.Cut.set; objective; exact = false; lower = None }
+      ( { value = cut.Cut.value; witness = cut.Cut.set; objective; exact = false; lower = None },
+        false )
     end
     else
     (* Below the cap every slice runs on the CSR form: the graph itself
@@ -149,8 +192,7 @@ let run_v ?(obs = Fn_obs.Sink.null) ?alive ?rng ?(domains = 1) ?(force_heuristic
     let g = Gview.materialize view in
     let view = Gview.Csr g in
     match Components.smallest_members ?alive view with
-    | Some w ->
-      { value = 0.0; witness = w; objective; exact = true; lower = Some 0.0 }
+    | Some w -> ({ value = 0.0; witness = w; objective; exact = true; lower = Some 0.0 }, false)
     | None ->
     let use_exact =
       (not force_heuristic) && Option.is_none alive && Graph.num_nodes g <= Exact.max_nodes
@@ -161,11 +203,12 @@ let run_v ?(obs = Fn_obs.Sink.null) ?alive ?rng ?(domains = 1) ?(force_heuristic
         | Cut.Node -> Exact.node_expansion g
         | Cut.Edge -> Exact.edge_expansion g
       in
-      { value = cut.Cut.value; witness = cut.Cut.set; objective; exact = true;
-        lower = Some cut.Cut.value }
+      ( { value = cut.Cut.value; witness = cut.Cut.set; objective; exact = true;
+          lower = Some cut.Cut.value },
+        false )
     end
     else begin
-      let spectral, sweeps = spectral_sweeps ~obs ?alive ~domains view objective in
+      let spectral, sweeps, reused = spectral_sweeps ~obs ?alive ~domains g objective in
       let sweep = Array.fold_left Cut.better sweeps.(0) sweeps in
       let per_sample = ball_candidates ?alive view objective rng ball_samples in
       (* the historical candidate order: the last sample's balls
@@ -186,8 +229,9 @@ let run_v ?(obs = Fn_obs.Sink.null) ?alive ?rng ?(domains = 1) ?(force_heuristic
           Some (Spectral.conductance_to_edge_expansion_lb ?alive view phi_lb)
         | Cut.Node -> None
       in
-      { value = refined.Cut.value; witness = refined.Cut.set; objective; exact = false;
-        lower }
+      ( { value = refined.Cut.value; witness = refined.Cut.set; objective; exact = false;
+          lower },
+        reused )
     end
   in
   if on then
@@ -196,6 +240,7 @@ let run_v ?(obs = Fn_obs.Sink.null) ?alive ?rng ?(domains = 1) ?(force_heuristic
         [
           ("value", Fn_obs.Sink.Float result.value);
           ("exact", Fn_obs.Sink.Bool result.exact);
+          ("spectral_reused", Fn_obs.Sink.Bool reused);
         ];
   result
 

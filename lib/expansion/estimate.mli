@@ -29,7 +29,29 @@ open Fn_prng
     components pass runs, so a disconnected alive set gets its best
     ball's value, and the size-capped balls follow the view's neighbor
     order, so the twin's bits are not promised (the order rule in
-    {!Gview}). *)
+    {!Gview}).
+
+    {b The solve memo.}  The spectral slice keeps its last solve (the
+    {!Spectral.result} and the second vector) in one slot.  The key is
+    the physical identity of the CSR graph the slice runs on (on [Csr g]
+    that is [g] itself) and a copy of the alive mask taken when the
+    solve ran.  A later estimate on the same graph, with an equal mask
+    ([Bitset.equal], and [None] matches only [None]), sweeps the stored
+    vectors instead of solving again.  That is the paper's pipeline
+    shape: Prune's last finder call, then the check of its survivor.
+    Anything else misses and solves: another graph, even an equal
+    one built separately; another mask, including the caller's own
+    mask edited in place since the solve; and every implicit view below
+    the cap, which is materialized again on each call.  The solve reads
+    neither [rng] nor the objective, and {!Spectral.solve} depends only
+    on the view, the mask and its parameters, so a hit returns the bits
+    of a cold estimate.  The slot holds its graph weakly (an ephemeron),
+    so it never keeps a dropped graph alive; while the graph lives, it
+    keeps the last solve's two vectors of n floats.  Estimates running on
+    several domains at once may overwrite each other's entry, which
+    costs a miss, never a wrong answer.  A hit emits no
+    ["spectral.solve"] span; the ["expansion.estimate"] exit span says
+    [spectral_reused=true]. *)
 
 type t = {
   value : float;  (** best (smallest) expansion witnessed *)
@@ -71,8 +93,9 @@ val run_v :
     below {!Spectral.Method.power_max_nodes} alive nodes, keeping this
     path byte-identical to the pre-registry code.  An enabled [obs]
     sink wraps the whole estimate in an ["expansion.estimate"] span
-    (with nested spectral spans from {!Spectral}); the default null
-    sink costs nothing.
+    (with nested spectral spans from {!Spectral}, none on a memo hit);
+    its exit carries [value], [exact] and [spectral_reused].  The
+    default null sink costs nothing.
 
     [domains] is a speed knob only: it sizes the spectral matvec's
     worker pool and the fan-out of the four sweeps, both bit-identical

@@ -50,7 +50,7 @@ let exact objective ~alive view ~threshold =
    estimator is the ball slice alone); in between, {!Estimate.run_v}'s
    own pass yields the same smallest component (value 0) before it
    draws from [rng]. *)
-let default ?rng ?domains objective ~alive view ~threshold =
+let default ?obs ?rng ?domains objective ~alive view ~threshold =
   let size = Bitset.cardinal alive in
   let small = size <= exact_limit in
   if size < 2 then None
@@ -64,5 +64,5 @@ let default ?rng ?domains objective ~alive view ~threshold =
     | None when small -> exact objective ~alive view ~threshold
     | None ->
       let rng = match rng with Some r -> r | None -> Rng.create 0x10E5 in
-      let est = Estimate.run_v ~alive ~rng ?domains view objective in
+      let est = Estimate.run_v ?obs ~alive ~rng ?domains view objective in
       if est.Estimate.value <= threshold then Some est.Estimate.witness else None

@@ -16,6 +16,7 @@ open Fn_prng
 type t = alive:Bitset.t -> Gview.t -> threshold:float -> Bitset.t option
 
 val default :
+  ?obs:Fn_obs.Sink.t ->
   ?rng:Rng.t ->
   ?domains:int ->
   Fn_expansion.Cut.objective ->
@@ -28,7 +29,9 @@ val default :
     there is weaker evidence).  Each call makes one components pass:
     the estimator's own between the two limits, the finder's outside
     them.  [domains] is forwarded to the estimator as a speed knob:
-    no witness depends on it.  Deterministic per view; up to the
+    no witness depends on it.  An enabled [obs] sink receives each
+    estimate's ["expansion.estimate"] span and its spectral spans.
+    Deterministic per view; up to the
     cap the witness equals the materialized twin's, above it the ball
     slice follows the view's neighbor order (the order rule in
     {!Gview}). *)

@@ -15,7 +15,7 @@ let run_v ?(obs = Fn_obs.Sink.null) ?finder ?rng ?domains view ~alive ~alpha ~ep
   let finder =
     match finder with
     | Some f -> f
-    | None -> Low_expansion.default ?rng ?domains Fn_expansion.Cut.Node
+    | None -> Low_expansion.default ~obs ?rng ?domains Fn_expansion.Cut.Node
   in
   (* per-round boundary counts reuse one generation-stamped scratch
      instead of allocating a boundary Bitset every round; equal to

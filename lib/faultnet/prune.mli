@@ -69,8 +69,10 @@ val run_v :
 
     With an enabled [obs] sink the run is wrapped in a ["prune.run"]
     span and every cull emits a ["prune.round"] instant (culled size,
-    measured boundary ratio, survivor count); with the default null
-    sink no clock is read and nothing is allocated. *)
+    measured boundary ratio, survivor count); the default finder gets
+    the same sink, so every estimate it runs (and its spectral solve)
+    appears nested in the run.  With the default null sink no clock is
+    read and nothing is allocated. *)
 
 val total_culled : result -> int
 

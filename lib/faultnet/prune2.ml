@@ -44,7 +44,7 @@ let run ?(obs = Fn_obs.Sink.null) ?finder ?rng ?domains g ~alive ~alpha_e ~epsil
   let finder =
     match finder with
     | Some f -> f
-    | None -> Low_expansion.default ?rng ?domains Fn_expansion.Cut.Edge
+    | None -> Low_expansion.default ~obs ?rng ?domains Fn_expansion.Cut.Edge
   in
   let view = Gview.Csr g in
   (* one generation-stamped scratch serves every boundary count of the

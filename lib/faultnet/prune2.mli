@@ -49,8 +49,10 @@ val run :
 
     With an enabled [obs] sink the run is wrapped in a ["prune2.run"]
     span and every cull emits a ["prune2.round"] instant (culled size,
-    measured edge-boundary ratio, survivor count); the default null
-    sink costs nothing. *)
+    measured edge-boundary ratio, survivor count); the default finder
+    gets the same sink, so every estimate it runs (and its spectral
+    solve) appears nested in the run.  The default null sink costs
+    nothing. *)
 
 val total_culled : result -> int
 

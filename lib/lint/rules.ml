@@ -579,6 +579,7 @@ let rng_unsplit_in_par = Rules_par.rng_unsplit_in_par
 let par_float_reduce = Rules_par.par_float_reduce
 let hashtbl_order_dependence = Rules_order.hashtbl_order_dependence
 let dls_outside_obs = Rules_order.dls_outside_obs
+let hidden_state_outside_obs = Rules_order.hidden_state_outside_obs
 
 let all =
   [
@@ -597,6 +598,7 @@ let all =
     par_float_reduce;
     hashtbl_order_dependence;
     dls_outside_obs;
+    hidden_state_outside_obs;
   ]
 
 let find name = List.find_opt (fun r -> r.name = name) all
@@ -695,6 +697,15 @@ let allowlist =
         prefix "lib/obs/"
           "the per-domain span stack is the one sanctioned Domain.DLS use (the rule's \
            own doc says so)";
+      ] );
+    ( "hidden-state-outside-obs",
+      [
+        prefix "lib/obs/" "the span stack and the metrics registry";
+        prefix "lib/bench/kernels.ml"
+          "the kernel registry, filled once as the module initialises";
+        prefix "lib/expansion/estimate.ml"
+          "the solve memo: a pure cache whose hits equal a cold solve bit for bit, \
+           which test_expansion's solve memo cases check";
       ] );
   ]
 

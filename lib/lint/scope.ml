@@ -180,14 +180,22 @@ let build (c : Token.t array) =
                 && List.mem (tok (!i + 1)).text [ "open"; "module"; "exception" ])
       ->
       (* Structure level?  Close the previous structure binding when we
-         are back at (or left of) its column with no extra parens. *)
+         are back at (or left of) its column with no extra parens, and
+         with it any unbracketed [fun]/[function] body it leaves open
+         (such a closure runs to the end of its binding). *)
+      let rec closes = function
+        | { scope = { kind = Closure; _ }; parens_at; _ } :: rest
+          when parens_at = List.length !parens ->
+          closes rest
+        | { scope = { kind = Binding _; _ }; parens_at; col } :: _ ->
+          parens_at = List.length !parens && t.col <= col
+        | _ -> false
+      in
       let rec close_bindings () =
-        match !stack with
-        | { scope = { kind = Binding _; _ }; parens_at; col } :: _
-          when parens_at = List.length !parens && t.col <= col ->
+        if closes !stack then begin
           pop !i;
           close_bindings ()
-        | _ -> ()
+        end
       in
       close_bindings ();
       let binders = collect_let (!i + 1) in

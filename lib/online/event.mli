@@ -16,6 +16,14 @@ val to_token : t -> string
     rows carry. *)
 
 val of_token : string -> t option
+(** Inverse of {!to_token}: [f] or [r], then the id as [string_of_int]
+    prints it — an optional minus sign and decimal digits without a
+    leading zero.  Every other spelling is [None]: OCaml literal forms
+    ([f0x10], [f1_7], [f0b11], [f+9]), leading zeros ([f007]), [f-0]
+    and ids outside the native int range.  A negative id decodes; the
+    protocol refuses it as out of range.  This is the one decoder of a
+    node id on the wire: {!Protocol} reads query arguments through it
+    too. *)
 
 val batch_to_json : t list -> Fn_obs.Jsonx.t
 (** Journal row payload: a JSON array of wire tokens.  Exact

@@ -20,7 +20,7 @@ type report = {
   violations : string list;  (** lines whose non-[ok] reply changed engine state *)
 }
 
-let weird_ids = [| "-1"; "-999999999"; "4611686018427387903"; "0x7f"; "1e9"; "NaN"; "" |]
+let weird_ids = [| "-1"; "-999999999"; "4611686018427387903"; "0x7f"; "1e9"; "NaN"; ""; "1_7" |]
 
 let verbs =
   [| "alive?"; "certificate?"; "alpha?"; "apply"; "stats?"; "audit!"; "state?"; "quit" |]

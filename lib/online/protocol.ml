@@ -54,12 +54,16 @@ let tokens line =
 (* Total decoding of one node argument: anything that is not an
    in-range id is the same typed refusal, whether it failed to parse,
    is negative, or walks off the end of the universe.  Hostile input
-   must not reach the engine's invalid_arg guards. *)
+   must not reach the engine's invalid_arg guards.  The id is read as
+   the id of a fault token, so queries and apply events accept exactly
+   one spelling of each id ({!Event.of_token}). *)
 let node_arg ~n word v k =
-  match int_of_string_opt v with
-  | Some id when id >= 0 && id < n -> Ok (Some (k id))
-  | Some id -> Error (Bad_node (Printf.sprintf "%s wants a node in [0, %d), got %d" word n id))
-  | None -> Error (Bad_node (Printf.sprintf "%s needs a node id, got %S" word v))
+  match Event.of_token ("f" ^ v) with
+  | Some (Event.Fault id) when id >= 0 && id < n -> Ok (Some (k id))
+  | Some (Event.Fault id) ->
+    Error (Bad_node (Printf.sprintf "%s wants a node in [0, %d), got %d" word n id))
+  | Some (Event.Repair _) | None ->
+    Error (Bad_node (Printf.sprintf "%s needs a node id, got %S" word v))
 
 let parse ?(limits = default_limits) ~n line =
   if String.length line > limits.max_line_bytes then

@@ -24,8 +24,11 @@
     server can emit:
 
     - [bad-command]    — unknown verb
-    - [bad-node]       — node id unparsable, negative, or >= n
-    - [bad-event]      — apply token that is not f<id>/r<id>
+    - [bad-node]       — node id unparsable, negative, or >= n (an id
+                         has one spelling, [string_of_int]'s: no
+                         [0x12], [+3], [0b11] or leading zeros)
+    - [bad-event]      — apply token that is not f<id>/r<id> with the
+                         id spelled that way ({!Event.of_token})
     - [line-too-long]  — request over [limits.max_line_bytes]
     - [batch-too-large]— apply with more than [limits.max_batch_events]
     - [rejected]       — well-formed batch refused by churn validation

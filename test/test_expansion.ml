@@ -4,6 +4,34 @@ open Testutil
 
 let rng () = Fn_prng.Rng.create 31415
 
+(* An equal graph built separately: the estimator's solve memo is keyed
+   on the graph's identity, so a run on a copy always solves. *)
+let copy g = Graph.of_edge_array (Graph.num_nodes g) (Graph.edges g)
+
+(* [f sink] under a memory sink: its result, the number of
+   spectral.solve spans it opened, and the spectral_reused field of the
+   last expansion.estimate exit ([None] when there was none). *)
+let traced f =
+  let sink, events = Fn_obs.Sink.memory () in
+  let r = f sink in
+  let evs = events () in
+  let solves =
+    List.length
+      (List.filter
+         (fun (e : Fn_obs.Sink.event) ->
+           match e.kind with Fn_obs.Sink.Enter -> e.name = "spectral.solve" | _ -> false)
+         evs)
+  in
+  let reused =
+    List.fold_left
+      (fun acc (e : Fn_obs.Sink.event) ->
+        match (e.kind, List.assoc_opt "spectral_reused" e.fields) with
+        | Fn_obs.Sink.Exit, Some (Fn_obs.Sink.Bool b) when e.name = "expansion.estimate" -> Some b
+        | _ -> acc)
+      None evs
+  in
+  (r, solves, reused)
+
 let test_exact_complete () =
   let c = Exact.node_expansion (Fn_topology.Basic.complete 8) in
   check_float "K8 node expansion" (Analytic.complete_node_exact 8) c.Cut.value;
@@ -285,7 +313,7 @@ let test_estimate_domains_one_is_default () =
   (* ~domains:1 must be the same sequential code path as the default *)
   let g, _ = Fn_topology.Mesh.cube ~d:2 ~side:8 in
   let a = Estimate.run ~rng:(rng ()) g Cut.Edge in
-  let b = Estimate.run ~rng:(rng ()) ~domains:1 g Cut.Edge in
+  let b = Estimate.run ~rng:(rng ()) ~domains:1 (copy g) Cut.Edge in
   check_bool "value bits" true
     (Int64.equal (Int64.bits_of_float a.Estimate.value) (Int64.bits_of_float b.Estimate.value));
   check_bool "witness" true (Bitset.equal a.Estimate.witness b.Estimate.witness);
@@ -295,7 +323,9 @@ let test_estimate_domains_one_is_default () =
    domains-1 value bits, witness, exact flag and lower bound.  On the
    masked 10x10 mesh multi-start refinement finds another cut, and the
    masked 40x40 torus (1,600 nodes) is large enough for the spectral
-   matvec to run on the worker pool. *)
+   matvec to run on the worker pool.  Each run gets its own copy of the
+   graph, so none replays another's solve from the memo: each must
+   open one spectral.solve of its own. *)
 let test_estimate_domain_count_invariant () =
   let mrng = Fn_prng.Rng.create 577 in
   let largest g p =
@@ -318,7 +348,13 @@ let test_estimate_domain_count_invariant () =
     (fun (name, g, alive) ->
       List.iter
         (fun (oname, objective) ->
-          let run domains = Estimate.run ?alive ~rng:(rng ()) ~domains g objective in
+          let run domains =
+            let e, solves, _ =
+              traced (fun obs -> Estimate.run ~obs ?alive ~rng:(rng ()) ~domains (copy g) objective)
+            in
+            check_int (Printf.sprintf "%s, %s, domains %d: one solve" name oname domains) 1 solves;
+            e
+          in
           let base = run 1 in
           List.iter
             (fun domains ->
@@ -400,7 +436,9 @@ let reference_heuristic ?alive ~rng g objective =
 (* The ball candidates now come from the grower's counts and only the
    winners are built; value and witness must not move, at domains 1 or
    3 alike.  Masks keep the largest component, so the heuristic branch
-   runs (a disconnected mask short-cuts to 0). *)
+   runs (a disconnected mask short-cuts to 0).  Each run is on its own
+   copy of the graph and opens one spectral.solve: a memo hit would
+   compare the reference with a replayed solve. *)
 let test_estimate_matches_rescan_candidates () =
   let mrng = Fn_prng.Rng.create 1618 in
   let largest g p =
@@ -430,10 +468,12 @@ let test_estimate_matches_rescan_candidates () =
               for seed = 1 to 3 do
                 let label = Printf.sprintf "%s, %s, domains %d, seed %d" name oname domains seed in
                 let expect = reference_heuristic ?alive ~rng:(Fn_prng.Rng.create seed) g objective in
-                let got =
-                  Estimate.run ?alive ~rng:(Fn_prng.Rng.create seed) ~domains ~force_heuristic:true
-                    g objective
+                let got, solves, _ =
+                  traced (fun obs ->
+                      Estimate.run ~obs ?alive ~rng:(Fn_prng.Rng.create seed) ~domains
+                        ~force_heuristic:true (copy g) objective)
                 in
+                check_int (label ^ ": one solve") 1 solves;
                 check_bool (label ^ ": heuristic branch") false got.Estimate.exact;
                 check_bool (label ^ ": value and witness") true
                   (same_cut expect
@@ -442,6 +482,129 @@ let test_estimate_matches_rescan_candidates () =
             [ 1; 3 ])
         [ ("node", Cut.Node); ("edge", Cut.Edge) ])
     cases
+
+(* ---- the spectral slice's solve memo ---- *)
+
+let same_estimate label (a : Estimate.t) (b : Estimate.t) =
+  let bits x = Int64.bits_of_float x in
+  check_bool (label ^ ": value bits") true
+    (Int64.equal (bits a.Estimate.value) (bits b.Estimate.value));
+  check_bool (label ^ ": witness") true (Bitset.equal a.Estimate.witness b.Estimate.witness);
+  check_bool (label ^ ": lower") true
+    (Option.equal (fun x y -> Int64.equal (bits x) (bits y)) a.Estimate.lower b.Estimate.lower)
+
+let torus12 () = fst (Fn_topology.Torus.cube ~d:2 ~side:12)
+let mesh12 () = fst (Fn_topology.Mesh.cube ~d:2 ~side:12)
+
+(* All 144 nodes but node 0: connected on the 12x12 torus and mesh
+   alike, so the estimator reaches its spectral slice on both. *)
+let all_but_0 () =
+  let m = Bitset.create_full 144 in
+  Bitset.remove m 0;
+  m
+
+(* A repeat on the same graph with an equal mask (a separate copy of
+   it) sweeps the stored solve: it opens no spectral.solve, says
+   spectral_reused=true, and has the bits of a cold estimate on a
+   physically distinct copy of the graph.  The warm-up runs the other
+   objective with another rng, since the solve reads neither. *)
+let test_memo_hit_equals_cold () =
+  let g = torus12 () in
+  List.iter
+    (fun (mname, alive) ->
+      List.iter
+        (fun (oname, objective, other) ->
+          let label = Printf.sprintf "%s, %s" mname oname in
+          let _, solves, reused = traced (fun obs -> Estimate.run ~obs ?alive g other) in
+          check_int (label ^ ": warm-up solves") 1 solves;
+          check_bool (label ^ ": warm-up not reused") true (reused = Some false);
+          let hit, solves, reused =
+            traced (fun obs ->
+                Estimate.run ~obs ?alive:(Option.map Bitset.copy alive) ~rng:(rng ()) g objective)
+          in
+          check_int (label ^ ": hit opens no solve") 0 solves;
+          check_bool (label ^ ": hit reused") true (reused = Some true);
+          let cold, solves, reused =
+            traced (fun obs -> Estimate.run ~obs ?alive ~rng:(rng ()) (copy g) objective)
+          in
+          check_int (label ^ ": cold copy solves") 1 solves;
+          check_bool (label ^ ": cold not reused") true (reused = Some false);
+          same_estimate label hit cold)
+        [ ("node", Cut.Node, Cut.Edge); ("edge", Cut.Edge, Cut.Node) ])
+    [ ("unmasked", None); ("masked", Some (all_but_0 ())) ]
+
+(* Prune edits its mask in place ([Bitset.diff_into]) between finder
+   calls.  The memo keys on its own copy of the mask, so the estimate
+   after such an edit solves again and equals a cold estimate. *)
+let test_memo_mask_edited_in_place () =
+  let g = torus12 () in
+  let alive = all_but_0 () in
+  let _, solves, _ = traced (fun obs -> Estimate.run ~obs ~alive g Cut.Node) in
+  check_int "first estimate solves" 1 solves;
+  let culled = Bitset.create 144 in
+  Bitset.add culled 1;
+  Bitset.add culled 2;
+  Bitset.diff_into alive culled;
+  let after, solves, reused = traced (fun obs -> Estimate.run ~obs ~alive g Cut.Node) in
+  check_int "edited mask solves again" 1 solves;
+  check_bool "edited mask not reused" true (reused = Some false);
+  let cold = Estimate.run ~alive:(Bitset.copy alive) (copy g) Cut.Node in
+  same_estimate "edited mask" after cold
+
+(* The graph is part of the key: an equal mask on another graph of the
+   same size (a mesh after a torus) misses, and gets the mesh's own
+   answer. *)
+let test_memo_other_graph_misses () =
+  let torus = torus12 () and mesh = mesh12 () in
+  List.iter
+    (fun (mname, alive) ->
+      let _, solves, _ = traced (fun obs -> Estimate.run ~obs ?alive torus Cut.Edge) in
+      check_int (mname ^ ": torus solves") 1 solves;
+      let got, solves, reused =
+        traced (fun obs -> Estimate.run ~obs ?alive:(Option.map Bitset.copy alive) mesh Cut.Edge)
+      in
+      check_int (mname ^ ": mesh solves") 1 solves;
+      check_bool (mname ^ ": mesh not reused") true (reused = Some false);
+      same_estimate (mname ^ ": mesh") got (Estimate.run ?alive (copy mesh) Cut.Edge))
+    [ ("unmasked", None); ("masked", Some (all_but_0 ())) ]
+
+(* Two domains estimate interleaved (graph, mask) pairs through the one
+   slot; each may overwrite the other's entry.  The two graphs have the
+   same size and the masks are equal, so only the graph key tells the
+   entries apart.  Every answer equals the sequential cold estimate of
+   its pair. *)
+let test_memo_two_domains () =
+  let torus = torus12 () and mesh = mesh12 () in
+  let mask = all_but_0 () in
+  let pairs =
+    [|
+      (torus, None, Cut.Node);
+      (mesh, None, Cut.Node);
+      (torus, Some mask, Cut.Edge);
+      (mesh, Some mask, Cut.Edge);
+    |]
+  in
+  let expected =
+    Array.map (fun (g, alive, objective) -> Estimate.run ?alive (copy g) objective) pairs
+  in
+  let schedule order =
+    Domain.spawn (fun () ->
+        List.map
+          (fun i ->
+            let g, alive, objective = pairs.(i) in
+            (i, Estimate.run ?alive g objective))
+          order)
+  in
+  let steps = List.init 24 Fun.id in
+  let a = schedule (List.map (fun s -> s mod 4) steps) in
+  let b = schedule (List.map (fun s -> (s / 2) mod 4) steps) in
+  List.iter
+    (fun (who, d) ->
+      List.iteri
+        (fun step (i, got) ->
+          same_estimate (Printf.sprintf "domain %s, step %d, pair %d" who step i) got expected.(i))
+        (Domain.join d))
+    [ ("a", a); ("b", b) ]
 
 let prop_analytic_formulas_guard =
   prop "analytic guards reject bad input" (QCheck2.Gen.int_range (-3) 1) (fun n ->
@@ -493,6 +656,13 @@ let () =
           case "estimate = re-scan candidates reference" test_estimate_matches_rescan_candidates;
           case "estimate parallel domain-count invariant" test_estimate_domain_count_invariant;
           case "exact size limits" test_exact_size_limits;
+        ] );
+      ( "solve memo",
+        [
+          case "hit equals a cold estimate" test_memo_hit_equals_cold;
+          case "mask edited in place misses" test_memo_mask_edited_in_place;
+          case "other graph misses" test_memo_other_graph_misses;
+          case "two domains interleaved" test_memo_two_domains;
         ] );
       ( "properties",
         [

@@ -322,6 +322,18 @@ let test_scope_match_pattern_binds () =
   check_bool "pattern var bound" true (Hashtbl.mem bound "y");
   check_bool "outer capture visible" false (Hashtbl.mem bound "v")
 
+(* an unbracketed [function] body ends with its binding: the next
+   structure-level [let] is a binding of its own, not a closure body *)
+let test_scope_closure_ends_with_binding () =
+  let src = "let name = function 0 -> \"a\" | _ -> \"b\"\nlet cache = ref None" in
+  let code = Token.code (Token.tokenize src) in
+  let root = Scope.build code in
+  let at = ref (-1) in
+  Array.iteri (fun i (t : Token.t) -> if t.text = "cache" then at := i) code;
+  let s = Scope.innermost_non_closure root !at in
+  check_bool "cache is a structure binding" true
+    (match s.Scope.kind with Scope.Binding "cache" -> true | _ -> false)
+
 let test_scope_innermost_binding () =
   (* the enclosing structure-level binding spans past nested closures,
      so a sort later in the same definition is inside its range *)
@@ -459,6 +471,30 @@ let test_dls_outside_obs () =
   check_bool "other Domain functions ok" false
     (hit "let d = Domain.spawn (fun () -> 1) let n = Domain.recommended_domain_count ()");
   check_bool "comment mention ok" false (hit "(* Domain.DLS is banned *) let x = 1")
+
+let test_hidden_state_outside_obs () =
+  let hit ?path src = List.mem "hidden-state-outside-obs" (rules_hit (lint ?path src)) in
+  check_bool "top-level ref" true (hit "let cache = ref None");
+  check_bool "annotated Hashtbl.create" true
+    (hit "let tbl : (int, int) Hashtbl.t = Hashtbl.create 16");
+  check_bool "Atomic.make" true (hit "let slot = Atomic.make 0");
+  check_bool "Stdlib.ref in a tuple" true (hit "let a, b = (0, Stdlib.ref 1)");
+  check_bool "captured by a unit binding" true
+    (hit "let () = let flip = ref false in register (fun () -> flip := true)");
+  check_bool "inside a nested module" true (hit "module M = struct\n  let t = Hashtbl.create 3\nend");
+  check_bool "after a function binding" true
+    (hit "let name = function 0 -> \"a\" | _ -> \"b\"\nlet cache = ref None");
+  (* negatives *)
+  check_bool "function body" false (hit "let make x = ref x");
+  check_bool "fun body" false (hit "let make = fun x -> Hashtbl.create x");
+  check_bool "operator with parameters" false (hit "let ( +! ) a b = ref (a + b)");
+  check_bool "type and label" false (hit "type t = int ref\nlet x = f ~ref:3");
+  check_bool "another module's ref" false (hit "let x = Other.ref 3");
+  check_bool "lib/obs allowlisted" false (hit ~path:"lib/obs/metrics.ml" "let reg = Hashtbl.create 8");
+  check_bool "estimate memo allowlisted" false
+    (hit ~path:"lib/expansion/estimate.ml" "let last = Atomic.make None");
+  check_bool "outside lib" false (hit ~path:"bin/tool.ml" "let cache = ref None");
+  check_bool "comment mention ok" false (hit "(* let cache = ref None *) let x = 1")
 
 (* ------------------------------------------------------------------ *)
 (* Suppression                                                         *)
@@ -628,6 +664,8 @@ let () =
           Alcotest.test_case "captures" `Quick test_scope_captures;
           Alcotest.test_case "match pattern binds" `Quick test_scope_match_pattern_binds;
           Alcotest.test_case "innermost binding" `Quick test_scope_innermost_binding;
+          Alcotest.test_case "closure ends with its binding" `Quick
+            test_scope_closure_ends_with_binding;
         ] );
       ( "scope-rules",
         [
@@ -636,6 +674,7 @@ let () =
           Alcotest.test_case "par-float-reduce" `Quick test_par_float_reduce;
           Alcotest.test_case "hashtbl-order-dependence" `Quick test_hashtbl_order_dependence;
           Alcotest.test_case "dls-outside-obs" `Quick test_dls_outside_obs;
+          Alcotest.test_case "hidden-state-outside-obs" `Quick test_hidden_state_outside_obs;
         ] );
       ( "rules",
         [

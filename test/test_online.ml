@@ -408,6 +408,18 @@ let test_protocol_hardening () =
   check_code "alive?" "bad-command";
   check_code "alive? 63" "(accepted)";
   check_code "apply f0 r63" "(accepted)";
+  (* one spelling per id: OCaml literal forms and leading zeros are
+     refused, not read as another node *)
+  check_code "apply f0x10" "bad-event";
+  check_code "apply f1_7" "bad-event";
+  check_code "apply f007" "bad-event";
+  check_code "apply f+9" "bad-event";
+  check_code "apply r-0" "bad-event";
+  check_code "alive? 0x12" "bad-node";
+  check_code "alive? +3" "bad-node";
+  check_code "alive? 007" "bad-node";
+  check_code "certificate? 0b11" "bad-node";
+  check_code "certificate? 0" "(accepted)";
   (* limits *)
   let tiny = { Protocol.max_line_bytes = 32; max_batch_events = 2 } in
   (match Protocol.parse ~limits:tiny ~n:64 (String.make 33 'a') with
@@ -1105,7 +1117,32 @@ let test_event_tokens () =
     [ Event.Fault 0; Event.Repair 7; Event.Fault 1_000_000 ];
   List.iter
     (fun tok -> check_bool (tok ^ " refused") true (Event.of_token tok = None))
-    [ "x1"; "f"; ""; "r1.5" ]
+    [
+      "x1"; "f"; ""; "r1.5"; "f0x10"; "f1_7"; "f007"; "f+9"; "f-0"; "r0b11"; "f00"; "f 1";
+      "f4611686018427387904"; "f99999999999999999999999999";
+    ];
+  check_bool "negative ids decode (the protocol refuses them)" true
+    (Event.of_token "r-3" = Some (Event.Repair (-3)));
+  check_bool "max_int decodes" true
+    (Event.of_token (Event.to_token (Event.Fault max_int)) = Some (Event.Fault max_int))
+
+(* of_token accepts a token naming a non-negative id only in the
+   spelling to_token gives it, and decodes every spelling to_token
+   gives.  Tokens are drawn from a small alphabet of prefixes, digits,
+   signs and literal marks, so near-misses ("f07", "f-0", "r1_0",
+   "f0x1") come up often. *)
+let prop_event_token_spelling =
+  let open QCheck2.Gen in
+  let body = string_size ~gen:(oneofl (String.to_seq "0179-+_xbe " |> List.of_seq)) (int_range 0 6) in
+  let token = map2 ( ^ ) (oneofl [ "f"; "r"; "x"; "" ]) body in
+  let id = oneof [ int_range 0 1000; int_range (-1000) (-1); int; oneofl [ max_int; min_int ] ] in
+  prop ~count:2000 "of_token accepts exactly to_token's spellings" (triple token id bool)
+    (fun (s, v, fault) ->
+      let e = if fault then Event.Fault v else Event.Repair v in
+      (match Event.of_token s with
+      | Some d when Fn_faults.Churn.event_node d >= 0 -> String.equal (Event.to_token d) s
+      | Some _ | None -> true)
+      && Event.of_token (Event.to_token e) = Some e)
 
 let test_protocol_limits_and_errors () =
   let l = Protocol.default_limits in
@@ -1210,5 +1247,6 @@ let () =
           case "engine accessors" test_engine_accessors;
           case "certificate counters" test_cert_counters;
           case "view_of_spec" test_view_of_spec;
+          prop_event_token_spelling;
         ] );
     ]

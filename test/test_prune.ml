@@ -179,6 +179,55 @@ let test_report_summaries () =
   check_bool "fewer than two survivors: none" true
     (Faultnet.Report.survivor_expansion g (Bitset.of_list 36 [ 0 ]) Fn_expansion.Cut.Node = None)
 
+(* A traced Prune shows every finder solve: the default finder gets
+   the run's sink.  The paper's pipeline then checks the survivor, which
+   has the graph and mask of Prune's last finder call, so that estimate
+   sweeps the memoized solve: the run's last estimate solved on the
+   survivor's mask, and the survivor's own estimate opens no
+   spectral.solve and says spectral_reused=true. *)
+let test_traced_prune_then_survivor () =
+  let open Fn_obs.Sink in
+  let n = 256 in
+  let g = Fn_topology.Expander.random_regular (rng ()) ~n ~d:6 in
+  let alpha =
+    (Fn_expansion.Estimate.run ~rng:(rng ()) g Fn_expansion.Cut.Node).Fn_expansion.Estimate.value
+  in
+  let k = 2.0 in
+  let f = Theorem.thm21_max_faults ~alpha ~n ~k in
+  let alive = (Fn_faults.Adversary.ball_isolation (rng ()) g ~budget:f).Fn_faults.Fault_set.alive in
+  let sink, events = memory () in
+  let res = Prune.run ~obs:sink ~rng:(rng ()) g ~alive ~alpha ~epsilon:(Theorem.thm21_epsilon ~k) in
+  let kept = res.Prune.kept in
+  check_bool "survivor past the exact finder" true (Bitset.cardinal kept > 18);
+  ignore (Fn_expansion.Estimate.run ~obs:sink ~alive:kept g Fn_expansion.Cut.Node);
+  let is kind name e =
+    String.equal e.name name
+    && match (kind, e.kind) with Enter, Enter | Exit, Exit -> true | _ -> false
+  in
+  let rec split before = function
+    | [] -> (List.rev before, [])
+    | e :: rest when is Exit "prune.run" e -> (List.rev (e :: before), rest)
+    | e :: rest -> split (e :: before) rest
+  in
+  let during, after = split [] (events ()) in
+  let count kind name l = List.length (List.filter (is kind name) l) in
+  let last kind name l = List.fold_left (fun acc e -> if is kind name e then Some e else acc) None l in
+  let field key e = Option.bind e (fun e -> List.assoc_opt key e.fields) in
+  let run_id = Option.map (fun e -> e.id) (last Enter "prune.run" during) in
+  check_bool "a run span" true (Option.is_some run_id);
+  check_bool "the finder's solves are traced" true (count Enter "spectral.solve" during >= 1);
+  check_bool "finder estimates nest in the run" true
+    (List.for_all
+       (fun e -> (not (is Enter "expansion.estimate" e)) || Some e.parent = run_id)
+       during);
+  check_bool "the last finder estimate solved" true
+    (field "spectral_reused" (last Exit "expansion.estimate" during) = Some (Bool false));
+  check_bool "on the survivor's mask" true
+    (field "alive" (last Enter "expansion.estimate" during) = Some (Int (Bitset.cardinal kept)));
+  check_int "the survivor opens no solve" 0 (count Enter "spectral.solve" after);
+  check_bool "the survivor reuses it" true
+    (field "spectral_reused" (last Exit "expansion.estimate" after) = Some (Bool true))
+
 let () =
   Alcotest.run "prune"
     [
@@ -194,6 +243,7 @@ let () =
           case "idempotent" test_prune_idempotent;
           case "domains=1 equals default" test_domains_one_equals_default;
           case "report summaries" test_report_summaries;
+          case "traced run, then its survivor" test_traced_prune_then_survivor;
         ] );
       ( "properties",
         [ prop_prune_random_graphs_certify; prop_round_boundaries_match_naive_replay ] );
